@@ -45,8 +45,7 @@ coeffs = BuiltinLinearMeanField(a=1.0, b=0.5, sigma0=1.0).coefficients()
 x0 = solve_deterministic_limit(unit, coeffs, 1.0, grid)
 rng = np.random.default_rng(2)
 v = ControlPath(grid=grid, values=rng.normal(size=(grid.n_steps, 1)))
-target = solve_controlled_deterministic(unit, unit, coeffs, 1.0, v, x0, "ldp",
-                                        grid, method="stepping")
+target = solve_controlled_deterministic(unit, unit, coeffs, 1.0, v, x0, "ldp", grid)
 sol = ldp_rate(RateProblem(mode="ldp", k1=unit, kc=unit, coeffs=coeffs,
                            grid=grid, x0_path=x0, target=target))
 print("generating energy :", v.energy)

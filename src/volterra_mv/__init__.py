@@ -21,7 +21,6 @@ from .errors import (
     GridMismatchError,
     KernelDomainError,
     NonIntegrableError,
-    PicardError,
     RankDeficiencyError,
     SeriesDivergenceError,
     SingularityError,

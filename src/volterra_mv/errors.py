@@ -34,14 +34,6 @@ class BlowUpError(VolterraError):
         self.magnitude = magnitude
 
 
-class PicardError(VolterraError):
-    """Successive approximation failed to converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class DimensionMismatchError(VolterraError):
     """Measures or states of incompatible dimension were combined."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TimeGrid
-from .kernels import grid_weights
+from .kernels import History, grid_weights
 from .measures import EmpiricalMeasure
 from .solvers import Model, PathEnsemble, simulate_particles, solve_deterministic_limit
 
@@ -60,13 +60,13 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     dt = grid.dt
     times = grid.times
 
-    x0 = solve_deterministic_limit(model.k1, coeffs, xi, grid, method="stepping")
+    x0 = solve_deterministic_limit(model.k1, coeffs, xi, grid)
     ens = simulate_particles(model.k1, model.k2, coeffs, xi, eps, grid,
                              n_particles, seed)
     z_eps_states = (ens.states - x0[None, :, :]) / np.sqrt(eps)
 
-    w1 = grid_weights(model.k1, grid)
-    w2 = grid_weights(model.k2, grid)
+    drift = History(grid_weights(model.k1, grid), (n_particles * d,))
+    noise = History(grid_weights(model.k2, grid), (n_particles * d,))
     dw = ens.driver_increments
 
     grads = np.empty((n, d, d))
@@ -80,15 +80,11 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
 
     z = np.empty((n_particles, n + 1, d))
     z[:, 0, :] = 0.0
-    drift_hist = np.empty((n, n_particles * d))
-    noise_hist = np.empty((n, n_particles * d))
     for i in range(n):
         zi = z[:, i, :]
-        drift = zi @ grads[i].T + (zi.mean(axis=0) @ dls[i].T)[None, :]
-        drift_hist[i] = drift.reshape(-1)
-        noise_hist[i] = (dw[:, i, :] @ sig0[i].T).reshape(-1)
-        nxt = dt * (w1[i + 1, : i + 1] @ drift_hist[: i + 1]) + (
-            w2[i + 1, : i + 1] @ noise_hist[: i + 1]
+        bi = zi @ grads[i].T + (zi.mean(axis=0) @ dls[i].T)[None, :]
+        nxt = dt * drift.push(bi.reshape(-1)) + noise.push(
+            (dw[:, i, :] @ sig0[i].T).reshape(-1)
         )
         z[:, i + 1, :] = nxt.reshape(n_particles, d)
 
@@ -227,7 +223,7 @@ def regression_report(reg: RegressionResult, path=None) -> str:
 def strong_error_vs_eps(model: Model, xi, eps_list, grid: TimeGrid,
                         n_particles: int, seed: int) -> dict:
     """E sup_t |X^eps - X^0| per eps, all ensembles coupled through one seed."""
-    x0 = solve_deterministic_limit(model.k1, model.coeffs, xi, grid, method="stepping")
+    x0 = solve_deterministic_limit(model.k1, model.coeffs, xi, grid)
     out = {}
     for eps in eps_list:
         ens = simulate_particles(model.k1, model.k2, model.coeffs, xi, float(eps),

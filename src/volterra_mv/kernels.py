@@ -564,15 +564,41 @@ class GridKernel:
 
 
 def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
-    """Cell-averaged weights with per-kernel caching (kernels are immutable)."""
-    cache = getattr(kernel, "_weights_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(kernel, "_weights_cache", cache)
+    """Cell-averaged weights, cached on the (immutable) kernel for the last
+    grid it was used on, so a kernel holds at most one dense matrix."""
     key = (grid.horizon, grid.n_steps)
-    if key not in cache:
-        cache[key] = kernel.average_weights(grid)
-    return cache[key]
+    cached = getattr(kernel, "_weights_cache", None)
+    if cached is None or cached[0] != key:
+        cached = (key, kernel.average_weights(grid))
+        object.__setattr__(kernel, "_weights_cache", cached)
+    return cached[1]
+
+
+class History:
+    """Volterra history sums of a forward substitution on grid weights.
+
+    ``weights`` has the (n+1, n) strictly lower layout of ``average_weights``.
+    The i-th ``push(h)`` stores ``h`` (of the given shape) as h_i and returns
+    ``sum_{k <= i} weights[i+1, k] h_k``, the history term of node i+1, so a
+    scheme x[i+1] = base + dt * sum_k w[i+1, k] f(x_k) pushes f(x_i) once per
+    step.
+    """
+
+    def __init__(self, weights: np.ndarray, shape: tuple = ()):
+        self.weights = weights
+        self._values = np.empty((weights.shape[1], *shape))
+        # matmul contracts a weight row with the leading axis of a 1-d or 2-d
+        # operand only, so terms of two or more axes are summed as flat rows
+        self._matrix = len(shape) > 1
+        self._rows = self._values.reshape(len(self._values), -1) if self._matrix else self._values
+        self._count = 0
+
+    def push(self, h) -> np.ndarray:
+        i = self._count
+        self._values[i] = h
+        self._count = i + 1
+        out = self.weights[i + 1, : i + 1] @ self._rows[: i + 1]
+        return out.reshape(self._values.shape[1:]) if self._matrix else out
 
 
 def convolve(k: GridKernel, m: GridKernel) -> GridKernel:
@@ -625,8 +651,10 @@ def resolvent(k: GridKernel, method: str = "direct", n_max: int = 200,
     w = k.weights
     if method == "direct":
         r = w.copy()
+        hist = History(w, (n,))
+        hist.push(r[0])  # row 0 vanishes, so R and K share row 1
         for i in range(2, n + 1):
-            r[i, :] += dt * (w[i, :i] @ r[:i, :])
+            r[i, :] += dt * hist.push(r[i - 1])
         return GridKernel(grid=k.grid, weights=r)
     if method == "series":
         term = w.copy()
@@ -670,11 +698,11 @@ def gronwall_check(k: GridKernel, g: np.ndarray, slack_constant: float = 2.0) ->
     if np.any(g < 0.0):
         raise ValueError("g must be nonnegative")
     dt = k.grid.dt
-    w = k.weights
     f = np.empty(n + 1)
     f[0] = g[0]
-    for i in range(1, n + 1):
-        f[i] = g[i] + dt * (w[i, :i] @ f[:i])
+    hist = History(k.weights)
+    for i in range(n):
+        f[i + 1] = g[i + 1] + dt * hist.push(f[i])
     r = resolvent(k, method="direct")
     bound = g + r.apply(g)
     slack = slack_constant * dt * float(g.max(initial=0.0)) * (

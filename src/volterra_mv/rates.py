@@ -148,7 +148,7 @@ def _finish(problem: RateProblem, v: np.ndarray, lambda_used: float,
     mode = "mdp_linearized" if problem.mode == "mdp" else "ldp"
     resub = solve_controlled_deterministic(
         problem.k1, problem.kc, problem.coeffs, problem.x0_path[0], ctrl,
-        problem.x0_path, mode, grid, method="stepping",
+        problem.x0_path, mode, grid,
     )
     residual = float(np.max(np.abs(resub - problem.target)))
     if residual_tol is None:
@@ -176,38 +176,21 @@ def mdp_rate(problem: RateProblem, residual_tol: float | None = None) -> RateSol
     return _finish(problem, v, lam, residual_tol)
 
 
-def ldp_rate(problem: RateProblem, solver: str = "triangular",
-             max_iter: int = 5000, step: float = None,
-             residual_tol: float | None = None) -> RateSolution:
+def ldp_rate(problem: RateProblem, residual_tol: float | None = None) -> RateSolution:
     """Small-noise rate of a target path of the controlled limit equation.
 
-    With the target fixed, the constraint is affine in the control, so
-    solver="triangular" inverts it directly (minimum-norm least squares);
-    solver="descent" minimizes the squared constraint defect by plain
-    gradient descent and exists to cross-check the direct route.
+    With the target fixed, the constraint is affine in the control, so it is
+    inverted directly in the minimum-norm least-squares sense
+    (ridge-regularized as in mdp_rate); the rate is the recovered control
+    energy.
     """
     if problem.mode != "ldp":
         raise ValueError("problem mode must be 'ldp'")
     c, g, sig = _control_system(problem)
     wc = grid_weights(problem.kc, problem.grid)
-    n, m = problem.grid.n_steps, problem.coeffs.m
-    lead = np.array([wc[k + 1, k] for k in range(n)])
-    if solver == "triangular":
-        v, lam = _solve_first_kind(c, g, problem.lam_reg, sig, lead, problem.grid.dt)
-        return _finish(problem, v, lam, residual_tol)
-    if solver == "descent":
-        if step is None:
-            step = 1.0 / max(float(np.linalg.norm(c, ord=2)) ** 2, 1e-12)
-        v = np.zeros(n * m)
-        for it in range(max_iter):
-            grad = c.T @ (c @ v - g)
-            v -= step * grad
-            if float(np.linalg.norm(grad)) <= 1e-14 * (1.0 + float(np.linalg.norm(g))):
-                break
-        sol = _finish(problem, v.reshape(n, m), 0.0, residual_tol)
-        sol.iterations = it + 1
-        return sol
-    raise ValueError(f"unknown solver {solver!r}")
+    lead = np.array([wc[k + 1, k] for k in range(problem.grid.n_steps)])
+    v, lam = _solve_first_kind(c, g, problem.lam_reg, sig, lead, problem.grid.dt)
+    return _finish(problem, v, lam, residual_tol)
 
 
 @dataclass(frozen=True)
@@ -222,14 +205,6 @@ class Halfspace:
 
     def contains(self, x) -> np.ndarray:
         return np.asarray(x) @ self.normal >= self.level
-
-
-def _terminal_map(problem_mode: str, k1, kc, coeffs, xi, x0_path, grid, v_values):
-    ctrl = ControlPath(grid=grid, values=v_values)
-    mode = "mdp_linearized" if problem_mode == "mdp" else "ldp"
-    path = solve_controlled_deterministic(k1, kc, coeffs, xi, ctrl, x0_path, mode, grid,
-                                          method="stepping")
-    return path
 
 
 def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, normal):
@@ -276,7 +251,9 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     descent, followed by a minimum-norm equality polish on the linearized
     active constraint.  Deterministic given the initial control and
     parameters.  The control kernel defaults to the drift kernel in ldp mode
-    and the noise kernel in mdp mode.
+    and the noise kernel in mdp mode.  A stage whose line search finds no
+    decrease ends there; diagnostics["line_search_failures"] lists each such
+    stop as {"stage", "iteration"}.
     """
     coeffs = model.coeffs
     if kc is None:
@@ -284,11 +261,14 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     n, m = grid.n_steps, coeffs.m
     dt = grid.dt
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    x0_path = solve_deterministic_limit(model.k1, coeffs, xi_arr, grid, method="stepping")
+    x0_path = solve_deterministic_limit(model.k1, coeffs, xi_arr, grid)
     v = np.zeros((n, m)) if init is None else np.array(init.values, dtype=float)
+    forward_mode = "mdp_linearized" if mode == "mdp" else "ldp"
 
     def forward(vv):
-        return _terminal_map(mode, model.k1, kc, coeffs, xi_arr, x0_path, grid, vv)
+        return solve_controlled_deterministic(model.k1, kc, coeffs, xi_arr,
+                                              ControlPath(grid=grid, values=vv),
+                                              x0_path, forward_mode, grid)
 
     scale = 1.0 + abs(event.level) + float(np.max(np.abs(x0_path)))
     path0 = forward(np.zeros((n, m)))
@@ -304,13 +284,14 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
 
     rho = penalty0
     iterations = 0
+    failures = []
     r_fixed = None
     if mode == "mdp":
         # the linearized dynamics are the dynamics: one sensitivity row suffices
         r_fixed = _terminal_sensitivity(mode, model.k1, kc, coeffs, x0_path, path0,
                                         grid, event.normal).reshape(n, m)
-    for _ in range(stages):
-        for _ in range(max_iter):
+    for stage in range(stages):
+        for it in range(max_iter):
             val, path, viol = objective(v, rho)
             if r_fixed is not None:
                 r = r_fixed
@@ -331,6 +312,7 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
                     break
                 stp *= 0.5
             if not improved:
+                failures.append({"stage": stage, "iteration": it})
                 break
             v = v - stp * grad
             iterations += 1
@@ -361,7 +343,7 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
         v_star=ctrl, rate=ctrl.energy,
         residual=max(0.0, event.level - terminal),
         attained=attained, iterations=iterations,
-        diagnostics={"terminal_value": terminal},
+        diagnostics={"terminal_value": terminal, "line_search_failures": failures},
     )
 
 
@@ -460,8 +442,7 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     x0_path = None
     if mode == "mdp":
-        x0_path = solve_deterministic_limit(model.k1, model.coeffs, xi_arr, grid,
-                                            method="stepping")
+        x0_path = solve_deterministic_limit(model.k1, model.coeffs, xi_arr, grid)
     eps_sorted = sorted(float(e) for e in eps_list)
     if seed_indices is None:
         seed_indices = list(range(len(eps_sorted)))

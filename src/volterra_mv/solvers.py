@@ -3,7 +3,7 @@
 Three kinds of objects are produced here:
 
 * the deterministic small-noise limit, whose law argument is its own Dirac
-  path (successive approximation or exact forward stepping),
+  path,
 * interacting-particle ensembles for the noisy system, with full history
   retained (the dynamics are non-Markovian) and counter-based noise so that
   ensembles with the same seed share driver increments across different
@@ -14,7 +14,9 @@ Three kinds of objects are produced here:
 All schemes evaluate coefficients at the left endpoint of each cell and
 integrate the kernel exactly across the cell (cell-averaged weights), the
 first-order discretization that stays finite for singular kernels and keeps
-the driver coupling exact.
+the driver coupling exact.  The scheme is explicit, so every solver is one
+forward march, with its history sums kept by ``kernels.History``; the march
+lands on the discrete fixed point that successive approximation would reach.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import BlowUpError, GridMismatchError, PicardError
+from .errors import BlowUpError, GridMismatchError
 from .grids import TimeGrid
-from .kernels import Kernel, grid_weights
+from .kernels import History, Kernel, grid_weights
 from .measures import EmpiricalMeasure
 from . import rng as _rng
 
@@ -119,51 +121,28 @@ def _initial_states(xi, n_particles: int, d: int, seed: int):
     return np.tile(arr, (n_particles, 1)), False
 
 
-def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi, grid: TimeGrid,
-                              method: str = "stepping", max_iter: int = 200,
-                              tol: float = 1e-12) -> np.ndarray:
+def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
+                              grid: TimeGrid) -> np.ndarray:
     """Noise-free limit path: x_t = xi + int_0^t K1(t,s) b(s, x_s, delta_{x_s}) ds.
 
-    "stepping" marches the discrete scheme forward (its exact fixed point);
-    "picard" runs the successive-approximation map, updating the path and its
-    own Dirac law each sweep, until the sup-norm change drops below tol.
+    One forward march of the discrete scheme, which is its exact fixed point.
     """
     d = coeffs.d
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi_arr.shape != (d,):
         raise ValueError(f"initial condition must have shape ({d},)")
-    w1 = grid_weights(k1, grid)
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-    if method == "stepping":
-        x = np.empty((n + 1, d))
-        x[0] = xi_arr
-        bh = np.empty((n, d))
-        for i in range(n):
-            mu = EmpiricalMeasure.dirac(x[i])
-            bh[i] = coeffs.drift(times[i], x[i][None, :], mu)[0]
-            x[i + 1] = xi_arr + dt * (w1[i + 1, : i + 1] @ bh[: i + 1])
-            _guard(x[i + 1], i + 1)
-        return x
-    if method == "picard":
-        phi = np.tile(xi_arr, (n + 1, 1))
-        bh = np.empty((n, d))
-        for sweep in range(max_iter):
-            for k in range(n):
-                mu = EmpiricalMeasure.dirac(phi[k])
-                bh[k] = coeffs.drift(times[k], phi[k][None, :], mu)[0]
-            new = xi_arr[None, :] + dt * (w1 @ bh)
-            _guard(new, sweep)
-            resid = float(np.max(np.abs(new - phi)))
-            phi = new
-            if resid <= tol:
-                return phi
-        raise PicardError(
-            f"successive approximation did not converge in {max_iter} sweeps",
-            residual=resid,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    drift = History(grid_weights(k1, grid), (d,))
+    x = np.empty((n + 1, d))
+    x[0] = xi_arr
+    for i in range(n):
+        mu = EmpiricalMeasure.dirac(x[i])
+        bi = coeffs.drift(times[i], x[i][None, :], mu)[0]
+        x[i + 1] = xi_arr + dt * drift.push(bi)
+        _guard(x[i + 1], i + 1)
+    return x
 
 
 def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
@@ -212,12 +191,10 @@ def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
     states[:, 0, :] = states0
     base = states0.reshape(-1)
 
-    drift_hist = np.empty((n, n_particles * d))
-    noise_hist = np.empty((n, n_particles * d))
-    ctrl_hist = np.empty((n, n_particles * d)) if v is not None else None
-    w1 = grid_weights(k1, grid)
-    w2 = grid_weights(k2, grid)
-    wc = grid_weights(kc, grid) if kc is not None else None
+    flat = (n_particles * d,)
+    drift = History(grid_weights(k1, grid), flat)
+    noise = History(grid_weights(k2, grid), flat)
+    ctrl = History(grid_weights(kc, grid), flat) if v is not None else None
 
     for i in range(n):
         xi_states = states[:, i, :]
@@ -241,16 +218,12 @@ def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
                 mu = EmpiricalMeasure(points=law[:, i, :], _validate=False)
             bi = coeffs.drift(t, xi_states, mu)
             si = coeffs.diffusion(t, xi_states, mu)
-        drift_hist[i] = bi.reshape(-1)
-        noise_hist[i] = np.einsum("ndm,nm->nd", si, dw[:, i, :]).reshape(-1)
+        nxt = base + dt * drift.push(bi.reshape(-1))
         if v is not None:
-            ctrl_hist[i] = (si @ v.values[i]).reshape(-1)
-
-        nxt = base + dt * (w1[i + 1, : i + 1] @ drift_hist[: i + 1])
-        if v is not None:
-            nxt = nxt + dt * (wc[i + 1, : i + 1] @ ctrl_hist[: i + 1])
+            nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
         if noise_scale != 0.0:
-            nxt = nxt + noise_scale * (w2[i + 1, : i + 1] @ noise_hist[: i + 1])
+            noise_i = np.einsum("ndm,nm->nd", si, dw[:, i, :]).reshape(-1)
+            nxt = nxt + noise_scale * noise.push(noise_i)
         states[:, i + 1, :] = nxt.reshape(n_particles, d)
         _guard(states[:, i + 1, :], i + 1)
 
@@ -334,16 +307,13 @@ def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientS
 
 def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSet,
                                    xi, v: ControlPath, x0_path: np.ndarray,
-                                   mode: str, grid: TimeGrid, method: str = "picard",
-                                   max_iter: int = 400, tol: float = 1e-12) -> np.ndarray:
+                                   mode: str, grid: TimeGrid) -> np.ndarray:
     """Deterministic controlled equations, with the law frozen at the limit path.
 
+    Both modes are one forward march of the explicit discrete scheme.
     mode="ldp": the equation
-        phi_t = xi + int K1 b(s, phi_s, delta_{x0_s}) + int Kc sigma(s, phi_s, delta_{x0_s}) v_s,
-    solved by successive approximation (method="picard") or by one forward
-    march of the explicit discrete scheme (method="stepping"); both land on
-    the same discrete fixed point.
-    mode="mdp_linearized": one exact forward pass of the linear system
+        phi_t = xi + int K1 b(s, phi_s, delta_{x0_s}) + int Kc sigma(s, phi_s, delta_{x0_s}) v_s.
+    mode="mdp_linearized": the linear system
         psi_t = int K1 grad_b(s, x0_s, delta_{x0_s}) psi_s + int Kc sigma(s, x0_s, delta_{x0_s}) v_s.
     """
     d = coeffs.d
@@ -357,60 +327,40 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
         x0_path = x0_path[:, None]
     if x0_path.shape != (n + 1, d):
         raise GridMismatchError("limit path must be given on the grid nodes")
-    w1 = grid_weights(k1, grid)
-    wc = grid_weights(kc, grid)
+    drift = History(grid_weights(k1, grid), (d,))
+    ctrl = History(grid_weights(kc, grid), (d,))
     diracs = [EmpiricalMeasure.dirac(x0_path[k]) for k in range(n)]
 
-    if mode == "mdp_linearized":
+    x = np.empty((n + 1, d))
+    linear = mode == "mdp_linearized"
+    if linear:
         grads = np.empty((n, d, d))
         forc = np.empty((n, d))
         for k in range(n):
             grads[k] = coeffs.drift_gradient(times[k], x0_path[k][None, :], diracs[k])[0]
             forc[k] = coeffs.diffusion(times[k], x0_path[k][None, :], diracs[k])[0] @ v.values[k]
-        psi = np.zeros((n + 1, d))
-        gpsi = np.empty((n, d))
-        for i in range(n):
-            gpsi[i] = grads[i] @ psi[i]
-            psi[i + 1] = dt * (w1[i + 1, : i + 1] @ gpsi[: i + 1]) + dt * (
-                wc[i + 1, : i + 1] @ forc[: i + 1]
-            )
-        return psi
-
-    if mode == "ldp":
+        x[0] = 0.0
+    elif mode == "ldp":
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
         if xi_arr.shape != (d,):
             raise ValueError(f"initial condition must have shape ({d},)")
-        bh = np.empty((n, d))
-        sv = np.empty((n, d))
-        if method == "stepping":
-            phi = np.empty((n + 1, d))
-            phi[0] = xi_arr
-            for i in range(n):
-                bh[i] = coeffs.drift(times[i], phi[i][None, :], diracs[i])[0]
-                sv[i] = coeffs.diffusion(times[i], phi[i][None, :], diracs[i])[0] @ v.values[i]
-                phi[i + 1] = xi_arr + dt * (w1[i + 1, : i + 1] @ bh[: i + 1]) + dt * (
-                    wc[i + 1, : i + 1] @ sv[: i + 1]
-                )
-                _guard(phi[i + 1], i + 1)
-            return phi
-        if method != "picard":
-            raise ValueError(f"unknown method {method!r}")
-        phi = np.tile(xi_arr, (n + 1, 1))
-        for _ in range(max_iter):
-            for k in range(n):
-                bh[k] = coeffs.drift(times[k], phi[k][None, :], diracs[k])[0]
-                sv[k] = coeffs.diffusion(times[k], phi[k][None, :], diracs[k])[0] @ v.values[k]
-            new = xi_arr[None, :] + dt * (w1 @ bh) + dt * (wc @ sv)
-            _guard(new, 0)
-            resid = float(np.max(np.abs(new - phi)))
-            phi = new
-            if resid <= tol:
-                return phi
-        raise PicardError(
-            f"controlled successive approximation did not converge in {max_iter} sweeps",
-            residual=resid,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        x[0] = xi_arr
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    for i in range(n):
+        if linear:
+            a, c = grads[i] @ x[i], forc[i]
+        else:
+            a = coeffs.drift(times[i], x[i][None, :], diracs[i])[0]
+            c = coeffs.diffusion(times[i], x[i][None, :], diracs[i])[0] @ v.values[i]
+        step = dt * drift.push(a)
+        if linear:
+            x[i + 1] = step + dt * ctrl.push(c)
+        else:
+            x[i + 1] = xi_arr + step + dt * ctrl.push(c)
+            _guard(x[i + 1], i + 1)
+    return x
 
 
 def ensemble_summary(ensemble: PathEnsemble, p_list=(2,)) -> dict:

@@ -195,7 +195,7 @@ def test_criterion_08_ldp_round_trip():
         for _ in range(20):
             v = ControlPath(grid=grid, values=rng.normal(size=(grid.n_steps, 1)))
             target = solve_controlled_deterministic(UNIT, UNIT, coeffs, 1.0, v, x0,
-                                                    "ldp", grid, method="stepping")
+                                                    "ldp", grid)
             sol = ldp_rate(RateProblem(mode="ldp", k1=UNIT, kc=UNIT, coeffs=coeffs,
                                        grid=grid, x0_path=x0, target=target))
             assert sol.rate <= v.energy + 1e-9

@@ -23,7 +23,7 @@ from volterra_mv import (
     resolvent,
     resolvent_premise,
 )
-from volterra_mv.kernels import _quad_power_edges
+from volterra_mv.kernels import History, _quad_power_edges, grid_weights
 
 
 class TestEval:
@@ -150,6 +150,51 @@ class TestGridWeights:
             )
             exact = (np.exp(-lam * lo) - np.exp(-lam * hi)) / (lam * dt)
             assert gw.weights[i, j] == pytest.approx(exact, rel=1e-8)
+
+    def test_cache_keeps_last_grid(self, monkeypatch):
+        builds = []
+        build = PowerKernel.average_weights
+
+        def counted(self, grid):
+            builds.append(grid.n_steps)
+            return build(self, grid)
+
+        monkeypatch.setattr(PowerKernel, "average_weights", counted)
+        kern = PowerKernel(0.3)
+        grids = [TimeGrid(1.0, 20), TimeGrid(1.0, 30), TimeGrid(2.0, 20)]
+        for grid in grids:
+            w = grid_weights(kern, grid)
+            assert grid_weights(kern, grid) is w
+        held = [
+            x for value in vars(kern).values()
+            for x in (value if isinstance(value, (tuple, list)) else (value,))
+            if isinstance(x, np.ndarray) and x.ndim == 2
+        ]
+        assert len(held) == 1 and held[0] is w
+        back = grid_weights(kern, grids[0])
+        assert builds == [20, 30, 20, 20]
+        assert np.array_equal(back, build(PowerKernel(0.3), grids[0]))
+
+
+class TestHistory:
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 2)])
+    def test_push_is_the_dense_slice_product(self, shape):
+        grid = TimeGrid(1.0, 40)
+        n = grid.n_steps
+        rng = np.random.default_rng(11)
+        lower = np.tril(rng.normal(size=(n + 1, n)), k=-1)
+        for w in (FbmKernel(0.3).average_weights(grid), lower):
+            h = rng.normal(size=(n, *shape))
+            # the dense slice product; matrix-valued terms contract as flat rows
+            rows = h.reshape(n, -1) if len(shape) > 1 else h
+            hist = History(w, shape)
+            for i in range(n):
+                got = hist.push(h[i])
+                dense = w[i + 1, : i + 1] @ rows[: i + 1]
+                assert np.shape(got) == shape
+                assert np.array_equal(got, dense.reshape(shape))
+            with pytest.raises(IndexError):
+                hist.push(h[0])
 
 
 class TestConvolve:

@@ -21,12 +21,28 @@ from volterra_mv import (
     solve_deterministic_limit,
     tail_probability_probe,
 )
+from volterra_mv import rates
 
 UNIT = ConstantKernel(1.0)
 
 
 def _coeffs(a=0.0, b=0.0, sigma0=1.0):
     return BuiltinLinearMeanField(a=a, b=b, sigma0=sigma0).coefficients()
+
+
+def descent_rate(problem, max_iter):
+    """Oracle for the direct inversion: plain gradient descent on the squared
+    defect |C v - g|^2 of the dense control system, from v = 0 with step
+    1 / |C|_2^2, stopped when the gradient is negligible; returns the energy."""
+    c, g, _ = rates._control_system(problem)
+    step = 1.0 / max(float(np.linalg.norm(c, ord=2)) ** 2, 1e-12)
+    v = np.zeros(c.shape[1])
+    for _ in range(max_iter):
+        grad = c.T @ (c @ v - g)
+        v -= step * grad
+        if float(np.linalg.norm(grad)) <= 1e-14 * (1.0 + float(np.linalg.norm(g))):
+            break
+    return ControlPath(grid=problem.grid, values=v.reshape(problem.grid.n_steps, -1)).energy
 
 
 class TestMdpRate:
@@ -135,7 +151,7 @@ class TestLdpRate:
         for _ in range(20):
             v = ControlPath(grid=grid, values=rng.normal(size=(200, 1)))
             target = solve_controlled_deterministic(UNIT, UNIT, coeffs, 1.0, v, x0,
-                                                    "ldp", grid, method="stepping")
+                                                    "ldp", grid)
             prob = RateProblem(mode="ldp", k1=UNIT, kc=UNIT, coeffs=coeffs,
                                grid=grid, x0_path=x0, target=target)
             sol = ldp_rate(prob)
@@ -149,12 +165,12 @@ class TestLdpRate:
         x0 = solve_deterministic_limit(UNIT, coeffs, 1.0, grid)
         v = ControlPath.constant(grid, 0.8)
         target = solve_controlled_deterministic(UNIT, UNIT, coeffs, 1.0, v, x0,
-                                                "ldp", grid, method="stepping")
+                                                "ldp", grid)
         prob = RateProblem(mode="ldp", k1=UNIT, kc=UNIT, coeffs=coeffs, grid=grid,
                            x0_path=x0, target=target)
-        direct = ldp_rate(prob, solver="triangular")
-        descent = ldp_rate(prob, solver="descent", max_iter=20000)
-        assert descent.rate == pytest.approx(direct.rate, rel=1e-3)
+        direct = ldp_rate(prob)
+        descent = descent_rate(prob, max_iter=20000)
+        assert descent == pytest.approx(direct.rate, rel=1e-3)
 
 
 class TestMultiDimensional:
@@ -180,7 +196,7 @@ class TestMultiDimensional:
     def test_ldp_round_trip_2d(self):
         grid, coeffs, x0, v = self._setup()
         target = solve_controlled_deterministic(UNIT, UNIT, coeffs, [1.0, -1.0], v,
-                                                x0, "ldp", grid, method="stepping")
+                                                x0, "ldp", grid)
         sol = ldp_rate(RateProblem(mode="ldp", k1=UNIT, kc=UNIT, coeffs=coeffs,
                                    grid=grid, x0_path=x0, target=target))
         assert abs(sol.rate - v.energy) <= 1e-9
@@ -230,6 +246,23 @@ class TestMinimizeEndpoint:
         a = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], 1.2), grid, xi=0.0)
         b = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], 1.2), grid, xi=0.0)
         assert np.array_equal(a.v_star.values, b.v_star.values)
+
+    def test_line_search_failures_recorded(self):
+        # from v = 0 no step of length 1e12 (or any of its 30 halvings) lowers
+        # the penalized energy, so every stage stops at its first iteration
+        # and only the equality polish moves v: the result is the stages=0 run
+        grid = TimeGrid(1.0, 30)
+        model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs(a=0.4))
+        event = Halfspace([1.0], 1.0)
+        stuck = minimize_rate_endpoint(model, "mdp", event, grid, xi=0.0, step=1e12)
+        polish = minimize_rate_endpoint(model, "mdp", event, grid, xi=0.0, stages=0)
+        assert stuck.diagnostics["line_search_failures"] == [
+            {"stage": s, "iteration": 0} for s in range(8)
+        ]
+        assert polish.diagnostics["line_search_failures"] == []
+        assert np.array_equal(stuck.v_star.values, polish.v_star.values)
+        assert stuck.rate == polish.rate
+        assert stuck.iterations == polish.iterations == 0
 
 
 class TestTailProbe:

@@ -7,6 +7,7 @@ from volterra_mv import (
     BuiltinLinearMeanField,
     ConstantKernel,
     ControlPath,
+    EmpiricalMeasure,
     FbmKernel,
     GridMismatchError,
     PowerKernel,
@@ -17,6 +18,46 @@ from volterra_mv import (
     solve_controlled_deterministic,
     solve_deterministic_limit,
 )
+
+
+def _successive_approximation(kernels, xi, grid, integrands, tol, max_iter):
+    """Oracle for the explicit forward march: Picard sweeps of the discrete
+    map phi -> xi + sum_j dt * W_j @ f_j(phi), with every integrand f_j
+    re-evaluated along the whole previous sweep, until the sup-norm change
+    is at most tol."""
+    n, dt = grid.n_steps, grid.dt
+    weights = [k.average_weights(grid) for k in kernels]
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    phi = np.tile(xi, (n + 1, 1))
+    for _ in range(max_iter):
+        new = xi[None, :].copy()
+        for w, f in zip(weights, integrands):
+            hist = np.array([f(grid.times[k], phi[k], k) for k in range(n)])
+            new = new + dt * (w @ hist)
+        resid = float(np.max(np.abs(new - phi)))
+        phi = new
+        if resid <= tol:
+            return phi
+    raise AssertionError(f"successive approximation did not converge in {max_iter} sweeps")
+
+
+def picard_limit(k1, coeffs, xi, grid, tol=1e-12, max_iter=200):
+    """Limit equation, its own Dirac law updated with the path each sweep."""
+    def drift(t, x, k):
+        return coeffs.drift(t, x[None, :], EmpiricalMeasure.dirac(x))[0]
+
+    return _successive_approximation([k1], xi, grid, [drift], tol, max_iter)
+
+
+def picard_controlled(k1, kc, coeffs, xi, v, x0, grid, tol=1e-12, max_iter=400):
+    """Controlled ldp equation with the law frozen at the limit path x0."""
+    def drift(t, x, k):
+        return coeffs.drift(t, x[None, :], EmpiricalMeasure.dirac(x0[k]))[0]
+
+    def control(t, x, k):
+        return coeffs.diffusion(t, x[None, :], EmpiricalMeasure.dirac(x0[k]))[0] @ v.values[k]
+
+    return _successive_approximation([k1, kc], xi, grid, [drift, control], tol, max_iter)
 
 
 class TestDeterministicLimit:
@@ -31,9 +72,8 @@ class TestDeterministicLimit:
         assert np.abs(x[:, 0] - exact).max() / exact.max() <= 0.01
 
     def test_picard_agrees_with_stepping(self, unit_kernel, grid_small, linear_model):
-        a = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small, "stepping")
-        b = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small,
-                                      "picard", tol=1e-13)
+        a = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small)
+        b = picard_limit(unit_kernel, linear_model, 1.0, grid_small, tol=1e-13)
         assert np.abs(a - b).max() <= 1e-11
 
     def test_mittag_leffler_oracle(self, grid_fine):
@@ -42,7 +82,7 @@ class TestDeterministicLimit:
         alpha, lam = 0.75, 0.8
         kern = PowerKernel(hurst=alpha - 0.5, scale=1.0 / gamma_fn(alpha))
         coeffs = BuiltinLinearMeanField(a=lam, b=0.0, sigma0=0.0).coefficients()
-        x = solve_deterministic_limit(kern, coeffs, 1.0, grid_fine, "picard")
+        x = solve_deterministic_limit(kern, coeffs, 1.0, grid_fine)
 
         def mittag_leffler(z, terms=80):
             return sum(z**k / gamma_fn(alpha * k + 1.0) for k in range(terms))
@@ -334,10 +374,9 @@ class TestControlledDeterministic:
         rng = np.random.default_rng(3)
         v = ControlPath(grid=grid_small, values=rng.normal(size=(50, 1)))
         x0 = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small)
-        a = solve_controlled_deterministic(unit_kernel, unit_kernel, linear_model, 1.0,
-                                           v, x0, "ldp", grid_small, method="picard")
+        a = picard_controlled(unit_kernel, unit_kernel, linear_model, 1.0, v, x0, grid_small)
         b = solve_controlled_deterministic(unit_kernel, unit_kernel, linear_model, 1.0,
-                                           v, x0, "ldp", grid_small, method="stepping")
+                                           v, x0, "ldp", grid_small)
         assert np.abs(a - b).max() <= 1e-11
 
 
