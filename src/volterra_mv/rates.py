@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .coefficients import CoefficientSet
-from .errors import GridMismatchError, RankDeficiencyError
+from .errors import BlowUpError, GridMismatchError, RankDeficiencyError
 from .grids import TimeGrid
 from .kernels import Kernel, grid_weights
 from .measures import EmpiricalMeasure
@@ -251,9 +251,11 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     descent, followed by a minimum-norm equality polish on the linearized
     active constraint.  Deterministic given the initial control and
     parameters.  The control kernel defaults to the drift kernel in ldp mode
-    and the noise kernel in mdp mode.  A stage whose line search finds no
-    decrease ends there; diagnostics["line_search_failures"] lists each such
-    stop as {"stage", "iteration"}.
+    and the noise kernel in mdp mode.  A trial step whose trajectory trips the
+    overflow guard counts as no decrease, so the step halves.  A stage whose
+    line search finds no decrease ends there;
+    diagnostics["line_search_failures"] lists each such stop as
+    {"stage", "iteration"}.
     """
     coeffs = model.coeffs
     if kc is None:
@@ -306,7 +308,10 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
             improved = False
             for _ in range(30):
                 cand = v - stp * grad
-                cval, _, _ = objective(cand, rho)
+                try:
+                    cval, _, _ = objective(cand, rho)
+                except BlowUpError:
+                    cval = np.inf  # a trial past the overflow guard is no decrease
                 if cval <= val - 0.25 * stp * gnorm * gnorm:
                     improved = True
                     break

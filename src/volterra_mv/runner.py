@@ -95,16 +95,30 @@ def _load_target_csv(path, grid, d):
 
 
 def _write_ensemble_csv(path, ensemble):
+    # one % template per particle, with step and time as fixed text; the bytes
+    # are those of csv.writer with _fmt cells (CRLF line ends, %.17g floats)
     n, steps, d = ensemble.states.shape
     times = ensemble.grid.times
+    cells = ",%.17g" * d
+    template = "".join(f"%d,{i},{_fmt(times[i])}{cells}\r\n" for i in range(steps))
+    args = np.empty((steps, d + 1))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["particle", "step", "t"] + [f"x{k + 1}" for k in range(d)])
+        csv.writer(fh).writerow(["particle", "step", "t"] + [f"x{k + 1}" for k in range(d)])
         for p in range(n):
-            for i in range(steps):
-                writer.writerow(
-                    [p, i, _fmt(times[i])] + [_fmt(v) for v in ensemble.states[p, i]]
-                )
+            args[:, 0] = p
+            args[:, 1:] = ensemble.states[p]
+            fh.write(template % tuple(args.ravel().tolist()))
+
+
+def _write_resolvent_csv(path, times, weights):
+    # rows (t_i, t_j, weights[i, j]) for j < i; row i's template puts the
+    # text of t_i before each of the tails ",t_j,%.17g\r\n", j < i
+    cells = [_fmt(t) for t in times]
+    tails = [""] + [f",{c},%.17g\r\n" for c in cells]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["t", "s", "value"])
+        for i in range(1, len(cells)):
+            fh.write(cells[i].join(tails[:i + 1]) % tuple(weights[i, :i].tolist()))
 
 
 def _write_summary_csv(path, ensemble, p_list):
@@ -237,13 +251,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
     elif kind == "resolvent":
         gk = GridKernel.from_kernel(cfg.k1, cfg.grid)
         res = resolvent(gk, method=cfg.resolvent_method)
-        n = cfg.grid.n_steps
-        times = cfg.grid.times
-        rows = []
-        for i in range(1, n + 1):
-            for j in range(i):
-                rows.append([times[i], times[j], res.weights[i, j]])
-        _write_csv(art("resolvent.csv"), ["t", "s", "value"], rows)
+        _write_resolvent_csv(art("resolvent.csv"), cfg.grid.times, res.weights)
     elif kind == "kernel-probe":
         kern = {"kernel1": cfg.k1, "kernel2": cfg.k2, "kernelc": cfg.kc}[cfg.probe_kernel]
         if kern is None:

@@ -264,6 +264,22 @@ class TestMinimizeEndpoint:
         assert stuck.rate == polish.rate
         assert stuck.iterations == polish.iterations == 0
 
+    @pytest.mark.parametrize("a, rate", [(0.0, 0.5), (0.4, 0.33173865824737897)])
+    def test_line_search_survives_blow_up(self, a, rate):
+        # in ldp mode the first trials of length 1e12 trip the overflow guard;
+        # they count as no decrease, so the step halves instead of raising
+        grid = TimeGrid(1.0, 30)
+        model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs(a=a))
+        event = Halfspace([1.0], 1.0)
+        stuck = minimize_rate_endpoint(model, "ldp", event, grid, xi=0.0, step=1e12)
+        polish = minimize_rate_endpoint(model, "ldp", event, grid, xi=0.0, stages=0)
+        assert stuck.attained
+        assert stuck.diagnostics["line_search_failures"] == [
+            {"stage": s, "iteration": 0} for s in range(8)
+        ]
+        assert np.array_equal(stuck.v_star.values, polish.v_star.values)
+        assert stuck.rate == polish.rate == pytest.approx(rate, rel=1e-12)
+
 
 class TestTailProbe:
     def test_whole_space_event(self):

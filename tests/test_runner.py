@@ -4,10 +4,23 @@ import os
 import numpy as np
 import pytest
 
-from volterra_mv import BudgetError, ConfigError
+from volterra_mv import (
+    BudgetError,
+    ConfigError,
+    GridKernel,
+    PathEnsemble,
+    TimeGrid,
+    resolvent,
+)
 from volterra_mv.cli import main as cli_main
 from volterra_mv.config import validate_config
-from volterra_mv.runner import run_experiment, run_from_manifest
+from volterra_mv.runner import (
+    _write_csv,
+    _write_ensemble_csv,
+    _write_resolvent_csv,
+    run_experiment,
+    run_from_manifest,
+)
 
 BASE = """
 [model]
@@ -44,6 +57,54 @@ def _cfg(kind, extra="", base=BASE):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+# Oracles: the per-cell csv.writer writers that the runner's % templates
+# replaced.  The library writers must reproduce their bytes exactly.
+def _oracle_fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None:
+        return ""
+    return f"{float(x):.17g}"
+
+
+def _oracle_ensemble_csv(path, ensemble):
+    n, steps, d = ensemble.states.shape
+    times = ensemble.grid.times
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["particle", "step", "t"] + [f"x{k + 1}" for k in range(d)])
+        for p in range(n):
+            for i in range(steps):
+                writer.writerow(
+                    [p, i, _oracle_fmt(times[i])] + [_oracle_fmt(v) for v in ensemble.states[p, i]]
+                )
+
+
+def _oracle_resolvent_csv(path, times, weights):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "s", "value"])
+        for i in range(1, len(times)):
+            for j in range(i):
+                writer.writerow([_oracle_fmt(v) for v in (times[i], times[j], weights[i, j])])
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, -np.nan,
+               np.inf, -np.inf, 1e300, -1e300, 1.0, -3.0, 12345678.0, 2.0**53, 0.1, 1 / 3]
+
+
+def _edge_array(shape, seed):
+    # every edge value, then integer-valued and random floats of mixed scale
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    fill = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+    fill[1::3] = rng.integers(-10**6, 10**6, size)[1::3]
+    fill[:len(EDGE_VALUES)] = EDGE_VALUES
+    return fill.reshape(shape)
 
 
 class TestRunExperiment:
@@ -165,6 +226,46 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         (out / "junk.txt").write_text("x")
         with pytest.raises(ConfigError):
             run_experiment(_cfg("limit"), out_dir=out)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_ensemble_bytes_match_oracle(self, tmp_path, d):
+        grid = TimeGrid(0.7, 9)
+        states = _edge_array((5, 10, d), seed=d)
+        ens = PathEnsemble(grid=grid, states=states, driver_increments=np.zeros((5, 9, 1)),
+                           seed=0, tag="edge", eps=0.1)
+        _write_ensemble_csv(tmp_path / "new.csv", ens)
+        _oracle_ensemble_csv(tmp_path / "old.csv", ens)
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
+
+    def test_resolvent_bytes_match_oracle(self, tmp_path):
+        times = TimeGrid(0.7, 12).times
+        weights = np.tril(_edge_array((13, 12), seed=5), -1)
+        weights[12] = EDGE_VALUES[:12]  # tril zeroed row 0, where they sat
+        _write_resolvent_csv(tmp_path / "new.csv", times, weights)
+        _oracle_resolvent_csv(tmp_path / "old.csv", times, weights)
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
+
+    def test_resolvent_kind_bytes_match_oracle(self, tmp_path):
+        text = ("[experiment]\nkind = resolvent\n[kernel1]\nfamily = power\nH = 0.3\n"
+                "[grid]\nT = 1.0\nn_steps = 40\n")
+        cfg = validate_config(text)
+        res = run_experiment(cfg, out_dir=tmp_path / "out")
+        r = resolvent(GridKernel.from_kernel(cfg.k1, cfg.grid), method=cfg.resolvent_method)
+        _oracle_resolvent_csv(tmp_path / "old.csv", cfg.grid.times, r.weights)
+        assert _read(os.path.join(res.out_dir, "resolvent.csv")) == _read(tmp_path / "old.csv")
+
+    def test_cell_and_line_format(self, tmp_path):
+        # the format README states: %.17g floats, decimal ints, true/false,
+        # None as an empty cell, CRLF line ends
+        _write_csv(tmp_path / "t.csv", ["a", "b"],
+                   [[True, np.bool_(False), None, 3, np.int64(-4), 0.1, -0.0, np.float64(1e300)],
+                    [np.nan, -np.inf]])
+        assert _read(tmp_path / "t.csv") == (
+            b"a,b\r\ntrue,false,,3,-4,0.10000000000000001,-0,1.0000000000000001e+300\r\n"
+            b"nan,-inf\r\n"
+        )
 
 
 class TestReproducibility:
