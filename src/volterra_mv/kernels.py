@@ -278,17 +278,15 @@ class FbmKernel(Kernel):
         chunk = max(1, int(2e6 / (max(n, 1) * _GL_NODES)))
         for lo in range(1, n + 1, chunk):
             hi = min(lo + chunk, n + 1)
-            ti = times[lo:hi][:, None, None]
-            # interior cells j >= 1
-            j = np.arange(1, n)
-            s_nodes = times[j][None, :, None] + dt * _GL_X[None, None, :]
-            valid = j[None, :, None] < np.arange(lo, hi)[:, None, None]
-            s_b = np.where(valid, s_nodes, 0.5 * ti)
-            vals = self._correction(ti, s_b)
-            cell = np.einsum("ijg,g->ij", np.where(valid, vals, 0.0), _GL_W)
-            w[lo:hi, 1:] += cell
+            # interior cells 1 <= j < i of rows lo <= i < hi, and nothing above
+            i, j = np.tril_indices(hi - lo, lo - 2, n - 1)
+            i += lo
+            j += 1
+            s_nodes = times[j][:, None] + dt * _GL_X[None, :]
+            vals = self._correction(times[i][:, None], s_nodes)
+            w[i, j] += np.einsum("pg,g->p", vals, _GL_W)
             # edge cell j = 0
-            vals0 = self._correction(ti[:, 0, :], s0[None, :])
+            vals0 = self._correction(times[lo:hi][:, None], s0[None, :])
             w[lo:hi, 0] += vals0 @ w0
         return w
 

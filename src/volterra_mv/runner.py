@@ -60,9 +60,22 @@ class RunResult:
     manifest_path: str
 
 
-def _budget_guard(cfg: ExperimentConfig):
+def _memory_estimate(cfg: ExperimentConfig) -> int:
+    """Bytes of the particle arrays one run (or one clt cell) holds at once."""
     d = cfg.coeffs.d
-    estimate = cfg.n_particles * cfg.grid.n_steps * d * 8 * 2
+    n = cfg.grid.n_steps
+    if cfg.kind == "clt":
+        # per particle: the states, Z^eps, Z and clt_gap's difference on the
+        # n+1 nodes, the drift and noise histories on n nodes (d floats each),
+        # and the n driver increments (m floats)
+        floats = (n + 1) * 4 * d + n * (2 * d + cfg.coeffs.m)
+    else:
+        floats = n * d * 2
+    return cfg.n_particles * floats * 8
+
+
+def _budget_guard(cfg: ExperimentConfig):
+    estimate = _memory_estimate(cfg)
     if estimate > cfg.memory_budget:
         raise BudgetError(
             f"estimated state memory {estimate} bytes exceeds the budget "
@@ -138,8 +151,7 @@ def _write_summary_csv(path, ensemble, p_list):
     _write_csv(path, header, rows)
 
 
-def _clt_cell(config_text: str, eps: float) -> tuple:
-    cfg = validate_config(config_text)
+def _clt_row(cfg: ExperimentConfig, eps: float) -> tuple:
     pair = clt_pair(_model(cfg), cfg.xi, eps, cfg.grid, cfg.n_particles, cfg.seed)
     row = [eps]
     for p in cfg.p_list:
@@ -148,8 +160,7 @@ def _clt_cell(config_text: str, eps: float) -> tuple:
     return tuple(row)
 
 
-def _tail_cell(config_text: str, index: int, eps: float) -> tuple:
-    cfg = validate_config(config_text)
+def _tail_row(cfg: ExperimentConfig, index: int, eps: float) -> tuple:
     event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
     res = tail_probability_probe(
         _model(cfg), cfg.rate_mode, event, [eps], cfg.n_particles,
@@ -159,6 +170,17 @@ def _tail_cell(config_text: str, index: int, eps: float) -> tuple:
     cell = res.cells[0]
     return (cell.eps, cell.h, cell.n_hits, cell.p_hat, cell.normalized_decay,
             cell.censored, cell.resolved)
+
+
+# Pool workers rebuild the config, and with it the kernels, from its text.
+# Serial runs call the row functions with the config they already hold, so
+# every row shares one set of kernel objects and their cached grid weights.
+def _clt_cell(config_text: str, eps: float) -> tuple:
+    return _clt_row(validate_config(config_text), eps)
+
+
+def _tail_cell(config_text: str, index: int, eps: float) -> tuple:
+    return _tail_row(validate_config(config_text), index, eps)
 
 
 def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
@@ -192,7 +214,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_clt_cell, [cfg.raw_text] * len(eps_sorted), eps_sorted))
         else:
-            rows = [_clt_cell(cfg.raw_text, eps) for eps in eps_sorted]
+            rows = [_clt_row(cfg, eps) for eps in eps_sorted]
         header = ["eps"]
         for p in cfg.p_list:
             header.extend([f"gap_p{_fmt(p)}", f"stderr_p{_fmt(p)}"])
@@ -238,7 +260,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_tail_cell, texts, range(len(eps_sorted)), eps_sorted))
         else:
-            rows = [_tail_cell(cfg.raw_text, i, eps) for i, eps in enumerate(eps_sorted)]
+            rows = [_tail_row(cfg, i, eps) for i, eps in enumerate(eps_sorted)]
         event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
         reference = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,
                                            xi=cfg.xi, kc=cfg.kc).rate

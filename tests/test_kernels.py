@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -23,7 +25,47 @@ from volterra_mv import (
     resolvent,
     resolvent_premise,
 )
-from volterra_mv.kernels import History, _quad_power_edges, grid_weights
+from volterra_mv.kernels import (
+    _GL_NODES,
+    _GL_W,
+    _GL_X,
+    _GLE_W,
+    _GLE_X,
+    History,
+    _quad_power_edges,
+    _toeplitz_strict_lower,
+    grid_weights,
+)
+
+
+def _oracle_fbm_weights(kern, grid):
+    """FbmKernel.average_weights as it was: the correction is evaluated on
+    every (row, interior cell) of a row chunk and masked to the lower triangle."""
+    n = grid.n_steps
+    dt = grid.dt
+    times = grid.times
+    a = kern._a
+    q = a + 1.0
+    r = np.arange(n + 1, dtype=float)
+    lead_lag = kern.normalizer * dt**a * (r[1:] ** q - r[:-1] ** q) / q
+    w = _toeplitz_strict_lower(lead_lag, n)
+    edge_q = 1.0 / (1.0 - abs(a))
+    s0 = dt * _GLE_X**edge_q
+    w0 = _GLE_W * edge_q * _GLE_X ** (edge_q - 1.0)
+    chunk = max(1, int(2e6 / (max(n, 1) * _GL_NODES)))
+    for lo in range(1, n + 1, chunk):
+        hi = min(lo + chunk, n + 1)
+        ti = times[lo:hi][:, None, None]
+        j = np.arange(1, n)
+        s_nodes = times[j][None, :, None] + dt * _GL_X[None, None, :]
+        valid = j[None, :, None] < np.arange(lo, hi)[:, None, None]
+        s_b = np.where(valid, s_nodes, 0.5 * ti)
+        vals = kern._correction(ti, s_b)
+        cell = np.einsum("ijg,g->ij", np.where(valid, vals, 0.0), _GL_W)
+        w[lo:hi, 1:] += cell
+        vals0 = kern._correction(ti[:, 0, :], s0[None, :])
+        w[lo:hi, 0] += vals0 @ w0
+    return w
 
 
 class TestEval:
@@ -174,6 +216,25 @@ class TestGridWeights:
         back = grid_weights(kern, grids[0])
         assert builds == [20, 30, 20, 20]
         assert np.array_equal(back, build(PowerKernel(0.3), grids[0]))
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 40, 600])
+    def test_fbm_weights_match_rectangle_oracle(self, hurst, n):
+        # TimeGrid needs two steps, so n = 1 runs on a stand-in with the same
+        # fields; n = 600 spans three row chunks and 179700 interior cells
+        grid = (TimeGrid(1.0, n) if n > 1
+                else SimpleNamespace(n_steps=1, dt=1.0, times=np.array([0.0, 1.0])))
+        kern = FbmKernel(hurst)
+        got = kern.average_weights(grid)
+        want = _oracle_fbm_weights(kern, grid)
+        assert got.shape == (n + 1, n)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_fbm_half_is_constant_weights(self):
+        grid = TimeGrid(1.0, 40)
+        assert np.array_equal(FbmKernel(0.5).average_weights(grid),
+                              ConstantKernel(1.0).average_weights(grid))
 
 
 class TestHistory:

@@ -1,5 +1,6 @@
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,18 @@ import pytest
 from volterra_mv import (
     BudgetError,
     ConfigError,
+    FbmKernel,
     GridKernel,
     PathEnsemble,
+    PowerKernel,
     TimeGrid,
     resolvent,
+    runner,
 )
 from volterra_mv.cli import main as cli_main
 from volterra_mv.config import validate_config
 from volterra_mv.runner import (
+    _memory_estimate,
     _write_csv,
     _write_ensemble_csv,
     _write_resolvent_csv,
@@ -49,9 +54,23 @@ eps = 0.25
 p_list = [2]
 """
 
+# the kernels of the clt_rough benchmark workload on the small BASE sizes
+ROUGH = BASE.replace("[kernel1]\nfamily = constant\nc = 1.0",
+                     "[kernel1]\nfamily = power\nH = 0.3").replace(
+    "[kernel2]\nfamily = constant\nc = 1.0", "[kernel2]\nfamily = fbm\nH = 0.3")
+CLT_SWEEP = "\n[run]\neps_list = [1e-1, 1e-2, 1e-3, 1e-4]\np_list = [2, 4]\n"
+
 
 def _cfg(kind, extra="", base=BASE):
     return validate_config(f"[experiment]\nkind = {kind}\n" + base + extra)
+
+
+def _count_validations(monkeypatch):
+    # texts the runner validates from now on
+    texts = []
+    monkeypatch.setattr(runner, "validate_config",
+                        lambda text: texts.append(text) or validate_config(text))
+    return texts
 
 
 def _read(path):
@@ -153,6 +172,26 @@ n_steps = 1000
         assert rows[0] == ["eps", "gap_p2", "stderr_p2", "gap_p4", "stderr_p4"]
         assert len(rows) == 5
 
+    def test_serial_clt_builds_each_kernel_once(self, tmp_path, monkeypatch):
+        builds = []
+        for cls in (PowerKernel, FbmKernel):
+            def counted(self, grid, build=cls.average_weights):
+                builds.append(self.family)
+                return build(self, grid)
+
+            monkeypatch.setattr(cls, "average_weights", counted)
+        validations = _count_validations(monkeypatch)
+        run_experiment(_cfg("clt", CLT_SWEEP, base=ROUGH), out_dir=tmp_path / "out", workers=1)
+        assert sorted(builds) == ["fbm", "power"]
+        assert validations == []
+
+    def test_serial_tail_probe_validates_no_text(self, tmp_path, monkeypatch):
+        validations = _count_validations(monkeypatch)
+        extra = ("\n[run]\nN = 100\neps_list = [0.5, 1.0]\nseed = 3\n"
+                 "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 0.4\n")
+        run_experiment(_cfg("tail-probe", extra), out_dir=tmp_path / "out", workers=1)
+        assert validations == []
+
     def test_rate_kind_round_trip(self, tmp_path):
         # target generated as the ramp t: recovered rate T/2 with sigma = 1
         target_path = tmp_path / "target.csv"
@@ -211,6 +250,18 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         with pytest.raises(BudgetError):
             run_experiment(_cfg("simulate", extra), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_clt_estimate_tracks_traced_peak(self, tmp_path):
+        cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [0.25]\n")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = _memory_estimate(cfg)
+        assert peak / 1.5 <= estimate <= 1.5 * peak
 
     def test_no_partial_artifacts_on_error(self, tmp_path):
         extra = "\n[rate]\ntarget_csv = \"/nonexistent/file.csv\"\n"
@@ -287,6 +338,14 @@ class TestReproducibility:
             outs[workers] = _read(os.path.join(res.out_dir, "tail.csv"))
         assert outs[1] == outs[4] == outs[16]
 
+    def test_clt_worker_count_independence(self, tmp_path):
+        outs = {}
+        for workers in (1, 2):
+            res = run_experiment(_cfg("clt", CLT_SWEEP, base=ROUGH),
+                                 out_dir=tmp_path / f"w{workers}", workers=workers)
+            outs[workers] = _read(os.path.join(res.out_dir, "clt.csv"))
+        assert outs[1] == outs[2]
+
     def test_env_variable_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLTERRA_MV_WORKERS", "2")
         extra = ("\n[run]\nN = 100\neps_list = [0.5, 1.0]\nseed = 3\n"
@@ -324,6 +383,21 @@ class TestCli:
         cfg = self._write_config(tmp_path, extra="\n[limits]\nmemory_bytes = 10\n")
         rc = cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_clt_budget_counts_the_cell(self, tmp_path, monkeypatch):
+        # N = 64, n = 40, d = 1: the old guard counted 2 N n d floats of 8 bytes
+        old = 2 * 64 * 40 * 1 * 8
+        new = _memory_estimate(_cfg("clt"))
+        budget = (old + new) // 2
+        assert old < budget < new
+        calls = []
+        monkeypatch.setattr(runner, "clt_pair", lambda *args: calls.append(args))
+        cfg = self._write_config(tmp_path, kind="clt",
+                                 extra=f"\n[limits]\nmemory_bytes = {budget}\n")
+        rc = cli_main(["clt", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_one(self, tmp_path):
         rc = cli_main(["simulate", "--config", str(tmp_path / "nope.cfg")])
