@@ -84,9 +84,6 @@ class EmpiricalMeasure:
         sq = np.einsum("nd,nd->n", self.points, self.points)
         return float(self.weight_vector() @ sq)
 
-    def pushforward(self, fn) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(points=fn(self.points), weights=self.weights)
-
     def to_csv(self, path) -> None:
         """Debug dump with columns index,x1..xd,weight."""
         w = self.weight_vector()

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError, RankDeficiencyError
@@ -141,9 +140,14 @@ def _solve_first_kind(c: np.ndarray, g: np.ndarray, lam_reg: float, sig: np.ndar
     return v.reshape(n, m), auto if lam_reg == 0.0 else lam_reg
 
 
-def _finish(problem: RateProblem, v: np.ndarray, lambda_used: float,
-            residual_tol: float | None) -> RateSolution:
+def _direct_rate(problem: RateProblem, residual_tol: float | None) -> RateSolution:
+    """Invert the control system, then re-substitute the control to report the
+    residual; the body of both mdp_rate and ldp_rate."""
     grid = problem.grid
+    c, g, sig = _control_system(problem)
+    wc = grid_weights(problem.kc, grid)
+    lead = np.array([wc[k + 1, k] for k in range(grid.n_steps)])
+    v, lam = _solve_first_kind(c, g, problem.lam_reg, sig, lead, grid.dt)
     ctrl = ControlPath(grid=grid, values=v)
     mode = "mdp_linearized" if problem.mode == "mdp" else "ldp"
     resub = solve_controlled_deterministic(
@@ -155,7 +159,7 @@ def _finish(problem: RateProblem, v: np.ndarray, lambda_used: float,
         residual_tol = 1e-6 * (1.0 + float(np.max(np.abs(problem.target))))
     return RateSolution(
         v_star=ctrl, rate=ctrl.energy, residual=residual,
-        attained=residual <= residual_tol, lambda_used=lambda_used,
+        attained=residual <= residual_tol, lambda_used=lam,
     )
 
 
@@ -169,11 +173,7 @@ def mdp_rate(problem: RateProblem, residual_tol: float | None = None) -> RateSol
     """
     if problem.mode != "mdp":
         raise ValueError("problem mode must be 'mdp'")
-    c, g, sig = _control_system(problem)
-    wc = grid_weights(problem.kc, problem.grid)
-    lead = np.array([wc[k + 1, k] for k in range(problem.grid.n_steps)])
-    v, lam = _solve_first_kind(c, g, problem.lam_reg, sig, lead, problem.grid.dt)
-    return _finish(problem, v, lam, residual_tol)
+    return _direct_rate(problem, residual_tol)
 
 
 def ldp_rate(problem: RateProblem, residual_tol: float | None = None) -> RateSolution:
@@ -186,11 +186,7 @@ def ldp_rate(problem: RateProblem, residual_tol: float | None = None) -> RateSol
     """
     if problem.mode != "ldp":
         raise ValueError("problem mode must be 'ldp'")
-    c, g, sig = _control_system(problem)
-    wc = grid_weights(problem.kc, problem.grid)
-    lead = np.array([wc[k + 1, k] for k in range(problem.grid.n_steps)])
-    v, lam = _solve_first_kind(c, g, problem.lam_reg, sig, lead, problem.grid.dt)
-    return _finish(problem, v, lam, residual_tol)
+    return _direct_rate(problem, residual_tol)
 
 
 @dataclass(frozen=True)
@@ -202,9 +198,6 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "normal", np.atleast_1d(np.asarray(self.normal, dtype=float)))
-
-    def contains(self, x) -> np.ndarray:
-        return np.asarray(x) @ self.normal >= self.level
 
 
 def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, normal):
@@ -226,129 +219,94 @@ def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, nor
         mu = EmpiricalMeasure.dirac(x0_path[k])
         grads[k] = coeffs.drift_gradient(times[k], ref[k][None, :], mu)[0]
         sig[k] = coeffs.diffusion(times[k], ref[k][None, :], mu)[0]
-    # adjoint of delta_x = L delta_x + C delta_v against the terminal functional
-    size = (n + 1) * d
-    lmat = np.zeros((size, size))
-    lmat[:, : n * d] = dt * np.einsum("ik,kab->iakb", w1, grads).reshape(size, n * d)
-    rhs = np.zeros(size)
-    rhs[n * d :] = normal
-    q = solve_triangular(np.eye(size) - lmat, rhs, lower=True, trans="T")
-    qmat = q.reshape(n + 1, d)
-    qk = dt * np.einsum("ik,id->kd", wc, qmat)  # (n, d)
-    r = np.einsum("kdm,kd->km", sig, qk)
-    return r.reshape(-1)
+    # adjoint of delta_x_i = dt sum_k<i w1[i, k] (grads_k delta_x_k + sig_k delta_v_k)
+    # against the terminal functional, swept backward from q_n = normal
+    q = np.zeros((n + 1, d))
+    q[n] = normal
+    for k in range(n - 1, -1, -1):
+        q[k] = dt * grads[k].T @ (w1[k + 1:, k] @ q[k + 1:])
+    return np.einsum("kdm,kd->km", sig, dt * (wc.T @ q)).reshape(-1)
+
+
+GN_MAX_ITER = 50  # cap on Gauss-Newton iterations, and on secant steps per ray
+GN_TOL = 1e-9  # terminal gap, relative to the problem scale; direction change
+
+
+def _ray_root(gap_at, lam, slope, tol):
+    """Secant steps from lam, with first slope -slope, until
+    -tol <= gap_at(lam) <= 0: the path ends inside the event, within tol of
+    its boundary.  A trial past the overflow guard halves back toward the last
+    good lam (0 at first).  Returns the last good (lam, gap, path)."""
+    prev, best = (0.0, None), None
+    for _ in range(GN_MAX_ITER):
+        try:
+            gap, path = gap_at(lam)
+        except BlowUpError:
+            lam = 0.5 * (lam + prev[0])
+            continue
+        best = (lam, gap, path)
+        if -tol <= gap <= 0.0:
+            break
+        if prev[1] is not None and gap != prev[1]:
+            slope = (prev[1] - gap) / (lam - prev[0])
+        prev = (lam, gap)
+        # a hair short of the event: aim as far past its boundary
+        lam += (2.0 * gap if 0.0 < gap <= tol else gap) / slope
+    return best
 
 
 def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: TimeGrid,
-                           xi=0.0, kc: Kernel | None = None,
-                           init: ControlPath | None = None, max_iter: int = 40,
-                           step: float = 1.0, stages: int = 8,
-                           penalty0: float = 1.0,
-                           constraint_tol: float = 1e-9) -> RateSolution:
+                           xi=0.0, kc: Kernel | None = None) -> RateSolution:
     """Smallest control energy driving the limit dynamics into a terminal halfspace.
 
-    Penalty continuation (factor 10 per stage) over backtracking gradient
-    descent, followed by a minimum-norm equality polish on the linearized
-    active constraint.  Deterministic given the initial control and
-    parameters.  The control kernel defaults to the drift kernel in ldp mode
-    and the noise kernel in mdp mode.  A trial step whose trajectory trips the
-    overflow guard counts as no decrease, so the step halves.  A stage whose
-    line search finds no decrease ends there;
-    diagnostics["line_search_failures"] lists each such stop as
-    {"stage", "iteration"}.
+    Gauss-Newton on the stationarity condition v parallel to r(v), the terminal
+    sensitivity: from v = 0, each iteration takes u = r(v) / |r(v)|, solves
+    <normal, x_T(lam u)> = level by secant steps from the linear guess, and
+    sets v = lam u, until r(v) points along u (v stops moving).  In mdp mode r does
+    not depend on the path, so one iteration suffices.  attained is false if
+    GN_MAX_ITER comes first.  The ldp sensitivity freezes a state-dependent
+    sigma along the path: the d sigma / dx . v term is dropped.  The control
+    kernel defaults to the drift kernel (ldp) or the noise kernel (mdp).
     """
     coeffs = model.coeffs
     if kc is None:
         kc = model.k1 if mode == "ldp" else model.k2
     n, m = grid.n_steps, coeffs.m
-    dt = grid.dt
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     x0_path = solve_deterministic_limit(model.k1, coeffs, xi_arr, grid)
-    v = np.zeros((n, m)) if init is None else np.array(init.values, dtype=float)
     forward_mode = "mdp_linearized" if mode == "mdp" else "ldp"
 
-    def forward(vv):
-        return solve_controlled_deterministic(model.k1, kc, coeffs, xi_arr,
+    def gap_at(vv):
+        path = solve_controlled_deterministic(model.k1, kc, coeffs, xi_arr,
                                               ControlPath(grid=grid, values=vv),
                                               x0_path, forward_mode, grid)
+        return event.level - float(path[-1] @ event.normal), path
 
-    scale = 1.0 + abs(event.level) + float(np.max(np.abs(x0_path)))
-    path0 = forward(np.zeros((n, m)))
-    if float(path0[-1] @ event.normal) >= event.level - constraint_tol * scale:
-        zero = ControlPath.zero(grid, m)
-        return RateSolution(v_star=zero, rate=0.0, residual=0.0, attained=True)
-
-    def objective(vv, rho):
-        path = forward(vv)
-        viol = max(0.0, event.level - float(path[-1] @ event.normal))
-        energy = 0.5 * float(np.sum(vv**2)) * dt
-        return energy + rho * viol * viol, path, viol
-
-    rho = penalty0
+    tol = GN_TOL * (1.0 + abs(event.level) + float(np.max(np.abs(x0_path))))
+    v = np.zeros((n, m))
+    gap, path = gap_at(v)
+    stationary = gap <= tol  # the uncontrolled path already ends in the event
     iterations = 0
-    failures = []
-    r_fixed = None
-    if mode == "mdp":
-        # the linearized dynamics are the dynamics: one sensitivity row suffices
-        r_fixed = _terminal_sensitivity(mode, model.k1, kc, coeffs, x0_path, path0,
-                                        grid, event.normal).reshape(n, m)
-    for stage in range(stages):
-        for it in range(max_iter):
-            val, path, viol = objective(v, rho)
-            if r_fixed is not None:
-                r = r_fixed
-            else:
-                r = _terminal_sensitivity(mode, model.k1, kc, coeffs, x0_path, path,
-                                          grid, event.normal).reshape(n, m)
-            grad = dt * v - 2.0 * rho * viol * r
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm <= 1e-12 * (1.0 + rho):
-                break
-            stp = step
-            improved = False
-            for _ in range(30):
-                cand = v - stp * grad
-                try:
-                    cval, _, _ = objective(cand, rho)
-                except BlowUpError:
-                    cval = np.inf  # a trial past the overflow guard is no decrease
-                if cval <= val - 0.25 * stp * gnorm * gnorm:
-                    improved = True
-                    break
-                stp *= 0.5
-            if not improved:
-                failures.append({"stage": stage, "iteration": it})
-                break
-            v = v - stp * grad
-            iterations += 1
-        rho *= 10.0
-    # equality polish on the linearized constraint: min energy s.t. <r, v> fixed
-    for _ in range(8):
-        path = forward(v)
-        gap = event.level - float(path[-1] @ event.normal)
-        if r_fixed is not None:
-            r = r_fixed
-        else:
-            r = _terminal_sensitivity(mode, model.k1, kc, coeffs, x0_path, path,
-                                      grid, event.normal).reshape(n, m)
-        rr = float(np.sum(r * r))
-        if rr <= 0.0:
-            break
-        # current linearization: <n, x_T(v + dv)> ~ <n, x_T(v)> + <r, dv>;
-        # the min-energy point on the affine constraint is proportional to r
-        offset = float(np.sum(r * v)) + gap
-        v = r * (offset / rr)
-        if abs(gap) <= constraint_tol * scale:
-            break
-    path = forward(v)
-    terminal = float(path[-1] @ event.normal)
-    attained = terminal >= event.level - constraint_tol * scale
+    r = _terminal_sensitivity(mode, model.k1, kc, coeffs, x0_path, path, grid,
+                              event.normal).reshape(n, m)
+    while not stationary and iterations < GN_MAX_ITER and r.any():
+        r_norm = float(np.linalg.norm(r))
+        u = r / r_norm
+        # linearization at v: gap(lam u) ~ gap(v) - <r, lam u - v>
+        lam0 = gap / r_norm + float(np.sum(u * v))
+        lam, gap, path = _ray_root(lambda lam: gap_at(lam * u), lam0, r_norm, tol)
+        v = lam * u
+        r = _terminal_sensitivity(mode, model.k1, kc, coeffs, x0_path, path, grid,
+                                  event.normal).reshape(n, m)
+        iterations += 1
+        # r(v) points along u: the next iteration would not move v
+        r_norm = float(np.linalg.norm(r))
+        stationary = -tol <= gap <= 0.0 and np.linalg.norm(r - r_norm * u) < GN_TOL * r_norm
     ctrl = ControlPath(grid=grid, values=v)
     return RateSolution(
-        v_star=ctrl, rate=ctrl.energy,
-        residual=max(0.0, event.level - terminal),
-        attained=attained, iterations=iterations,
-        diagnostics={"terminal_value": terminal, "line_search_failures": failures},
+        v_star=ctrl, rate=ctrl.energy, residual=max(0.0, gap),
+        attained=bool(stationary), iterations=iterations,
+        diagnostics={"terminal_value": float(path[-1] @ event.normal)},
     )
 
 

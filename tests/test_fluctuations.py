@@ -90,6 +90,41 @@ class TestCltPair:
             gap = clt_gap(pair, p=2).value
             assert gap <= 50.0 * eps * (1.0 + xi**4)
 
+    def test_measure_derivative_taken_at_the_limit_path(self):
+        # b(x, mu) = a x + c int y^2 mu(dy) has measure derivative 2 c y, which
+        # varies in y; the linear equation must pair it, at y = X^0_t, with
+        # the ensemble mean of Z.  Oracle: a plain double loop over the weights
+        from volterra_mv import CoefficientSet
+        from volterra_mv.kernels import grid_weights
+
+        a_, c_ = -0.5, 0.8
+        coeffs = CoefficientSet(
+            b=lambda t, x, mu: a_ * x + c_ * mu.second_moment(),
+            sigma=lambda t, x, mu: np.ones((*x.shape, 1)),
+            grad_b=lambda t, x, mu: np.full((*x.shape, 1), a_),
+            lions_b=lambda t, x, mu, y: 2.0 * c_ * np.asarray(y, dtype=float)[..., None],
+            d=1, m=1,
+        )
+        model = Model(k1=ConstantKernel(1.0), k2=FbmKernel(0.3), coeffs=coeffs)
+        grid = TimeGrid(1.0, 40)
+        pair = clt_pair(model, 1.0, 1e-2, grid, 8, seed=3)
+        x0 = pair.x0_path[:, 0]
+        dw = pair.z_lim.driver_increments[:, :, 0]
+        w1, w2 = grid_weights(model.k1, grid), grid_weights(model.k2, grid)
+
+        def linear_z(lions_at):
+            z = np.zeros((8, grid.n_steps + 1))
+            for i in range(grid.n_steps):
+                for k in range(i + 1):
+                    drift = a_ * z[:, k] + 2.0 * c_ * lions_at[k] * z[:, k].mean()
+                    z[:, i + 1] += grid.dt * w1[i + 1, k] * drift + w2[i + 1, k] * dw[:, k]
+            return z
+
+        want = linear_z(x0)
+        assert np.allclose(pair.z_lim.states[:, :, 0], want, rtol=1e-12, atol=1e-12)
+        # the mean term is visible at this N: y = 0 would give another Z
+        assert np.abs(linear_z(np.zeros_like(x0)) - want).max() > 1e-3
+
     def test_requires_derivatives(self):
         from volterra_mv import CoefficientSet
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from volterra_mv import (
+    BlowUpError,
     BuiltinLinearMeanField,
     ConstantKernel,
     ControlPath,
     CustomKernel,
+    EmpiricalMeasure,
+    FbmKernel,
     Halfspace,
     Model,
     PowerKernel,
@@ -22,6 +26,7 @@ from volterra_mv import (
     tail_probability_probe,
 )
 from volterra_mv import rates
+from volterra_mv.kernels import grid_weights
 
 UNIT = ConstantKernel(1.0)
 
@@ -43,6 +48,52 @@ def descent_rate(problem, max_iter):
         if float(np.linalg.norm(grad)) <= 1e-14 * (1.0 + float(np.linalg.norm(g))):
             break
     return ControlPath(grid=problem.grid, values=v.reshape(problem.grid.n_steps, -1)).energy
+
+
+# (kernels, sigma1, a, level, rate): ldp rates with sigma(x) = 1 + sigma1 x,
+# n = 30, xi = 0, b = 0, recorded from the penalty-continuation minimizer that
+# the Gauss-Newton iteration replaced.  "constant": k1 = kc = 1; "rough":
+# k1 = PowerKernel(0.3), kc = FbmKernel(0.3).
+SIGMA1_SWEEP = [
+    ("constant", 0.5, -1.0, 1.0, 0.708076635318028),
+    ("constant", 0.5, -1.0, 2.0, 2.0690480179496706),
+    ("constant", 0.5, 1.0, 1.0, 0.1272010359227151),
+    ("constant", 0.5, 1.0, 2.0, 0.41338082921289704),
+    ("constant", 1.0, -1.0, 1.0, 0.5172620044874177),
+    ("constant", 1.0, -1.0, 2.0, 1.3920555299632265),
+    ("constant", 1.0, 1.0, 1.0, 0.10334520730322426),
+    ("constant", 1.0, 1.0, 2.0, 0.3012601995046484),
+    ("rough", 0.5, -1.0, 1.0, 0.8150399078998688),
+    ("rough", 0.5, -1.0, 2.0, 2.3643822091919207),
+    ("rough", 0.5, 1.0, 1.0, 0.06508757900990683),
+    ("rough", 0.5, 1.0, 2.0, 0.21287748696480993),
+    ("rough", 1.0, -1.0, 1.0, 0.5910955522979802),
+    ("rough", 1.0, -1.0, 2.0, 1.5793311777524424),
+    ("rough", 1.0, 1.0, 1.0, 0.05321937174120248),
+    ("rough", 1.0, 1.0, 2.0, 0.15581290559889474),
+]
+
+
+def dense_sensitivity(mode, k1, kc, coeffs, x0_path, path, grid, normal):
+    """Oracle for the backward adjoint sweep of rates._terminal_sensitivity:
+    the adjoint of delta_x = L delta_x + C delta_v against <normal, x_T>, by
+    one dense ((n+1)d)^2 transposed triangular solve."""
+    n, d = grid.n_steps, coeffs.d
+    w1 = grid_weights(k1, grid)
+    wc = grid_weights(kc, grid)
+    ref = x0_path if mode == "mdp" else path
+    grads, sig = [], []
+    for k in range(n):
+        mu = EmpiricalMeasure.dirac(x0_path[k])
+        grads.append(coeffs.drift_gradient(grid.times[k], ref[k][None, :], mu)[0])
+        sig.append(coeffs.diffusion(grid.times[k], ref[k][None, :], mu)[0])
+    size = (n + 1) * d
+    lmat = np.zeros((size, size))
+    lmat[:, : n * d] = grid.dt * np.einsum("ik,kab->iakb", w1, np.array(grads)).reshape(size, n * d)
+    rhs = np.zeros(size)
+    rhs[n * d :] = normal
+    q = solve_triangular(np.eye(size) - lmat, rhs, lower=True, trans="T").reshape(n + 1, d)
+    return np.einsum("kdm,kd->km", np.array(sig), grid.dt * np.einsum("ik,id->kd", wc, q)).ravel()
 
 
 class TestMdpRate:
@@ -220,6 +271,8 @@ class TestMinimizeEndpoint:
         sol = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], -1.0), grid, xi=0.0)
         assert sol.rate == 0.0
         assert sol.attained
+        assert sol.iterations == 0
+        assert sol.diagnostics["terminal_value"] == 0.0  # the uncontrolled endpoint
 
     def test_mdp_pure_integration_levels(self):
         grid = TimeGrid(1.0, 200)
@@ -247,38 +300,105 @@ class TestMinimizeEndpoint:
         b = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], 1.2), grid, xi=0.0)
         assert np.array_equal(a.v_star.values, b.v_star.values)
 
-    def test_line_search_failures_recorded(self):
-        # from v = 0 no step of length 1e12 (or any of its 30 halvings) lowers
-        # the penalized energy, so every stage stops at its first iteration
-        # and only the equality polish moves v: the result is the stages=0 run
-        grid = TimeGrid(1.0, 30)
-        model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs(a=0.4))
-        event = Halfspace([1.0], 1.0)
-        stuck = minimize_rate_endpoint(model, "mdp", event, grid, xi=0.0, step=1e12)
-        polish = minimize_rate_endpoint(model, "mdp", event, grid, xi=0.0, stages=0)
-        assert stuck.diagnostics["line_search_failures"] == [
-            {"stage": s, "iteration": 0} for s in range(8)
-        ]
-        assert polish.diagnostics["line_search_failures"] == []
-        assert np.array_equal(stuck.v_star.values, polish.v_star.values)
-        assert stuck.rate == polish.rate
-        assert stuck.iterations == polish.iterations == 0
-
     @pytest.mark.parametrize("a, rate", [(0.0, 0.5), (0.4, 0.33173865824737897)])
-    def test_line_search_survives_blow_up(self, a, rate):
-        # in ldp mode the first trials of length 1e12 trip the overflow guard;
-        # they count as no decrease, so the step halves instead of raising
+    def test_ldp_affine_rates(self, a, rate):
+        # linear drift and constant sigma: the terminal value is affine in v,
+        # so the first linear guess on the first ray is the minimizer
         grid = TimeGrid(1.0, 30)
         model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs(a=a))
+        sol = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], 1.0), grid, xi=0.0)
+        assert sol.attained
+        assert sol.rate == pytest.approx(rate, rel=1e-12)
+
+    def test_mdp_takes_one_iteration(self):
+        # the sensitivity does not depend on the path in mdp mode
+        grid = TimeGrid(1.0, 30)
+        model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs(a=0.4))
+        sol = minimize_rate_endpoint(model, "mdp", Halfspace([1.0], 1.0), grid, xi=0.0)
+        assert sol.attained and sol.iterations == 1
+        assert sol.rate == pytest.approx(0.33173865824737897, rel=1e-12)
+
+    @pytest.mark.parametrize("kernels, sigma1, a, level, parent", SIGMA1_SWEEP)
+    def test_state_dependent_sigma_sweep(self, kernels, sigma1, a, level, parent):
+        # the Gauss-Newton fixed point may only be cheaper than the old rate
+        grid = TimeGrid(1.0, 30)
+        k1, kc = ((UNIT, UNIT) if kernels == "constant"
+                  else (PowerKernel(0.3), FbmKernel(0.3)))
+        coeffs = BuiltinLinearMeanField(a=a, b=0.0, sigma0=1.0, sigma1=sigma1).coefficients()
+        model = Model(k1=k1, k2=kc, coeffs=coeffs)
+        event = Halfspace([1.0], level)
+        sol = minimize_rate_endpoint(model, "ldp", event, grid, xi=0.0, kc=kc)
+        assert sol.attained
+        assert sol.diagnostics["terminal_value"] >= level
+        assert sol.rate <= parent * (1.0 + 1e-9)
+        x0 = solve_deterministic_limit(k1, coeffs, 0.0, grid)
+        path = solve_controlled_deterministic(k1, kc, coeffs, 0.0, sol.v_star, x0, "ldp", grid)
+        r = rates._terminal_sensitivity("ldp", k1, kc, coeffs, x0, path, grid, event.normal)
+        v = sol.v_star.values.ravel()
+        assert r @ v / (np.linalg.norm(r) * np.linalg.norm(v)) >= 1.0 - 1e-8
+
+    def test_benchmark_reference_rates(self):
+        # the rate-min benchmark model; 0.13128465948145476 (n = 20) is the
+        # benchmark's own reference, checked there at 1e-6 relative
+        model = Model(k1=UNIT, k2=UNIT, coeffs=BuiltinLinearMeanField(
+            a=1.0, b=0.5, sigma0=1.0, sigma1=0.5).coefficients())
         event = Halfspace([1.0], 1.0)
-        stuck = minimize_rate_endpoint(model, "ldp", event, grid, xi=0.0, step=1e12)
-        polish = minimize_rate_endpoint(model, "ldp", event, grid, xi=0.0, stages=0)
-        assert stuck.attained
-        assert stuck.diagnostics["line_search_failures"] == [
-            {"stage": s, "iteration": 0} for s in range(8)
-        ]
-        assert np.array_equal(stuck.v_star.values, polish.v_star.values)
-        assert stuck.rate == polish.rate == pytest.approx(rate, rel=1e-12)
+        small = minimize_rate_endpoint(model, "ldp", event, TimeGrid(1.0, 20), xi=0.0)
+        assert small.attained
+        assert small.rate == pytest.approx(0.13128465948145476, rel=1e-6)
+        full = minimize_rate_endpoint(model, "ldp", event, TimeGrid(1.0, 100), xi=0.0)
+        assert full.attained
+        assert full.rate == pytest.approx(0.12160445264927537, abs=1e-7)
+
+    def test_cap_reports_not_attained(self, monkeypatch):
+        # one iteration of one secant trial cannot certify a state-dependent case
+        monkeypatch.setattr(rates, "GN_MAX_ITER", 1)
+        model = Model(k1=UNIT, k2=UNIT, coeffs=BuiltinLinearMeanField(
+            a=-1.0, b=0.0, sigma0=1.0, sigma1=1.0).coefficients())
+        sol = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], 2.0), TimeGrid(1.0, 30),
+                                     xi=0.0)
+        assert not sol.attained
+        assert sol.iterations == 1
+
+    @pytest.mark.parametrize("mode", ["ldp", "mdp"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sensitivity_matches_dense_adjoint(self, mode, d):
+        grid = TimeGrid(1.0, 40)
+        a = 0.7 if d == 1 else np.array([[0.3, -0.5], [0.2, 0.1]])
+        s0 = 1.0 if d == 1 else np.array([[1.0, 0.2], [0.0, 0.8]])
+        coeffs = BuiltinLinearMeanField(a=a, b=0.2, sigma0=s0, sigma1=0.4,
+                                        d=d, m=d).coefficients()
+        k1, kc = PowerKernel(0.3), FbmKernel(0.3)
+        x0 = solve_deterministic_limit(k1, coeffs, np.ones(d), grid)
+        path = x0 + 0.1 * np.random.default_rng(d).normal(size=x0.shape)
+        normal = np.linspace(1.0, -0.5, d)
+        got = rates._terminal_sensitivity(mode, k1, kc, coeffs, x0, path, grid, normal)
+        want = dense_sensitivity(mode, k1, kc, coeffs, x0, path, grid, normal)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_ray_root_lands_inside_the_event(self):
+        # the terminal value lam^2 is convex: secant steps from below stay
+        # short of the level, so a gap within tol but positive must not end
+        # the search
+        tol = 1e-9
+        lam, gap, _ = rates._ray_root(lambda lam: (1.0 - lam * lam, None), 0.5, 1.0, tol)
+        assert gap == 1.0 - lam * lam
+        assert -tol <= gap <= 0.0
+
+    def test_ray_root_halves_past_blow_up(self):
+        # gap(lam) = 1 - lam, with the overflow guard tripping beyond lam = 4:
+        # the first trial at 100 halves back toward 0 until it is good
+        trials = []
+
+        def gap_at(lam):
+            trials.append(lam)
+            if lam > 4.0:
+                raise BlowUpError("overflow", step=1, magnitude=lam)
+            return 1.0 - lam, lam
+
+        lam, gap, path = rates._ray_root(gap_at, 100.0, 1.0, 1e-12)
+        assert lam == path == 1.0 and gap == 0.0
+        assert trials == [100.0, 50.0, 25.0, 12.5, 6.25, 3.125, 1.0]
 
 
 class TestTailProbe:
