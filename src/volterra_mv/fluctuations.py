@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as _rng
 from .grids import TimeGrid
 from .kernels import History, grid_weights
 from .measures import EmpiricalMeasure
@@ -39,7 +40,7 @@ class FluctuationPair:
 
 
 def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
-             seed: int) -> FluctuationPair:
+             seed: int, limit: FluctuationPair | None = None) -> FluctuationPair:
     """Simulate the coupled pair (Z^eps, Z) for deterministic initial data.
 
     Z^eps is (X^eps - X^0) / sqrt(eps) computed pathwise against the same
@@ -47,6 +48,11 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     diffusion and the drift linearization (state gradient plus the
     measure-derivative term paired with the ensemble mean), on the very same
     driver increments.
+
+    None of X^0, the driver increments and Z depends on eps.  ``limit``, a
+    pair from an earlier eps of the same model, xi, grid, N and seed, lends
+    them to this one, so only the eps-dependent particle pass runs; the
+    result is bitwise that of a call without it.
     """
     coeffs = model.coeffs
     if callable(xi):
@@ -55,19 +61,42 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
         raise ValueError("fluctuation limit needs grad_b and lions_b")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
+
+    if limit is None:
+        x0 = solve_deterministic_limit(model.k1, coeffs, xi, grid)
+        dw = None
+    else:
+        lim = limit.z_lim
+        if lim.seed != seed or lim.grid != grid or lim.n_particles != n_particles:
+            raise ValueError("limit pair was drawn with another seed, grid or particle count")
+        if not np.array_equal(limit.x0_path[0], np.atleast_1d(np.asarray(xi, dtype=float))):
+            raise ValueError("limit pair starts from another initial condition")
+        x0, dw = limit.x0_path, lim.driver_increments
+    ens = simulate_particles(model.k1, model.k2, coeffs, xi, eps, grid,
+                             n_particles, seed, driver_increments=dw)
+    dw = ens.driver_increments
+    # the ensemble is private to this call: rescale its states in place
+    z_eps_states = ens.states
+    z_eps_states -= x0[None, :, :]
+    z_eps_states /= np.sqrt(eps)
+    z = _linear_limit(model, x0, dw, grid) if limit is None else limit.z_lim.states
+
+    z_eps = PathEnsemble(grid=grid, states=z_eps_states, driver_increments=dw,
+                         seed=seed, tag=ens.tag, eps=eps)
+    z_lim = PathEnsemble(grid=grid, states=z, driver_increments=dw,
+                         seed=seed, tag=ens.tag, eps=eps)
+    return FluctuationPair(z_eps=z_eps, z_lim=z_lim, eps=eps, x0_path=x0)
+
+
+def _linear_limit(model: Model, x0: np.ndarray, dw: np.ndarray,
+                  grid: TimeGrid) -> np.ndarray:
+    """States (N, n+1, d) of the linear limit Z along X^0 on the increments dw."""
+    coeffs = model.coeffs
     d, m = coeffs.d, coeffs.m
+    n_particles = dw.shape[0]
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-
-    x0 = solve_deterministic_limit(model.k1, coeffs, xi, grid)
-    ens = simulate_particles(model.k1, model.k2, coeffs, xi, eps, grid,
-                             n_particles, seed)
-    z_eps_states = (ens.states - x0[None, :, :]) / np.sqrt(eps)
-
-    drift = History(grid_weights(model.k1, grid), (n_particles * d,))
-    noise = History(grid_weights(model.k2, grid), (n_particles * d,))
-    dw = ens.driver_increments
 
     grads = np.empty((n, d, d))
     dls = np.empty((n, d, d))
@@ -78,6 +107,8 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
         dls[k] = coeffs.drift_measure_derivative(times[k], x0[k], mu, x0[k][None, :])[0]
         sig0[k] = coeffs.diffusion(times[k], x0[k][None, :], mu)[0]
 
+    drift = History(grid_weights(model.k1, grid), (n_particles * d,))
+    noise = History(grid_weights(model.k2, grid), (n_particles * d,))
     z = np.empty((n_particles, n + 1, d))
     z[:, 0, :] = 0.0
     for i in range(n):
@@ -87,12 +118,7 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
             (dw[:, i, :] @ sig0[i].T).reshape(-1)
         )
         z[:, i + 1, :] = nxt.reshape(n_particles, d)
-
-    z_eps = PathEnsemble(grid=grid, states=z_eps_states, driver_increments=dw,
-                         seed=seed, tag=ens.tag, eps=eps)
-    z_lim = PathEnsemble(grid=grid, states=z, driver_increments=dw,
-                         seed=seed, tag=ens.tag, eps=eps)
-    return FluctuationPair(z_eps=z_eps, z_lim=z_lim, eps=eps, x0_path=x0)
+    return z
 
 
 @dataclass(frozen=True)
@@ -224,10 +250,13 @@ def strong_error_vs_eps(model: Model, xi, eps_list, grid: TimeGrid,
                         n_particles: int, seed: int) -> dict:
     """E sup_t |X^eps - X^0| per eps, all ensembles coupled through one seed."""
     x0 = solve_deterministic_limit(model.k1, model.coeffs, xi, grid)
+    # every eps draws the same increments (same seed and tag): draw them once
+    dw = _rng.normal_increments(seed, "particles", n_particles, grid.n_steps,
+                                model.coeffs.m, grid.dt)
     out = {}
     for eps in eps_list:
         ens = simulate_particles(model.k1, model.k2, model.coeffs, xi, float(eps),
-                                 grid, n_particles, seed)
+                                 grid, n_particles, seed, driver_increments=dw)
         sup = np.linalg.norm(ens.states - x0[None, :, :], axis=2).max(axis=1)
         out[float(eps)] = float(sup.mean())
     return out

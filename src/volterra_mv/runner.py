@@ -74,8 +74,9 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     return cfg.n_particles * floats * 8
 
 
-def _budget_guard(cfg: ExperimentConfig):
-    estimate = _memory_estimate(cfg)
+def _budget_guard(cfg: ExperimentConfig, concurrent: int = 1):
+    # concurrent: how many cells of a pool sweep are alive at once
+    estimate = concurrent * _memory_estimate(cfg)
     if estimate > cfg.memory_budget:
         raise BudgetError(
             f"estimated state memory {estimate} bytes exceeds the budget "
@@ -151,13 +152,20 @@ def _write_summary_csv(path, ensemble, p_list):
     _write_csv(path, header, rows)
 
 
-def _clt_row(cfg: ExperimentConfig, eps: float) -> tuple:
-    pair = clt_pair(_model(cfg), cfg.xi, eps, cfg.grid, cfg.n_particles, cfg.seed)
-    row = [eps]
-    for p in cfg.p_list:
-        gap = clt_gap(pair, p=p)
-        row.extend([gap.value, gap.stderr])
-    return tuple(row)
+def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
+    # X^0, the driver increments and Z do not depend on eps: each pair lends
+    # them to the next, and a row's gaps are taken before the next pass
+    model = _model(cfg)
+    rows = []
+    pair = None
+    for eps in eps_chunk:
+        pair = clt_pair(model, cfg.xi, eps, cfg.grid, cfg.n_particles, cfg.seed, limit=pair)
+        row = [eps]
+        for p in cfg.p_list:
+            gap = clt_gap(pair, p=p)
+            row.extend([gap.value, gap.stderr])
+        rows.append(tuple(row))
+    return rows
 
 
 def _tail_row(cfg: ExperimentConfig, index: int, eps: float) -> tuple:
@@ -172,15 +180,34 @@ def _tail_row(cfg: ExperimentConfig, index: int, eps: float) -> tuple:
             cell.censored, cell.resolved)
 
 
-# Pool workers rebuild the config, and with it the kernels, from its text.
-# Serial runs call the row functions with the config they already hold, so
-# every row shares one set of kernel objects and their cached grid weights.
-def _clt_cell(config_text: str, eps: float) -> tuple:
-    return _clt_row(validate_config(config_text), eps)
+def _tail_rows(cfg: ExperimentConfig, indexed_eps) -> list:
+    # cells get independent substreams derived from (seed, index); the probe
+    # itself derives them per call, so feed one eps per call with its index
+    return [_tail_row(cfg, index, eps) for index, eps in indexed_eps]
 
 
-def _tail_cell(config_text: str, index: int, eps: float) -> tuple:
-    return _tail_row(validate_config(config_text), index, eps)
+def _rows_from_text(rows_fn, config_text: str, chunk) -> list:
+    return rows_fn(validate_config(config_text), chunk)
+
+
+def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
+    """Rows of rows_fn over the cells, in order.
+
+    A pool splits the cells into one contiguous chunk per worker.  Each
+    worker rebuilds the config, and with it the kernels, from its text once
+    and runs the same row function as a serial run, which calls it with the
+    config it already holds, so one set of kernel objects and their cached
+    grid weights serves every cell of a chunk.
+    """
+    n_chunks = min(workers, len(cells))
+    if n_chunks <= 1:
+        return rows_fn(cfg, cells)
+    bounds = [len(cells) * k // n_chunks for k in range(n_chunks + 1)]
+    chunks = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+        parts = pool.map(_rows_from_text, [rows_fn] * n_chunks,
+                         [cfg.raw_text] * n_chunks, chunks)
+        return [row for part in parts for row in part]
 
 
 def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
@@ -208,13 +235,9 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
             [[i, cfg.grid.times[i]] + list(path[i]) for i in range(cfg.grid.n_steps + 1)],
         )
     elif kind == "clt":
-        _budget_guard(cfg)
         eps_sorted = sorted(cfg.eps_list)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_clt_cell, [cfg.raw_text] * len(eps_sorted), eps_sorted))
-        else:
-            rows = [_clt_row(cfg, eps) for eps in eps_sorted]
+        _budget_guard(cfg, concurrent=min(workers, len(eps_sorted)))
+        rows = _sweep(_clt_rows, cfg, eps_sorted, workers)
         header = ["eps"]
         for p in cfg.p_list:
             header.extend([f"gap_p{_fmt(p)}", f"stderr_p{_fmt(p)}"])
@@ -252,15 +275,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         ])
     elif kind == "tail-probe":
         _budget_guard(cfg)
-        eps_sorted = sorted(cfg.eps_list)
-        texts = [cfg.raw_text] * len(eps_sorted)
-        # cells get independent substreams derived from (seed, index); the probe
-        # itself derives them per call, so feed one eps per call with its index
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_tail_cell, texts, range(len(eps_sorted)), eps_sorted))
-        else:
-            rows = [_tail_row(cfg, i, eps) for i, eps in enumerate(eps_sorted)]
+        rows = _sweep(_tail_rows, cfg, list(enumerate(sorted(cfg.eps_list))), workers)
         event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
         reference = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,
                                            xi=cfg.xi, kc=cfg.kc).rate

@@ -7,12 +7,14 @@ from volterra_mv import (
     FbmKernel,
     Model,
     PathEnsemble,
+    PowerKernel,
     TimeGrid,
     clt_gap,
     clt_pair,
     holder_probe,
     scaling_regression,
     simulate_particles,
+    solve_deterministic_limit,
     strong_error_vs_eps,
 )
 
@@ -152,6 +154,45 @@ class TestCltPair:
             FluctuationPair(z_eps=a.z_eps, z_lim=b.z_lim, eps=0.1, x0_path=a.x0_path)
 
 
+
+SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+class TestChainedPairs:
+    # clt_pair(limit=earlier) reuses X^0, the increments and Z of an earlier
+    # eps; every array must equal that of a fresh call bit for bit
+    @pytest.mark.parametrize("rough", [False, True])
+    def test_chain_equals_fresh_calls(self, rough):
+        model = _model(a=1.0, b=0.5, sigma1=0.5)
+        if rough:
+            model = Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3), coeffs=model.coeffs)
+        grid = TimeGrid(1.0, 40)
+        pair = None
+        for eps in SWEEP:
+            pair = clt_pair(model, 1.0, eps, grid, 64, seed=7, limit=pair)
+            fresh = clt_pair(model, 1.0, eps, grid, 64, seed=7)
+            assert pair.eps == pair.z_eps.eps == pair.z_lim.eps == eps
+            assert np.array_equal(pair.z_eps.states, fresh.z_eps.states)
+            assert np.array_equal(pair.z_lim.states, fresh.z_lim.states)
+            assert np.array_equal(pair.x0_path, fresh.x0_path)
+            assert np.array_equal(pair.z_eps.driver_increments, fresh.z_eps.driver_increments)
+            assert np.array_equal(pair.z_lim.driver_increments, fresh.z_lim.driver_increments)
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 8},
+        {"grid": TimeGrid(1.0, 21)},
+        {"grid": TimeGrid(2.0, 20)},
+        {"n_particles": 9},
+        {"xi": 0.5},
+    ])
+    def test_mismatched_limit_is_refused(self, change):
+        args = {"xi": 1.0, "grid": TimeGrid(1.0, 20), "n_particles": 8, "seed": 1}
+        model = _model(a=1.0, sigma1=0.5)
+        earlier = clt_pair(model, eps=0.1, **args)
+        with pytest.raises(ValueError):
+            clt_pair(model, eps=0.01, limit=earlier, **{**args, **change})
+
+
 class TestMoments:
     def test_sup_moment_bounded_in_eps(self):
         grid = TimeGrid(1.0, 50)
@@ -193,6 +234,18 @@ class TestScalingRegression:
                                    [1e-1, 1e-2, 1e-3, 1e-4], grid, 2000, seed=14)
         reg = scaling_regression(errs, expected_slope=0.5)
         assert reg.slope == pytest.approx(0.5, abs=0.1)
+
+    def test_strong_error_matches_per_eps_passes(self):
+        # the shared increments leave every value as one fresh pass per eps gave
+        model = _model(a=1.0, b=0.5, sigma1=0.5)
+        grid = TimeGrid(1.0, 30)
+        errs = strong_error_vs_eps(model, 1.0, SWEEP, grid, 50, seed=14)
+        x0 = solve_deterministic_limit(model.k1, model.coeffs, 1.0, grid)
+        for eps in SWEEP:
+            ens = simulate_particles(model.k1, model.k2, model.coeffs, 1.0, eps,
+                                     grid, 50, seed=14)
+            sup = np.linalg.norm(ens.states - x0[None, :, :], axis=2).max(axis=1)
+            assert errs[eps] == float(sup.mean())
 
     def test_validation(self):
         with pytest.raises(ValueError):

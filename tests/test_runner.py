@@ -14,6 +14,8 @@ from volterra_mv import (
     PowerKernel,
     TimeGrid,
     resolvent,
+    fluctuations,
+    rng,
     runner,
 )
 from volterra_mv.cli import main as cli_main
@@ -126,6 +128,12 @@ def _edge_array(shape, seed):
     return fill.reshape(shape)
 
 
+
+def _rows_by_chunk(cfg, chunk):
+    # a row function for the pool: tags each cell with its chunk's first cell
+    return [(chunk[0], cell) for cell in chunk]
+
+
 class TestRunExperiment:
     def test_simulate_artifacts(self, tmp_path):
         res = run_experiment(_cfg("simulate"), out_dir=tmp_path / "out")
@@ -184,6 +192,21 @@ n_steps = 1000
         run_experiment(_cfg("clt", CLT_SWEEP, base=ROUGH), out_dir=tmp_path / "out", workers=1)
         assert sorted(builds) == ["fbm", "power"]
         assert validations == []
+
+    def test_serial_clt_solves_the_limit_and_draws_once(self, tmp_path, monkeypatch):
+        calls = []
+        for owner, name in ((fluctuations, "solve_deterministic_limit"),
+                            (rng, "normal_increments")):
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        res = run_experiment(_cfg("clt", CLT_SWEEP, base=ROUGH), out_dir=tmp_path / "out",
+                             workers=1)
+        assert sorted(calls) == ["normal_increments", "solve_deterministic_limit"]
+        with open(os.path.join(res.out_dir, "clt.csv")) as fh:
+            assert len(list(csv.reader(fh))) == 5
 
     def test_serial_tail_probe_validates_no_text(self, tmp_path, monkeypatch):
         validations = _count_validations(monkeypatch)
@@ -253,6 +276,19 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
 
     def test_clt_estimate_tracks_traced_peak(self, tmp_path):
         cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [0.25]\n")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = _memory_estimate(cfg)
+        assert peak / 1.5 <= estimate <= 1.5 * peak
+
+    def test_chained_clt_estimate_tracks_traced_peak(self, tmp_path):
+        # a chained sweep keeps the earlier pair alive while the next pass runs
+        cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [1e-1, 1e-2, 1e-3, 1e-4]\n")
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -346,6 +382,19 @@ class TestReproducibility:
             outs[workers] = _read(os.path.join(res.out_dir, "clt.csv"))
         assert outs[1] == outs[2]
 
+    def test_clt_uneven_chunks_keep_bytes(self, tmp_path):
+        # 3 workers split the 4 cells into chunks of 1, 1 and 2
+        outs = {}
+        for workers in (1, 2, 3):
+            res = run_experiment(_cfg("clt", CLT_SWEEP, base=ROUGH),
+                                 out_dir=tmp_path / f"w{workers}", workers=workers)
+            outs[workers] = _read(os.path.join(res.out_dir, "clt.csv"))
+        assert outs[1] == outs[2] == outs[3]
+
+    def test_pool_splits_cells_into_contiguous_chunks(self):
+        rows = runner._sweep(_rows_by_chunk, _cfg("clt", CLT_SWEEP), list(range(7)), workers=3)
+        assert rows == [(0, 0), (0, 1), (2, 2), (2, 3), (4, 4), (4, 5), (4, 6)]
+
     def test_env_variable_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLTERRA_MV_WORKERS", "2")
         extra = ("\n[run]\nN = 100\neps_list = [0.5, 1.0]\nseed = 3\n"
@@ -398,6 +447,17 @@ class TestCli:
         assert rc == 3
         assert calls == []
         assert not (tmp_path / "out").exists()
+
+    def test_clt_budget_counts_the_pool_cells(self, tmp_path):
+        one_cell = _memory_estimate(_cfg("clt", CLT_SWEEP))
+        budget = 3 * one_cell // 2
+        cfg = self._write_config(tmp_path, kind="clt", extra=CLT_SWEEP
+                                 + f"\n[limits]\nmemory_bytes = {budget}\n")
+        rc = cli_main(["clt", "--config", cfg, "--out", str(tmp_path / "w2"), "--workers", "2"])
+        assert rc == 3
+        assert not (tmp_path / "w2").exists()
+        rc = cli_main(["clt", "--config", cfg, "--out", str(tmp_path / "w1"), "--workers", "1"])
+        assert rc == 0
 
     def test_missing_config_exit_one(self, tmp_path):
         rc = cli_main(["simulate", "--config", str(tmp_path / "nope.cfg")])
