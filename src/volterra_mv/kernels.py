@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
-from scipy.special import hyp2f1
 
 from .errors import (
     GridMismatchError,
@@ -49,6 +46,8 @@ _GLE_X, _GLE_W = _gauss_legendre(_GL_EDGE_NODES)
 
 def fbm_normalizer(hurst: float) -> float:
     """The constant making the fractional kernel reproduce unit-variance increments."""
+    from scipy.special import gamma as gamma_fn
+
     return math.sqrt(
         2.0 * hurst * gamma_fn(1.5 - hurst)
         / (gamma_fn(hurst + 0.5) * gamma_fn(2.0 - 2.0 * hurst))
@@ -229,6 +228,8 @@ class FbmKernel(Kernel):
         a = self._a
         if a == 0.0:
             return np.broadcast_to(1.0, np.broadcast_shapes(t.shape, s.shape)).copy()
+        from scipy.special import hyp2f1
+
         with np.errstate(divide="ignore"):
             z = -(t - s) / s
         out = self.normalizer * (t - s) ** a * hyp2f1(-a, a, a + 1.0, z)
@@ -236,6 +237,8 @@ class FbmKernel(Kernel):
 
     def reference_eval(self, t: float, s: float, epsrel: float = 1e-8) -> float:
         """Integral-form evaluation with adaptive quadrature of the correction term."""
+        from scipy.integrate import quad
+
         a = self._a
         c = self.normalizer
         lead = c * (t - s) ** a
@@ -253,6 +256,8 @@ class FbmKernel(Kernel):
 
     def _correction(self, t, s):
         """K(t, s) minus its leading power part, vectorized."""
+        from scipy.special import hyp2f1
+
         a = self._a
         z = -(t - s) / s
         return self.normalizer * (t - s) ** a * (hyp2f1(-a, a, a + 1.0, z) - 1.0)
@@ -454,6 +459,8 @@ def _quad_power_edges(f, lo, hi, exp_lo=0.0, exp_hi=0.0, epsrel=1e-10):
     exp_lo / exp_hi are the blow-up exponents of f at each endpoint (negative,
     > -1); a power substitution makes the transformed integrand bounded.
     """
+    from scipy.integrate import quad
+
     if hi <= lo:
         return 0.0
     mid = 0.5 * (lo + hi)

@@ -11,8 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError
 
@@ -158,6 +156,9 @@ def wasserstein2_full(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
         mu.uniform and nu.uniform and mu.n_atoms == nu.n_atoms
         and mu.n_atoms <= ASSIGNMENT_BUDGET
     ):
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
         cost = cdist(mu.points, nu.points, metric="sqeuclidean")
         rows, cols = linear_sum_assignment(cost)
         val = float(np.sqrt(cost[rows, cols].mean()))

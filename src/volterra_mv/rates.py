@@ -324,6 +324,8 @@ class TailCell:
     resolved: bool
     method: str = "crude"
     rel_stderr: float | None = None
+    # Kish effective sample size of the hit weights; n_hits for crude cells
+    ess: float | None = None
 
 
 @dataclass(frozen=True)
@@ -335,16 +337,19 @@ class TailProbeResult:
 
 def _weighted_tail(log_w: np.ndarray, n: int):
     """Log of the mean of n indicators weighted by exp(log_w) on the hits (the
-    misses weigh zero) and its relative standard error, evaluated relative to
-    the largest log-weight so that neither underflows."""
+    misses weigh zero), its relative standard error and the Kish effective
+    sample size (sum w)^2 / sum w^2 of the hits, evaluated relative to the
+    largest log-weight so that none underflows."""
     top = float(log_w.max())
     s = np.exp(log_w - top)
-    mean = float(s.sum()) / n
+    total = float(s.sum())
+    square = float(s @ s)
+    mean = total / n
     rel_stderr = None
     if n > 1:
-        var = (float(s @ s) / n - mean * mean) * n / (n - 1)
+        var = (square / n - mean * mean) * n / (n - 1)
         rel_stderr = float(np.sqrt(max(var, 0.0) / n)) / mean
-    return top + float(np.log(mean)), rel_stderr
+    return top + float(np.log(mean)), rel_stderr, total * total / square
 
 
 def _tagged_terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray,
@@ -445,15 +450,16 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
         if log_w is None:
             p_hat = hits / n_particles
             log_p = float(np.log(p_hat))
-            _, rel_stderr = _weighted_tail(np.zeros(hits), n_particles)
+            _, rel_stderr, ess = _weighted_tail(np.zeros(hits), n_particles)
         else:
-            log_p, rel_stderr = _weighted_tail(log_w[hit], n_particles)
+            log_p, rel_stderr, ess = _weighted_tail(log_w[hit], n_particles)
             p_hat = float(np.exp(log_p))
         decay = -log_p / (h * h) if mode == "mdp" else -eps * log_p
         resolved = hits >= RESOLVED_HITS and rel_stderr <= RESOLVED_HITS ** -0.5
         cells.append(TailCell(eps=eps, h=h, n_hits=hits, p_hat=p_hat,
                               normalized_decay=decay, censored=False,
-                              resolved=resolved, method=method, rel_stderr=rel_stderr))
+                              resolved=resolved, method=method, rel_stderr=rel_stderr,
+                              ess=ess))
     if with_reference and reference is None:
         reference = minimize_rate_endpoint(model, mode, event, grid, xi=xi_arr, kc=kc).rate
     return TailProbeResult(mode=mode, cells=tuple(cells), rate_reference=reference)

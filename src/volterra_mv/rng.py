@@ -24,7 +24,6 @@ Here p, s, c are the particle, step and component indices as uint64.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -75,6 +74,8 @@ def normal_increments(seed: int, tag: str, n_particles: int, n_steps: int,
 
     Each entry is N(0, dt), keyed by (seed, tag, particle, step, component).
     """
+    from scipy.special import ndtri
+
     key = stream_key(seed, tag)
     p = np.arange(n_particles, dtype=np.uint64)[:, None, None]
     s = np.arange(n_steps, dtype=np.uint64)[None, :, None]

@@ -13,7 +13,6 @@ import csv
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +203,8 @@ def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
         return rows_fn(cfg, cells)
     bounds = [len(cells) * k // n_chunks for k in range(n_chunks + 1)]
     chunks = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_chunks) as pool:
         parts = pool.map(_rows_from_text, [rows_fn] * n_chunks,
                          [cfg.raw_text] * n_chunks, chunks)
@@ -274,7 +275,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
             ("terminal_value", sol.diagnostics.get("terminal_value", float("nan"))),
         ])
     elif kind == "tail-probe":
-        _budget_guard(cfg)
+        _budget_guard(cfg, concurrent=min(workers, len(cfg.eps_list)))
         rows = _sweep(_tail_rows, cfg, list(enumerate(sorted(cfg.eps_list))), workers)
         event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
         reference = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,

@@ -1,0 +1,71 @@
+"""Start-up cost: importing the library loads numpy only, and a run loads only
+the scipy submodules its path calls.  Each check runs in a fresh interpreter,
+because this test session has imported scipy already."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RATE_MIN = """
+[experiment]
+kind = rate-min
+
+[model]
+name = linear_mean_field
+A = 1.0
+B = 0.5
+sigma0 = 1.0
+xi = 0.0
+
+[kernel1]
+family = constant
+c = 1.0
+
+[kernel2]
+family = constant
+c = 1.0
+
+[grid]
+T = 1.0
+n_steps = 20
+
+[rate]
+mode = ldp
+event_normal = [1.0]
+event_level = 1.0
+"""
+
+
+def _run(code: str, cwd) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy_and_no_pool(tmp_path):
+    out = _run("""
+        import sys
+        import volterra_mv.cli
+        heavy = ("scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.special",
+                 "concurrent.futures.process")
+        print(" ".join(m for m in heavy if m in sys.modules))
+    """, tmp_path)
+    assert out.strip() == ""
+
+
+def test_constant_kernel_rate_min_run_loads_no_scipy(tmp_path):
+    (tmp_path / "exp.cfg").write_text(RATE_MIN)
+    out = _run("""
+        import sys
+        from volterra_mv.cli import main
+        rc = main(["rate-min", "--config", "exp.cfg", "--out", "out"])
+        print(rc, "scipy" in sys.modules)
+    """, tmp_path)
+    assert out.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "summary.txt").exists()

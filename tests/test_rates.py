@@ -426,6 +426,7 @@ class TestTailProbe:
             se = np.sqrt(exact * (1.0 - exact) / n)
             assert cell.p_hat == pytest.approx(exact, abs=4 * se)
             assert cell.resolved
+            assert cell.ess == cell.n_hits
 
     def test_censoring(self):
         grid = TimeGrid(1.0, 30)
@@ -435,7 +436,7 @@ class TestTailProbe:
                                      with_reference=False)
         cell = res.cells[0]
         assert cell.censored
-        assert cell.p_hat is None and cell.normalized_decay is None
+        assert cell.p_hat is None and cell.normalized_decay is None and cell.ess is None
 
     def test_mdp_decay_within_factor_two_of_rate(self):
         grid = TimeGrid(1.0, 100)
@@ -473,6 +474,7 @@ class TestTailProbe:
             assert cell.method == "importance"
             assert cell.resolved
             assert cell.p_hat == pytest.approx(exact, abs=4 * cell.rel_stderr * cell.p_hat)
+            assert 0.0 < cell.ess <= cell.n_hits <= 50_000
 
     def test_importance_agrees_with_crude_on_interacting_model(self):
         # P ~ 1e-3 is within crude reach; the frozen-law tagged particles must

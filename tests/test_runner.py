@@ -459,6 +459,21 @@ class TestCli:
         rc = cli_main(["clt", "--config", cfg, "--out", str(tmp_path / "w1"), "--workers", "1"])
         assert rc == 0
 
+    def test_tail_budget_counts_the_pool_cells(self, tmp_path):
+        extra = ("\n[run]\nN = 100\neps_list = [0.5, 1.0]\nseed = 3\n"
+                 "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 0.4\n")
+        one_cell = _memory_estimate(_cfg("tail-probe", extra))
+        budget = 3 * one_cell // 2
+        cfg = self._write_config(tmp_path, kind="tail-probe", extra=extra
+                                 + f"\n[limits]\nmemory_bytes = {budget}\n")
+        rc = cli_main(["tail-probe", "--config", cfg, "--out", str(tmp_path / "w2"),
+                       "--workers", "2"])
+        assert rc == 3
+        assert not (tmp_path / "w2").exists()
+        rc = cli_main(["tail-probe", "--config", cfg, "--out", str(tmp_path / "w1"),
+                       "--workers", "1"])
+        assert rc == 0
+
     def test_missing_config_exit_one(self, tmp_path):
         rc = cli_main(["simulate", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 1
