@@ -252,7 +252,7 @@ def validate_config(text: str) -> ExperimentConfig:
         issues.append("run.p_list must be a list of moments >= 1")
         p_list = [2]
     h_beta = _check_number(issues, data, "run", "h_beta", 0.25)
-    if isinstance(h_beta, float) and not (0.0 < h_beta < 0.5):
+    if not (0.0 < h_beta < 0.5):
         issues.append("run.h_beta must lie in (0, 1/2)")
 
     rate_sec = data.get("rate", {})
@@ -271,6 +271,12 @@ def validate_config(text: str) -> ExperimentConfig:
     if not isinstance(event_normal, list) or not event_normal:
         issues.append("rate.event_normal must be a nonempty list")
         event_normal = [1.0]
+    elif any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in event_normal):
+        issues.append("rate.event_normal entries must be numbers")
+        event_normal = [1.0]
+    elif kind in ("rate-min", "tail-probe") and coeffs is not None and len(event_normal) != coeffs.d:
+        issues.append(f"rate.event_normal must have one entry per model dimension"
+                      f" ({coeffs.d}), got {len(event_normal)}")
     event_level = _check_number(issues, data, "rate", "event_level", 1.0)
 
     probe_sec = data.get("probe", {})

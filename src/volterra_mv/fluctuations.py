@@ -18,8 +18,8 @@ import numpy as np
 from . import rng as _rng
 from .grids import TimeGrid
 from .kernels import History, grid_weights
-from .measures import EmpiricalMeasure
-from .solvers import Model, PathEnsemble, simulate_particles, solve_deterministic_limit
+from .solvers import (Model, PathEnsemble, _along_path, simulate_particles,
+                      solve_deterministic_limit)
 
 
 @dataclass
@@ -92,20 +92,16 @@ def _linear_limit(model: Model, x0: np.ndarray, dw: np.ndarray,
                   grid: TimeGrid) -> np.ndarray:
     """States (N, n+1, d) of the linear limit Z along X^0 on the increments dw."""
     coeffs = model.coeffs
-    d, m = coeffs.d, coeffs.m
+    d = coeffs.d
     n_particles = dw.shape[0]
     n = grid.n_steps
     dt = grid.dt
-    times = grid.times
-
-    grads = np.empty((n, d, d))
-    dls = np.empty((n, d, d))
-    sig0 = np.empty((n, d, m))
-    for k in range(n):
-        mu = EmpiricalMeasure.dirac(x0[k])
-        grads[k] = coeffs.drift_gradient(times[k], x0[k][None, :], mu)[0]
-        dls[k] = coeffs.drift_measure_derivative(times[k], x0[k], mu, x0[k][None, :])[0]
-        sig0[k] = coeffs.diffusion(times[k], x0[k][None, :], mu)[0]
+    # lions_b is paired against the atom of the Dirac law itself
+    grads, dls, sig0 = _along_path(
+        grid, x0, coeffs.drift_gradient,
+        lambda t, x, mu: coeffs.drift_measure_derivative(t, x[0], mu, x),
+        coeffs.diffusion,
+    )
 
     drift = History(grid_weights(model.k1, grid), (n_particles * d,))
     noise = History(grid_weights(model.k2, grid), (n_particles * d,))

@@ -118,8 +118,7 @@ class ConstantKernel(Kernel):
 
     def average_weights(self, grid):
         n = grid.n_steps
-        w = np.full((n + 1, n), float(self.value))
-        return _mask_strict_lower(w)
+        return _toeplitz_strict_lower(np.full(n, float(self.value)), n)
 
 
 @dataclass(frozen=True)
@@ -413,13 +412,6 @@ class CustomKernel(Kernel):
         return _weights_by_cell_quadrature(self, grid)
 
 
-def _mask_strict_lower(w: np.ndarray) -> np.ndarray:
-    n = w.shape[1]
-    i = np.arange(w.shape[0])[:, None]
-    j = np.arange(n)[None, :]
-    return np.where(j < i, w, 0.0)
-
-
 def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
     """Weight matrix w[i, j] = lag[i - j - 1] for j < i, zero elsewhere."""
     i = np.arange(n + 1)[:, None]
@@ -630,9 +622,7 @@ def resolvent_premise(k: GridKernel, kernel_family: str | None = None) -> Resolv
     "unverified" rather than guessing.
     """
     sup_int = float(k.row_integrals().max(initial=0.0))
-    diag = k.grid.dt * np.array(
-        [k.weights[i, i - 1] for i in range(1, k.grid.n_steps + 1)]
-    )
+    diag = k.grid.dt * k.weights.diagonal(-1)
     near = float(np.abs(diag).max(initial=0.0))
     if not np.isfinite(sup_int):
         raise NonIntegrableError("kernel row integrals are not finite")

@@ -20,10 +20,10 @@ from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError, RankDeficiencyError
 from .grids import TimeGrid
 from .kernels import Kernel, grid_weights
-from .measures import EmpiricalMeasure
 from .solvers import (
     ControlPath,
     Model,
+    _along_path,
     _simulate,
     simulate_particles,
     solve_controlled_deterministic,
@@ -84,27 +84,17 @@ def _control_system(problem: RateProblem):
     grid = problem.grid
     n, d, m = grid.n_steps, coeffs.d, coeffs.m
     dt = grid.dt
-    times = grid.times
     w1 = grid_weights(problem.k1, grid)
     wc = grid_weights(problem.kc, grid)
     target = problem.target
     x0 = problem.x0_path
 
-    sig = np.empty((n, d, m))
     if problem.mode == "mdp":
-        drift_term = np.empty((n, d))
-        for k in range(n):
-            mu = EmpiricalMeasure.dirac(x0[k])
-            g_k = coeffs.drift_gradient(times[k], x0[k][None, :], mu)[0]
-            drift_term[k] = g_k @ target[k]
-            sig[k] = coeffs.diffusion(times[k], x0[k][None, :], mu)[0]
+        grads, sig = _along_path(grid, x0, coeffs.drift_gradient, coeffs.diffusion)
+        drift_term = np.array([g_k @ y_k for g_k, y_k in zip(grads, target)])
         g = target[1:] - dt * (w1[1:, :] @ drift_term)
     else:
-        drift_term = np.empty((n, d))
-        for k in range(n):
-            mu = EmpiricalMeasure.dirac(x0[k])
-            drift_term[k] = coeffs.drift(times[k], target[k][None, :], mu)[0]
-            sig[k] = coeffs.diffusion(times[k], target[k][None, :], mu)[0]
+        drift_term, sig = _along_path(grid, x0, coeffs.drift, coeffs.diffusion, at=target)
         g = target[1:] - x0[0][None, :] - dt * (w1[1:, :] @ drift_term)
 
     c = dt * np.einsum("ik,kdm->idkm", wc[1:, :], sig).reshape(n * d, n * m)
@@ -146,7 +136,7 @@ def _direct_rate(problem: RateProblem, residual_tol: float | None) -> RateSoluti
     grid = problem.grid
     c, g, sig = _control_system(problem)
     wc = grid_weights(problem.kc, grid)
-    lead = np.array([wc[k + 1, k] for k in range(grid.n_steps)])
+    lead = wc.diagonal(-1)
     v, lam = _solve_first_kind(c, g, problem.lam_reg, sig, lead, grid.dt)
     ctrl = ControlPath(grid=grid, values=v)
     mode = "mdp_linearized" if problem.mode == "mdp" else "ldp"
@@ -207,18 +197,12 @@ def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, nor
     linearization (drift gradient along the current path, diffusion frozen)
     for the ldp mode.
     """
-    n, d, m = grid.n_steps, coeffs.d, coeffs.m
+    n, d = grid.n_steps, coeffs.d
     dt = grid.dt
-    times = grid.times
     w1 = grid_weights(k1, grid)
     wc = grid_weights(kc, grid)
     ref = x0_path if problem_mode == "mdp" else path
-    grads = np.empty((n, d, d))
-    sig = np.empty((n, d, m))
-    for k in range(n):
-        mu = EmpiricalMeasure.dirac(x0_path[k])
-        grads[k] = coeffs.drift_gradient(times[k], ref[k][None, :], mu)[0]
-        sig[k] = coeffs.diffusion(times[k], ref[k][None, :], mu)[0]
+    grads, sig = _along_path(grid, x0_path, coeffs.drift_gradient, coeffs.diffusion, at=ref)
     # adjoint of delta_x_i = dt sum_k<i w1[i, k] (grads_k delta_x_k + sig_k delta_v_k)
     # against the terminal functional, swept backward from q_n = normal
     q = np.zeros((n + 1, d))

@@ -243,37 +243,34 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         for p in cfg.p_list:
             header.extend([f"gap_p{_fmt(p)}", f"stderr_p{_fmt(p)}"])
         _write_csv(art("clt.csv"), header, rows)
-    elif kind in ("ldp-rate", "mdp-rate"):
-        target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
-        x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
-        kc = cfg.kc or (cfg.k1 if cfg.rate_mode == "ldp" else cfg.k2)
-        problem = RateProblem(
-            mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs, grid=cfg.grid,
-            x0_path=x0, target=target, lam_reg=cfg.lam_reg,
-        )
-        sol = ldp_rate(problem) if cfg.rate_mode == "ldp" else mdp_rate(problem)
+    elif kind in ("ldp-rate", "mdp-rate", "rate-min"):
+        if kind == "rate-min":
+            event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
+            sol = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,
+                                         xi=cfg.xi, kc=cfg.kc)
+            summary = [
+                ("rate", sol.rate), ("residual", sol.residual), ("attained", sol.attained),
+                ("terminal_value", sol.diagnostics.get("terminal_value", float("nan"))),
+            ]
+        else:
+            target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
+            x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
+            kc = cfg.kc or (cfg.k1 if cfg.rate_mode == "ldp" else cfg.k2)
+            problem = RateProblem(
+                mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs, grid=cfg.grid,
+                x0_path=x0, target=target, lam_reg=cfg.lam_reg,
+            )
+            sol = ldp_rate(problem) if cfg.rate_mode == "ldp" else mdp_rate(problem)
+            summary = [
+                ("rate", sol.rate), ("residual", sol.residual),
+                ("attained", sol.attained), ("lambda_used", sol.lambda_used),
+            ]
         _write_csv(
             art("control.csv"),
             ["t"] + [f"v{k + 1}" for k in range(cfg.coeffs.m)],
             [[cfg.grid.times[i]] + list(sol.v_star.values[i]) for i in range(cfg.grid.n_steps)],
         )
-        _write_kv(art("summary.txt"), [
-            ("rate", sol.rate), ("residual", sol.residual),
-            ("attained", sol.attained), ("lambda_used", sol.lambda_used),
-        ])
-    elif kind == "rate-min":
-        event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
-        sol = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,
-                                     xi=cfg.xi, kc=cfg.kc)
-        _write_csv(
-            art("control.csv"),
-            ["t"] + [f"v{k + 1}" for k in range(cfg.coeffs.m)],
-            [[cfg.grid.times[i]] + list(sol.v_star.values[i]) for i in range(cfg.grid.n_steps)],
-        )
-        _write_kv(art("summary.txt"), [
-            ("rate", sol.rate), ("residual", sol.residual), ("attained", sol.attained),
-            ("terminal_value", sol.diagnostics.get("terminal_value", float("nan"))),
-        ])
+        _write_kv(art("summary.txt"), summary)
     elif kind == "tail-probe":
         _budget_guard(cfg, concurrent=min(workers, len(cfg.eps_list)))
         rows = _sweep(_tail_rows, cfg, list(enumerate(sorted(cfg.eps_list))), workers)

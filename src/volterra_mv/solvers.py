@@ -121,6 +121,23 @@ def _initial_states(xi, n_particles: int, d: int, seed: int):
     return np.tile(arr, (n_particles, 1)), False
 
 
+def _frozen_law(grid: TimeGrid, law: np.ndarray):
+    """Cells (t_k, delta_{law[k]}), k < n: the law frozen at the Dirac of a
+    deterministic path, taken at each cell's left node."""
+    return ((t, EmpiricalMeasure.dirac(x)) for t, x in zip(grid.times[:-1], law))
+
+
+def _along_path(grid: TimeGrid, law: np.ndarray, *evaluators, at=None) -> list:
+    """One stack per evaluator f of f(t_k, at[k][None, :], delta_{law[k]})[0]
+    over the cells k < n, with each Dirac built once; ``at`` defaults to law."""
+    at = law if at is None else at
+    stacks = [[] for _ in evaluators]
+    for k, (t, mu) in enumerate(_frozen_law(grid, law)):
+        for f, stack in zip(evaluators, stacks):
+            stack.append(f(t, at[k][None, :], mu)[0])
+    return [np.array(stack) for stack in stacks]
+
+
 def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
                               grid: TimeGrid) -> np.ndarray:
     """Noise-free limit path: x_t = xi + int_0^t K1(t,s) b(s, x_s, delta_{x_s}) ds.
@@ -182,6 +199,7 @@ def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
     if mdp:
         if x0_path is None or x0_path.shape != (n + 1, d):
             raise GridMismatchError("the deviation dynamics need the limit path on the grid")
+        (b_base,) = _along_path(grid, x0_path, coeffs.drift)
         states0 = np.zeros((n_particles, d))
         random_init = False
     else:
@@ -205,11 +223,7 @@ def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
                 mu = EmpiricalMeasure(points=shifted, _validate=False)
             else:
                 mu = EmpiricalMeasure(points=law[:, i, :], _validate=False)
-            b_shift = coeffs.drift(t, shifted, mu)
-            b_base = coeffs.drift(
-                t, x0_path[i][None, :], EmpiricalMeasure.dirac(x0_path[i])
-            )
-            bi = (b_shift - b_base) / mdp_scale
+            bi = (coeffs.drift(t, shifted, mu) - b_base[i]) / mdp_scale
             si = coeffs.diffusion(t, shifted, mu)
         else:
             if law_mode == "self":
@@ -319,7 +333,6 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
     d = coeffs.d
     n = grid.n_steps
     dt = grid.dt
-    times = grid.times
     if v.grid != grid:
         raise GridMismatchError("control path lives on a different grid")
     x0_path = np.asarray(x0_path, dtype=float)
@@ -329,37 +342,25 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
         raise GridMismatchError("limit path must be given on the grid nodes")
     drift = History(grid_weights(k1, grid), (d,))
     ctrl = History(grid_weights(kc, grid), (d,))
-    diracs = [EmpiricalMeasure.dirac(x0_path[k]) for k in range(n)]
-
     x = np.empty((n + 1, d))
-    linear = mode == "mdp_linearized"
-    if linear:
-        grads = np.empty((n, d, d))
-        forc = np.empty((n, d))
-        for k in range(n):
-            grads[k] = coeffs.drift_gradient(times[k], x0_path[k][None, :], diracs[k])[0]
-            forc[k] = coeffs.diffusion(times[k], x0_path[k][None, :], diracs[k])[0] @ v.values[k]
-        x[0] = 0.0
-    elif mode == "ldp":
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi_arr.shape != (d,):
-            raise ValueError(f"initial condition must have shape ({d},)")
-        x[0] = xi_arr
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
-    for i in range(n):
-        if linear:
-            a, c = grads[i] @ x[i], forc[i]
-        else:
-            a = coeffs.drift(times[i], x[i][None, :], diracs[i])[0]
-            c = coeffs.diffusion(times[i], x[i][None, :], diracs[i])[0] @ v.values[i]
-        step = dt * drift.push(a)
-        if linear:
-            x[i + 1] = step + dt * ctrl.push(c)
-        else:
-            x[i + 1] = xi_arr + step + dt * ctrl.push(c)
-            _guard(x[i + 1], i + 1)
+    if mode == "mdp_linearized":
+        grads, sig = _along_path(grid, x0_path, coeffs.drift_gradient, coeffs.diffusion)
+        x[0] = 0.0
+        for i in range(n):
+            x[i + 1] = dt * drift.push(grads[i] @ x[i]) + dt * ctrl.push(sig[i] @ v.values[i])
+        return x
+    if mode != "ldp":
+        raise ValueError(f"unknown mode {mode!r}")
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi_arr.shape != (d,):
+        raise ValueError(f"initial condition must have shape ({d},)")
+    x[0] = xi_arr
+    for i, (t, mu) in enumerate(_frozen_law(grid, x0_path)):
+        a = coeffs.drift(t, x[i][None, :], mu)[0]
+        c = coeffs.diffusion(t, x[i][None, :], mu)[0] @ v.values[i]
+        x[i + 1] = xi_arr + dt * drift.push(a) + dt * ctrl.push(c)
+        _guard(x[i + 1], i + 1)
     return x
 
 

@@ -122,3 +122,51 @@ seed = 3
         a = validate_config(MINIMAL)
         b = validate_config(MINIMAL + "\n# comment\n")
         assert a.sha256 != b.sha256
+
+
+RATE_MIN = MINIMAL.replace("kind = simulate", "kind = rate-min")
+TAIL_MDP = MINIMAL.replace("kind = simulate", "kind = tail-probe") + "\n[rate]\nmode = mdp\n"
+
+
+class TestRunAndRateChecks:
+    @pytest.mark.parametrize("h_beta", ["0", "1", "0.5", "-0.25"])
+    def test_h_beta_range_checked_for_every_number(self, h_beta):
+        with pytest.raises(ConfigError) as err:
+            validate_config(TAIL_MDP + f"\n[run]\nh_beta = {h_beta}\n")
+        assert "run.h_beta must lie in (0, 1/2)" in err.value.issues
+
+    def test_h_beta_inside_range(self):
+        assert validate_config(TAIL_MDP + "\n[run]\nh_beta = 0.3\n").h_beta == 0.3
+
+    @pytest.mark.parametrize("normal", ["[a]", "[1.0, b]", "[true]"])
+    def test_event_normal_entries_are_numbers(self, normal):
+        text = RATE_MIN + f"\n[rate]\nevent_normal = {normal}\n\n[run]\nh_beta = 1\n"
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        # collected next to the other issues, not raised on its own
+        assert err.value.issues == ["run.h_beta must lie in (0, 1/2)",
+                                    "rate.event_normal entries must be numbers"]
+
+    @pytest.mark.parametrize("kind", ["rate-min", "tail-probe"])
+    def test_event_normal_length_is_the_model_dimension(self, kind):
+        text = MINIMAL.replace("kind = simulate", f"kind = {kind}")
+        with pytest.raises(ConfigError) as err:
+            validate_config(text + "\n[rate]\nevent_normal = [1.0, 1.0]\n")
+        assert err.value.issues == [
+            "rate.event_normal must have one entry per model dimension (1), got 2"]
+        two = "\n[model]\nname = linear_mean_field\ndim = 2\nm = 2\n"
+        cfg = validate_config(text + two + "\n[rate]\nevent_normal = [1.0, 1]\n")
+        assert cfg.event_normal.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("normal", ["[a]", "[1.0, 1.0]"])
+    def test_cli_reports_event_normal_and_writes_nothing(self, tmp_path, capsys, normal):
+        from volterra_mv.cli import main
+
+        path = tmp_path / "exp.cfg"
+        path.write_text(RATE_MIN + f"\n[rate]\nevent_normal = {normal}\n")
+        out = tmp_path / "out"
+        assert main(["rate-min", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rate.event_normal")
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -1,0 +1,337 @@
+"""Coefficients along a deterministic path, under its frozen Dirac law.
+
+Every call site that stacks b, grad_b, lions_b or sigma along the limit path
+goes through ``solvers._along_path``.  The oracles below are the per-cell
+loops those sites were written as before; each site must reproduce its loop
+bit for bit, sign bits included, and call each evaluator once per cell.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from volterra_mv import (
+    CoefficientSet,
+    ControlPath,
+    EmpiricalMeasure,
+    FbmKernel,
+    Model,
+    PowerKernel,
+    RateProblem,
+    TimeGrid,
+    clt_pair,
+    simulate_controlled,
+    simulate_particles,
+    solve_controlled_deterministic,
+    solve_deterministic_limit,
+)
+from volterra_mv import rates, solvers
+from volterra_mv.kernels import History, grid_weights
+
+GRID = TimeGrid(1.0, 20)
+KERNELS = {
+    "power-fbm": (PowerKernel(0.3), FbmKernel(0.3)),
+    "fbm-power": (FbmKernel(0.7), PowerKernel(0.3)),
+}
+
+
+def rich_coefficients(d: int) -> CoefficientSet:
+    """m = d; b, grad_b, lions_b and sigma all vary with the state and the law.
+
+    b_i(x, mu) = (A x)_i + 0.3 sin x_i + 0.2 (1 + t) tanh(m_i) - 0.1 x_i m_i
+                 + 0.1 int y_i^2 mu(dy),  with m = int y mu(dy),
+    so grad_b = A + diag(0.3 cos x - 0.1 m) and the measure derivative at the
+    atom y is diag(0.2 (1 + t) / cosh^2 m - 0.1 x + 0.2 y).
+    """
+    a_mat = np.array([[-0.7, 0.3], [0.2, -0.4]])[:d, :d]
+    s_mat = np.array([[0.9, 0.1], [-0.2, 0.8]])[:d, :d]
+
+    def b(t, x, mu):
+        mean = mu.mean()
+        square = (mu.points**2).mean(axis=0)
+        return (x @ a_mat.T + 0.3 * np.sin(x) + 0.2 * (1.0 + t) * np.tanh(mean)[None, :]
+                - 0.1 * x * mean[None, :] + 0.1 * square[None, :])
+
+    def grad_b(t, x, mu):
+        diag = 0.3 * np.cos(x) - 0.1 * mu.mean()[None, :]
+        return a_mat[None] + diag[:, :, None] * np.eye(d)[None]
+
+    def lions_b(t, x, mu, y):
+        y = np.asarray(y, dtype=float)
+        diag = 0.2 * (1.0 + t) / np.cosh(mu.mean()) ** 2 - 0.1 * x + 0.2 * y
+        return diag[:, :, None] * np.eye(d)[None]
+
+    def sigma(t, x, mu):
+        scale = 1.0 + 0.2 * np.tanh(x).sum(axis=1) + 0.05 * mu.mean().sum()
+        return s_mat[None] * scale[:, None, None]
+
+    return CoefficientSet(b=b, sigma=sigma, d=d, m=d, grad_b=grad_b, lions_b=lions_b)
+
+
+def counting(coeffs: CoefficientSet):
+    """The same coefficients, with a Counter of the calls to each evaluator."""
+    calls = Counter()
+
+    def count(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    counted = CoefficientSet(
+        b=count("b", coeffs.b), sigma=count("sigma", coeffs.sigma),
+        d=coeffs.d, m=coeffs.m, grad_b=count("grad_b", coeffs.grad_b),
+        lions_b=count("lions_b", coeffs.lions_b),
+    )
+    return counted, calls
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# --- the per-cell loops, as they stood before the helper -------------------
+
+def loop_control_system(problem):
+    coeffs, grid = problem.coeffs, problem.grid
+    n, d, m = grid.n_steps, coeffs.d, coeffs.m
+    dt, times = grid.dt, grid.times
+    w1 = grid_weights(problem.k1, grid)
+    wc = grid_weights(problem.kc, grid)
+    target, x0 = problem.target, problem.x0_path
+    sig = np.empty((n, d, m))
+    drift_term = np.empty((n, d))
+    if problem.mode == "mdp":
+        for k in range(n):
+            mu = EmpiricalMeasure.dirac(x0[k])
+            g_k = coeffs.drift_gradient(times[k], x0[k][None, :], mu)[0]
+            drift_term[k] = g_k @ target[k]
+            sig[k] = coeffs.diffusion(times[k], x0[k][None, :], mu)[0]
+        g = target[1:] - dt * (w1[1:, :] @ drift_term)
+    else:
+        for k in range(n):
+            mu = EmpiricalMeasure.dirac(x0[k])
+            drift_term[k] = coeffs.drift(times[k], target[k][None, :], mu)[0]
+            sig[k] = coeffs.diffusion(times[k], target[k][None, :], mu)[0]
+        g = target[1:] - x0[0][None, :] - dt * (w1[1:, :] @ drift_term)
+    c = dt * np.einsum("ik,kdm->idkm", wc[1:, :], sig).reshape(n * d, n * m)
+    return c, g.reshape(-1), sig
+
+
+def loop_terminal_sensitivity(mode, k1, kc, coeffs, x0_path, path, grid, normal):
+    n, d, m = grid.n_steps, coeffs.d, coeffs.m
+    dt, times = grid.dt, grid.times
+    w1 = grid_weights(k1, grid)
+    wc = grid_weights(kc, grid)
+    ref = x0_path if mode == "mdp" else path
+    grads = np.empty((n, d, d))
+    sig = np.empty((n, d, m))
+    for k in range(n):
+        mu = EmpiricalMeasure.dirac(x0_path[k])
+        grads[k] = coeffs.drift_gradient(times[k], ref[k][None, :], mu)[0]
+        sig[k] = coeffs.diffusion(times[k], ref[k][None, :], mu)[0]
+    q = np.zeros((n + 1, d))
+    q[n] = normal
+    for k in range(n - 1, -1, -1):
+        q[k] = dt * grads[k].T @ (w1[k + 1:, k] @ q[k + 1:])
+    return np.einsum("kdm,kd->km", sig, dt * (wc.T @ q)).reshape(-1)
+
+
+def loop_linearized(k1, kc, coeffs, v, x0_path, grid):
+    n, d = grid.n_steps, coeffs.d
+    dt, times = grid.dt, grid.times
+    drift = History(grid_weights(k1, grid), (d,))
+    ctrl = History(grid_weights(kc, grid), (d,))
+    diracs = [EmpiricalMeasure.dirac(x0_path[k]) for k in range(n)]
+    grads = np.empty((n, d, d))
+    forc = np.empty((n, d))
+    for k in range(n):
+        grads[k] = coeffs.drift_gradient(times[k], x0_path[k][None, :], diracs[k])[0]
+        forc[k] = coeffs.diffusion(times[k], x0_path[k][None, :], diracs[k])[0] @ v.values[k]
+    x = np.empty((n + 1, d))
+    x[0] = 0.0
+    for i in range(n):
+        step = dt * drift.push(grads[i] @ x[i])
+        x[i + 1] = step + dt * ctrl.push(forc[i])
+    return x
+
+
+def loop_linear_limit(model, x0, dw, grid):
+    coeffs = model.coeffs
+    d, m = coeffs.d, coeffs.m
+    n_particles = dw.shape[0]
+    n, dt, times = grid.n_steps, grid.dt, grid.times
+    grads = np.empty((n, d, d))
+    dls = np.empty((n, d, d))
+    sig0 = np.empty((n, d, m))
+    for k in range(n):
+        mu = EmpiricalMeasure.dirac(x0[k])
+        grads[k] = coeffs.drift_gradient(times[k], x0[k][None, :], mu)[0]
+        dls[k] = coeffs.drift_measure_derivative(times[k], x0[k], mu, x0[k][None, :])[0]
+        sig0[k] = coeffs.diffusion(times[k], x0[k][None, :], mu)[0]
+    drift = History(grid_weights(model.k1, grid), (n_particles * d,))
+    noise = History(grid_weights(model.k2, grid), (n_particles * d,))
+    z = np.empty((n_particles, n + 1, d))
+    z[:, 0, :] = 0.0
+    for i in range(n):
+        zi = z[:, i, :]
+        bi = zi @ grads[i].T + (zi.mean(axis=0) @ dls[i].T)[None, :]
+        nxt = dt * drift.push(bi.reshape(-1)) + noise.push(
+            (dw[:, i, :] @ sig0[i].T).reshape(-1)
+        )
+        z[:, i + 1, :] = nxt.reshape(n_particles, d)
+    return z
+
+
+def loop_mdp_particles(k1, k2, kc, coeffs, v, x0_path, dw, grid, scale, noise_scale, law):
+    """The controlled deviation dynamics, with b(X^0) rebuilt in every step;
+    law is None for the ensemble's own law, else frozen states (N', n+1, d)."""
+    n_particles = dw.shape[0]
+    n, d = grid.n_steps, coeffs.d
+    dt, times = grid.dt, grid.times
+    states = np.zeros((n_particles, n + 1, d))
+    base = states[:, 0, :].reshape(-1)
+    flat = (n_particles * d,)
+    drift = History(grid_weights(k1, grid), flat)
+    noise = History(grid_weights(k2, grid), flat)
+    ctrl = History(grid_weights(kc, grid), flat)
+    for i in range(n):
+        t = times[i]
+        shifted = x0_path[i][None, :] + scale * states[:, i, :]
+        points = shifted if law is None else law[:, i, :]
+        mu = EmpiricalMeasure(points=points, _validate=False)
+        b_shift = coeffs.drift(t, shifted, mu)
+        b_base = coeffs.drift(t, x0_path[i][None, :], EmpiricalMeasure.dirac(x0_path[i]))
+        bi = (b_shift - b_base) / scale
+        si = coeffs.diffusion(t, shifted, mu)
+        nxt = base + dt * drift.push(bi.reshape(-1))
+        nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
+        noise_i = np.einsum("ndm,nm->nd", si, dw[:, i, :]).reshape(-1)
+        nxt = nxt + noise_scale * noise.push(noise_i)
+        states[:, i + 1, :] = nxt.reshape(n_particles, d)
+    return states
+
+
+# --- fixtures ----------------------------------------------------------------
+
+@pytest.fixture(params=[1, 2], ids=["d1", "d2"])
+def setup(request):
+    """(d, coefficients, xi, a control) for d = m in {1, 2}."""
+    d = request.param
+    coeffs = rich_coefficients(d)
+    xi = np.linspace(0.3, 0.7, d)
+    v = ControlPath(grid=GRID, values=np.random.default_rng(5).normal(size=(GRID.n_steps, d)))
+    return d, coeffs, xi, v
+
+
+def _limit(k1, coeffs, xi):
+    return solve_deterministic_limit(k1, coeffs, xi, GRID)
+
+
+def _targets(k1, kc, coeffs, xi, v, x0):
+    return {
+        "ldp": solve_controlled_deterministic(k1, kc, coeffs, xi, v, x0, "ldp", GRID),
+        "mdp": solve_controlled_deterministic(k1, kc, coeffs, xi, v, x0,
+                                              "mdp_linearized", GRID),
+    }
+
+
+# --- tests ---------------------------------------------------------------------
+
+def test_along_path_one_call_per_evaluator_per_cell(setup):
+    d, coeffs, xi, _ = setup
+    x0 = _limit(PowerKernel(0.3), coeffs, xi)
+    counted, calls = counting(coeffs)
+    drift, grads, sig = solvers._along_path(
+        GRID, x0, counted.drift, counted.drift_gradient, counted.diffusion
+    )
+    n = GRID.n_steps
+    assert calls == Counter(b=n, grad_b=n, sigma=n)
+    assert drift.shape == (n, d) and grads.shape == (n, d, d) and sig.shape == (n, d, d)
+    for k in (0, n - 1):
+        mu = EmpiricalMeasure.dirac(x0[k])
+        assert_bitwise(sig[k], coeffs.diffusion(GRID.times[k], x0[k][None, :], mu)[0])
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+@pytest.mark.parametrize("mode", ["ldp", "mdp"])
+def test_control_system_matches_loop(setup, kernels, mode):
+    d, coeffs, xi, v = setup
+    k1, kc = KERNELS[kernels]
+    x0 = _limit(k1, coeffs, xi)
+    target = _targets(k1, kc, coeffs, xi, v, x0)[mode]
+    counted, calls = counting(coeffs)
+    problem = RateProblem(mode=mode, k1=k1, kc=kc, coeffs=counted, grid=GRID,
+                          x0_path=x0, target=target)
+    got = rates._control_system(problem)
+    n = GRID.n_steps
+    assert calls == Counter({"grad_b" if mode == "mdp" else "b": n, "sigma": n})
+    for a, b in zip(got, loop_control_system(problem)):
+        assert_bitwise(a, b)
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+@pytest.mark.parametrize("mode", ["ldp", "mdp"])
+def test_terminal_sensitivity_matches_loop(setup, kernels, mode):
+    d, coeffs, xi, v = setup
+    k1, kc = KERNELS[kernels]
+    x0 = _limit(k1, coeffs, xi)
+    path = _targets(k1, kc, coeffs, xi, v, x0)["ldp"]
+    normal = np.linspace(1.0, -0.5, d)
+    counted, calls = counting(coeffs)
+    got = rates._terminal_sensitivity(mode, k1, kc, counted, x0, path, GRID, normal)
+    assert calls == Counter(grad_b=GRID.n_steps, sigma=GRID.n_steps)
+    want = loop_terminal_sensitivity(mode, k1, kc, coeffs, x0, path, GRID, normal)
+    assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+def test_linearized_march_matches_loop(setup, kernels):
+    d, coeffs, xi, v = setup
+    k1, kc = KERNELS[kernels]
+    x0 = _limit(k1, coeffs, xi)
+    counted, calls = counting(coeffs)
+    got = solve_controlled_deterministic(k1, kc, counted, xi, v, x0, "mdp_linearized", GRID)
+    assert calls == Counter(grad_b=GRID.n_steps, sigma=GRID.n_steps)
+    assert_bitwise(got, loop_linearized(k1, kc, coeffs, v, x0, GRID))
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+@pytest.mark.parametrize("law_mode", ["self", "frozen"])
+def test_mdp_particles_match_loop(setup, kernels, law_mode):
+    d, coeffs, xi, v = setup
+    k1, k2 = KERNELS[kernels]
+    x0 = _limit(k1, coeffs, xi)
+    eps, h = 0.04, 3.0
+    law = None
+    if law_mode == "frozen":
+        law = simulate_particles(k1, k2, coeffs, xi, eps, GRID, 7, seed=2).states
+    counted, calls = counting(coeffs)
+    ens = simulate_controlled(k1, k2, k2, counted, xi, eps, v, GRID, 12, seed=4,
+                              form="mdp", h_eps=h, law_mode=law_mode,
+                              frozen_path=law, x0_path=x0)
+    n = GRID.n_steps
+    # b at the shifted particles and b(X^0) once per cell; sigma once per cell
+    assert calls == Counter(b=2 * n, sigma=n)
+    want = loop_mdp_particles(k1, k2, k2, coeffs, v, x0, ens.driver_increments, GRID,
+                              np.sqrt(eps) * h, 1.0 / h, law)
+    assert_bitwise(ens.states, want)
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+def test_clt_limit_matches_loop(setup, kernels):
+    d, coeffs, xi, _ = setup
+    k1, k2 = KERNELS[kernels]
+    counted, calls = counting(coeffs)
+    pair = clt_pair(Model(k1, k2, counted), xi, 0.01, GRID, 16, seed=6)
+    n = GRID.n_steps
+    # X^0 and the particle pass take b (and sigma); Z takes each of its three
+    # coefficients once per cell
+    assert calls == Counter(b=2 * n, sigma=2 * n, grad_b=n, lions_b=n)
+    want = loop_linear_limit(Model(k1, k2, coeffs), pair.x0_path,
+                             pair.z_lim.driver_increments, GRID)
+    assert_bitwise(pair.z_lim.states, want)
