@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .measures import EmpiricalMeasure, wasserstein2
+from .measures import EmpiricalMeasure, distance_to_dirac0, wasserstein2
 
 
 @dataclass
@@ -182,7 +182,6 @@ def lipschitz_probe(coeffs: CoefficientSet, sampler, n_samples: int,
             raise DimensionMismatchError("sampler dimension does not match the coefficients")
         triples.append((t, x, mu))
 
-    zero = EmpiricalMeasure.dirac(np.zeros(coeffs.d))
     l1_hat, l1_wit = 0.0, None
     l2_hat, l2_wit = 0.0, None
     evals = []
@@ -190,7 +189,7 @@ def lipschitz_probe(coeffs: CoefficientSet, sampler, n_samples: int,
         bv = coeffs.drift(t, x[None, :], mu)[0]
         sv = coeffs.diffusion(t, x[None, :], mu)[0]
         evals.append((bv, sv))
-        denom = 1.0 + float(np.linalg.norm(x)) + wasserstein2(mu, zero)
+        denom = 1.0 + float(np.linalg.norm(x)) + distance_to_dirac0(mu)
         ratio = (float(np.linalg.norm(bv)) + float(np.linalg.norm(sv))) / denom
         if ratio > l2_hat:
             l2_hat, l2_wit = ratio, (t, x, mu)

@@ -57,8 +57,10 @@ def fbm_normalizer(hurst: float) -> float:
 class Kernel:
     """Base class for kernels on the simplex.
 
-    Subclasses implement a vectorized ``__call__(t, s)``, exact or
-    quadrature-backed subinterval integrals, and cell-averaged grid weights.
+    Subclasses implement a vectorized ``__call__(t, s)`` and exact or
+    quadrature-backed subinterval integrals.  Cell-averaged grid weights
+    default to a Gauss-Legendre rule per cell; families with a closed form
+    override them.
     """
 
     family = "abstract"
@@ -89,14 +91,7 @@ class Kernel:
 
     def average_weights(self, grid: TimeGrid) -> np.ndarray:
         """Cell-averaged weight matrix of shape (n+1, n); zero for j >= i."""
-        n = grid.n_steps
-        dt = grid.dt
-        times = grid.times
-        w = np.zeros((n + 1, n))
-        for i in range(1, n + 1):
-            for j in range(i):
-                w[i, j] = self.integrate(times[i], times[j], times[j + 1]) / dt
-        return w
+        return _weights_by_cell_quadrature(self, grid)
 
 
 @dataclass(frozen=True)

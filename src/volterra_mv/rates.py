@@ -348,8 +348,8 @@ def _tagged_terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.n
     log_w = 0.5 * dt * float(np.sum(theta * theta)) - np.einsum("nkm,km->n", dw, theta)
     tagged = _simulate(
         model.k1, model.k2, None, model.coeffs, xi_arr, eps, grid, n_particles, seed,
-        v=None, noise_scale=float(np.sqrt(eps)), law_mode="frozen", frozen_path=law,
-        x0_path=None, mdp_scale=0.0, tag="tagged", driver_increments=dw,
+        v=None, noise_scale=float(np.sqrt(eps)), law=law, x0_path=None, mdp_scale=0.0,
+        tag="tagged", driver_increments=dw,
     )
     return tagged.terminal().copy(), log_w
 

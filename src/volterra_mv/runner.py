@@ -88,20 +88,23 @@ def _model(cfg: ExperimentConfig) -> Model:
 
 
 def _load_target_csv(path, grid, d):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "t":
-            raise ConfigError([f"rate.target_csv: first column must be t, got {header[0]!r}"])
-        for row in reader:
-            rows.append([float(v) for v in row])
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape != (grid.n_steps + 1, d + 1):
+    try:
+        with open(path, newline="") as fh:
+            header, *lines = list(csv.reader(fh)) or [[]]
+        rows = [[float(v) for v in row] for row in lines]
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"rate.target_csv: {exc}"]) from None
+    if not header:
+        raise ConfigError([f"rate.target_csv: {path} has no header line"])
+    if header[0] != "t":
+        raise ConfigError([f"rate.target_csv: first column must be t, got {header[0]!r}"])
+    widths = sorted({len(row) for row in rows})
+    if len(rows) != grid.n_steps + 1 or widths != [d + 1]:
         raise ConfigError([
             f"rate.target_csv: expected {grid.n_steps + 1} rows and {d + 1} columns,"
-            f" got {arr.shape[0]} rows and {arr.shape[1]} columns"
+            f" got {len(rows)} rows and {'/'.join(map(str, widths)) or 0} columns"
         ])
+    arr = np.asarray(rows, dtype=float)
     if not np.allclose(arr[:, 0], grid.times, atol=1e-9):
         raise ConfigError(["rate.target_csv: time column does not match the grid"])
     return arr[:, 1:]

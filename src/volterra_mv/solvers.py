@@ -17,6 +17,8 @@ first-order discretization that stays finite for singular kernels and keeps
 the driver coupling exact.  The scheme is explicit, so every solver is one
 forward march, with its history sums kept by ``kernels.History``; the march
 lands on the discrete fixed point that successive approximation would reach.
+Every nonlinear solver runs the particle march: the limit and the controlled
+skeleton are its noise-free runs of one particle.
 """
 
 from __future__ import annotations
@@ -108,68 +110,67 @@ def _guard(x: np.ndarray, step: int) -> None:
         )
 
 
-def _initial_states(xi, n_particles: int, d: int, seed: int):
+def _initial_states(xi, n_particles: int, d: int, seed: int) -> np.ndarray:
     if callable(xi):
         rng = np.random.default_rng(_rng.derived_seed(seed, 0x696E6974))
         draws = np.asarray(xi(n_particles, rng), dtype=float)
         if draws.shape != (n_particles, d):
             raise ValueError(f"random initial condition must return shape {(n_particles, d)}")
-        return draws, True
+        return draws
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if arr.shape != (d,):
         raise ValueError(f"initial condition must have shape ({d},)")
-    return np.tile(arr, (n_particles, 1)), False
-
-
-def _frozen_law(grid: TimeGrid, law: np.ndarray):
-    """Cells (t_k, delta_{law[k]}), k < n: the law frozen at the Dirac of a
-    deterministic path, taken at each cell's left node."""
-    return ((t, EmpiricalMeasure.dirac(x)) for t, x in zip(grid.times[:-1], law))
+    return np.tile(arr, (n_particles, 1))
 
 
 def _along_path(grid: TimeGrid, law: np.ndarray, *evaluators, at=None) -> list:
     """One stack per evaluator f of f(t_k, at[k][None, :], delta_{law[k]})[0]
-    over the cells k < n, with each Dirac built once; ``at`` defaults to law."""
+    over the cells k < n, the law frozen at the Dirac of a deterministic path
+    at each cell's left node, built once per cell; ``at`` defaults to law."""
     at = law if at is None else at
     stacks = [[] for _ in evaluators]
-    for k, (t, mu) in enumerate(_frozen_law(grid, law)):
+    for k, t in enumerate(grid.times[:-1]):
+        mu = EmpiricalMeasure.dirac(law[k])
         for f, stack in zip(evaluators, stacks):
             stack.append(f(t, at[k][None, :], mu)[0])
     return [np.array(stack) for stack in stacks]
+
+
+def _one_path(k1: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi, grid: TimeGrid,
+              v: ControlPath | None, law: np.ndarray | None) -> np.ndarray:
+    """The noise-free run of one particle from xi, with no drawn increments;
+    xi goes in as an array, so a random initial condition is refused."""
+    no_noise = np.zeros((1, grid.n_steps, coeffs.m))
+    return _simulate(
+        k1, None, kc, coeffs, np.asarray(xi, dtype=float), 0.0, grid, 1, 0,
+        v=v, noise_scale=0.0, law=law, x0_path=None, mdp_scale=0.0, tag="one-path",
+        driver_increments=no_noise,
+    ).states[0]
 
 
 def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
                               grid: TimeGrid) -> np.ndarray:
     """Noise-free limit path: x_t = xi + int_0^t K1(t,s) b(s, x_s, delta_{x_s}) ds.
 
-    One forward march of the discrete scheme, which is its exact fixed point.
+    One particle of the particle march, under its own Dirac law and without
+    noise: one forward march of the discrete scheme, which is its exact
+    fixed point.
     """
-    d = coeffs.d
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi_arr.shape != (d,):
-        raise ValueError(f"initial condition must have shape ({d},)")
-    n = grid.n_steps
-    dt = grid.dt
-    times = grid.times
-    drift = History(grid_weights(k1, grid), (d,))
-    x = np.empty((n + 1, d))
-    x[0] = xi_arr
-    for i in range(n):
-        mu = EmpiricalMeasure.dirac(x[i])
-        bi = coeffs.drift(times[i], x[i][None, :], mu)[0]
-        x[i + 1] = xi_arr + dt * drift.push(bi)
-        _guard(x[i + 1], i + 1)
-    return x
+    return _one_path(k1, None, coeffs, xi, grid, None, None)
 
 
-def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
+def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: CoefficientSet,
               xi, eps: float, grid: TimeGrid, n_particles: int, seed: int,
-              v: ControlPath | None, noise_scale: float, law_mode: str,
-              frozen_path: np.ndarray | None, x0_path: np.ndarray | None,
-              mdp_scale: float, tag: str,
+              v: ControlPath | None, noise_scale: float, law: np.ndarray | None,
+              x0_path: np.ndarray | None, mdp_scale: float, tag: str,
               driver_increments: np.ndarray | None) -> PathEnsemble:
-    """Shared integrator.  mdp_scale > 0 switches on the centered difference-
-    quotient dynamics of the rescaled deviation variable."""
+    """The one explicit march of every nonlinear solver.
+
+    ``law`` is None for the ensemble's own empirical law, else states
+    (N', n+1, d) whose empirical law at each node is frozen in.  mdp_scale > 0
+    switches on the centered difference-quotient dynamics of the rescaled
+    deviation variable, whose coefficients are taken at x0 + mdp_scale * state.
+    """
     d, m = coeffs.d, coeffs.m
     n = grid.n_steps
     dt = grid.dt
@@ -182,28 +183,14 @@ def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
         if dw.shape != (n_particles, n, m):
             raise GridMismatchError("injected driver increments have the wrong shape")
 
-    if law_mode == "frozen":
-        # a Dirac path (n+1, d) is the one-atom case of particle states (N', n+1, d)
-        law = None if frozen_path is None else np.asarray(frozen_path, dtype=float)
-        if law is not None and law.shape == (n + 1, d):
-            law = law[None]
-        if law is None or law.ndim != 3 or law.shape[0] < 1 or law.shape[1:] != (n + 1, d):
-            raise GridMismatchError(
-                "law_mode='frozen' needs a Dirac path (n+1, d) or particle states "
-                "(N', n+1, d) on the grid nodes"
-            )
-    elif law_mode != "self":
-        raise ValueError(f"unknown law mode {law_mode!r}")
-
     mdp = mdp_scale > 0.0
     if mdp:
         if x0_path is None or x0_path.shape != (n + 1, d):
             raise GridMismatchError("the deviation dynamics need the limit path on the grid")
         (b_base,) = _along_path(grid, x0_path, coeffs.drift)
         states0 = np.zeros((n_particles, d))
-        random_init = False
     else:
-        states0, random_init = _initial_states(xi, n_particles, d, seed)
+        states0 = _initial_states(xi, n_particles, d, seed)
 
     states = np.empty((n_particles, n + 1, d))
     states[:, 0, :] = states0
@@ -211,31 +198,25 @@ def _simulate(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet,
 
     flat = (n_particles * d,)
     drift = History(grid_weights(k1, grid), flat)
-    noise = History(grid_weights(k2, grid), flat)
+    noise = History(grid_weights(k2, grid), flat) if noise_scale != 0.0 else None
     ctrl = History(grid_weights(kc, grid), flat) if v is not None else None
+    own_law = law is None
 
     for i in range(n):
-        xi_states = states[:, i, :]
         t = times[i]
+        at = states[:, i, :]
         if mdp:
-            shifted = x0_path[i][None, :] + mdp_scale * xi_states
-            if law_mode == "self":
-                mu = EmpiricalMeasure(points=shifted, _validate=False)
-            else:
-                mu = EmpiricalMeasure(points=law[:, i, :], _validate=False)
-            bi = (coeffs.drift(t, shifted, mu) - b_base[i]) / mdp_scale
-            si = coeffs.diffusion(t, shifted, mu)
-        else:
-            if law_mode == "self":
-                mu = EmpiricalMeasure(points=xi_states, _validate=False)
-            else:
-                mu = EmpiricalMeasure(points=law[:, i, :], _validate=False)
-            bi = coeffs.drift(t, xi_states, mu)
-            si = coeffs.diffusion(t, xi_states, mu)
+            at = x0_path[i][None, :] + mdp_scale * at
+        mu = EmpiricalMeasure(points=at if own_law else law[:, i, :], _validate=False)
+        bi = coeffs.drift(t, at, mu)
+        if mdp:
+            bi = (bi - b_base[i]) / mdp_scale
         nxt = base + dt * drift.push(bi.reshape(-1))
-        if v is not None:
+        if ctrl is not None or noise is not None:
+            si = coeffs.diffusion(t, at, mu)
+        if ctrl is not None:
             nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
-        if noise_scale != 0.0:
+        if noise is not None:
             noise_i = np.einsum("ndm,nm->nd", si, dw[:, i, :]).reshape(-1)
             nxt = nxt + noise_scale * noise.push(noise_i)
         states[:, i + 1, :] = nxt.reshape(n_particles, d)
@@ -263,9 +244,8 @@ def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
         raise ValueError("need at least one particle")
     return _simulate(
         k1, k2, None, coeffs, xi, eps, grid, n_particles, seed,
-        v=None, noise_scale=float(np.sqrt(eps)), law_mode="self",
-        frozen_path=None, x0_path=None, mdp_scale=0.0, tag=tag,
-        driver_increments=driver_increments,
+        v=None, noise_scale=float(np.sqrt(eps)), law=None, x0_path=None,
+        mdp_scale=0.0, tag=tag, driver_increments=driver_increments,
     )
 
 
@@ -298,25 +278,34 @@ def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientS
     if not (0.0 <= eps <= 1.0):
         raise ValueError("eps must lie in [0, 1]")
     if form == "ldp":
-        return _simulate(
-            k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed,
-            v=v, noise_scale=float(np.sqrt(eps)), law_mode=law_mode,
-            frozen_path=frozen_path, x0_path=None, mdp_scale=0.0, tag=tag,
-            driver_increments=driver_increments,
-        )
-    if form == "mdp":
+        noise_scale, mdp_scale = float(np.sqrt(eps)), 0.0
+    elif form == "mdp":
         if h_eps is None or h_eps <= 0.0:
             raise ValueError("form='mdp' needs h_eps > 0")
         if eps <= 0.0:
             raise ValueError("form='mdp' needs eps > 0 (the deviation scale is sqrt(eps) h)")
-        return _simulate(
-            k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed,
-            v=v, noise_scale=1.0 / h_eps, law_mode=law_mode,
-            frozen_path=frozen_path, x0_path=x0_path,
-            mdp_scale=float(np.sqrt(eps)) * h_eps, tag=tag,
-            driver_increments=driver_increments,
-        )
-    raise ValueError(f"unknown controlled form {form!r}")
+        noise_scale, mdp_scale = 1.0 / h_eps, float(np.sqrt(eps)) * h_eps
+    else:
+        raise ValueError(f"unknown controlled form {form!r}")
+    law = None
+    if law_mode == "frozen":
+        # a Dirac path (n+1, d) is the one-atom case of particle states (N', n+1, d)
+        n, d = grid.n_steps, coeffs.d
+        law = None if frozen_path is None else np.asarray(frozen_path, dtype=float)
+        if law is not None and law.shape == (n + 1, d):
+            law = law[None]
+        if law is None or law.ndim != 3 or law.shape[0] < 1 or law.shape[1:] != (n + 1, d):
+            raise GridMismatchError(
+                "law_mode='frozen' needs a Dirac path (n+1, d) or particle states "
+                "(N', n+1, d) on the grid nodes"
+            )
+    elif law_mode != "self":
+        raise ValueError(f"unknown law mode {law_mode!r}")
+    return _simulate(
+        k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed,
+        v=v, noise_scale=noise_scale, law=law, x0_path=x0_path, mdp_scale=mdp_scale,
+        tag=tag, driver_increments=driver_increments,
+    )
 
 
 def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSet,
@@ -325,7 +314,7 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
     """Deterministic controlled equations, with the law frozen at the limit path.
 
     Both modes are one forward march of the explicit discrete scheme.
-    mode="ldp": the equation
+    mode="ldp", one noise-free particle of the particle march: the equation
         phi_t = xi + int K1 b(s, phi_s, delta_{x0_s}) + int Kc sigma(s, phi_s, delta_{x0_s}) v_s.
     mode="mdp_linearized": the linear system
         psi_t = int K1 grad_b(s, x0_s, delta_{x0_s}) psi_s + int Kc sigma(s, x0_s, delta_{x0_s}) v_s.
@@ -340,27 +329,17 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
         x0_path = x0_path[:, None]
     if x0_path.shape != (n + 1, d):
         raise GridMismatchError("limit path must be given on the grid nodes")
+    if mode == "ldp":
+        return _one_path(k1, kc, coeffs, xi, grid, v, x0_path[None])
+    if mode != "mdp_linearized":
+        raise ValueError(f"unknown mode {mode!r}")
     drift = History(grid_weights(k1, grid), (d,))
     ctrl = History(grid_weights(kc, grid), (d,))
+    grads, sig = _along_path(grid, x0_path, coeffs.drift_gradient, coeffs.diffusion)
     x = np.empty((n + 1, d))
-
-    if mode == "mdp_linearized":
-        grads, sig = _along_path(grid, x0_path, coeffs.drift_gradient, coeffs.diffusion)
-        x[0] = 0.0
-        for i in range(n):
-            x[i + 1] = dt * drift.push(grads[i] @ x[i]) + dt * ctrl.push(sig[i] @ v.values[i])
-        return x
-    if mode != "ldp":
-        raise ValueError(f"unknown mode {mode!r}")
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi_arr.shape != (d,):
-        raise ValueError(f"initial condition must have shape ({d},)")
-    x[0] = xi_arr
-    for i, (t, mu) in enumerate(_frozen_law(grid, x0_path)):
-        a = coeffs.drift(t, x[i][None, :], mu)[0]
-        c = coeffs.diffusion(t, x[i][None, :], mu)[0] @ v.values[i]
-        x[i + 1] = xi_arr + dt * drift.push(a) + dt * ctrl.push(c)
-        _guard(x[i + 1], i + 1)
+    x[0] = 0.0
+    for i in range(n):
+        x[i + 1] = dt * drift.push(grads[i] @ x[i]) + dt * ctrl.push(sig[i] @ v.values[i])
     return x
 
 

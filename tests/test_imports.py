@@ -69,3 +69,17 @@ def test_constant_kernel_rate_min_run_loads_no_scipy(tmp_path):
     """, tmp_path)
     assert out.split()[-2:] == ["0", "False"]
     assert (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_constant_kernel_limit_run_loads_no_scipy(tmp_path):
+    # the limit is a one-particle run of the particle march: it draws no noise
+    limit = RATE_MIN.replace("kind = rate-min", "kind = limit").split("[rate]")[0]
+    (tmp_path / "exp.cfg").write_text(limit)
+    out = _run("""
+        import sys
+        from volterra_mv.cli import main
+        rc = main(["limit", "--config", "exp.cfg", "--out", "out"])
+        print(rc, "scipy" in sys.modules)
+    """, tmp_path)
+    assert out.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "path.csv").exists()

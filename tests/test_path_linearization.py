@@ -1,9 +1,11 @@
 """Coefficients along a deterministic path, under its frozen Dirac law.
 
 Every call site that stacks b, grad_b, lions_b or sigma along the limit path
-goes through ``solvers._along_path``.  The oracles below are the per-cell
-loops those sites were written as before; each site must reproduce its loop
-bit for bit, sign bits included, and call each evaluator once per cell.
+goes through ``solvers._along_path``, and the limit and the ldp skeleton are
+noise-free one-particle runs of the particle march.  The oracles below are
+the per-cell loops those sites were written as before; each site must
+reproduce its loop bit for bit, sign bits included, and call each evaluator
+once per cell.
 """
 
 from collections import Counter
@@ -95,6 +97,36 @@ def assert_bitwise(got, want):
 
 
 # --- the per-cell loops, as they stood before the helper -------------------
+
+def loop_limit(k1, coeffs, xi, grid):
+    n, d = grid.n_steps, coeffs.d
+    dt, times = grid.dt, grid.times
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    drift = History(grid_weights(k1, grid), (d,))
+    x = np.empty((n + 1, d))
+    x[0] = xi_arr
+    for i in range(n):
+        mu = EmpiricalMeasure.dirac(x[i])
+        bi = coeffs.drift(times[i], x[i][None, :], mu)[0]
+        x[i + 1] = xi_arr + dt * drift.push(bi)
+    return x
+
+
+def loop_skeleton(k1, kc, coeffs, xi, v, x0_path, grid):
+    n, d = grid.n_steps, coeffs.d
+    dt, times = grid.dt, grid.times
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    drift = History(grid_weights(k1, grid), (d,))
+    ctrl = History(grid_weights(kc, grid), (d,))
+    x = np.empty((n + 1, d))
+    x[0] = xi_arr
+    for i in range(n):
+        mu = EmpiricalMeasure.dirac(x0_path[i])
+        a = coeffs.drift(times[i], x[i][None, :], mu)[0]
+        c = coeffs.diffusion(times[i], x[i][None, :], mu)[0] @ v.values[i]
+        x[i + 1] = xi_arr + dt * drift.push(a) + dt * ctrl.push(c)
+    return x
+
 
 def loop_control_system(problem):
     coeffs, grid = problem.coeffs, problem.grid
@@ -335,3 +367,36 @@ def test_clt_limit_matches_loop(setup, kernels):
     want = loop_linear_limit(Model(k1, k2, coeffs), pair.x0_path,
                              pair.z_lim.driver_increments, GRID)
     assert_bitwise(pair.z_lim.states, want)
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+def test_limit_matches_loop(setup, kernels):
+    d, coeffs, xi, _ = setup
+    k1, _ = KERNELS[kernels]
+    counted, calls = counting(coeffs)
+    got = solve_deterministic_limit(k1, counted, xi, GRID)
+    assert calls == Counter(b=GRID.n_steps)
+    assert_bitwise(got, loop_limit(k1, coeffs, xi, GRID))
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+def test_skeleton_matches_loop(setup, kernels):
+    d, coeffs, xi, v = setup
+    k1, kc = KERNELS[kernels]
+    x0 = _limit(k1, coeffs, xi)
+    counted, calls = counting(coeffs)
+    got = solve_controlled_deterministic(k1, kc, counted, xi, v, x0, "ldp", GRID)
+    assert calls == Counter(b=GRID.n_steps, sigma=GRID.n_steps)
+    assert_bitwise(got, loop_skeleton(k1, kc, coeffs, xi, v, x0, GRID))
+
+
+def test_noise_free_particles_call_no_sigma(setup):
+    d, coeffs, xi, _ = setup
+    k1, k2 = KERNELS["power-fbm"]
+    counted, calls = counting(coeffs)
+    ens = simulate_particles(k1, k2, counted, xi, 0.0, GRID, 5, seed=3)
+    assert calls == Counter(b=GRID.n_steps)
+    # the increments are still drawn: the same seed at eps > 0 uses them
+    assert ens.driver_increments.shape == (5, GRID.n_steps, d)
+    limit = np.broadcast_to(_limit(k1, coeffs, xi), ens.states.shape)
+    np.testing.assert_allclose(ens.states, limit, rtol=1e-12, atol=1e-12)

@@ -474,6 +474,30 @@ class TestCli:
                        "--workers", "1"])
         assert rc == 0
 
+    @pytest.mark.parametrize("cells, issue", [
+        ({3: ["np.float64(0.075)", "0.0"]}, "could not convert string to float"),
+        ({3: ["0.075", "0.0", "0.0"]}, "got 41 rows and 2/3 columns"),
+        ("empty", "has no header line"),
+        ("missing", "No such file"),
+    ], ids=["numpy-repr", "ragged", "empty", "missing"])
+    def test_bad_target_csv_exit_one(self, tmp_path, capsys, cells, issue):
+        # 41 rows on the n = 40 grid, with the given rows replaced
+        target = tmp_path / "target.csv"
+        if cells == "empty":
+            target.write_text("")
+        elif cells != "missing":
+            rows = [[repr(float(t)), "0.0"] for t in np.linspace(0.0, 1.0, 41)]
+            for k, row in cells.items():
+                rows[k] = row
+            target.write_text("t,x1\n" + "".join(",".join(r) + "\n" for r in rows))
+        cfg = self._write_config(tmp_path, kind="ldp-rate",
+                                 base=BASE.replace("xi = 1.0", "xi = 0.0"), extra=f"\n[rate]\ntarget_csv = \"{target}\"\n")
+        rc = cli_main(["ldp-rate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error: rate.target_csv: " in err and issue in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_one(self, tmp_path):
         rc = cli_main(["simulate", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 1
