@@ -566,6 +566,16 @@ def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     return cached[1]
 
 
+# History sums terms of at least HISTORY_BLOCKED_WIDTH floats in blocks of
+# HISTORY_BLOCK steps; narrower terms (one-particle runs) keep the per-step
+# product bit for bit.  Timed over one fbm(0.3) history sum at n = 400 on a
+# 2-core host, the blocked path is 5-34% slower below 32 floats, even at 48
+# and 3-16% faster from 64; the crossover falls as n grows (about 16 floats
+# at n = 1600)
+HISTORY_BLOCK = 32
+HISTORY_BLOCKED_WIDTH = 64
+
+
 class History:
     """Volterra history sums of a forward substitution on grid weights.
 
@@ -574,6 +584,14 @@ class History:
     ``sum_{k <= i} weights[i+1, k] h_k``, the history term of node i+1, so a
     scheme x[i+1] = base + dt * sum_k w[i+1, k] f(x_k) pushes f(x_i) once per
     step.
+
+    A narrow term is summed as the dense slice product, one GEMV over the
+    whole history per push.  A wide term splits the sum at b0, the first step
+    of the block of B = HISTORY_BLOCK steps that holds i: one GEMM at step b0
+    forms the far part ``weights[b0+1 : b0+B+1, :b0] @ h[:b0]`` of every row
+    of the block, and each push adds the near part over h[b0 : i+1], so a
+    step rereads at most B history rows instead of i+1.  Only the order of
+    the additions changes (about 2e-15 relative per push).
     """
 
     def __init__(self, weights: np.ndarray, shape: tuple = ()):
@@ -583,13 +601,22 @@ class History:
         # operand only, so terms of two or more axes are summed as flat rows
         self._matrix = len(shape) > 1
         self._rows = self._values.reshape(len(self._values), -1) if self._matrix else self._values
+        width = math.prod(shape)
+        self._far = np.empty((HISTORY_BLOCK, width)) if width >= HISTORY_BLOCKED_WIDTH else None
         self._count = 0
 
     def push(self, h) -> np.ndarray:
         i = self._count
         self._values[i] = h
         self._count = i + 1
-        out = self.weights[i + 1, : i + 1] @ self._rows[: i + 1]
+        b0 = i - i % HISTORY_BLOCK
+        if self._far is None or b0 == 0:
+            out = self.weights[i + 1, : i + 1] @ self._rows[: i + 1]
+        else:
+            if i == b0:
+                far = self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
+                np.matmul(far, self._rows[:b0], out=self._far[: len(far)])
+            out = self._far[i - b0] + self.weights[i + 1, b0 : i + 1] @ self._rows[b0 : i + 1]
         return out.reshape(self._values.shape[1:]) if self._matrix else out
 
 

@@ -63,7 +63,8 @@ class RateProblem:
         anchor = self.x0_path[0] if self.mode == "ldp" else np.zeros(d)
         if not np.allclose(self.target[0], anchor, atol=1e-9):
             raise ValueError(
-                "target must start at the initial condition (ldp) or zero (mdp)"
+                f"target must start at {anchor.tolist()} (the initial condition for"
+                f" ldp, zero for mdp), got {self.target[0].tolist()}"
             )
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
 from .fluctuations import clt_gap, clt_pair
-from .kernels import GridKernel, regularity_probe, resolvent
+from .kernels import HISTORY_BLOCK, GridKernel, regularity_probe, resolvent
 from .rates import Halfspace, RateProblem, ldp_rate, mdp_rate, minimize_rate_endpoint, tail_probability_probe
 from .solvers import Model, ensemble_summary, simulate_particles, solve_deterministic_limit
 
@@ -63,13 +63,16 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     """Bytes of the particle arrays one run (or one clt cell) holds at once."""
     d = cfg.coeffs.d
     n = cfg.grid.n_steps
+    # per particle, in any march: the drift and noise histories on n nodes and
+    # their two far-part blocks of HISTORY_BLOCK rows (d floats each), and the
+    # n driver increments (m floats)
+    march = 2 * (n + HISTORY_BLOCK) * d + n * cfg.coeffs.m
     if cfg.kind == "clt":
-        # per particle: the states, Z^eps, Z and clt_gap's difference on the
-        # n+1 nodes, the drift and noise histories on n nodes (d floats each),
-        # and the n driver increments (m floats)
-        floats = (n + 1) * 4 * d + n * (2 * d + cfg.coeffs.m)
+        # and the states, Z^eps, Z and clt_gap's difference on the n+1 nodes
+        floats = (n + 1) * 4 * d + march
     else:
-        floats = n * d * 2
+        # and the states on the n+1 nodes (a simulate run or a tail-probe cell)
+        floats = (n + 1) * d + march
     return cfg.n_particles * floats * 8
 
 
@@ -259,10 +262,14 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
             target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
             x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
             kc = cfg.kc or (cfg.k1 if cfg.rate_mode == "ldp" else cfg.k2)
-            problem = RateProblem(
-                mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs, grid=cfg.grid,
-                x0_path=x0, target=target, lam_reg=cfg.lam_reg,
-            )
+            try:
+                problem = RateProblem(
+                    mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs, grid=cfg.grid,
+                    x0_path=x0, target=target, lam_reg=cfg.lam_reg,
+                )
+            except ValueError as exc:
+                # the file passed its format checks, so the target's start is off
+                raise ConfigError([f"rate.target_csv: {exc}"]) from None
             sol = ldp_rate(problem) if cfg.rate_mode == "ldp" else mdp_rate(problem)
             summary = [
                 ("rate", sol.rate), ("residual", sol.residual),

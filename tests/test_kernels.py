@@ -31,6 +31,8 @@ from volterra_mv.kernels import (
     _GL_X,
     _GLE_W,
     _GLE_X,
+    HISTORY_BLOCK,
+    HISTORY_BLOCKED_WIDTH,
     History,
     _quad_power_edges,
     _toeplitz_strict_lower,
@@ -254,6 +256,29 @@ class TestHistory:
                 dense = w[i + 1, : i + 1] @ rows[: i + 1]
                 assert np.shape(got) == shape
                 assert np.array_equal(got, dense.reshape(shape))
+            with pytest.raises(IndexError):
+                hist.push(h[0])
+
+    # n below one block, n not a multiple of the block, n an exact multiple
+    @pytest.mark.parametrize("n", [HISTORY_BLOCK - 12, 2 * HISTORY_BLOCK + 11, 3 * HISTORY_BLOCK])
+    @pytest.mark.parametrize("shape", [(HISTORY_BLOCKED_WIDTH,), (4, 40)])
+    def test_wide_push_sums_in_blocks_to_the_dense_product(self, n, shape):
+        grid = TimeGrid(1.0, n)
+        rng = np.random.default_rng(5)
+        lower = np.tril(rng.normal(size=(n + 1, n)), k=-1)
+        for w in (FbmKernel(0.3).average_weights(grid), lower):
+            h = rng.normal(size=(n, *shape))
+            rows = h.reshape(n, -1)
+            hist = History(w, shape)
+            assert hist._far is not None
+            for i in range(n):
+                got = hist.push(h[i])
+                dense = (w[i + 1, : i + 1] @ rows[: i + 1]).reshape(shape)
+                assert np.shape(got) == shape
+                if i < HISTORY_BLOCK:
+                    # the first block has no far part: the dense product itself
+                    assert np.array_equal(got, dense)
+                assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
             with pytest.raises(IndexError):
                 hist.push(h[0])
 

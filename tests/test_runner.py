@@ -1,6 +1,9 @@
 import csv
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from volterra_mv import (
     PowerKernel,
     TimeGrid,
     resolvent,
+    config,
     fluctuations,
     rng,
     runner,
@@ -28,6 +32,8 @@ from volterra_mv.runner import (
     run_experiment,
     run_from_manifest,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE = """
 [model]
@@ -127,6 +133,18 @@ def _edge_array(shape, seed):
     fill[:len(EDGE_VALUES)] = EDGE_VALUES
     return fill.reshape(shape)
 
+
+def _traced_peak(cfg, tmp_path):
+    # peak traced bytes of a serial run; a first untraced run does the lazy
+    # imports (scipy.special for the noise), which are no part of the arrays
+    run_experiment(cfg, out_dir=tmp_path / "warm", workers=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _rows_by_chunk(cfg, chunk):
@@ -276,28 +294,19 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
 
     def test_clt_estimate_tracks_traced_peak(self, tmp_path):
         cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [0.25]\n")
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        estimate = _memory_estimate(cfg)
-        assert peak / 1.5 <= estimate <= 1.5 * peak
+        peak = _traced_peak(cfg, tmp_path)
+        assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
+
+    def test_simulate_estimate_tracks_traced_peak(self, tmp_path):
+        cfg = _cfg("simulate", "\n[run]\nN = 500\n")
+        peak = _traced_peak(cfg, tmp_path)
+        assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
     def test_chained_clt_estimate_tracks_traced_peak(self, tmp_path):
         # a chained sweep keeps the earlier pair alive while the next pass runs
         cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [1e-1, 1e-2, 1e-3, 1e-4]\n")
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        estimate = _memory_estimate(cfg)
-        assert peak / 1.5 <= estimate <= 1.5 * peak
+        peak = _traced_peak(cfg, tmp_path)
+        assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
     def test_no_partial_artifacts_on_error(self, tmp_path):
         extra = "\n[rate]\ntarget_csv = \"/nonexistent/file.csv\"\n"
@@ -391,9 +400,46 @@ class TestReproducibility:
             outs[workers] = _read(os.path.join(res.out_dir, "clt.csv"))
         assert outs[1] == outs[2] == outs[3]
 
+    def test_clt_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # N d = 500 is a wide history, whose far parts are GEMMs that BLAS
+        # may split over threads; BLAS reads its thread count once, when numpy
+        # loads, so each count runs in a fresh interpreter
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[experiment]\nkind = clt\n" + ROUGH + CLT_SWEEP
+                       + "\n[grid]\nn_steps = 80\n[run]\nN = 500\n")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "volterra_mv.cli", "clt", "--config", str(cfg),
+                 "--out", str(out), "--workers", "1"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(_read(out / "clt.csv"))
+        assert outs[0] == outs[1]
+
     def test_pool_splits_cells_into_contiguous_chunks(self):
         rows = runner._sweep(_rows_by_chunk, _cfg("clt", CLT_SWEEP), list(range(7)), workers=3)
         assert rows == [(0, 0), (0, 1), (2, 2), (2, 3), (4, 4), (4, 5), (4, 6)]
+
+    def test_pool_workers_see_a_model_registered_at_run_time(self, tmp_path, monkeypatch):
+        # workers validate the config text again, so they must inherit the
+        # registry of the process that started the pool
+        def build(params):
+            coeffs, xi = config._build_linear_mean_field(params)
+            return coeffs, 2.0 * xi
+
+        monkeypatch.setitem(config.MODEL_REGISTRY, "run_time_linear", build)
+        base = ROUGH.replace("name = linear_mean_field", "name = run_time_linear")
+        outs = {}
+        for workers in (1, 2):
+            res = run_experiment(_cfg("clt", CLT_SWEEP, base=base),
+                                 out_dir=tmp_path / f"w{workers}", workers=workers)
+            outs[workers] = _read(os.path.join(res.out_dir, "clt.csv"))
+        assert outs[1] == outs[2]
 
     def test_env_variable_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("VOLTERRA_MV_WORKERS", "2")
@@ -496,6 +542,20 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "config error: rate.target_csv: " in err and issue in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, anchor", [("ldp-rate", "[1.0]"), ("mdp-rate", "[0.0]")])
+    def test_target_off_its_anchor_exit_one(self, tmp_path, capsys, kind, anchor):
+        # xi = 1.0: an ldp target starts at xi, an mdp target at 0; this one starts at 0.2
+        target = tmp_path / "target.csv"
+        rows = [f"{t!r},{0.2 + t!r}\n" for t in np.linspace(0.0, 1.0, 41).tolist()]
+        target.write_text("t,x1\n" + "".join(rows))
+        cfg = self._write_config(tmp_path, kind=kind, extra=f"\n[rate]\ntarget_csv = \"{target}\"\n")
+        rc = cli_main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config error: rate.target_csv: target must start at {anchor}" in err
+        assert "got [0.2]" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_one(self, tmp_path):
