@@ -26,6 +26,8 @@ from .rates import Halfspace, RateProblem, ldp_rate, mdp_rate, minimize_rate_end
 from .solvers import Model, ensemble_summary, simulate_particles, solve_deterministic_limit
 
 ENV_WORKERS = "VOLTERRA_MV_WORKERS"
+# rows of ensemble.csv and resolvent.csv formatted at a time
+BLOCK_ROWS = 1 << 14
 
 
 def _fmt(x) -> str:
@@ -60,7 +62,8 @@ class RunResult:
 
 
 def _memory_estimate(cfg: ExperimentConfig) -> int:
-    """Bytes of the particle arrays one run (or one clt cell) holds at once."""
+    """Bytes of the particle arrays one run (or one clt cell) holds at once,
+    and of the ensemble writer's block of rows."""
     d = cfg.coeffs.d
     n = cfg.grid.n_steps
     # per particle, in any march: the drift and noise histories on n nodes and
@@ -73,7 +76,15 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     else:
         # and the states on the n+1 nodes (a simulate run or a tail-probe cell)
         floats = (n + 1) * d + march
-    return cfg.n_particles * floats * 8
+    estimate = cfg.n_particles * floats * 8
+    if cfg.kind == "simulate" and cfg.write_ensemble:
+        # while ensemble.csv is written: the states, the increments and one
+        # block's text and formatter temporaries, about 130 bytes a row and
+        # 195 a state cell (tracemalloc, d = 1..3)
+        block = min(BLOCK_ROWS, cfg.n_particles * (n + 1)) * (130 + 195 * d)
+        writing = cfg.n_particles * ((n + 1) * d + n * cfg.coeffs.m) * 8 + block
+        estimate = max(estimate, writing)
+    return estimate
 
 
 def _budget_guard(cfg: ExperimentConfig, concurrent: int = 1):
@@ -114,30 +125,46 @@ def _load_target_csv(path, grid, d):
 
 
 def _write_ensemble_csv(path, ensemble):
-    # one % template per particle, with step and time as fixed text; the bytes
-    # are those of csv.writer with _fmt cells (CRLF line ends, %.17g floats)
+    # blocks of rows (particle p, step i, t_i, the states of p at step i):
+    # the texts of p and of "i,t_i" are gathered per row, the states are
+    # formatted by textfmt; the bytes are those of csv.writer with _fmt
+    # cells (CRLF line ends, %.17g floats).  textfmt is imported here, so
+    # that only a run that writes such a file builds its digit tables.
+    from . import textfmt
+
     n, steps, d = ensemble.states.shape
     times = ensemble.grid.times
-    cells = ",%.17g" * d
-    template = "".join(f"%d,{i},{_fmt(times[i])}{cells}\r\n" for i in range(steps))
-    args = np.empty((steps, d + 1))
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["particle", "step", "t"] + [f"x{k + 1}" for k in range(d)])
-        for p in range(n):
-            args[:, 0] = p
-            args[:, 1:] = ensemble.states[p]
-            fh.write(template % tuple(args.ravel().tolist()))
+    step_cells = textfmt.text_cells([f"{i},{_fmt(t)}" for i, t in enumerate(times)])
+    states = ensemble.states.reshape(n * steps, d)
+    header = ["particle", "step", "t"] + [f"x{k + 1}" for k in range(d)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for lo in range(0, n * steps, BLOCK_ROWS):
+            p, i = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, n * steps)), steps)
+            particle_cells = textfmt.text_cells([str(k) for k in range(p[0], p[-1] + 1)])
+            fh.write(textfmt.csv_rows(np.take(particle_cells, p - p[0], axis=0),
+                                      np.take(step_cells, i, axis=0),
+                                      textfmt.format_g17(states[lo:lo + p.size])))
 
 
 def _write_resolvent_csv(path, times, weights):
-    # rows (t_i, t_j, weights[i, j]) for j < i; row i's template puts the
-    # text of t_i before each of the tails ",t_j,%.17g\r\n", j < i
-    cells = [_fmt(t) for t in times]
-    tails = [""] + [f",{c},%.17g\r\n" for c in cells]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["t", "s", "value"])
-        for i in range(1, len(cells)):
-            fh.write(cells[i].join(tails[:i + 1]) % tuple(weights[i, :i].tolist()))
+    # rows (t_i, t_j, weights[i, j]) for j < i, in blocks of rows; row r
+    # belongs to the i with starts[i] <= r < starts[i + 1]
+    from . import textfmt
+
+    time_cells = textfmt.text_cells([_fmt(t) for t in times])
+    nodes = np.arange(len(times))
+    starts = nodes * (nodes - 1) // 2
+    n_rows = len(times) * (len(times) - 1) // 2
+    with open(path, "wb") as fh:
+        fh.write(b"t,s,value\r\n")
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            r = np.arange(lo, min(lo + BLOCK_ROWS, n_rows))
+            i = np.searchsorted(starts, r, side="right") - 1
+            j = r - starts[i]
+            fh.write(textfmt.csv_rows(np.take(time_cells, i, axis=0),
+                                      np.take(time_cells, j, axis=0),
+                                      textfmt.format_g17(weights[i, j])))
 
 
 def _write_summary_csv(path, ensemble, p_list):

@@ -193,6 +193,35 @@ class TestChainedPairs:
             clt_pair(model, eps=0.01, limit=earlier, **{**args, **change})
 
 
+def _oracle_gap(pair, p, n_bootstrap=200, seed=0):
+    # clt_gap as it was: the sup taken per call, one resample per draw
+    diff = pair.z_eps.states - pair.z_lim.states
+    vals = np.linalg.norm(diff, axis=2).max(axis=1) ** p
+    rng = np.random.default_rng(seed)
+    boots = [vals[rng.integers(0, vals.size, size=vals.size)].mean() for _ in range(n_bootstrap)]
+    return float(vals.mean()), float(np.std(boots, ddof=1))
+
+
+class TestCltGap:
+    # n = 1999 draws its 200 resamples in blocks of 16 rows, the last of 8;
+    # n = 20000 draws them one at a time
+    @pytest.mark.parametrize("n", [1, 37, 1999, 20_000])
+    def test_matches_per_resample_oracle(self, n):
+        pair = clt_pair(_model(a=1.0, b=0.5, sigma1=0.5), 1.0, 0.1, TimeGrid(1.0, 10), n, seed=3)
+        for p in (2, 4, 1.5):
+            gap = clt_gap(pair, p=p)
+            value, stderr = _oracle_gap(pair, p)
+            assert (gap.value, gap.stderr) == (value, stderr)
+
+    def test_sup_taken_once_per_pair(self):
+        pair = clt_pair(_model(a=1.0, sigma1=0.5), 1.0, 0.1, TimeGrid(1.0, 10), 16, seed=3)
+        clt_gap(pair, p=2)
+        sup = pair.sup_gap
+        clt_gap(pair, p=4)
+        assert pair.sup_gap is sup
+        assert np.array_equal(sup, np.abs(pair.z_eps.states - pair.z_lim.states).max(axis=(1, 2)))
+
+
 class TestMoments:
     def test_sup_moment_bounded_in_eps(self):
         grid = TimeGrid(1.0, 50)

@@ -1,5 +1,6 @@
-"""Start-up cost: importing the library loads numpy only, and a run loads only
-the scipy submodules its path calls.  Each check runs in a fresh interpreter,
+"""Start-up cost: importing the library loads numpy only, not even the CSV
+formatter and its digit tables, and a run loads only the scipy submodules its
+path calls.  Each check runs in a fresh interpreter,
 because this test session has imported scipy already."""
 
 import os
@@ -53,7 +54,7 @@ def test_cli_import_loads_no_scipy_and_no_pool(tmp_path):
         import sys
         import volterra_mv.cli
         heavy = ("scipy.optimize", "scipy.integrate", "scipy.spatial", "scipy.special",
-                 "concurrent.futures.process")
+                 "concurrent.futures.process", "volterra_mv.textfmt")
         print(" ".join(m for m in heavy if m in sys.modules))
     """, tmp_path)
     assert out.strip() == ""

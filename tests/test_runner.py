@@ -86,8 +86,9 @@ def _read(path):
         return fh.read()
 
 
-# Oracles: the per-cell csv.writer writers that the runner's % templates
-# replaced.  The library writers must reproduce their bytes exactly.
+# Oracles: per-cell csv.writer writers.  The runner writes ensemble.csv and
+# resolvent.csv in blocks of rows formatted by textfmt; it must reproduce
+# their bytes exactly.
 def _oracle_fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -339,6 +340,30 @@ class TestWriters:
         times = TimeGrid(0.7, 12).times
         weights = np.tril(_edge_array((13, 12), seed=5), -1)
         weights[12] = EDGE_VALUES[:12]  # tril zeroed row 0, where they sat
+        _write_resolvent_csv(tmp_path / "new.csv", times, weights)
+        _oracle_resolvent_csv(tmp_path / "old.csv", times, weights)
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
+
+    @pytest.mark.parametrize("block", [7, 10, 1000])
+    def test_ensemble_blocks_match_oracle(self, tmp_path, monkeypatch, block):
+        # 50 rows of 10 steps, d = 2: blocks of 7 end mid-particle and leave
+        # a last block of 1 row, blocks of 10 end on particles, 1000 is one block
+        monkeypatch.setattr(runner, "BLOCK_ROWS", block)
+        grid = TimeGrid(0.7, 9)
+        states = _edge_array((5, 10, 2), seed=11)
+        ens = PathEnsemble(grid=grid, states=states, driver_increments=np.zeros((5, 9, 1)),
+                           seed=0, tag="edge", eps=0.1)
+        _write_ensemble_csv(tmp_path / "new.csv", ens)
+        _oracle_ensemble_csv(tmp_path / "old.csv", ens)
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
+
+    @pytest.mark.parametrize("block", [7, 11, 1000])
+    def test_resolvent_blocks_match_oracle(self, tmp_path, monkeypatch, block):
+        # 78 rows: blocks of 7 leave a last block of 1 row and split the rows
+        # of one t_i, blocks of 11 split others, 1000 is one block
+        monkeypatch.setattr(runner, "BLOCK_ROWS", block)
+        times = TimeGrid(0.7, 12).times
+        weights = np.tril(_edge_array((13, 13), seed=13), -1)
         _write_resolvent_csv(tmp_path / "new.csv", times, weights)
         _oracle_resolvent_csv(tmp_path / "old.csv", times, weights)
         assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
