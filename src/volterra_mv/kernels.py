@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,14 +45,88 @@ _GL_X, _GL_W = _gauss_legendre(_GL_NODES)
 _GLE_X, _GLE_W = _gauss_legendre(_GL_EDGE_NODES)
 
 
-def fbm_normalizer(hurst: float) -> float:
-    """The constant making the fractional kernel reproduce unit-variance increments."""
-    from scipy.special import gamma as gamma_fn
+# Gauss series terms summed per fbm kernel value; each series is evaluated only
+# where its argument is at most 1/2, so 2^-60 bounds the neglected tail
+_FBM_TERMS = 60
+# FbmKernel evaluates this many points at a time
+_FBM_BLOCK = 1 << 15
+# Bernoulli numbers B_2k as (numerator, denominator), for Stirling's series
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+              (7, 6), (-3617, 510), (43867, 798), (-174611, 330))
+_PI_40 = "3.141592653589793238462643383279502884197"
 
-    return math.sqrt(
-        2.0 * hurst * gamma_fn(1.5 - hurst)
-        / (gamma_fn(hurst + 0.5) * gamma_fn(2.0 - 2.0 * hurst))
-    )
+
+def _gamma_dec(x):
+    """Gamma(x) of a Decimal 0 < x < 3, to about 30 digits: Stirling's series
+    at x + 30 and the recurrence back down.  Needs a context of 40 digits."""
+    from decimal import Decimal
+
+    shift = Decimal(1)
+    for k in range(30):
+        shift *= x + k
+    z = x + 30
+    lg = (z - Decimal("0.5")) * z.ln() - z + (2 * Decimal(_PI_40)).ln() / 2
+    zpow = z
+    for k, (num, den) in enumerate(_BERNOULLI, start=1):
+        lg += Decimal(num) / (den * 2 * k * (2 * k - 1) * zpow)
+        zpow *= z * z
+    return lg.exp() / shift
+
+
+def _fbm_normalizer_dec(h):
+    """c_H = sqrt(2H Gamma(3/2 - H) / (Gamma(H + 1/2) Gamma(2 - 2H))) of a Decimal H."""
+    from decimal import Decimal
+
+    half = Decimal("0.5")
+    return (2 * h * _gamma_dec(1 + half - h)
+            / (_gamma_dec(h + half) * _gamma_dec(2 - 2 * h))).sqrt()
+
+
+@lru_cache(maxsize=64)
+def fbm_normalizer(hurst: float) -> float:
+    """The constant making the fractional kernel reproduce unit-variance increments,
+    formed in 40-digit decimal arithmetic and rounded once to a float."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(_fbm_normalizer_dec(Decimal(hurst)))
+
+
+@lru_cache(maxsize=64)
+def _fbm_series(hurst: float):
+    """c_H B, and the Gauss-series coefficients of FbmKernel, highest degree
+    first: F(-a, 1; a + 1; w) and F(-a, 1; 1 - 2a; r) with a = H - 1/2.
+
+    B = Gamma(a + 1) Gamma(-2a) / Gamma(-a), written with the duplication
+    formula as Gamma(a + 1) Gamma(1/2 - a) 2^(-2a-1) / sqrt(pi).  Everything is
+    formed in 40-digit decimal arithmetic and rounded once per float.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a = Decimal(hurst - 0.5)
+        b = (_gamma_dec(a + 1) * _gamma_dec(Decimal("0.5") - a) * Decimal(2) ** (-2 * a - 1)
+             / Decimal(_PI_40).sqrt())
+        series = []
+        for gamma in (a + 1, 1 - 2 * a):
+            coef = [Decimal(1)]
+            for k in range(_FBM_TERMS - 1):
+                coef.append(coef[-1] * (k - a) / (gamma + k))
+            series.append(tuple(float(v) for v in reversed(coef)))
+        return float(_fbm_normalizer_dec(Decimal(hurst)) * b), series[0], series[1]
+
+
+def _horner(coef, x):
+    """sum of coef[k] x^(n-1-k) for coef of length n >= 2, of a float or, in
+    place on one new array, of an array."""
+    acc = coef[0] * x
+    acc += coef[1]
+    for ck in coef[2:]:
+        acc *= x
+        acc += ck
+    return acc
 
 
 class Kernel:
@@ -178,11 +253,19 @@ class FbmKernel(Kernel):
     """The Volterra representation kernel of fractional Brownian motion.
 
     K(t, s) = c_H (t-s)^(H-1/2)
-              + c_H (1/2 - H) * int_s^t (u-s)^(H-3/2) (1 - (s/u)^(1/2-H)) du,
+              + c_H (1/2 - H) * int_s^t (u-s)^(H-3/2) (1 - (s/u)^(1/2-H)) du.
 
-    which also equals c_H (t-s)^(H-1/2) 2F1(1/2-H, H-1/2; H+1/2; -(t-s)/s).
-    The hypergeometric form is used for vectorized evaluation; the integral
-    form backs the reference evaluator in :func:`eval_kernel`.
+    With a = H - 1/2, r = s/t, w = 1 - r and F(alpha, 1; gamma; x) the Gauss
+    series sum_k (alpha)_k / (gamma)_k x^k, Pfaff's transformation and the 1 - z
+    connection formula (DLMF 15.8.1, 15.8.4) give
+
+        K(t, s) = c_H (t-s)^a (t/s)^a F(-a, 1; a+1; w)
+                = c_H B s^a + (c_H / 2) (t-s)^a (t/s)^a F(-a, 1; 1-2a; r),
+
+    with B = Gamma(a+1) Gamma(-2a) / Gamma(-a).  The vectorized evaluation sums
+    the first series where r > 1/2 and the second where r <= 1/2, each by
+    Horner's rule over ``_FBM_TERMS`` coefficients.  The integral form backs
+    the reference evaluator in :func:`eval_kernel`.
     """
 
     hurst: float
@@ -219,15 +302,51 @@ class FbmKernel(Kernel):
     def __call__(self, t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        a = self._a
-        if a == 0.0:
+        if self._a == 0.0:
             return np.broadcast_to(1.0, np.broadcast_shapes(t.shape, s.shape)).copy()
-        from scipy.special import hyp2f1
+        return self._series(t, s, correction=False)
 
-        with np.errstate(divide="ignore"):
-            z = -(t - s) / s
-        out = self.normalizer * (t - s) ** a * hyp2f1(-a, a, a + 1.0, z)
-        return out
+    def _series(self, t, s, correction):
+        """K(t, s), or with ``correction`` K minus its leading part c_H (t-s)^a,
+        from the two Gauss series of the class docstring."""
+        a = self._a
+        c = self.normalizer
+        cb, w_coef, r_coef = _fbm_series(self.hurst)
+        t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        if t.ndim == 0 and 0.0 < s < t:
+            # one interior point, as quadrature and probes ask for it: Python
+            # floats spare the per-call cost of some 250 numpy operations
+            t, s = float(t), float(s)
+            d = t - s
+            val = c * (d * t / s) ** a
+            if s > 0.5 * t:
+                val *= _horner(w_coef, d / t)
+            else:
+                val = cb * s**a + 0.5 * val * _horner(r_coef, s / t)
+            return np.float64(val - c * d**a if correction else val)
+        shape = t.shape
+        t = t.ravel()
+        s = s.ravel()
+        out = np.empty(t.size)
+        # in blocks, so that the Horner passes stay in cache
+        for lo in range(0, t.size, _FBM_BLOCK):
+            tb = t[lo:lo + _FBM_BLOCK]
+            sb = s[lo:lo + _FBM_BLOCK]
+            ob = out[lo:lo + _FBM_BLOCK]
+            d = tb - sb
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # c_H ((t-s) t/s)^a = c_H (t-s)^a (t/s)^a, shared by both series
+                np.power(d * tb / sb, a, out=ob)
+                ob *= c
+                is_near = sb > 0.5 * tb
+                near = np.flatnonzero(is_near)
+                ob[near] *= _horner(w_coef, d[near] / tb[near])
+                far = np.flatnonzero(~is_near)
+                sf = sb[far]
+                ob[far] = cb * sf**a + 0.5 * ob[far] * _horner(r_coef, sf / tb[far])
+                if correction:
+                    ob -= c * d**a
+        return out.reshape(shape)
 
     def reference_eval(self, t: float, s: float, epsrel: float = 1e-8) -> float:
         """Integral-form evaluation with adaptive quadrature of the correction term."""
@@ -250,11 +369,7 @@ class FbmKernel(Kernel):
 
     def _correction(self, t, s):
         """K(t, s) minus its leading power part, vectorized."""
-        from scipy.special import hyp2f1
-
-        a = self._a
-        z = -(t - s) / s
-        return self.normalizer * (t - s) ** a * (hyp2f1(-a, a, a + 1.0, z) - 1.0)
+        return self._series(t, s, correction=True)
 
     def average_weights(self, grid):
         if self._a == 0.0:

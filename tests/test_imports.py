@@ -1,7 +1,7 @@
 """Start-up cost: importing the library loads numpy only, not even the CSV
 formatter and its digit tables, and a run loads only the scipy submodules its
-path calls.  Each check runs in a fresh interpreter,
-because this test session has imported scipy already."""
+path calls; noisy runs and fbm kernels load no scipy.special.  Each check runs
+in a fresh interpreter, because this test session has imported scipy already."""
 
 import os
 import subprocess
@@ -84,3 +84,60 @@ def test_constant_kernel_limit_run_loads_no_scipy(tmp_path):
     """, tmp_path)
     assert out.split()[-2:] == ["0", "False"]
     assert (tmp_path / "out" / "path.csv").exists()
+
+
+NOISY_FBM = RATE_MIN.split("[kernel1]")[0] + """
+[kernel1]
+family = power
+H = 0.3
+
+[kernel2]
+family = fbm
+H = 0.3
+
+[grid]
+T = 1.0
+n_steps = 20
+
+[run]
+N = 50
+seed = 3
+"""
+
+
+def _run_loads_no_special(tmp_path, kind, config, artifact):
+    (tmp_path / "exp.cfg").write_text(config.replace("kind = rate-min", f"kind = {kind}"))
+    out = _run(f"""
+        import sys
+        from volterra_mv.cli import main
+        rc = main(["{kind}", "--config", "exp.cfg", "--out", "out"])
+        print(rc, "scipy.special" in sys.modules)
+    """, tmp_path)
+    assert out.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / artifact).exists()
+
+
+def test_noisy_fbm_simulate_run_loads_no_scipy_special(tmp_path):
+    _run_loads_no_special(tmp_path, "simulate", NOISY_FBM + "eps = 0.1\n", "summary.csv")
+
+
+def test_clt_run_loads_no_scipy_special(tmp_path):
+    _run_loads_no_special(tmp_path, "clt", NOISY_FBM + "eps_list = [0.1, 0.01]\n", "clt.csv")
+
+
+def test_tail_probe_run_loads_no_scipy_special(tmp_path):
+    config = NOISY_FBM + "eps_list = [0.5, 1.0]\n\n[rate]" + RATE_MIN.split("[rate]")[1]
+    _run_loads_no_special(tmp_path, "tail-probe", config, "tail.csv")
+
+
+def test_normal_increments_peak_memory_is_near_its_output(tmp_path):
+    # the draws are made in blocks, so no temporary is of the output's size
+    out = _run("""
+        import tracemalloc
+        from volterra_mv.rng import normal_increments
+        normal_increments(1, "warm", 4, 5, 1, 0.1)
+        tracemalloc.start()
+        z = normal_increments(7, "particles", 1000, 1000, 1, 0.001)
+        print(tracemalloc.get_traced_memory()[1] / z.nbytes)
+    """, tmp_path)
+    assert float(out) <= 1.3

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +36,9 @@ from volterra_mv.kernels import (
     HISTORY_BLOCKED_WIDTH,
     History,
     _quad_power_edges,
+    _fbm_series,
     _toeplitz_strict_lower,
+    fbm_normalizer,
     grid_weights,
 )
 
@@ -102,8 +105,8 @@ class TestEval:
             eval_kernel(bad, 1.0, 0.5)
 
     def test_fbm_reference_matches_closed_form(self):
-        # the adaptive-quadrature evaluator and the hypergeometric form are
-        # two routes to the same kernel
+        # the adaptive-quadrature evaluator and the two Gauss series are two
+        # routes to the same kernel
         for hurst in (0.25, 0.4, 0.7, 0.9):
             k = FbmKernel(hurst)
             for (t, s) in ((1.0, 0.3), (1.0, 0.95), (0.7, 0.1), (2.0, 1.99)):
@@ -118,6 +121,109 @@ class TestEval:
             t = rng.uniform(0.1, 1.0)
             s = rng.uniform(0.0, t * 0.999)
             assert abs(float(k(t, s)) - 1.0) <= 1e-8
+
+
+FBM_HURSTS = (0.001, 0.01, 0.1, 0.3, 0.49, 0.4999, 0.5001, 0.51, 0.7, 0.9, 0.99, 0.999)
+
+
+class _Hyp2f1Fbm(FbmKernel):
+    """FbmKernel as it was before its two-series form: scipy.special's gamma in
+    the normalizer, and c_H (t-s)^a 2F1(-a, a; a+1; -(t-s)/s) for K."""
+
+    @property
+    def normalizer(self):
+        from scipy.special import gamma
+
+        h = self.hurst
+        return math.sqrt(2.0 * h * gamma(1.5 - h) / (gamma(h + 0.5) * gamma(2.0 - 2.0 * h)))
+
+    def __call__(self, t, s):
+        return self.normalizer * (t - s) ** self._a * self._hyp(t, s)
+
+    def _correction(self, t, s):
+        return self.normalizer * (t - s) ** self._a * (self._hyp(t, s) - 1.0)
+
+    def _hyp(self, t, s):
+        from scipy.special import hyp2f1
+
+        a = self._a
+        return hyp2f1(-a, a, a + 1.0, -(t - s) / s)
+
+
+class TestFbmSeries:
+    @pytest.mark.parametrize("hurst", FBM_HURSTS)
+    def test_no_less_accurate_than_hyp2f1(self, hurst):
+        # against 40 digits of the hypergeometric form, at the float
+        # arguments; near s = 0, near s = t and in between
+        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("scipy.special")
+        frac = np.concatenate([np.geomspace(1e-12, 0.05, 20), np.linspace(0.1, 0.9, 9),
+                               1.0 - np.geomspace(1e-12, 0.05, 20)])
+        with mpmath.workdps(40):
+            h = mpmath.mpf(hurst)
+            a = mpmath.mpf(hurst - 0.5)
+            c = mpmath.sqrt(2 * h * mpmath.gamma(1.5 - h)
+                            / (mpmath.gamma(h + 0.5) * mpmath.gamma(2 - 2 * h)))
+            errors = {"series": 0.0, "one point": 0.0, "hyp2f1": 0.0}
+            kern = FbmKernel(hurst)
+            for t in (1.0, 0.37):
+                s = frac * t
+                exact = [c * (t - mpmath.mpf(x)) ** a
+                         * mpmath.hyp2f1(-a, a, a + 1, -(t - mpmath.mpf(x)) / mpmath.mpf(x))
+                         for x in s]
+                for name, got in (("series", kern(t, s)),
+                                  ("one point", [kern(np.float64(t), x) for x in s]),
+                                  ("hyp2f1", _Hyp2f1Fbm(hurst)(t, s))):
+                    rel = max(abs(float((g - e) / e)) for g, e in zip(got, exact))
+                    errors[name] = max(errors[name], rel)
+        assert max(errors["series"], errors["one point"]) <= 1.5 * errors["hyp2f1"], errors
+        if hurst <= 0.9:
+            # away from H = 1, where the two terms of the r <= 1/2 form
+            # cancel, the error stays within about two ulps
+            assert max(errors["series"], errors["one point"]) <= 5e-16, errors
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.7])
+    @pytest.mark.parametrize("n", [200, 400, 1600])
+    def test_weights_stay_at_the_hyp2f1_ones(self, hurst, n):
+        pytest.importorskip("scipy.special")
+        grid = TimeGrid(1.0, n)
+        got = FbmKernel(hurst).average_weights(grid)
+        want = _Hyp2f1Fbm(hurst).average_weights(grid)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.abs(got - want).max() <= 1.1e-15 * np.abs(want).max()
+
+    def test_correction_is_value_minus_leading_part(self):
+        kern = FbmKernel(0.3)
+        t = np.array([[1.0], [0.4]])
+        s = np.array([[1e-9, 0.1, 0.2, 0.5, 0.9999]]) * t
+        lead = kern.normalizer * (t - s) ** kern._a
+        assert np.allclose(kern._correction(t, s) + lead, kern(t, s), rtol=4e-16, atol=0.0)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7, 0.9])
+    def test_one_point_path_matches_array_path(self, hurst):
+        # a single point is summed in Python floats; only the power functions
+        # of the two paths differ, by an ulp or so
+        kern = FbmKernel(hurst)
+        t = np.array([1.0, 1.0, 0.37, 0.37, 2.0])
+        s = np.array([1e-9, 0.4, 0.2, 0.36, 1.999])
+        for correction in (False, True):
+            arr = kern._series(t, s, correction)
+            one = [kern._series(np.float64(a), np.float64(b), correction) for a, b in zip(t, s)]
+            assert all(np.ndim(v) == 0 for v in one)
+            assert np.allclose(one, arr, rtol=1e-15, atol=1e-16 * np.abs(arr).max())
+
+    def test_normalizer_and_branch_constant(self):
+        mpmath = pytest.importorskip("mpmath")
+        for hurst in FBM_HURSTS:
+            with mpmath.workdps(40):
+                h = mpmath.mpf(hurst)
+                a = mpmath.mpf(hurst - 0.5)
+                c = mpmath.sqrt(2 * h * mpmath.gamma(1.5 - h)
+                                / (mpmath.gamma(h + 0.5) * mpmath.gamma(2 - 2 * h)))
+                cb = c * mpmath.gamma(a + 1) * mpmath.gamma(-2 * a) / mpmath.gamma(-a)
+                # each constant is the float nearest its 40-digit value
+                assert fbm_normalizer(hurst) == float(c)
+                assert _fbm_series(hurst)[0] == float(cb)
 
 
 class TestIntegrate:

@@ -1,18 +1,104 @@
+import math
+
 import numpy as np
+import pytest
 
 from volterra_mv.rng import (
+    _BLOCK,
     derived_seed,
     fnv1a64,
     mix64,
+    ndtri,
     normal_increments,
     stream_key,
     substream_uint64,
+    uniform_from_uint64,
 )
+
+EXP_M2 = 0.13533528323661269189
+
+
+def _mix64_out_of_place(z):
+    # the splitmix64 formula as first written, one new array per operation
+    with np.errstate(over="ignore"):
+        z = np.asarray(z, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
 
 def test_mix64_reference_values():
     # splitmix64 from seed 0 produces this well-known first output
     assert int(mix64(np.uint64(0))) == 0xE220A8397B1DCDAF
+
+
+def test_mix64_in_place_matches_out_of_place_formula():
+    z = np.random.default_rng(3).integers(0, 2**64, size=(300, 7), dtype=np.uint64)
+    z[0, :4] = [0, 1, 2**63, 2**64 - 1]
+    want = _mix64_out_of_place(z)
+    kept = z.copy()
+    assert np.array_equal(mix64(z), want)
+    assert np.array_equal(z, kept)  # without out, the argument is left alone
+    assert mix64(z, out=z) is z
+    assert np.array_equal(z, want)
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def _central(u):
+    # Cephes' central branch: not flipped (u <= 1 - e^-2) and then u > e^-2
+    return (u <= 1.0 - EXP_M2) & (u > EXP_M2)
+
+
+def test_ndtri_matches_cephes_on_generator_uniforms():
+    special = pytest.importorskip("scipy.special")
+    u = uniform_from_uint64(substream_uint64(stream_key(11, "ndtri"),
+                                             np.arange(10**6, dtype=np.uint64), 0, 0))
+    got, want = ndtri(u), special.ndtri(u)
+    central = _central(u)
+    assert 0.6 < central.mean() < 0.8
+    assert np.array_equal(got[central], want[central])
+    assert _ulps(got[~central], want[~central]).max() <= 8
+
+
+def test_ndtri_matches_cephes_at_branch_edges():
+    special = pytest.importorskip("scipy.special")
+    k = np.arange(-200, 201)
+    centres = [2.0**-54, EXP_M2, 1.0 - EXP_M2, math.exp(-32.0), 0.5, 1.0 - 2.0**-53]
+    u = np.concatenate([np.clip(c + k * np.spacing(c), 2.0**-60, 1.0 - 2.0**-53)
+                        for c in centres])
+    u = np.concatenate([u, 2.0**-54 * np.arange(1, 200), 1.0 - 2.0**-53 * np.arange(1, 200)])
+    got, want = ndtri(u), special.ndtri(u)
+    central = _central(u)
+    assert np.array_equal(got[central], want[central])
+    assert _ulps(got[~central], want[~central]).max() <= 8
+    # both sides of the x = sqrt(-2 log u) = 8 switch of the tail branches
+    x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    assert (x < 8.0).any() and (x >= 8.0).any()
+
+
+def test_ndtri_special_values():
+    got = ndtri(np.array([0.0, 1.0, 0.5, -0.25, 1.5, np.nan]))
+    assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
+    assert np.isnan(got[3:]).all()
+    assert ndtri(0.975).shape == () and abs(float(ndtri(0.975)) - 1.959963984540054) < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(5, 7, 2), (700, 200, 1), (3, _BLOCK + 70, 2),
+                                   (2, 3, _BLOCK + 5), (0, 4, 1), (4, 0, 1)])
+def test_blocked_increments_match_one_pass_formula(shape):
+    # the stream formula of the module docstring over the whole array at once
+    key = stream_key(19, "particles")
+    n_p, n, m = shape
+    h = substream_uint64(key, np.arange(n_p, dtype=np.uint64)[:, None, None],
+                         np.arange(n, dtype=np.uint64)[None, :, None],
+                         np.arange(m, dtype=np.uint64)[None, None, :])
+    want = ndtri(uniform_from_uint64(h)) * np.sqrt(0.3)
+    got = normal_increments(19, "particles", n_p, n, m, 0.3)
+    assert got.shape == shape
+    assert np.array_equal(got, want)
 
 
 def test_identical_keys_identical_values():

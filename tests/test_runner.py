@@ -137,7 +137,7 @@ def _edge_array(shape, seed):
 
 def _traced_peak(cfg, tmp_path):
     # peak traced bytes of a serial run; a first untraced run does the lazy
-    # imports (scipy.special for the noise), which are no part of the arrays
+    # imports and fills the kernel-constant caches, which are no part of the arrays
     run_experiment(cfg, out_dir=tmp_path / "warm", workers=1)
     tracemalloc.start()
     try:
