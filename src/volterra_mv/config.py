@@ -147,13 +147,18 @@ class ExperimentConfig:
         return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
 
 
+def _is_number(val) -> bool:
+    """An int or a float; a bool is neither here, though Python calls it an int."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _check_number(issues, data, section, key, default, lo=None, hi=None,
                   integer=False, lo_strict=False):
     val = data.get(section, {}).get(key, default)
     path = f"{section}.{key}"
     if val is None:
         return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         issues.append(f"{path} must be a number")
         return default
     if integer and not isinstance(val, int):
@@ -243,12 +248,10 @@ def validate_config(text: str) -> ExperimentConfig:
         issues.append("run.eps_list must be a list")
         eps_list = [1.0]
     for i, e in enumerate(eps_list):
-        if isinstance(e, bool) or not isinstance(e, (int, float)) or not (0.0 < e <= 1.0):
+        if not _is_number(e) or not (0.0 < e <= 1.0):
             issues.append(f"run.eps[{i}] must lie in (0,1]")
     p_list = run_sec.get("p_list", [2])
-    if not isinstance(p_list, list) or not all(
-        isinstance(p, (int, float)) and p >= 1 for p in p_list
-    ):
+    if not isinstance(p_list, list) or not all(_is_number(p) and p >= 1 for p in p_list):
         issues.append("run.p_list must be a list of moments >= 1")
         p_list = [2]
     h_beta = _check_number(issues, data, "run", "h_beta", 0.25)
@@ -271,7 +274,7 @@ def validate_config(text: str) -> ExperimentConfig:
     if not isinstance(event_normal, list) or not event_normal:
         issues.append("rate.event_normal must be a nonempty list")
         event_normal = [1.0]
-    elif any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in event_normal):
+    elif not all(_is_number(e) for e in event_normal):
         issues.append("rate.event_normal entries must be numbers")
         event_normal = [1.0]
     elif kind in ("rate-min", "tail-probe") and coeffs is not None and len(event_normal) != coeffs.d:
@@ -284,15 +287,18 @@ def validate_config(text: str) -> ExperimentConfig:
     if probe_kernel not in ("kernel1", "kernel2", "kernelc"):
         issues.append("probe.kernel must name one of kernel1, kernel2, kernelc")
     probe_t = _check_number(issues, data, "probe", "t", 0.5, lo=0.0, lo_strict=True)
-    probe_h_list = probe_sec.get("h_list", [1e-3, 2e-3, 5e-3, 1e-2])
+    default_h = [1e-3, 2e-3, 5e-3, 1e-2]
+    probe_h_list = probe_sec.get("h_list", default_h)
     if not isinstance(probe_h_list, list) or len(probe_h_list) < 4:
         issues.append("probe.h_list must be a list of at least 4 increments")
-        probe_h_list = [1e-3, 2e-3, 5e-3, 1e-2]
-    if kind == "kernel-probe" and isinstance(probe_t, (int, float)) and isinstance(t_horizon, (int, float)):
-        good = [h for h in probe_h_list if isinstance(h, (int, float)) and h > 0]
-        if len(good) != len(probe_h_list):
+        probe_h_list = default_h
+    elif not all(_is_number(h) for h in probe_h_list):
+        issues.append("probe.h_list entries must be numbers")
+        probe_h_list = default_h
+    if kind == "kernel-probe" and _is_number(probe_t) and _is_number(t_horizon):
+        if min(probe_h_list) <= 0:
             issues.append("probe.h_list entries must be positive numbers")
-        elif good and probe_t + max(good) > t_horizon:
+        elif probe_t + max(probe_h_list) > t_horizon:
             issues.append("probe.t plus the largest h must stay within grid.T")
     resolvent_method = probe_sec.get("method", "direct")
     if resolvent_method not in ("direct", "series"):

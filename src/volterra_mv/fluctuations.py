@@ -18,8 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .grids import TimeGrid
-from .kernels import History, grid_weights
-from .solvers import (Model, PathEnsemble, _along_path, simulate_particles,
+from .solvers import (Model, PathEnsemble, _linear_march, simulate_particles,
                       solve_deterministic_limit)
 
 
@@ -87,42 +86,14 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     z_eps_states = ens.states
     z_eps_states -= x0[None, :, :]
     z_eps_states /= np.sqrt(eps)
-    z = _linear_limit(model, x0, dw, grid) if limit is None else limit.z_lim.states
+    z = (_linear_march(model.k1, model.k2, coeffs, x0, grid, dw, 1.0, mean_field=True)
+         if limit is None else limit.z_lim.states)
 
     z_eps = PathEnsemble(grid=grid, states=z_eps_states, driver_increments=dw,
                          seed=seed, tag=ens.tag, eps=eps)
     z_lim = PathEnsemble(grid=grid, states=z, driver_increments=dw,
                          seed=seed, tag=ens.tag, eps=eps)
     return FluctuationPair(z_eps=z_eps, z_lim=z_lim, eps=eps, x0_path=x0)
-
-
-def _linear_limit(model: Model, x0: np.ndarray, dw: np.ndarray,
-                  grid: TimeGrid) -> np.ndarray:
-    """States (N, n+1, d) of the linear limit Z along X^0 on the increments dw."""
-    coeffs = model.coeffs
-    d = coeffs.d
-    n_particles = dw.shape[0]
-    n = grid.n_steps
-    dt = grid.dt
-    # lions_b is paired against the atom of the Dirac law itself
-    grads, dls, sig0 = _along_path(
-        grid, x0, coeffs.drift_gradient,
-        lambda t, x, mu: coeffs.drift_measure_derivative(t, x[0], mu, x),
-        coeffs.diffusion,
-    )
-
-    drift = History(grid_weights(model.k1, grid), (n_particles * d,))
-    noise = History(grid_weights(model.k2, grid), (n_particles * d,))
-    z = np.empty((n_particles, n + 1, d))
-    z[:, 0, :] = 0.0
-    for i in range(n):
-        zi = z[:, i, :]
-        bi = zi @ grads[i].T + (zi.mean(axis=0) @ dls[i].T)[None, :]
-        nxt = dt * drift.push(bi.reshape(-1)) + noise.push(
-            (dw[:, i, :] @ sig0[i].T).reshape(-1)
-        )
-        z[:, i + 1, :] = nxt.reshape(n_particles, d)
-    return z
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,6 @@ class Kernel:
 
     family = "abstract"
     singular_at_diagonal = False
-    holder_exponent_hint: float | None = None
     # algebraic edge exponents used by singularity-aware quadrature:
     # K(t, s) ~ s^edge_exponent_origin as s -> 0,
     # K(t, s) ~ (t-s)^edge_exponent_diagonal as s -> t.
@@ -214,10 +213,6 @@ class PowerKernel(Kernel):
         return self.hurst < 0.5
 
     @property
-    def holder_exponent_hint(self):
-        return self.hurst
-
-    @property
     def edge_exponent_diagonal(self):
         return min(self._a, 0.0)
 
@@ -264,8 +259,7 @@ class FbmKernel(Kernel):
 
     with B = Gamma(a+1) Gamma(-2a) / Gamma(-a).  The vectorized evaluation sums
     the first series where r > 1/2 and the second where r <= 1/2, each by
-    Horner's rule over ``_FBM_TERMS`` coefficients.  The integral form backs
-    the reference evaluator in :func:`eval_kernel`.
+    Horner's rule over ``_FBM_TERMS`` coefficients.
     """
 
     hurst: float
@@ -286,10 +280,6 @@ class FbmKernel(Kernel):
     @property
     def singular_at_diagonal(self):
         return self.hurst < 0.5
-
-    @property
-    def holder_exponent_hint(self):
-        return self.hurst
 
     @property
     def edge_exponent_origin(self):
@@ -347,25 +337,6 @@ class FbmKernel(Kernel):
                 if correction:
                     ob -= c * d**a
         return out.reshape(shape)
-
-    def reference_eval(self, t: float, s: float, epsrel: float = 1e-8) -> float:
-        """Integral-form evaluation with adaptive quadrature of the correction term."""
-        from scipy.integrate import quad
-
-        a = self._a
-        c = self.normalizer
-        lead = c * (t - s) ** a
-        if a == 0.0:
-            return lead
-        length = t - s
-
-        def integrand(u):
-            return u ** (a - 1.0) * (1.0 - (s / (s + u)) ** (-a))
-
-        pts = [p for p in (min(s, length), length * 0.5) if 0.0 < p < length]
-        val, _ = quad(integrand, 0.0, length, epsrel=epsrel, epsabs=0.0,
-                      limit=10_000, points=pts or None)
-        return lead + c * (-a) * val
 
     def _correction(self, t, s):
         """K(t, s) minus its leading power part, vectorized."""
@@ -490,7 +461,6 @@ class CustomKernel(Kernel):
     fn: object
     vectorized: bool = True
     singular_at_diagonal: bool = False
-    holder_exponent_hint: float | None = None
     edge_exponent_origin: float = 0.0
     edge_exponent_diagonal: float = 0.0
     convolution_profile: object | None = None
@@ -594,22 +564,14 @@ def _quad_power_edges(f, lo, hi, exp_lo=0.0, exp_hi=0.0, epsrel=1e-10):
 
 
 def eval_kernel(kernel: Kernel, t: float, s: float, t_max: float | None = None) -> float:
-    """Point evaluation K(t, s) with domain checks.
-
-    The fbm family is evaluated through its defining correction integral with
-    adaptive quadrature (relative tolerance 1e-8, at most 10^4 subdivisions);
-    other families evaluate directly.
-    """
+    """Point evaluation K(t, s) with domain and finiteness checks."""
     if t_max is None:
         t_max = getattr(kernel, "t_max", None)
     if not (0.0 <= s < t):
         raise KernelDomainError(f"kernel arguments need 0 <= s < t, got s={s}, t={t}")
     if t_max is not None and t > t_max + 1e-12:
         raise KernelDomainError(f"kernel argument t={t} exceeds the admissible horizon {t_max}")
-    if isinstance(kernel, FbmKernel):
-        val = kernel.reference_eval(t, s)
-    else:
-        val = float(kernel(np.float64(t), np.float64(s)))
+    val = float(kernel(np.float64(t), np.float64(s)))
     if not np.isfinite(val):
         raise SingularityError(f"kernel evaluation at (t={t}, s={s}) is not finite")
     return val

@@ -15,7 +15,7 @@ The 64-bit mix is splitmix64, byte-for-byte:
 
 Stream key:    key = mix64(seed XOR fnv1a64(tag))
 Substream:     h   = mix64(mix64(mix64(key XOR p) XOR s) XOR c)
-Uniform:       u   = ((h >> 11) + 0.5) * 2^-53          in (0, 1)
+Uniform:       u   = min(((h >> 11) + 0.5) * 2^-53, 1 - 2^-53)   in (0, 1)
 Normal:        z   = ndtri(u)
 
 Here p, s, c are the particle, step and component indices as uint64.
@@ -35,6 +35,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+
+_U_MAX = 1.0 - 2.0**-53  # the largest double below 1
 
 # normal_increments hashes, transforms and scales this many draws at a time
 _BLOCK = 1 << 16
@@ -120,7 +122,9 @@ def substream_uint64(key, particles, steps, components):
 
 
 def uniform_from_uint64(h):
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # the top code's 2^53 - 1/2 rounds to 2^53, so it alone is clamped below 1
+    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _U_MAX)
 
 
 def _polevl(x, coef, out=None):

@@ -18,7 +18,8 @@ the driver coupling exact.  The scheme is explicit, so every solver is one
 forward march, with its history sums kept by ``kernels.History``; the march
 lands on the discrete fixed point that successive approximation would reach.
 Every nonlinear solver runs the particle march: the limit and the controlled
-skeleton are its noise-free runs of one particle.
+skeleton are its noise-free runs of one particle.  The linear equations along
+the limit path, the mdp skeleton and the clt limit, run one linear march.
 """
 
 from __future__ import annotations
@@ -96,9 +97,6 @@ class PathEnsemble:
 
     def terminal(self) -> np.ndarray:
         return self.states[:, -1, :]
-
-    def measure_at(self, step: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(points=self.states[:, step, :].copy())
 
 
 def _guard(x: np.ndarray, step: int) -> None:
@@ -316,12 +314,11 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
     Both modes are one forward march of the explicit discrete scheme.
     mode="ldp", one noise-free particle of the particle march: the equation
         phi_t = xi + int K1 b(s, phi_s, delta_{x0_s}) + int Kc sigma(s, phi_s, delta_{x0_s}) v_s.
-    mode="mdp_linearized": the linear system
+    mode="mdp_linearized", one path of the linear march driven by v: the system
         psi_t = int K1 grad_b(s, x0_s, delta_{x0_s}) psi_s + int Kc sigma(s, x0_s, delta_{x0_s}) v_s.
     """
     d = coeffs.d
     n = grid.n_steps
-    dt = grid.dt
     if v.grid != grid:
         raise GridMismatchError("control path lives on a different grid")
     x0_path = np.asarray(x0_path, dtype=float)
@@ -333,14 +330,42 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
         return _one_path(k1, kc, coeffs, xi, grid, v, x0_path[None])
     if mode != "mdp_linearized":
         raise ValueError(f"unknown mode {mode!r}")
-    drift = History(grid_weights(k1, grid), (d,))
-    ctrl = History(grid_weights(kc, grid), (d,))
-    grads, sig = _along_path(grid, x0_path, coeffs.drift_gradient, coeffs.diffusion)
-    x = np.empty((n + 1, d))
-    x[0] = 0.0
+    return _linear_march(k1, kc, coeffs, x0_path, grid, v.values[None], grid.dt)[0]
+
+
+def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.ndarray,
+                  grid: TimeGrid, drivers: np.ndarray, scale: float,
+                  mean_field: bool = False) -> np.ndarray:
+    """The one explicit march of the linear equations along the limit path.
+
+    States (N, n+1, d) from zero of
+        z[i+1] = dt sum_k w1[i+1, k] (grad_b_k z_k [+ lions_b_k mean(z_k)])
+                 + scale sum_k wf[i+1, k] sigma_k u_k,
+    with u = drivers (N, n, m) and every coefficient taken at x0_path under its
+    Dirac law; the measure-derivative term enters when ``mean_field`` is set.
+    """
+    n_paths, d = drivers.shape[0], coeffs.d
+    n = grid.n_steps
+    dt = grid.dt
+    # lions_b is paired against the atom of the Dirac law itself
+    lions = [lambda t, x, mu: coeffs.drift_measure_derivative(t, x[0], mu, x)]
+    grads, *dls, sig = _along_path(grid, x0_path, coeffs.drift_gradient,
+                                   *(lions if mean_field else []), coeffs.diffusion)
+
+    flat = (n_paths * d,)
+    drift = History(grid_weights(k1, grid), flat)
+    forced = History(grid_weights(kf, grid), flat)
+    z = np.empty((n_paths, n + 1, d))
+    z[:, 0, :] = 0.0
     for i in range(n):
-        x[i + 1] = dt * drift.push(grads[i] @ x[i]) + dt * ctrl.push(sig[i] @ v.values[i])
-    return x
+        zi = z[:, i, :]
+        bi = zi @ grads[i].T
+        if mean_field:
+            bi = bi + (zi.mean(axis=0) @ dls[0][i].T)[None, :]
+        fi = drivers[:, i, :] @ sig[i].T
+        nxt = dt * drift.push(bi.reshape(-1)) + scale * forced.push(fi.reshape(-1))
+        z[:, i + 1, :] = nxt.reshape(n_paths, d)
+    return z
 
 
 def ensemble_summary(ensemble: PathEnsemble, p_list=(2,)) -> dict:

@@ -170,3 +170,29 @@ class TestRunAndRateChecks:
         assert err.startswith("config error: rate.event_normal")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestListEntries:
+    @pytest.mark.parametrize("kind, extra, issue", [
+        ("limit", "\n[probe]\nh_list = [a, b, c, d]\n", "probe.h_list entries must be numbers"),
+        ("simulate", "\n[run]\np_list = [true]\n", "run.p_list must be a list of moments >= 1"),
+    ], ids=["h_list-limit", "p_list-bool"])
+    def test_cli_reports_bad_entries_and_writes_nothing(self, tmp_path, capsys, kind, extra,
+                                                        issue):
+        from volterra_mv.cli import main
+
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL.replace("kind = simulate", f"kind = {kind}") + extra)
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {issue}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["limit", "kernel-probe"])
+    def test_bool_h_is_refused_for_every_kind(self, kind):
+        text = (MINIMAL.replace("kind = simulate", f"kind = {kind}")
+                + "\n[grid]\nT = 2.0\n\n[probe]\nh_list = [true, 1e-3, 2e-3, 5e-3]\n")
+        with pytest.raises(ConfigError) as err:
+            validate_config(text)
+        assert err.value.issues == ["probe.h_list entries must be numbers"]

@@ -60,6 +60,17 @@ def test_cli_import_loads_no_scipy_and_no_pool(tmp_path):
     assert out.strip() == ""
 
 
+def test_fbm_point_evaluation_loads_no_quadrature(tmp_path):
+    # eval_kernel calls the kernel's own series for every family
+    out = _run("""
+        import sys
+        from volterra_mv import FbmKernel, eval_kernel
+        val = eval_kernel(FbmKernel(0.3), 1.0, 0.3)
+        print(val > 0.0, "scipy.integrate" in sys.modules)
+    """, tmp_path)
+    assert out.split() == ["True", "False"]
+
+
 def test_constant_kernel_rate_min_run_loads_no_scipy(tmp_path):
     (tmp_path / "exp.cfg").write_text(RATE_MIN)
     out = _run("""

@@ -1,11 +1,11 @@
 """Coefficients along a deterministic path, under its frozen Dirac law.
 
 Every call site that stacks b, grad_b, lions_b or sigma along the limit path
-goes through ``solvers._along_path``, and the limit and the ldp skeleton are
-noise-free one-particle runs of the particle march.  The oracles below are
-the per-cell loops those sites were written as before; each site must
-reproduce its loop bit for bit, sign bits included, and call each evaluator
-once per cell.
+goes through ``solvers._along_path``; the limit and the ldp skeleton are
+noise-free one-particle runs of the particle march, and the mdp skeleton and
+the clt limit Z run the linear march.  The oracles below are the per-cell
+loops those sites were written as before; each site must reproduce its loop
+bit for bit, sign bits included, and call each evaluator once per cell.
 """
 
 from collections import Counter
@@ -38,8 +38,9 @@ KERNELS = {
 }
 
 
-def rich_coefficients(d: int) -> CoefficientSet:
-    """m = d; b, grad_b, lions_b and sigma all vary with the state and the law.
+def rich_coefficients(d: int, m: int | None = None) -> CoefficientSet:
+    """sigma is d x m (m = d by default); b, grad_b, lions_b and sigma all vary
+    with the state and the law.
 
     b_i(x, mu) = (A x)_i + 0.3 sin x_i + 0.2 (1 + t) tanh(m_i) - 0.1 x_i m_i
                  + 0.1 int y_i^2 mu(dy),  with m = int y mu(dy),
@@ -47,7 +48,8 @@ def rich_coefficients(d: int) -> CoefficientSet:
     atom y is diag(0.2 (1 + t) / cosh^2 m - 0.1 x + 0.2 y).
     """
     a_mat = np.array([[-0.7, 0.3], [0.2, -0.4]])[:d, :d]
-    s_mat = np.array([[0.9, 0.1], [-0.2, 0.8]])[:d, :d]
+    m = d if m is None else m
+    s_mat = np.array([[0.9, 0.1, 0.3], [-0.2, 0.8, -0.4]])[:d, :m]
 
     def b(t, x, mu):
         mean = mu.mean()
@@ -68,7 +70,7 @@ def rich_coefficients(d: int) -> CoefficientSet:
         scale = 1.0 + 0.2 * np.tanh(x).sum(axis=1) + 0.05 * mu.mean().sum()
         return s_mat[None] * scale[:, None, None]
 
-    return CoefficientSet(b=b, sigma=sigma, d=d, m=d, grad_b=grad_b, lions_b=lions_b)
+    return CoefficientSet(b=b, sigma=sigma, d=d, m=m, grad_b=grad_b, lions_b=lions_b)
 
 
 def counting(coeffs: CoefficientSet):
@@ -250,14 +252,23 @@ def loop_mdp_particles(k1, k2, kc, coeffs, v, x0_path, dw, grid, scale, noise_sc
 
 # --- fixtures ----------------------------------------------------------------
 
+def _setup(d, m):
+    coeffs = rich_coefficients(d, m)
+    xi = np.linspace(0.3, 0.7, d)
+    v = ControlPath(grid=GRID, values=np.random.default_rng(5).normal(size=(GRID.n_steps, m)))
+    return d, coeffs, xi, v
+
+
 @pytest.fixture(params=[1, 2], ids=["d1", "d2"])
 def setup(request):
     """(d, coefficients, xi, a control) for d = m in {1, 2}."""
-    d = request.param
-    coeffs = rich_coefficients(d)
-    xi = np.linspace(0.3, 0.7, d)
-    v = ControlPath(grid=GRID, values=np.random.default_rng(5).normal(size=(GRID.n_steps, d)))
-    return d, coeffs, xi, v
+    return _setup(request.param, request.param)
+
+
+@pytest.fixture(params=[(1, 1), (2, 2), (2, 1), (2, 3)], ids=["d1", "d2", "d2m1", "d2m3"])
+def setup_dm(request):
+    """As ``setup``, also with a d x m sigma for m != d."""
+    return _setup(*request.param)
 
 
 def _limit(k1, coeffs, xi):
@@ -322,8 +333,8 @@ def test_terminal_sensitivity_matches_loop(setup, kernels, mode):
 
 
 @pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
-def test_linearized_march_matches_loop(setup, kernels):
-    d, coeffs, xi, v = setup
+def test_linearized_march_matches_loop(setup_dm, kernels):
+    d, coeffs, xi, v = setup_dm
     k1, kc = KERNELS[kernels]
     x0 = _limit(k1, coeffs, xi)
     counted, calls = counting(coeffs)
@@ -355,8 +366,8 @@ def test_mdp_particles_match_loop(setup, kernels, law_mode):
 
 
 @pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
-def test_clt_limit_matches_loop(setup, kernels):
-    d, coeffs, xi, _ = setup
+def test_clt_limit_matches_loop(setup_dm, kernels):
+    d, coeffs, xi, _ = setup_dm
     k1, k2 = KERNELS[kernels]
     counted, calls = counting(coeffs)
     pair = clt_pair(Model(k1, k2, counted), xi, 0.01, GRID, 16, seed=6)

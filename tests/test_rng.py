@@ -158,3 +158,25 @@ def test_derived_seed_distinct():
 
 def test_fnv_distinct():
     assert fnv1a64("particles") != fnv1a64("init")
+
+
+def _uniform_unclamped(h):
+    # the uniform formula before the clamp below 1
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def test_top_code_stays_below_one():
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    u = uniform_from_uint64(top)
+    assert u[0] < 1.0 and u[0] == 1.0 - 2.0**-53
+    assert np.isfinite(ndtri(u)).all()
+
+
+def test_clamp_leaves_every_other_code_alone():
+    # a random sample, the bottom code and the two codes below the top one
+    h = np.random.default_rng(3).integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False)
+    below_top = (np.uint64(2**53 - 2) << np.uint64(11), np.uint64(2**53 - 3) << np.uint64(11))
+    h = np.concatenate([h, np.array([0, *below_top, 2**64 - 2**11 - 1], dtype=np.uint64)])
+    u = uniform_from_uint64(h)
+    assert np.array_equal(u, _uniform_unclamped(h))
+    assert u.max() < 1.0 and u.min() > 0.0
