@@ -107,13 +107,14 @@ class BuiltinLinearMeanField:
                 raise ValueError(f"sigma1 must be scalar or shape {(d, m, d)}")
 
         def drift(t, x, mu):
-            return x @ a_mat.T + mu.mean() @ b_mat.T
+            return np.dot(x, a_mat.T) + np.dot(mu.mean(), b_mat.T)
 
         def diffusion(t, x, mu):
-            base = np.broadcast_to(s0, (*x.shape[:-1], d, m))
             if s1 is None:
-                return base.copy()
-            return base + np.einsum("dmk,...k->...dm", s1, x)
+                out = np.empty((*x.shape[:-1], d, m))
+                out[...] = s0
+                return out
+            return s0 + np.einsum("dmk,...k->...dm", s1, x)
 
         def gradient(t, x, mu):
             return np.broadcast_to(a_mat, (*x.shape[:-1], d, d)).copy()

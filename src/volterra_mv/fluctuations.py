@@ -21,6 +21,9 @@ from .grids import TimeGrid
 from .solvers import (Model, PathEnsemble, _linear_march, simulate_particles,
                       solve_deterministic_limit)
 
+# floats in one block's temporaries in sup_gap and holder_probe (1 MB each)
+_BLOCK_FLOATS = 1 << 17
+
 
 @dataclass
 class FluctuationPair:
@@ -41,7 +44,15 @@ class FluctuationPair:
     @cached_property
     def sup_gap(self) -> np.ndarray:
         """sup_t |Z^eps_t - Z_t| of each particle, (N,); every p reuses it."""
-        sup = np.linalg.norm(self.z_eps.states - self.z_lim.states, axis=2).max(axis=1)
+        # a running max over blocks of steps: the temporaries stay one block
+        # wide, and the max is exact, so the result is that of one block
+        z_eps, z_lim = self.z_eps.states, self.z_lim.states
+        n_particles, nodes, d = z_eps.shape
+        width = max(1, _BLOCK_FLOATS // max(1, n_particles * d))
+        sup = np.full(n_particles, -np.inf)
+        for lo in range(0, nodes, width):
+            gap = np.linalg.norm(z_eps[:, lo:lo + width] - z_lim[:, lo:lo + width], axis=2)
+            np.maximum(sup, gap.max(axis=1), out=sup)
         sup.flags.writeable = False  # one array serves every caller
         return sup
 
@@ -186,7 +197,9 @@ def holder_probe(ensemble: PathEnsemble, alpha: float, p: float = 1.0,
         ii, jj = ii[keep], jj[keep]
     dt_pow = (grid.times[jj] - grid.times[ii]) ** alpha
     best = np.zeros(ensemble.n_particles)
-    chunk = max(1, int(5e7 // max(1, ensemble.n_particles)))
+    # blocks of pairs of at most _BLOCK_FLOATS state differences: the ratios
+    # are elementwise and the max is exact, so the blocks do not move a bit
+    chunk = max(1, _BLOCK_FLOATS // max(1, ensemble.n_particles * ensemble.dim))
     for lo in range(0, ii.size, chunk):
         hi = min(lo + chunk, ii.size)
         diff = ensemble.states[:, jj[lo:hi], :] - ensemble.states[:, ii[lo:hi], :]

@@ -73,7 +73,7 @@ class EmpiricalMeasure:
     def mean(self) -> np.ndarray:
         if self._mean_cache is None:
             if self.weights is None:
-                self._mean_cache = self.points.mean(axis=0)
+                self._mean_cache = np.add.reduce(self.points, axis=0) / self.n_atoms
             else:
                 self._mean_cache = self.weights @ self.points
         return self._mean_cache

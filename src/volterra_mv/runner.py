@@ -68,11 +68,14 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     n = cfg.grid.n_steps
     # per particle, in any march: the drift and noise histories on n nodes and
     # their two far-part blocks of HISTORY_BLOCK rows (d floats each), and the
-    # n driver increments (m floats)
-    march = 2 * (n + HISTORY_BLOCK) * d + n * cfg.coeffs.m
+    # n driver increments with their time-major block of HISTORY_BLOCK steps
+    # (m floats each)
+    march = (n + HISTORY_BLOCK) * (2 * d + cfg.coeffs.m)
     if cfg.kind == "clt":
-        # and the states, Z^eps, Z and clt_gap's difference on the n+1 nodes
-        floats = (n + 1) * 4 * d + march
+        # and the marching states, with Z^eps and Z of the earlier pair that a
+        # chained sweep keeps while the next pass runs, on the n+1 nodes;
+        # clt_gap takes its sup in blocks of steps
+        floats = (n + 1) * 3 * d + march
     else:
         # and the states on the n+1 nodes (a simulate run or a tail-probe cell)
         floats = (n + 1) * d + march

@@ -31,7 +31,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError
 from .grids import TimeGrid
-from .kernels import History, Kernel, grid_weights
+from .kernels import HISTORY_BLOCK, History, Kernel, grid_weights
 from .measures import EmpiricalMeasure
 from . import rng as _rng
 
@@ -106,6 +106,23 @@ def _guard(x: np.ndarray, step: int) -> None:
             f"trajectory magnitude {mx:.3e} exceeded the overflow guard at step {step}",
             step=step, magnitude=mx,
         )
+
+
+def _time_major_steps(increments: np.ndarray):
+    """Yield the steps of particle-major increments (N, n, m) in order, each as
+    one contiguous (N, m) slab, copied to time-major order a block of
+    HISTORY_BLOCK steps at a time through one small buffer."""
+    n_paths, n, m = increments.shape
+    buf = np.empty((min(HISTORY_BLOCK, n), n_paths, m))
+    for b0 in range(0, n, HISTORY_BLOCK):
+        block = increments[:, b0 : b0 + HISTORY_BLOCK, :]
+        buf[: block.shape[1]] = block.transpose(1, 0, 2)
+        yield from buf[: block.shape[1]]
+
+
+def _particle_major(states: np.ndarray) -> np.ndarray:
+    """The (N, n+1, d) layout callers see, from a time-major (n+1, N, d) march."""
+    return np.ascontiguousarray(states.transpose(1, 0, 2))
 
 
 def _initial_states(xi, n_particles: int, d: int, seed: int) -> np.ndarray:
@@ -190,19 +207,22 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     else:
         states0 = _initial_states(xi, n_particles, d, seed)
 
-    states = np.empty((n_particles, n + 1, d))
-    states[:, 0, :] = states0
+    # time-major storage: node i is one contiguous (N, d) slab, and the
+    # driver increments are read through a block of HISTORY_BLOCK steps
+    states = np.empty((n + 1, n_particles, d))
+    states[0] = states0
     base = states0.reshape(-1)
 
     flat = (n_particles * d,)
     drift = History(grid_weights(k1, grid), flat)
     noise = History(grid_weights(k2, grid), flat) if noise_scale != 0.0 else None
     ctrl = History(grid_weights(kc, grid), flat) if v is not None else None
+    steps = _time_major_steps(dw) if noise is not None else None
     own_law = law is None
 
     for i in range(n):
         t = times[i]
-        at = states[:, i, :]
+        at = states[i]
         if mdp:
             at = x0_path[i][None, :] + mdp_scale * at
         mu = EmpiricalMeasure(points=at if own_law else law[:, i, :], _validate=False)
@@ -215,13 +235,16 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
         if ctrl is not None:
             nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
         if noise is not None:
-            noise_i = np.einsum("ndm,nm->nd", si, dw[:, i, :]).reshape(-1)
+            noise_i = np.einsum("ndm,nm->nd", si, next(steps)).reshape(-1)
             nxt = nxt + noise_scale * noise.push(noise_i)
-        states[:, i + 1, :] = nxt.reshape(n_particles, d)
-        _guard(states[:, i + 1, :], i + 1)
+        _guard(nxt, i + 1)
+        states[i + 1] = nxt.reshape(n_particles, d)
 
+    # release the histories first: the particle-major copy then takes their
+    # place instead of raising the peak
+    del drift, noise, ctrl
     return PathEnsemble(
-        grid=grid, states=states, driver_increments=dw,
+        grid=grid, states=_particle_major(states), driver_increments=dw,
         seed=seed, tag=tag, eps=eps,
     )
 
@@ -355,17 +378,18 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
     flat = (n_paths * d,)
     drift = History(grid_weights(k1, grid), flat)
     forced = History(grid_weights(kf, grid), flat)
-    z = np.empty((n_paths, n + 1, d))
-    z[:, 0, :] = 0.0
-    for i in range(n):
-        zi = z[:, i, :]
-        bi = zi @ grads[i].T
+    z = np.empty((n + 1, n_paths, d))  # time-major, as in _simulate
+    z[0] = 0.0
+    for i, ui in enumerate(_time_major_steps(drivers)):
+        zi = z[i]
+        bi = np.dot(zi, grads[i].T)
         if mean_field:
-            bi = bi + (zi.mean(axis=0) @ dls[0][i].T)[None, :]
-        fi = drivers[:, i, :] @ sig[i].T
+            bi = bi + np.dot(zi.mean(axis=0), dls[0][i].T)[None, :]
+        fi = np.dot(ui, sig[i].T)
         nxt = dt * drift.push(bi.reshape(-1)) + scale * forced.push(fi.reshape(-1))
-        z[:, i + 1, :] = nxt.reshape(n_paths, d)
-    return z
+        z[i + 1] = nxt.reshape(n_paths, d)
+    del drift, forced
+    return _particle_major(z)
 
 
 def ensemble_summary(ensemble: PathEnsemble, p_list=(2,)) -> dict:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from volterra_mv import (
     solve_deterministic_limit,
     strong_error_vs_eps,
 )
+from volterra_mv import fluctuations
 
 
 def _model(a=0.0, b=0.0, sigma0=1.0, sigma1=None):
@@ -221,6 +224,15 @@ class TestCltGap:
         assert pair.sup_gap is sup
         assert np.array_equal(sup, np.abs(pair.z_eps.states - pair.z_lim.states).max(axis=(1, 2)))
 
+    def test_blocked_sup_matches_one_block(self, monkeypatch):
+        # blocks of 3 steps at N = 16, d = 2, the last one partial
+        monkeypatch.setattr(fluctuations, "_BLOCK_FLOATS", 96)
+        model = Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3), coeffs=BuiltinLinearMeanField(
+            a=1.0, b=0.5, sigma0=np.eye(2), sigma1=0.5, d=2, m=2).coefficients())
+        pair = clt_pair(model, [1.0, -0.5], 0.1, TimeGrid(1.0, 10), 16, seed=3)
+        diff = pair.z_eps.states - pair.z_lim.states
+        assert np.array_equal(pair.sup_gap, np.linalg.norm(diff, axis=2).max(axis=1))
+
 
 class TestMoments:
     def test_sup_moment_bounded_in_eps(self):
@@ -301,6 +313,27 @@ class TestHolderProbe:
         grid = TimeGrid(1.0, 20)
         ens = self._ensemble_from_paths(grid, [grid.times])
         assert holder_probe(ens, 1.0).max_ratio_stat == pytest.approx(1.0)
+
+    def test_blocks_bound_memory_and_match_one_block(self):
+        grid = TimeGrid(1.0, 100)
+        paths = np.cumsum(np.random.default_rng(16).normal(size=(3000, 101)), axis=1)
+        ens = self._ensemble_from_paths(grid, paths)
+        tracemalloc.start()
+        try:
+            got = holder_probe(ens, 0.5).max_ratio_stat
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few MB of block temporaries; all 5050 pairs in one block take about 485 MB
+        assert peak < 16e6
+        # all 5050 node pairs in one block, a few particles at a time
+        ii, jj = np.triu_indices(101, k=1)
+        dt_pow = (grid.times[jj] - grid.times[ii]) ** 0.5
+        best = np.concatenate([
+            (np.linalg.norm(part[:, jj, :] - part[:, ii, :], axis=2) / dt_pow).max(axis=1)
+            for part in np.split(ens.states, 30)
+        ])
+        assert got == float((best**1.0).mean() ** 1.0)
 
     def test_fbm_refinement_stability(self):
         stats = []

@@ -5,7 +5,9 @@ goes through ``solvers._along_path``; the limit and the ldp skeleton are
 noise-free one-particle runs of the particle march, and the mdp skeleton and
 the clt limit Z run the linear march.  The oracles below are the per-cell
 loops those sites were written as before; each site must reproduce its loop
-bit for bit, sign bits included, and call each evaluator once per cell.
+bit for bit, sign bits included, and call each evaluator once per cell.  The
+noisy particle march is checked the same way against its per-step loop on
+particle-major (N, n+1, d) states.
 """
 
 from collections import Counter
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 
 from volterra_mv import (
+    BlowUpError,
+    BuiltinLinearMeanField,
     CoefficientSet,
     ControlPath,
     EmpiricalMeasure,
@@ -250,6 +254,38 @@ def loop_mdp_particles(k1, k2, kc, coeffs, v, x0_path, dw, grid, scale, noise_sc
     return states
 
 
+def loop_particles(k1, k2, kc, coeffs, xi, dw, grid, noise_scale, v=None, law=None):
+    """The noisy particle march on particle-major (N, n+1, d) states, one
+    strided node slice per step: the ensemble's own law, or frozen states
+    (N', n+1, d) as law; v adds the control term under kc.  Raises the
+    solvers' BlowUpError at the first node whose magnitude leaves the guard."""
+    n_particles = dw.shape[0]
+    n, d = grid.n_steps, coeffs.d
+    dt, times = grid.dt, grid.times
+    states = np.empty((n_particles, n + 1, d))
+    states[:, 0, :] = xi
+    base = np.tile(np.atleast_1d(np.asarray(xi, dtype=float)), (n_particles, 1)).reshape(-1)
+    flat = (n_particles * d,)
+    drift = History(grid_weights(k1, grid), flat)
+    noise = History(grid_weights(k2, grid), flat)
+    ctrl = History(grid_weights(kc, grid), flat)
+    for i in range(n):
+        t = times[i]
+        at = states[:, i, :]
+        mu = EmpiricalMeasure(points=at if law is None else law[:, i, :], _validate=False)
+        nxt = base + dt * drift.push(coeffs.drift(t, at, mu).reshape(-1))
+        si = coeffs.diffusion(t, at, mu)
+        if v is not None:
+            nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
+        noise_i = np.einsum("ndm,nm->nd", si, dw[:, i, :]).reshape(-1)
+        nxt = nxt + noise_scale * noise.push(noise_i)
+        states[:, i + 1, :] = nxt.reshape(n_particles, d)
+        mx = float(np.max(np.abs(states[:, i + 1, :])))
+        if not np.isfinite(mx) or mx > solvers.OVERFLOW_GUARD:
+            raise BlowUpError("oracle overflow", step=i + 1, magnitude=mx)
+    return states
+
+
 # --- fixtures ----------------------------------------------------------------
 
 def _setup(d, m):
@@ -411,3 +447,68 @@ def test_noise_free_particles_call_no_sigma(setup):
     assert ens.driver_increments.shape == (5, GRID.n_steps, d)
     limit = np.broadcast_to(_limit(k1, coeffs, xi), ens.states.shape)
     np.testing.assert_allclose(ens.states, limit, rtol=1e-12, atol=1e-12)
+
+
+# the noisy march over several blocks of increments (70 steps, blocks of 32)
+# and with blocked history sums (N d >= 64)
+LONG_GRID = TimeGrid(1.0, 70)
+N_NOISY = 70
+
+
+def _builtin(d, m):
+    return BuiltinLinearMeanField(a=-0.6, b=0.4, sigma0=np.eye(d, m), sigma1=0.3,
+                                  d=d, m=m).coefficients()
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+@pytest.mark.parametrize("model", ["rich", "builtin"])
+@pytest.mark.parametrize("dm", [(1, 1), (2, 1), (2, 3)], ids=["d1", "d2m1", "d2m3"])
+def test_noisy_particles_match_loop(dm, model, kernels):
+    d, m = dm
+    k1, k2 = KERNELS[kernels]
+    coeffs = rich_coefficients(d, m) if model == "rich" else _builtin(d, m)
+    xi = np.linspace(0.3, 0.7, d)
+    eps = 0.09
+    ens = simulate_particles(k1, k2, coeffs, xi, eps, LONG_GRID, N_NOISY, seed=8)
+    want = loop_particles(k1, k2, k2, coeffs, xi, ens.driver_increments, LONG_GRID,
+                          np.sqrt(eps))
+    assert_bitwise(ens.states, want)
+
+
+@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
+def test_controlled_ldp_frozen_ensemble_matches_loop(kernels):
+    d, m = 2, 3
+    k1, k2 = KERNELS[kernels]
+    kc = PowerKernel(0.4)
+    coeffs = rich_coefficients(d, m)
+    xi = np.array([0.2, -0.4])
+    eps = 0.05
+    v = ControlPath(grid=LONG_GRID,
+                    values=np.random.default_rng(9).normal(size=(LONG_GRID.n_steps, m)))
+    law = simulate_particles(k1, k2, coeffs, xi, eps, LONG_GRID, 9, seed=1).states
+    ens = simulate_controlled(k1, k2, kc, coeffs, xi, eps, v, LONG_GRID, N_NOISY, seed=3,
+                              form="ldp", law_mode="frozen", frozen_path=law)
+    want = loop_particles(k1, k2, kc, coeffs, xi, ens.driver_increments, LONG_GRID,
+                          np.sqrt(eps), v=v, law=law)
+    assert_bitwise(ens.states, want)
+
+
+def test_blow_up_step_matches_loop():
+    k1, k2 = KERNELS["power-fbm"]
+
+    def b(t, x, mu):
+        return 6.0 * x**3 + mu.mean()[None, :]
+
+    def sigma(t, x, mu):
+        return np.ones((*x.shape, 1))
+
+    coeffs = CoefficientSet(b=b, sigma=sigma, d=1, m=1)
+    with pytest.raises(BlowUpError) as got:
+        simulate_particles(k1, k2, coeffs, 1.0, 0.5, LONG_GRID, N_NOISY, seed=2)
+    dw = simulate_particles(k1, k2, BuiltinLinearMeanField().coefficients(), 1.0, 0.5,
+                            LONG_GRID, N_NOISY, seed=2).driver_increments
+    with pytest.raises(BlowUpError) as want:
+        loop_particles(k1, k2, k2, coeffs, 1.0, dw, LONG_GRID, np.sqrt(0.5))
+    assert 1 < want.value.step < LONG_GRID.n_steps
+    assert got.value.step == want.value.step
+    assert got.value.magnitude == want.value.magnitude
