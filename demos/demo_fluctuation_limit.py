@@ -40,7 +40,7 @@ for eps in (1e-1, 1e-2, 1e-3, 1e-4):
     gap = clt_gap(pair, p=2)
     gaps[eps] = gap.value
     print(f"{eps:8.0e} {gap.value:14.6e} {gap.stderr:12.2e}")
-reg = scaling_regression(gaps, expected_slope=1.0)
+reg = scaling_regression(gaps)
 print(f"log-log slope: {reg.slope:.4f}  (expected 1.0)")
 
 print("\n== the limit marginal is Gaussian ==")

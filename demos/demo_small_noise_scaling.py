@@ -26,5 +26,5 @@ print(f"{'eps':>8} {'E sup |X^eps - X^0|':>22}")
 for eps, err in sorted(errors.items()):
     print(f"{eps:8.0e} {err:22.6e}")
 
-reg = scaling_regression(errors, expected_slope=0.5)
+reg = scaling_regression(errors)
 print(f"\nlog-log slope: {reg.slope:.4f}   (expected 0.5, r2 = {reg.r2:.6f})")

@@ -31,8 +31,6 @@ from .fluctuations import (
     clt_gap,
     clt_pair,
     holder_probe,
-    holder_report,
-    regression_report,
     scaling_regression,
     strong_error_vs_eps,
 )
@@ -53,7 +51,6 @@ from .kernels import (
     kernel_from_params,
     regularity_probe,
     resolvent,
-    resolvent_premise,
 )
 from .measures import EmpiricalMeasure, distance_to_dirac0, wasserstein2, wasserstein2_full
 from .rates import (

@@ -236,16 +236,16 @@ def validate_config(text: str) -> ExperimentConfig:
     if isinstance(n_particles, int) and n_particles < 1:
         issues.append("run.N must be at least 1")
     seed = _check_number(issues, data, "run", "seed", 0, integer=True)
-    if isinstance(seed, int) and not (-(2**63) <= seed < 2**64):
-        issues.append("run.seed must fit in 64 bits")
+    if isinstance(seed, int) and not (0 <= seed < 2**64):
+        issues.append("run.seed must lie in [0, 2**64)")
 
     run_sec = data.get("run", {})
     eps_value = run_sec.get("eps")
     eps_list = run_sec.get("eps_list")
     if eps_list is None:
         eps_list = [eps_value] if eps_value is not None else [1.0]
-    elif not isinstance(eps_list, list):
-        issues.append("run.eps_list must be a list")
+    elif not isinstance(eps_list, list) or not eps_list:
+        issues.append("run.eps_list must be a nonempty list")
         eps_list = [1.0]
     for i, e in enumerate(eps_list):
         if not _is_number(e) or not (0.0 < e <= 1.0):

@@ -23,6 +23,10 @@ from .solvers import (Model, PathEnsemble, _linear_march, simulate_particles,
 
 # floats in one block's temporaries in sup_gap and holder_probe (1 MB each)
 _BLOCK_FLOATS = 1 << 17
+# clt_gap's bootstrap resamples and holder_probe's cap on node pairs, each
+# drawn from a generator seeded with 0
+_BOOTSTRAP_RESAMPLES = 200
+_HOLDER_MAX_PAIRS = 10**6
 
 
 @dataclass
@@ -115,22 +119,21 @@ class GapEstimate:
     n_particles: int
 
 
-def clt_gap(pair: FluctuationPair, p: float = 2.0,
-            n_bootstrap: int = 200, seed: int = 0) -> GapEstimate:
+def clt_gap(pair: FluctuationPair, p: float = 2.0) -> GapEstimate:
     """Monte Carlo estimate of E[sup_t |Z^eps_t - Z_t|^p] with bootstrap stderr."""
     if p < 1:
         raise ValueError("p must be at least 1")
     vals = pair.sup_gap**p
     est = float(vals.mean())
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = vals.size
-    boots = np.empty(n_bootstrap)
+    boots = np.empty(_BOOTSTRAP_RESAMPLES)
     # resamples drawn a block of rows at a time, at most 256 KB of indices
     # unless one row is more; the draws and the row means are those of one
     # resample at a time
     rows = max(1, (1 << 15) // n)
-    for lo in range(0, n_bootstrap, rows):
-        idx = rng.integers(0, n, size=(min(rows, n_bootstrap - lo), n))
+    for lo in range(0, _BOOTSTRAP_RESAMPLES, rows):
+        idx = rng.integers(0, n, size=(min(rows, _BOOTSTRAP_RESAMPLES - lo), n))
         boots[lo:lo + len(idx)] = vals[idx].mean(axis=1)
     return GapEstimate(value=est, stderr=float(boots.std(ddof=1)), p=p, n_particles=n)
 
@@ -140,10 +143,9 @@ class RegressionResult:
     slope: float
     intercept: float
     r2: float
-    expected_slope: float | None = None
 
 
-def scaling_regression(quantity, expected_slope: float | None = None) -> RegressionResult:
+def scaling_regression(quantity) -> RegressionResult:
     """Log-log least squares of a positive quantity against its positive argument.
 
     ``quantity`` maps argument -> value (a dict or an iterable of pairs);
@@ -166,8 +168,7 @@ def scaling_regression(quantity, expected_slope: float | None = None) -> Regress
     fit = slope * lx + intercept
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum((ly - fit) ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return RegressionResult(slope=float(slope), intercept=float(intercept), r2=r2,
-                            expected_slope=expected_slope)
+    return RegressionResult(slope=float(slope), intercept=float(intercept), r2=r2)
 
 
 @dataclass(frozen=True)
@@ -177,11 +178,10 @@ class HolderEstimate:
     n_pairs: int
 
 
-def holder_probe(ensemble: PathEnsemble, alpha: float, p: float = 1.0,
-                 max_pairs: int = 10**6, seed: int = 0) -> HolderEstimate:
-    """Ensemble p-mean of the largest increment ratio |X_t - X_s| / |t - s|^alpha.
+def holder_probe(ensemble: PathEnsemble, alpha: float) -> HolderEstimate:
+    """Ensemble mean of the largest increment ratio |X_t - X_s| / |t - s|^alpha.
 
-    Node pairs are subsampled deterministically to at most max_pairs.
+    Node pairs are subsampled deterministically to at most 10^6.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -191,9 +191,9 @@ def holder_probe(ensemble: PathEnsemble, alpha: float, p: float = 1.0,
         raise ValueError("degenerate grid")
     total = (n + 1) * n // 2
     ii, jj = np.triu_indices(n + 1, k=1)
-    if total > max_pairs:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(total, size=max_pairs, replace=False)
+    if total > _HOLDER_MAX_PAIRS:
+        rng = np.random.default_rng(0)
+        keep = rng.choice(total, size=_HOLDER_MAX_PAIRS, replace=False)
         ii, jj = ii[keep], jj[keep]
     dt_pow = (grid.times[jj] - grid.times[ii]) ** alpha
     best = np.zeros(ensemble.n_particles)
@@ -205,35 +205,7 @@ def holder_probe(ensemble: PathEnsemble, alpha: float, p: float = 1.0,
         diff = ensemble.states[:, jj[lo:hi], :] - ensemble.states[:, ii[lo:hi], :]
         ratio = np.linalg.norm(diff, axis=2) / dt_pow[lo:hi][None, :]
         best = np.maximum(best, ratio.max(axis=1))
-    stat = float((best**p).mean() ** (1.0 / p))
-    return HolderEstimate(max_ratio_stat=stat, alpha=alpha, n_pairs=int(ii.size))
-
-
-def holder_report(ensemble: PathEnsemble, alphas, path=None) -> list:
-    """Rows (alpha, holder_stat); optionally written as CSV ``alpha,holder_stat``."""
-    rows = [(float(a), holder_probe(ensemble, float(a)).max_ratio_stat) for a in alphas]
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write("alpha,holder_stat\n")
-            for a, stat in rows:
-                fh.write(f"{a:.17g},{stat:.17g}\n")
-    return rows
-
-
-def regression_report(reg: RegressionResult, path=None) -> str:
-    """Flat key=value rendering of a scaling regression."""
-    lines = [
-        f"slope = {reg.slope:.17g}",
-        f"intercept = {reg.intercept:.17g}",
-        f"r2 = {reg.r2:.17g}",
-    ]
-    if reg.expected_slope is not None:
-        lines.append(f"expected_slope = {reg.expected_slope:.17g}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return HolderEstimate(max_ratio_stat=float(best.mean()), alpha=alpha, n_pairs=int(ii.size))
 
 
 def strong_error_vs_eps(model: Model, xi, eps_list, grid: TimeGrid,

@@ -35,12 +35,3 @@ class TimeGrid:
             raise ValueError(f"time {t} is not a grid node")
         return i
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TimeGrid)
-            and self.n_steps == other.n_steps
-            and self.horizon == other.horizon
-        )
-
-    def __hash__(self):
-        return hash((self.horizon, self.n_steps))

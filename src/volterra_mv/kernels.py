@@ -232,15 +232,7 @@ class PowerKernel(Kernel):
         return self.scale**power * ((t - a) ** q - (t - b) ** q) / q
 
     def average_weights(self, grid):
-        n = grid.n_steps
-        dt = grid.dt
-        q = self._a + 1.0
-        if q <= 0.0:
-            raise NonIntegrableError("power kernel is not integrable at the diagonal")
-        r = np.arange(n + 1, dtype=float)
-        # antiderivative differences over whole cells, one value per lag r = i - j
-        lag = self.scale * dt**self._a * (r[1:] ** q - r[:-1] ** q) / q
-        return _toeplitz_strict_lower(lag, n)
+        return _power_lag_weights(self.scale, self._a, grid)
 
 
 @dataclass(frozen=True)
@@ -349,10 +341,7 @@ class FbmKernel(Kernel):
         dt = grid.dt
         times = grid.times
         a = self._a
-        q = a + 1.0
-        r = np.arange(n + 1, dtype=float)
-        lead_lag = self.normalizer * dt**a * (r[1:] ** q - r[:-1] ** q) / q
-        w = _toeplitz_strict_lower(lead_lag, n)
+        w = _power_lag_weights(self.normalizer, a, grid)
 
         # correction term, cell by cell with fixed Gauss-Legendre nodes;
         # the j = 0 cell gets a power substitution absorbing the s -> 0 blow-up
@@ -451,7 +440,7 @@ class TabulatedKernel(Kernel):
 
 @dataclass(frozen=True)
 class CustomKernel(Kernel):
-    """Kernel backed by a user evaluator ``fn(t, s)``.
+    """Kernel backed by a user evaluator ``fn(t, s)`` that broadcasts over arrays.
 
     ``convolution_profile``, when given, declares K(t, s) = profile(t - s) so
     grid weights collapse to one integral per lag.  Edge exponents let the
@@ -459,7 +448,6 @@ class CustomKernel(Kernel):
     """
 
     fn: object
-    vectorized: bool = True
     singular_at_diagonal: bool = False
     edge_exponent_origin: float = 0.0
     edge_exponent_diagonal: float = 0.0
@@ -469,10 +457,7 @@ class CustomKernel(Kernel):
     def __call__(self, t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        if self.vectorized:
-            out = np.asarray(self.fn(t, s), dtype=float)
-        else:
-            out = np.vectorize(self.fn, otypes=[float])(t, s)
+        out = np.asarray(self.fn(t, s), dtype=float)
         if not np.all(np.isfinite(out)):
             raise SingularityError("custom kernel evaluator returned a non-finite value")
         return out
@@ -490,6 +475,17 @@ class CustomKernel(Kernel):
                 ) / dt
             return _toeplitz_strict_lower(lag, n)
         return _weights_by_cell_quadrature(self, grid)
+
+
+def _power_lag_weights(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
+    """Cell-averaged weights of scale * (t - s)^a: antiderivative differences
+    over whole cells, one value per lag r = i - j."""
+    q = a + 1.0
+    if q <= 0.0:
+        raise NonIntegrableError("power kernel is not integrable at the diagonal")
+    r = np.arange(grid.n_steps + 1, dtype=float)
+    lag = scale * grid.dt**a * (r[1:] ** q - r[:-1] ** q) / q
+    return _toeplitz_strict_lower(lag, grid.n_steps)
 
 
 def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
@@ -563,10 +559,9 @@ def _quad_power_edges(f, lo, hi, exp_lo=0.0, exp_hi=0.0, epsrel=1e-10):
     return total
 
 
-def eval_kernel(kernel: Kernel, t: float, s: float, t_max: float | None = None) -> float:
+def eval_kernel(kernel: Kernel, t: float, s: float) -> float:
     """Point evaluation K(t, s) with domain and finiteness checks."""
-    if t_max is None:
-        t_max = getattr(kernel, "t_max", None)
+    t_max = getattr(kernel, "t_max", None)
     if not (0.0 <= s < t):
         raise KernelDomainError(f"kernel arguments need 0 <= s < t, got s={s}, t={t}")
     if t_max is not None and t > t_max + 1e-12:
@@ -706,31 +701,6 @@ def convolve(k: GridKernel, m: GridKernel) -> GridKernel:
     return GridKernel(grid=k.grid, weights=w)
 
 
-@dataclass(frozen=True)
-class ResolventPremise:
-    sup_integral: float
-    near_diagonal_mass: float
-    status: str  # "ok" or "unverified"
-
-
-def resolvent_premise(k: GridKernel, kernel_family: str | None = None) -> ResolventPremise:
-    """Numerical check of the integrability premise behind the resolvent series.
-
-    The small-mass-near-the-diagonal condition cannot be certified for
-    arbitrary custom or tabulated kernels from grid data alone; those report
-    "unverified" rather than guessing.
-    """
-    sup_int = float(k.row_integrals().max(initial=0.0))
-    diag = k.grid.dt * k.weights.diagonal(-1)
-    near = float(np.abs(diag).max(initial=0.0))
-    if not np.isfinite(sup_int):
-        raise NonIntegrableError("kernel row integrals are not finite")
-    status = "ok"
-    if kernel_family in ("custom", "tabulated") or near >= 1.0:
-        status = "unverified"
-    return ResolventPremise(sup_integral=sup_int, near_diagonal_mass=near, status=status)
-
-
 def resolvent(k: GridKernel, method: str = "direct", n_max: int = 200,
               tol: float = 1e-10) -> GridKernel:
     """Resolvent R of K, satisfying R = K + K*R on the grid.
@@ -739,7 +709,6 @@ def resolvent(k: GridKernel, method: str = "direct", n_max: int = 200,
     sup_t int R_n <= tol or n_max terms; method="direct" solves the identity
     row by row (strictly lower-triangular forward substitution).
     """
-    resolvent_premise(k)
     n = k.grid.n_steps
     dt = k.grid.dt
     w = k.weights
@@ -777,12 +746,12 @@ class GronwallReport:
     slack: float
 
 
-def gronwall_check(k: GridKernel, g: np.ndarray, slack_constant: float = 2.0) -> GronwallReport:
+def gronwall_check(k: GridKernel, g: np.ndarray) -> GronwallReport:
     """Volterra Gronwall construction on the grid.
 
     Builds the saturating solution f of f = g + K*f by forward substitution,
     the comparison bound g + R*g with the direct resolvent, and reports
-    whether f <= bound + slack where slack = slack_constant * dt * max(g) *
+    whether f <= bound + slack where slack = 2 * dt * max(g) *
     (1 + max_t int R) absorbs quadrature rounding.
     """
     g = np.asarray(g, dtype=float)
@@ -799,7 +768,7 @@ def gronwall_check(k: GridKernel, g: np.ndarray, slack_constant: float = 2.0) ->
         f[i + 1] = g[i + 1] + dt * hist.push(f[i])
     r = resolvent(k, method="direct")
     bound = g + r.apply(g)
-    slack = slack_constant * dt * float(g.max(initial=0.0)) * (
+    slack = 2.0 * dt * float(g.max(initial=0.0)) * (
         1.0 + float(r.row_integrals().max(initial=0.0))
     )
     satisfied = bool(np.all(f <= bound + slack))

@@ -7,7 +7,6 @@ and the origin Dirac used in growth bounds.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +81,6 @@ class EmpiricalMeasure:
         sq = np.einsum("nd,nd->n", self.points, self.points)
         return float(self.weight_vector() @ sq)
 
-    def to_csv(self, path) -> None:
-        """Debug dump with columns index,x1..xd,weight."""
-        w = self.weight_vector()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index"] + [f"x{k + 1}" for k in range(self.dim)] + ["weight"])
-            for i in range(self.n_atoms):
-                writer.writerow([i] + [f"{v:.17g}" for v in self.points[i]] + [f"{w[i]:.17g}"])
-
 
 @dataclass(frozen=True)
 class W2Result:
@@ -126,8 +116,7 @@ def _w2_sorted_quantiles(x, wx, y, wy) -> float:
     return float(np.sqrt(max(total, 0.0)))
 
 
-def wasserstein2_full(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                      n_directions: int = SLICED_DIRECTIONS, seed: int = _SLICED_SEED) -> W2Result:
+def wasserstein2_full(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> W2Result:
     """Quadratic Wasserstein distance with an exactness flag.
 
     d = 1 is always exact (sorted coupling / monotone rearrangement).  In
@@ -163,15 +152,15 @@ def wasserstein2_full(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
         rows, cols = linear_sum_assignment(cost)
         val = float(np.sqrt(cost[rows, cols].mean()))
         return W2Result(value=val, approximate=False, method="assignment")
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_directions, d))
+    rng = np.random.default_rng(_SLICED_SEED)
+    dirs = rng.standard_normal((SLICED_DIRECTIONS, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     wx = mu.weight_vector()
     wy = nu.weight_vector()
     acc = 0.0
     for theta in dirs:
         acc += _w2_sorted_quantiles(mu.points @ theta, wx, nu.points @ theta, wy) ** 2
-    val = float(np.sqrt(d * acc / n_directions))
+    val = float(np.sqrt(d * acc / SLICED_DIRECTIONS))
     return W2Result(value=val, approximate=True, method="sliced")
 
 

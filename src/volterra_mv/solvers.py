@@ -251,8 +251,7 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
 
 def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
                        eps: float, grid: TimeGrid, n_particles: int, seed: int,
-                       driver_increments: np.ndarray | None = None,
-                       tag: str = "particles") -> PathEnsemble:
+                       driver_increments: np.ndarray | None = None) -> PathEnsemble:
     """Interacting-particle system with empirical-law coupling and noise sqrt(eps).
 
     Reproducible: the output is a pure function of (seed, grid, N, model), and
@@ -266,18 +265,17 @@ def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
     return _simulate(
         k1, k2, None, coeffs, xi, eps, grid, n_particles, seed,
         v=None, noise_scale=float(np.sqrt(eps)), law=None, x0_path=None,
-        mdp_scale=0.0, tag=tag, driver_increments=driver_increments,
+        mdp_scale=0.0, tag="particles", driver_increments=driver_increments,
     )
 
 
 def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientSet,
                         xi, eps: float, v: ControlPath, grid: TimeGrid,
                         n_particles: int, seed: int, form: str = "ldp",
-                        h_eps: float | None = None, law_mode: str = "self",
+                        h_eps: float | None = None,
                         frozen_path: np.ndarray | None = None,
                         x0_path: np.ndarray | None = None,
-                        driver_increments: np.ndarray | None = None,
-                        tag: str = "particles") -> PathEnsemble:
+                        driver_increments: np.ndarray | None = None) -> PathEnsemble:
     """Controlled dynamics with the control integrand sigma(.) v under kernel kc.
 
     form="ldp": state equation with drift under k1, control under kc and
@@ -288,9 +286,10 @@ def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientS
     (difference-quotient drift around x0_path, noise scale 1/h_eps); requires
     eps > 0, h_eps > 0 and the precomputed limit path.
 
-    law_mode="frozen" replaces the ensemble's own law by frozen_path: either
-    a Dirac path of shape (n_steps + 1, d) or the states (N', n_steps + 1, d)
-    of another ensemble, whose empirical law at each node is used.  Freezing
+    Passing frozen_path freezes the law: it replaces the ensemble's own law,
+    and is either a Dirac path of shape (n_steps + 1, d) or the states
+    (N', n_steps + 1, d) of another ensemble, whose empirical law at each
+    node is used.  Without it the ensemble runs under its own law.  Freezing
     an ensemble's own states, with its own driver increments and v = 0,
     reproduces it bit for bit.
     """
@@ -309,23 +308,21 @@ def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientS
     else:
         raise ValueError(f"unknown controlled form {form!r}")
     law = None
-    if law_mode == "frozen":
+    if frozen_path is not None:
         # a Dirac path (n+1, d) is the one-atom case of particle states (N', n+1, d)
         n, d = grid.n_steps, coeffs.d
-        law = None if frozen_path is None else np.asarray(frozen_path, dtype=float)
-        if law is not None and law.shape == (n + 1, d):
+        law = np.asarray(frozen_path, dtype=float)
+        if law.shape == (n + 1, d):
             law = law[None]
-        if law is None or law.ndim != 3 or law.shape[0] < 1 or law.shape[1:] != (n + 1, d):
+        if law.ndim != 3 or law.shape[0] < 1 or law.shape[1:] != (n + 1, d):
             raise GridMismatchError(
-                "law_mode='frozen' needs a Dirac path (n+1, d) or particle states "
+                "frozen_path must be a Dirac path (n+1, d) or particle states "
                 "(N', n+1, d) on the grid nodes"
             )
-    elif law_mode != "self":
-        raise ValueError(f"unknown law mode {law_mode!r}")
     return _simulate(
         k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed,
         v=v, noise_scale=noise_scale, law=law, x0_path=x0_path, mdp_scale=mdp_scale,
-        tag=tag, driver_increments=driver_increments,
+        tag="particles", driver_increments=driver_increments,
     )
 
 

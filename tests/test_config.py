@@ -158,6 +158,40 @@ class TestRunAndRateChecks:
         cfg = validate_config(text + two + "\n[rate]\nevent_normal = [1.0, 1]\n")
         assert cfg.event_normal.tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("seed", [-3, -(2**63), 2**64])
+    def test_seed_outside_uint64_is_refused(self, seed):
+        # the noise streams key on np.uint64(seed), which refuses a negative seed
+        with pytest.raises(ConfigError) as err:
+            validate_config(MINIMAL + f"\n[run]\nseed = {seed}\n")
+        assert err.value.issues == ["run.seed must lie in [0, 2**64)"]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_bounds_are_accepted(self, seed):
+        assert validate_config(MINIMAL + f"\n[run]\nseed = {seed}\n").seed == seed
+
+    @pytest.mark.parametrize("kind", ["simulate", "clt"])
+    def test_empty_eps_list_is_refused(self, kind):
+        text = MINIMAL.replace("kind = simulate", f"kind = {kind}")
+        with pytest.raises(ConfigError) as err:
+            validate_config(text + "\n[run]\neps_list = []\n")
+        assert err.value.issues == ["run.eps_list must be a nonempty list"]
+
+    @pytest.mark.parametrize("kind, extra, args, issue", [
+        ("simulate", "", ["--seed", "-3"], "run.seed must lie in [0, 2**64)"),
+        ("simulate", "\n[run]\neps_list = []\n", [], "run.eps_list must be a nonempty list"),
+        ("clt", "\n[run]\neps_list = []\n", [], "run.eps_list must be a nonempty list"),
+    ], ids=["negative-seed", "empty-eps-simulate", "empty-eps-clt"])
+    def test_cli_reports_run_issues_and_writes_nothing(self, tmp_path, capsys, kind, extra,
+                                                        args, issue):
+        from volterra_mv.cli import main
+
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL.replace("kind = simulate", f"kind = {kind}") + extra)
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == f"config error: {issue}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("normal", ["[a]", "[1.0, 1.0]"])
     def test_cli_reports_event_normal_and_writes_nothing(self, tmp_path, capsys, normal):
         from volterra_mv.cli import main

@@ -24,7 +24,6 @@ from volterra_mv import (
     kernel_from_params,
     regularity_probe,
     resolvent,
-    resolvent_premise,
 )
 from volterra_mv.kernels import (
     _GL_NODES,
@@ -484,16 +483,6 @@ class TestResolvent:
         with pytest.raises(SeriesDivergenceError):
             resolvent(gk, method="series", n_max=5, tol=1e-14)
 
-    def test_premise_report(self, grid_small, unit_kernel):
-        rep = resolvent_premise(GridKernel.from_kernel(unit_kernel, grid_small))
-        assert rep.status == "ok"
-        assert rep.sup_integral == pytest.approx(1.0, rel=1e-12)
-        custom = CustomKernel(fn=lambda t, s: np.ones(np.broadcast_shapes(t.shape, s.shape)))
-        rep2 = resolvent_premise(
-            GridKernel.from_kernel(custom, grid_small), kernel_family="custom"
-        )
-        assert rep2.status == "unverified"
-
 
 class TestGronwall:
     def test_zero_forcing(self, grid_small, unit_kernel):
@@ -615,3 +604,14 @@ class TestKernelFromParams:
     def test_fbm_range(self):
         with pytest.raises(ValueError):
             FbmKernel(1.2)
+
+
+class TestTimeGrid:
+    def test_equality_and_hash(self):
+        # kernels cache weights per grid and solvers compare grids, so two
+        # grids with the same horizon and step count must be one grid
+        a, b = TimeGrid(1, 50), TimeGrid(1.0, 50)
+        assert a == b and hash(a) == hash(b)
+        assert a != TimeGrid(1.0, 51)
+        assert a != TimeGrid(2.0, 50)
+        assert a != SimpleNamespace(horizon=1.0, n_steps=50)

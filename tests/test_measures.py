@@ -28,14 +28,6 @@ class TestMeasureInvariants:
         assert mu.mean()[0] == pytest.approx(7.0 / 3.0)
         assert mu.second_moment() == pytest.approx(25.0 / 3.0)
 
-    def test_csv_dump(self, tmp_path):
-        mu = EmpiricalMeasure(points=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        path = tmp_path / "cloud.csv"
-        mu.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,x1,x2,weight"
-        assert len(lines) == 3
-
 
 class TestWasserstein:
     def test_identity(self):

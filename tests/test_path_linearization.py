@@ -391,7 +391,7 @@ def test_mdp_particles_match_loop(setup, kernels, law_mode):
         law = simulate_particles(k1, k2, coeffs, xi, eps, GRID, 7, seed=2).states
     counted, calls = counting(coeffs)
     ens = simulate_controlled(k1, k2, k2, counted, xi, eps, v, GRID, 12, seed=4,
-                              form="mdp", h_eps=h, law_mode=law_mode,
+                              form="mdp", h_eps=h,
                               frozen_path=law, x0_path=x0)
     n = GRID.n_steps
     # b at the shifted particles and b(X^0) once per cell; sigma once per cell
@@ -487,7 +487,7 @@ def test_controlled_ldp_frozen_ensemble_matches_loop(kernels):
                     values=np.random.default_rng(9).normal(size=(LONG_GRID.n_steps, m)))
     law = simulate_particles(k1, k2, coeffs, xi, eps, LONG_GRID, 9, seed=1).states
     ens = simulate_controlled(k1, k2, kc, coeffs, xi, eps, v, LONG_GRID, N_NOISY, seed=3,
-                              form="ldp", law_mode="frozen", frozen_path=law)
+                              form="ldp", frozen_path=law)
     want = loop_particles(k1, k2, kc, coeffs, xi, ens.driver_increments, LONG_GRID,
                           np.sqrt(eps), v=v, law=law)
     assert_bitwise(ens.states, want)

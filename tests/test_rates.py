@@ -145,6 +145,16 @@ class TestMdpRate:
         with pytest.raises(RankDeficiencyError):
             mdp_rate(prob)
 
+    def test_empty_diffusion_is_rank_deficient(self):
+        # m = 0: the diffusion has no singular value, so no control reaches the target
+        grid = TimeGrid(1.0, 50)
+        prob = RateProblem(mode="mdp", k1=UNIT, kc=UNIT,
+                           coeffs=BuiltinLinearMeanField(m=0).coefficients(),
+                           grid=grid, x0_path=np.zeros((51, 1)),
+                           target=grid.times[:, None])
+        with pytest.raises(RankDeficiencyError):
+            mdp_rate(prob)
+
     def test_regularized_rank_deficient(self):
         grid = TimeGrid(1.0, 50)
         prob = RateProblem(mode="mdp", k1=UNIT, kc=UNIT, coeffs=_coeffs(sigma0=0.0),

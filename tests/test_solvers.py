@@ -267,7 +267,7 @@ class TestControlled:
         ens = simulate_controlled(
             unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, 0.0,
             ControlPath.zero(grid), grid, 1, seed=5,
-            law_mode="frozen", frozen_path=frozen,
+            frozen_path=frozen,
         )
         # drift is x + 0.5 * 1 with the frozen unit-mass law
         exact = 1.5 * np.exp(grid.times) - 0.5
@@ -279,7 +279,7 @@ class TestControlled:
         frozen = simulate_controlled(
             unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, 0.25,
             ControlPath.zero(grid_small), grid_small, 60, seed=21,
-            law_mode="frozen", frozen_path=ens.states,
+            frozen_path=ens.states,
             driver_increments=ens.driver_increments,
         )
         assert np.array_equal(frozen.states, ens.states)
@@ -289,7 +289,7 @@ class TestControlled:
             simulate_controlled(
                 unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, 0.1,
                 ControlPath.zero(grid_small), grid_small, 2, seed=1,
-                law_mode="frozen", frozen_path=np.zeros((3, grid_small.n_steps, 1)),
+                frozen_path=np.zeros((3, grid_small.n_steps, 1)),
             )
 
     def test_mdp_form_matches_pathwise_deviation(self, unit_kernel, grid_small, linear_model):
@@ -316,7 +316,7 @@ class TestControlled:
         y = simulate_controlled(
             unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, eps,
             v, grid_small, 200, seed=19, form="mdp", h_eps=h,
-            law_mode="frozen", frozen_path=x0, x0_path=x0,
+            frozen_path=x0, x0_path=x0,
         )
         psi = solve_controlled_deterministic(
             unit_kernel, unit_kernel, linear_model, 1.0, v, x0,
