@@ -8,6 +8,7 @@ with its field path, never first-failure only.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,14 @@ MODEL_REGISTRY: dict = {}
 
 
 def _build_linear_mean_field(params: dict):
-    d = int(params.get("dim", 1))
-    m = int(params.get("m", 1))
+    issues = [f"model.{key} must be a positive integer" for key in ("dim", "m")
+              if not _is_positive_int(params.get(key, 1))]
+    issues += [f"model.{key} must be finite" for key in ("A", "B", "sigma0", "sigma1", "xi")
+               if params.get(key) is not None
+               and not np.all(np.isfinite(np.asarray(params[key], dtype=float)))]
+    if issues:
+        raise ConfigError(issues)
+    d, m = params.get("dim", 1), params.get("m", 1)
     model = BuiltinLinearMeanField(
         a=params.get("A", 0.0), b=params.get("B", 0.0),
         sigma0=params.get("sigma0", 1.0), sigma1=params.get("sigma1", None),
@@ -152,6 +159,10 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _is_positive_int(val) -> bool:
+    return _is_number(val) and isinstance(val, int) and val >= 1
+
+
 def _check_number(issues, data, section, key, default, lo=None, hi=None,
                   integer=False, lo_strict=False):
     val = data.get(section, {}).get(key, default)
@@ -160,6 +171,9 @@ def _check_number(issues, data, section, key, default, lo=None, hi=None,
         return None
     if not _is_number(val):
         issues.append(f"{path} must be a number")
+        return default
+    if not math.isfinite(val):
+        issues.append(f"{path} must be finite")
         return default
     if integer and not isinstance(val, int):
         issues.append(f"{path} must be an integer")
@@ -182,6 +196,11 @@ def _kernel_from_section(issues, data, section: str, required: bool):
     family = sec.get("family")
     if family is None:
         issues.append(f"{section}.family is required")
+        return None
+    infinite = [f"{section}.{key} must be finite" for key, val in sec.items()
+                if _is_number(val) and not math.isfinite(val)]
+    if infinite:
+        issues.extend(infinite)
         return None
     if family not in _CONFIG_FAMILIES:
         issues.append(
@@ -224,6 +243,8 @@ def validate_config(text: str) -> ExperimentConfig:
     else:
         try:
             coeffs, xi = MODEL_REGISTRY[model_name](model_sec)
+        except ConfigError as exc:
+            issues.extend(exc.issues)
         except (ValueError, TypeError) as exc:
             issues.append(f"model: {exc}")
 
@@ -251,7 +272,8 @@ def validate_config(text: str) -> ExperimentConfig:
         if not _is_number(e) or not (0.0 < e <= 1.0):
             issues.append(f"run.eps[{i}] must lie in (0,1]")
     p_list = run_sec.get("p_list", [2])
-    if not isinstance(p_list, list) or not all(_is_number(p) and p >= 1 for p in p_list):
+    if not isinstance(p_list, list) or not all(_is_number(p) and 1 <= p < math.inf
+                                               for p in p_list):
         issues.append("run.p_list must be a list of moments >= 1")
         p_list = [2]
     h_beta = _check_number(issues, data, "run", "h_beta", 0.25)
@@ -277,6 +299,9 @@ def validate_config(text: str) -> ExperimentConfig:
     elif not all(_is_number(e) for e in event_normal):
         issues.append("rate.event_normal entries must be numbers")
         event_normal = [1.0]
+    elif not all(math.isfinite(e) for e in event_normal):
+        issues.append("rate.event_normal entries must be finite")
+        event_normal = [1.0]
     elif kind in ("rate-min", "tail-probe") and coeffs is not None and len(event_normal) != coeffs.d:
         issues.append(f"rate.event_normal must have one entry per model dimension"
                       f" ({coeffs.d}), got {len(event_normal)}")
@@ -294,6 +319,9 @@ def validate_config(text: str) -> ExperimentConfig:
         probe_h_list = default_h
     elif not all(_is_number(h) for h in probe_h_list):
         issues.append("probe.h_list entries must be numbers")
+        probe_h_list = default_h
+    elif not all(math.isfinite(h) for h in probe_h_list):
+        issues.append("probe.h_list entries must be finite")
         probe_h_list = default_h
     if kind == "kernel-probe" and _is_number(probe_t) and _is_number(t_horizon):
         if min(probe_h_list) <= 0:

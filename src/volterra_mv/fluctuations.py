@@ -74,7 +74,8 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     None of X^0, the driver increments and Z depends on eps.  ``limit``, a
     pair from an earlier eps of the same model, xi, grid, N and seed, lends
     them to this one, so only the eps-dependent particle pass runs; the
-    result is bitwise that of a call without it.
+    result is bitwise that of a call without it.  Only its x0_path and z_lim
+    are read, so a sweep may drop its z_eps before the next call.
     """
     coeffs = model.coeffs
     if callable(xi):
@@ -86,7 +87,9 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
 
     if limit is None:
         x0 = solve_deterministic_limit(model.k1, coeffs, xi, grid)
-        dw = None
+        # both the particle pass and the Z march read them: draw them once
+        dw = _rng.normal_increments(seed, "particles", n_particles, grid.n_steps,
+                                    coeffs.m, grid.dt)
     else:
         lim = limit.z_lim
         if lim.seed != seed or lim.grid != grid or lim.n_particles != n_particles:
@@ -96,7 +99,6 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
         x0, dw = limit.x0_path, lim.driver_increments
     ens = simulate_particles(model.k1, model.k2, coeffs, xi, eps, grid,
                              n_particles, seed, driver_increments=dw)
-    dw = ens.driver_increments
     # the ensemble is private to this call: rescale its states in place
     z_eps_states = ens.states
     z_eps_states -= x0[None, :, :]

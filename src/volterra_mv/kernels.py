@@ -48,8 +48,10 @@ _GLE_X, _GLE_W = _gauss_legendre(_GL_EDGE_NODES)
 # Gauss series terms summed per fbm kernel value; each series is evaluated only
 # where its argument is at most 1/2, so 2^-60 bounds the neglected tail
 _FBM_TERMS = 60
-# FbmKernel evaluates this many points at a time
+# FbmKernel evaluates this many points at a time, and its weights this many
+# interior cells (of _GL_NODES points each) at a time
 _FBM_BLOCK = 1 << 15
+_FBM_CELLS = 10000
 # Bernoulli numbers B_2k as (numerator, denominator), for Stirling's series
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
               (7, 6), (-3617, 510), (43867, 798), (-174611, 330))
@@ -349,16 +351,22 @@ class FbmKernel(Kernel):
         s0 = dt * _GLE_X**edge_q
         w0 = _GLE_W * edge_q * _GLE_X ** (edge_q - 1.0)
 
+        # rows in chunks of about 2e6 interior nodes; each chunk's edge column
+        # is one matrix product, whose sums may take another order for
+        # another number of rows, so this partition keeps the weights bitwise
         chunk = max(1, int(2e6 / (max(n, 1) * _GL_NODES)))
         for lo in range(1, n + 1, chunk):
             hi = min(lo + chunk, n + 1)
-            # interior cells 1 <= j < i of rows lo <= i < hi, and nothing above
+            # interior cells 1 <= j < i of rows lo <= i < hi, and nothing above,
+            # evaluated _FBM_CELLS at a time: each cell's sum is its own
             i, j = np.tril_indices(hi - lo, lo - 2, n - 1)
             i += lo
             j += 1
-            s_nodes = times[j][:, None] + dt * _GL_X[None, :]
-            vals = self._correction(times[i][:, None], s_nodes)
-            w[i, j] += np.einsum("pg,g->p", vals, _GL_W)
+            for c0 in range(0, i.size, _FBM_CELLS):
+                ic, jc = i[c0:c0 + _FBM_CELLS], j[c0:c0 + _FBM_CELLS]
+                s_nodes = times[jc][:, None] + dt * _GL_X[None, :]
+                vals = self._correction(times[ic][:, None], s_nodes)
+                w[ic, jc] += np.einsum("pg,g->p", vals, _GL_W)
             # edge cell j = 0
             vals0 = self._correction(times[lo:hi][:, None], s0[None, :])
             w[lo:hi, 0] += vals0 @ w0
@@ -489,11 +497,13 @@ def _power_lag_weights(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
 
 
 def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
-    """Weight matrix w[i, j] = lag[i - j - 1] for j < i, zero elsewhere."""
-    i = np.arange(n + 1)[:, None]
-    j = np.arange(n)[None, :]
-    r = i - j - 1
-    return np.where(r >= 0, lag[np.clip(r, 0, n - 1)], 0.0)
+    """Weight matrix w[i, j] = lag[i - j - 1] for j < i, zero elsewhere.
+
+    Row i is the window at n - i of the reversed lags followed by n + 1
+    zeros, so the matrix is one copy of n + 1 overlapping windows.
+    """
+    padded = np.concatenate([np.asarray(lag, dtype=float)[::-1], np.zeros(n + 1)])
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[n::-1].copy()
 
 
 def _weights_by_cell_quadrature(kernel: Kernel, grid: TimeGrid) -> np.ndarray:

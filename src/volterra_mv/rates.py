@@ -24,6 +24,7 @@ from .solvers import (
     ControlPath,
     Model,
     _along_path,
+    _drawn_blocks,
     _simulate,
     simulate_particles,
     solve_controlled_deterministic,
@@ -338,22 +339,34 @@ def _weighted_tail(log_w: np.ndarray, n: int):
     return top + float(np.log(mean)), rel_stderr, total * total / square
 
 
+def _terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray | None,
+              n_particles: int, seed: int, blocks) -> np.ndarray:
+    """Terminal states (N, d) of a particle pass that keeps only its current
+    state slab, driven by the increments of the block source ``blocks``."""
+    return _simulate(
+        model.k1, model.k2, None, model.coeffs, xi_arr, grid, n_particles, seed,
+        v=None, noise_scale=float(np.sqrt(eps)), law=law, x0_path=None, mdp_scale=0.0,
+        blocks=blocks, keep_path=False,
+    )[:, -1]
+
+
 def _tagged_terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray,
                      n_particles: int, seed: int, theta: np.ndarray):
     """Terminal states of tagged particles under the frozen empirical law path,
     with driver increments shifted by theta * dt, and their log likelihood
-    ratios sum_k (-theta_k . dW_k + 0.5 |theta_k|^2 dt) in the shifted dW."""
+    ratios sum_k (-theta_k . dW_k + 0.5 |theta_k|^2 dt) in the shifted dW,
+    summed a block of steps at a time as the pass reads them."""
     dt = grid.dt
-    dw = _rng.normal_increments(seed, "tagged", n_particles, grid.n_steps,
-                                model.coeffs.m, dt)
-    dw += theta[None] * dt
-    log_w = 0.5 * dt * float(np.sum(theta * theta)) - np.einsum("nkm,km->n", dw, theta)
-    tagged = _simulate(
-        model.k1, model.k2, None, model.coeffs, xi_arr, eps, grid, n_particles, seed,
-        v=None, noise_scale=float(np.sqrt(eps)), law=law, x0_path=None, mdp_scale=0.0,
-        tag="tagged", driver_increments=dw,
-    )
-    return tagged.terminal().copy(), log_w
+    draw = _drawn_blocks(seed, "tagged", n_particles, grid, model.coeffs.m)
+    log_w = np.full(n_particles, 0.5 * dt * float(np.sum(theta * theta)))
+
+    def shifted(s0, s1):
+        dw = draw(s0, s1)
+        dw += theta[s0:s1, None, :] * dt
+        log_w[:] -= np.einsum("knm,km->n", dw, theta[s0:s1])
+        return dw
+
+    return _terminal(model, xi_arr, eps, grid, law, n_particles, seed, shifted), log_w
 
 
 def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
@@ -393,6 +406,11 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
         raise ValueError("method must be 'crude' or 'importance'")
     if mode == "mdp" and not (0.0 < h_beta < 0.5):
         raise ValueError("h_beta must lie in (0, 1/2)")
+    # the checks of simulate_particles, which a crude cell does not call
+    if not all(0.0 <= float(e) <= 1.0 for e in eps_list):
+        raise ValueError("eps must lie in [0, 1]")
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     x0_path = None
     if mode == "mdp":
@@ -412,16 +430,20 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
     for idx, eps in zip(seed_indices, eps_sorted):
         cell_seed = _rng.derived_seed(seed, idx)
         h = eps ** (-h_beta) if mode == "mdp" else 1.0
-        # keep only the states: the driver increments are not needed past this
-        states = simulate_particles(model.k1, model.k2, model.coeffs, xi_arr, eps,
-                                    grid, n_particles, cell_seed).states
-        terminal = states[:, -1, :]
         log_w = None
         if method == "importance":
+            # the untilted pass keeps its states: they are the frozen law
+            law = simulate_particles(model.k1, model.k2, model.coeffs, xi_arr, eps,
+                                     grid, n_particles, cell_seed).states
             theta = (tilt.v_star.values / np.sqrt(eps) if mode == "ldp"
                      else h * tilt.v_star.values)
-            terminal, log_w = _tagged_terminal(model, xi_arr, eps, grid, states,
+            terminal, log_w = _tagged_terminal(model, xi_arr, eps, grid, law,
                                                n_particles, cell_seed, theta)
+            del law
+        else:
+            terminal = _terminal(model, xi_arr, eps, grid, None, n_particles, cell_seed,
+                                 _drawn_blocks(cell_seed, "particles", n_particles, grid,
+                                               model.coeffs.m))
         if mode == "mdp":
             values = (terminal - x0_path[-1][None, :]) / (np.sqrt(eps) * h)
         else:

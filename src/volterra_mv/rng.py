@@ -38,8 +38,10 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 
 _U_MAX = 1.0 - 2.0**-53  # the largest double below 1
 
-# normal_increments hashes, transforms and scales this many draws at a time
+# the step-range draw hashes, transforms and scales this many draws at a time
 _BLOCK = 1 << 16
+# normal_increments draws this many steps at a time
+_STEP_BLOCK = 32
 
 # Cephes ndtri: exp(-2), sqrt(2 pi), and the numerator (P) and monic
 # denominator (Q, leading 1 omitted) coefficients, highest degree first, for
@@ -200,37 +202,58 @@ def _ndtri_into(y, out):
     out[tail] = np.copysign(x0, c.take(tail))
 
 
-def normal_increments(seed: int, tag: str, n_particles: int, n_steps: int,
-                      n_components: int, dt: float) -> np.ndarray:
-    """Brownian increments of shape (n_particles, n_steps, n_components).
+def _step_increments(seed: int, tag: str, n_particles: int, s0: int, s1: int,
+                     n_components: int, dt: float) -> np.ndarray:
+    """The increments of steps s0 <= s < s1, time-major (s1 - s0, N, m).
 
-    Each entry is N(0, dt), keyed by (seed, tag, particle, step, component).
-    The draws are made in blocks of about ``_BLOCK``: whole particles, or a
-    run of steps of one particle when a particle has more draws than that.
+    Each draw is the function of its (particle, step, component) given in the
+    module docstring, so any split of the steps gives the same bits.  They are
+    made in blocks of about ``_BLOCK``: whole steps, or a run of particles of
+    one step when a step has more draws than that.
     """
-    n, m = n_steps, n_components
-    out = np.empty(n_particles * n * m)
+    m = n_components
+    out = np.empty((s1 - s0, n_particles, m))
     key = stream_key(seed, tag)
     scale = np.sqrt(dt)
     components = np.arange(m, dtype=np.uint64)
-    rows = max(1, _BLOCK // max(n * m, 1))
-    cols = max(1, min(n, _BLOCK // max(m, 1)))
+    rows = max(1, min(n_particles, _BLOCK // max(m, 1)))
+    steps = max(1, _BLOCK // max(n_particles * m, 1))
+    flat = out.reshape(-1)
     for p0 in range(0, n_particles, rows):
         p1 = min(p0 + rows, n_particles)
-        h_p = key ^ np.arange(p0, p1, dtype=np.uint64)[:, None, None]
+        h_p = key ^ np.arange(p0, p1, dtype=np.uint64)[None, :, None]
         mix64(h_p, out=h_p)
-        for s0 in range(0, n, cols):
-            s1 = min(s0 + cols, n)
-            h = h_p ^ np.arange(s0, s1, dtype=np.uint64)[None, :, None]
+        for a in range(s0, s1, steps):
+            b = min(a + steps, s1)
+            h = h_p ^ np.arange(a, b, dtype=np.uint64)[:, None, None]
             mix64(h, out=h)
             h = h ^ components
             mix64(h, out=h)
             u = uniform_from_uint64(h).reshape(-1)
             del h
-            block = out[(p0 * n + s0) * m:((p1 - 1) * n + s1) * m]
+            # whole steps, or one step's run of particles: contiguous either way
+            lo = ((a - s0) * n_particles + p0) * m
+            block = flat[lo:lo + u.size]
             _ndtri_into(u, block)
             block *= scale
-    return out.reshape(n_particles, n, m)
+    return out
+
+
+def normal_increments(seed: int, tag: str, n_particles: int, n_steps: int,
+                      n_components: int, dt: float) -> np.ndarray:
+    """Brownian increments of shape (n_particles, n_steps, n_components).
+
+    Each entry is N(0, dt), keyed by (seed, tag, particle, step, component).
+    They are drawn ``_STEP_BLOCK`` steps at a time by ``_step_increments``,
+    the draw through which a particle march reads its own increments, into
+    time-major storage: the result is its (N, n, m) view, so that a march
+    reads each block of steps as one contiguous slice.
+    """
+    out = np.empty((n_steps, n_particles, n_components))
+    for s0 in range(0, n_steps, _STEP_BLOCK):
+        s1 = min(s0 + _STEP_BLOCK, n_steps)
+        out[s0:s1] = _step_increments(seed, tag, n_particles, s0, s1, n_components, dt)
+    return out.transpose(1, 0, 2)
 
 
 def derived_seed(seed: int, index: int) -> int:

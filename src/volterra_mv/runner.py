@@ -23,11 +23,14 @@ from .errors import BudgetError, ConfigError
 from .fluctuations import clt_gap, clt_pair
 from .kernels import HISTORY_BLOCK, GridKernel, regularity_probe, resolvent
 from .rates import Halfspace, RateProblem, ldp_rate, mdp_rate, minimize_rate_endpoint, tail_probability_probe
+from .rng import _BLOCK as _DRAW_BLOCK
 from .solvers import Model, ensemble_summary, simulate_particles, solve_deterministic_limit
 
 ENV_WORKERS = "VOLTERRA_MV_WORKERS"
 # rows of ensemble.csv and resolvent.csv formatted at a time
 BLOCK_ROWS = 1 << 14
+# the text and formatter temporaries of one resolvent.csv row (tracemalloc)
+_RESOLVENT_ROW_BYTES = 400
 
 
 def _fmt(x) -> str:
@@ -61,32 +64,72 @@ class RunResult:
     manifest_path: str
 
 
+def _weight_kernels(cfg: ExperimentConfig) -> int:
+    """How many kernels a run builds (n+1) x n grid weights for."""
+    if cfg.kind == "kernel-probe":
+        return 0
+    if cfg.kind in ("limit", "resolvent"):
+        return 1
+    if cfg.kind in ("simulate", "clt"):
+        return 2
+    if cfg.kind == "tail-probe":
+        # the particle kernels, and kernelc for the reference rate
+        return 2 + (cfg.kc is not None)
+    # a rate's drift kernel and its control kernel: kernelc, or else the drift
+    # kernel (ldp) or the noise kernel (mdp)
+    return 1 + (cfg.kc is not None or cfg.rate_mode == "mdp")
+
+
 def _memory_estimate(cfg: ExperimentConfig) -> int:
-    """Bytes of the particle arrays one run (or one clt cell) holds at once,
-    and of the ensemble writer's block of rows."""
-    d = cfg.coeffs.d
+    """Bytes one run (or one cell of a pool sweep) holds at its peak: the grid
+    weights of its kernels and the arrays of its kind."""
+    d, m = cfg.coeffs.d, cfg.coeffs.m
     n = cfg.grid.n_steps
-    # per particle, in any march: the drift and noise histories on n nodes and
-    # their two far-part blocks of HISTORY_BLOCK rows (d floats each), and the
-    # n driver increments with their time-major block of HISTORY_BLOCK steps
-    # (m floats each)
-    march = (n + HISTORY_BLOCK) * (2 * d + cfg.coeffs.m)
-    if cfg.kind == "clt":
-        # and the marching states, with Z^eps and Z of the earlier pair that a
-        # chained sweep keeps while the next pass runs, on the n+1 nodes;
-        # clt_gap takes its sup in blocks of steps
-        floats = (n + 1) * 3 * d + march
+    big_n = cfg.n_particles
+    weights = _weight_kernels(cfg) * (n + 1) * n
+
+    def march(nodes):
+        # per particle, in a particle or linear march: the states on the nodes
+        # it keeps, the drift and noise histories on n nodes with their two
+        # far-part blocks of HISTORY_BLOCK rows (d floats each), and one
+        # time-major block of HISTORY_BLOCK steps of increments (m floats)
+        return nodes * d + 2 * (n + HISTORY_BLOCK) * d + HISTORY_BLOCK * m
+
+    # the hashing and inverse-CDF temporaries of one block of drawn increments
+    draws = 4 * min(_DRAW_BLOCK, HISTORY_BLOCK * big_n * m)
+    kind = cfg.kind
+    if kind == "simulate":
+        floats = big_n * march(n + 1) + draws
+    elif kind == "clt":
+        # and the increments, drawn once before the first march, and Z (or
+        # Z^eps of the first pair) on the n+1 nodes beside the march; clt_gap
+        # takes its sup in blocks
+        floats = big_n * (n * m + (n + 1) * d + march(n + 1))
+    elif kind == "tail-probe":
+        # a crude cell reads only terminal states: the march keeps one node
+        floats = big_n * march(1) + draws
+    elif kind in ("ldp-rate", "mdp-rate"):
+        # the dense (n d) x (n m) control matrix and its scaled copy, or with
+        # a ridge the (n m)^2 normal matrix, the scaled identity and their sum
+        c = n * d * n * m
+        floats = c + (3 * (n * m) ** 2 if cfg.lam_reg > 0.0 else c)
+    elif kind == "resolvent":
+        # the resolvent's rows, the history of its forward substitution (or
+        # the series' term, sum and product), and the check of its zeros
+        floats = (n + 1) * n * (2 if cfg.resolvent_method == "direct" else 4)
     else:
-        # and the states on the n+1 nodes (a simulate run or a tail-probe cell)
-        floats = (n + 1) * d + march
-    estimate = cfg.n_particles * floats * 8
-    if cfg.kind == "simulate" and cfg.write_ensemble:
-        # while ensemble.csv is written: the states, the increments and one
-        # block's text and formatter temporaries, about 130 bytes a row and
-        # 195 a state cell (tracemalloc, d = 1..3)
-        block = min(BLOCK_ROWS, cfg.n_particles * (n + 1)) * (130 + 195 * d)
-        writing = cfg.n_particles * ((n + 1) * d + n * cfg.coeffs.m) * 8 + block
-        estimate = max(estimate, writing)
+        # limit, rate-min and kernel-probe: one-particle paths and probes
+        floats = 0
+    estimate = (weights + floats) * 8
+    if kind == "simulate" and cfg.write_ensemble:
+        # while ensemble.csv is written: the states and one block's text and
+        # formatter temporaries, about 130 bytes a row and 195 a state cell
+        # (tracemalloc, d = 1..3)
+        block = min(BLOCK_ROWS, big_n * (n + 1)) * (130 + 195 * d)
+        estimate = max(estimate, (weights + big_n * (n + 1) * d) * 8 + block)
+    if kind == "resolvent":
+        # and one block of resolvent.csv rows
+        estimate += min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
     return estimate
 
 
@@ -189,7 +232,8 @@ def _write_summary_csv(path, ensemble, p_list):
 
 def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
     # X^0, the driver increments and Z do not depend on eps: each pair lends
-    # them to the next, and a row's gaps are taken before the next pass
+    # them to the next.  A row's gaps are taken first, and the pair then drops
+    # its Z^eps, so no earlier Z^eps is alive while the next pass runs
     model = _model(cfg)
     rows = []
     pair = None
@@ -200,6 +244,7 @@ def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
             gap = clt_gap(pair, p=p)
             row.extend([gap.value, gap.stderr])
         rows.append(tuple(row))
+        pair.z_eps = None
     return rows
 
 
@@ -257,8 +302,10 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         artifacts.append(name)
         return path
 
+    # the cells of a clt or tail-probe sweep run at once, one per worker
+    cells = len(cfg.eps_list) if kind in ("clt", "tail-probe") else 1
+    _budget_guard(cfg, concurrent=min(workers, cells))
     if kind == "simulate":
-        _budget_guard(cfg)
         ens = simulate_particles(cfg.k1, cfg.k2, cfg.coeffs, cfg.xi, cfg.eps_list[0],
                                  cfg.grid, cfg.n_particles, cfg.seed)
         if cfg.write_ensemble:
@@ -273,7 +320,6 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         )
     elif kind == "clt":
         eps_sorted = sorted(cfg.eps_list)
-        _budget_guard(cfg, concurrent=min(workers, len(eps_sorted)))
         rows = _sweep(_clt_rows, cfg, eps_sorted, workers)
         header = ["eps"]
         for p in cfg.p_list:
@@ -312,7 +358,6 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         )
         _write_kv(art("summary.txt"), summary)
     elif kind == "tail-probe":
-        _budget_guard(cfg, concurrent=min(workers, len(cfg.eps_list)))
         rows = _sweep(_tail_rows, cfg, list(enumerate(sorted(cfg.eps_list))), workers)
         event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
         reference = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,

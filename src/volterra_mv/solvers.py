@@ -24,7 +24,7 @@ the limit path, the mdp skeleton and the clt limit, run one linear march.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,14 +78,35 @@ class ControlPath:
 
 @dataclass
 class PathEnsemble:
-    """N particle trajectories with their driver increments retained."""
+    """N particle trajectories and the driver increments that moved them.
+
+    A pass that draws its own increments reads them a block of steps at a
+    time and keeps none: its ensemble is built with ``driver_increments`` None
+    and the number of components m, and draws them again from (seed, tag) on
+    the first read, bit for bit, since the noise is counter-based.
+    """
 
     grid: TimeGrid
     states: np.ndarray            # (N, n_steps + 1, d)
-    driver_increments: np.ndarray  # (N, n_steps, m)
+    driver_increments: np.ndarray | None  # (N, n_steps, m)
     seed: int
     tag: str
     eps: float
+    _components: int = field(default=0, repr=False)
+
+    def __post_init__(self):
+        if self.driver_increments is None:
+            del self.driver_increments  # __getattr__ draws them on first read
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails: for driver_increments, when
+        # the pass kept none
+        if name != "driver_increments":
+            raise AttributeError(name)
+        self.driver_increments = _rng.normal_increments(
+            self.seed, self.tag, self.n_particles, self.grid.n_steps, self._components,
+            self.grid.dt)
+        return self.driver_increments
 
     @property
     def n_particles(self) -> int:
@@ -108,16 +129,25 @@ def _guard(x: np.ndarray, step: int) -> None:
         )
 
 
-def _time_major_steps(increments: np.ndarray):
-    """Yield the steps of particle-major increments (N, n, m) in order, each as
-    one contiguous (N, m) slab, copied to time-major order a block of
-    HISTORY_BLOCK steps at a time through one small buffer."""
-    n_paths, n, m = increments.shape
-    buf = np.empty((min(HISTORY_BLOCK, n), n_paths, m))
-    for b0 in range(0, n, HISTORY_BLOCK):
-        block = increments[:, b0 : b0 + HISTORY_BLOCK, :]
-        buf[: block.shape[1]] = block.transpose(1, 0, 2)
-        yield from buf[: block.shape[1]]
+def _given_blocks(increments: np.ndarray):
+    """The block source of given increments (N, n, m): steps s0 <= s < s1 as
+    one time-major (s1 - s0, N, m) array, a slice of time-major storage (such
+    as that of ``normal_increments``) or else a copy."""
+    return lambda s0, s1: np.ascontiguousarray(increments[:, s0:s1].transpose(1, 0, 2))
+
+
+def _drawn_blocks(seed: int, tag: str, n_particles: int, grid: TimeGrid, m: int):
+    """The block source of a pass that draws its own increments, keyed by
+    (seed, tag): only the steps asked for are drawn."""
+    return lambda s0, s1: _rng._step_increments(seed, tag, n_particles, s0, s1, m, grid.dt)
+
+
+def _time_major_steps(blocks, n: int):
+    """Yield the n steps in order, each as one contiguous (N, m) slab, from a
+    block source ``blocks(s0, s1)`` of time-major (s1 - s0, N, m) increments
+    read HISTORY_BLOCK steps at a time."""
+    for s0 in range(0, n, HISTORY_BLOCK):
+        yield from blocks(s0, min(s0 + HISTORY_BLOCK, n))
 
 
 def _particle_major(states: np.ndarray) -> np.ndarray:
@@ -155,12 +185,10 @@ def _one_path(k1: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi, grid: T
               v: ControlPath | None, law: np.ndarray | None) -> np.ndarray:
     """The noise-free run of one particle from xi, with no drawn increments;
     xi goes in as an array, so a random initial condition is refused."""
-    no_noise = np.zeros((1, grid.n_steps, coeffs.m))
     return _simulate(
-        k1, None, kc, coeffs, np.asarray(xi, dtype=float), 0.0, grid, 1, 0,
-        v=v, noise_scale=0.0, law=law, x0_path=None, mdp_scale=0.0, tag="one-path",
-        driver_increments=no_noise,
-    ).states[0]
+        k1, None, kc, coeffs, np.asarray(xi, dtype=float), grid, 1, 0,
+        v=v, noise_scale=0.0, law=law, x0_path=None, mdp_scale=0.0, blocks=None,
+    )[0]
 
 
 def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
@@ -175,28 +203,26 @@ def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
 
 
 def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: CoefficientSet,
-              xi, eps: float, grid: TimeGrid, n_particles: int, seed: int,
+              xi, grid: TimeGrid, n_particles: int, seed: int,
               v: ControlPath | None, noise_scale: float, law: np.ndarray | None,
-              x0_path: np.ndarray | None, mdp_scale: float, tag: str,
-              driver_increments: np.ndarray | None) -> PathEnsemble:
+              x0_path: np.ndarray | None, mdp_scale: float, blocks,
+              keep_path: bool = True) -> np.ndarray:
     """The one explicit march of every nonlinear solver.
 
+    Returns the states (N, n+1, d), or with ``keep_path`` False only the
+    terminal node (N, 1, d): the march then holds just its current state slab.
+    ``blocks(s0, s1)`` gives the driver increments of steps s0 <= s < s1 as
+    one time-major (s1 - s0, N, m) array; they are read a block of
+    HISTORY_BLOCK steps at a time, and not at all without noise.
     ``law`` is None for the ensemble's own empirical law, else states
     (N', n+1, d) whose empirical law at each node is frozen in.  mdp_scale > 0
     switches on the centered difference-quotient dynamics of the rescaled
     deviation variable, whose coefficients are taken at x0 + mdp_scale * state.
     """
-    d, m = coeffs.d, coeffs.m
+    d = coeffs.d
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-
-    if driver_increments is None:
-        dw = _rng.normal_increments(seed, tag, n_particles, n, m, dt)
-    else:
-        dw = np.asarray(driver_increments, dtype=float)
-        if dw.shape != (n_particles, n, m):
-            raise GridMismatchError("injected driver increments have the wrong shape")
 
     mdp = mdp_scale > 0.0
     if mdp:
@@ -207,9 +233,9 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     else:
         states0 = _initial_states(xi, n_particles, d, seed)
 
-    # time-major storage: node i is one contiguous (N, d) slab, and the
-    # driver increments are read through a block of HISTORY_BLOCK steps
-    states = np.empty((n + 1, n_particles, d))
+    # time-major storage: node i is one contiguous (N, d) slab, at i % nodes
+    nodes = n + 1 if keep_path else 1
+    states = np.empty((nodes, n_particles, d))
     states[0] = states0
     base = states0.reshape(-1)
 
@@ -217,12 +243,12 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     drift = History(grid_weights(k1, grid), flat)
     noise = History(grid_weights(k2, grid), flat) if noise_scale != 0.0 else None
     ctrl = History(grid_weights(kc, grid), flat) if v is not None else None
-    steps = _time_major_steps(dw) if noise is not None else None
+    steps = _time_major_steps(blocks, n) if noise is not None else None
     own_law = law is None
 
     for i in range(n):
         t = times[i]
-        at = states[i]
+        at = states[i % nodes]
         if mdp:
             at = x0_path[i][None, :] + mdp_scale * at
         mu = EmpiricalMeasure(points=at if own_law else law[:, i, :], _validate=False)
@@ -238,15 +264,31 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
             noise_i = np.einsum("ndm,nm->nd", si, next(steps)).reshape(-1)
             nxt = nxt + noise_scale * noise.push(noise_i)
         _guard(nxt, i + 1)
-        states[i + 1] = nxt.reshape(n_particles, d)
+        states[(i + 1) % nodes] = nxt.reshape(n_particles, d)
 
-    # release the histories first: the particle-major copy then takes their
-    # place instead of raising the peak
-    del drift, noise, ctrl
-    return PathEnsemble(
-        grid=grid, states=_particle_major(states), driver_increments=dw,
-        seed=seed, tag=tag, eps=eps,
-    )
+    # release the histories and the last block of increments first: the
+    # particle-major copy then takes their place instead of raising the peak
+    del drift, noise, ctrl, steps
+    return _particle_major(states)
+
+
+def _particle_pass(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi,
+                   eps: float, grid: TimeGrid, n_particles: int, seed: int,
+                   driver_increments, **march) -> PathEnsemble:
+    """A particle march on the "particles" stream, as an ensemble.  Given
+    increments are read a block at a time and kept; without them the march
+    draws its own a block at a time and keeps none."""
+    m = coeffs.m
+    if driver_increments is None:
+        dw, blocks = None, _drawn_blocks(seed, "particles", n_particles, grid, m)
+    else:
+        dw = np.asarray(driver_increments, dtype=float)
+        if dw.shape != (n_particles, grid.n_steps, m):
+            raise GridMismatchError("injected driver increments have the wrong shape")
+        blocks = _given_blocks(dw)
+    states = _simulate(k1, k2, kc, coeffs, xi, grid, n_particles, seed, blocks=blocks, **march)
+    return PathEnsemble(grid=grid, states=states, driver_increments=dw, seed=seed,
+                        tag="particles", eps=eps, _components=m)
 
 
 def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
@@ -262,10 +304,9 @@ def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
         raise ValueError("eps must lie in [0, 1]")
     if n_particles < 1:
         raise ValueError("need at least one particle")
-    return _simulate(
-        k1, k2, None, coeffs, xi, eps, grid, n_particles, seed,
-        v=None, noise_scale=float(np.sqrt(eps)), law=None, x0_path=None,
-        mdp_scale=0.0, tag="particles", driver_increments=driver_increments,
+    return _particle_pass(
+        k1, k2, None, coeffs, xi, eps, grid, n_particles, seed, driver_increments,
+        v=None, noise_scale=float(np.sqrt(eps)), law=None, x0_path=None, mdp_scale=0.0,
     )
 
 
@@ -319,10 +360,9 @@ def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientS
                 "frozen_path must be a Dirac path (n+1, d) or particle states "
                 "(N', n+1, d) on the grid nodes"
             )
-    return _simulate(
-        k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed,
+    return _particle_pass(
+        k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed, driver_increments,
         v=v, noise_scale=noise_scale, law=law, x0_path=x0_path, mdp_scale=mdp_scale,
-        tag="particles", driver_increments=driver_increments,
     )
 
 
@@ -377,7 +417,7 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
     forced = History(grid_weights(kf, grid), flat)
     z = np.empty((n + 1, n_paths, d))  # time-major, as in _simulate
     z[0] = 0.0
-    for i, ui in enumerate(_time_major_steps(drivers)):
+    for i, ui in enumerate(_time_major_steps(_given_blocks(drivers), n)):
         zi = z[i]
         bi = np.dot(zi, grads[i].T)
         if mean_field:

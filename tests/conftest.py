@@ -1,7 +1,12 @@
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from volterra_mv import BuiltinLinearMeanField, ConstantKernel, TimeGrid
+from volterra_mv.config import ExperimentConfig, validate_config
+from volterra_mv.runner import run_experiment
 
 
 @pytest.fixture
@@ -29,3 +34,33 @@ def additive_model():
 def linear_model():
     """b = x + 0.5 mean, sigma = 1."""
     return BuiltinLinearMeanField(a=1.0, b=0.5, sigma0=1.0).coefficients()
+
+
+@pytest.fixture
+def traced_peak(tmp_path):
+    """Peak tracemalloc bytes of some work, after one untraced warm run of it.
+
+    The warm run does the lazy imports and fills the module-level caches (the
+    kernel constants), which are no part of the work's arrays.  The work is a
+    callable of no arguments, or an ExperimentConfig, run serially into a new
+    directory; its traced run starts from a fresh copy of the config, whose
+    kernels have no cached grid weights, so that their build is counted as in
+    a run of the command line.
+    """
+    def peak(work):
+        if isinstance(work, ExperimentConfig):
+            cfg = work
+
+            def work():
+                run_experiment(validate_config(cfg.raw_text),
+                               out_dir=tempfile.mkdtemp(dir=tmp_path), workers=1)
+        work()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -230,3 +230,57 @@ class TestListEntries:
         with pytest.raises(ConfigError) as err:
             validate_config(text)
         assert err.value.issues == ["probe.h_list entries must be numbers"]
+
+
+class TestModelAndFiniteness:
+    @pytest.mark.parametrize("line, issue", [
+        ("dim = 0", "model.dim must be a positive integer"),
+        ("dim = 1.5", "model.dim must be a positive integer"),
+        ("dim = true", "model.dim must be a positive integer"),
+        ("m = 0", "model.m must be a positive integer"),
+        ("m = -2", "model.m must be a positive integer"),
+    ], ids=["dim-zero", "dim-float", "dim-bool", "m-zero", "m-negative"])
+    def test_model_dimensions_are_positive_integers(self, line, issue):
+        with pytest.raises(ConfigError) as err:
+            validate_config(MINIMAL + f"\n[model]\nname = linear_mean_field\n{line}\n")
+        assert err.value.issues == [issue]
+
+    @pytest.mark.parametrize("section, line, issue", [
+        ("grid", "T = nan", "grid.T must be finite"),
+        ("grid", "T = inf", "grid.T must be finite"),
+        ("model", "A = nan", "model.A must be finite"),
+        ("model", "sigma1 = -inf", "model.sigma1 must be finite"),
+        ("model", "xi = [0.0, nan]\ndim = 2", "model.xi must be finite"),
+        ("kernel2", "family = power\nH = 0.3\nscale = inf", "kernel2.scale must be finite"),
+        ("run", "h_beta = nan", "run.h_beta must be finite"),
+        ("run", "p_list = [2, inf]", "run.p_list must be a list of moments >= 1"),
+        ("rate", "lambda_reg = inf", "rate.lambda_reg must be finite"),
+        ("rate", "event_level = nan", "rate.event_level must be finite"),
+        ("rate", "event_normal = [nan]", "rate.event_normal entries must be finite"),
+        ("probe", "t = nan", "probe.t must be finite"),
+        ("probe", "h_list = [1e-3, inf, 5e-3, 1e-2]", "probe.h_list entries must be finite"),
+    ], ids=["T-nan", "T-inf", "A-nan", "sigma1-inf", "xi-nan", "kernel-scale-inf", "h_beta-nan",
+            "p_list-inf", "lambda_reg-inf", "event_level-nan", "event_normal-nan", "probe-t-nan",
+            "h_list-inf"])
+    def test_non_finite_numbers_are_refused(self, section, line, issue):
+        with pytest.raises(ConfigError) as err:
+            validate_config(MINIMAL + f"\n[{section}]\n{line}\n")
+        assert err.value.issues == [issue]
+
+    @pytest.mark.parametrize("kind, extra, issue", [
+        ("limit", "\n[model]\ndim = 0\n", "model.dim must be a positive integer"),
+        ("simulate", "\n[model]\nm = 0\n", "model.m must be a positive integer"),
+        ("limit", "\n[grid]\nT = nan\n", "grid.T must be finite"),
+        ("limit", "\n[grid]\nT = inf\n", "grid.T must be finite"),
+        ("limit", "\n[model]\nA = nan\n", "model.A must be finite"),
+    ], ids=["dim-zero", "m-zero", "T-nan", "T-inf", "A-nan"])
+    def test_cli_reports_model_and_grid_issues_and_writes_nothing(self, tmp_path, capsys,
+                                                                   kind, extra, issue):
+        from volterra_mv.cli import main
+
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL.replace("kind = simulate", f"kind = {kind}") + extra)
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {issue}\n"
+        assert not out.exists()

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,18 +313,13 @@ class TestHolderProbe:
         ens = self._ensemble_from_paths(grid, [grid.times])
         assert holder_probe(ens, 1.0).max_ratio_stat == pytest.approx(1.0)
 
-    def test_blocks_bound_memory_and_match_one_block(self):
+    def test_blocks_bound_memory_and_match_one_block(self, traced_peak):
         grid = TimeGrid(1.0, 100)
         paths = np.cumsum(np.random.default_rng(16).normal(size=(3000, 101)), axis=1)
         ens = self._ensemble_from_paths(grid, paths)
-        tracemalloc.start()
-        try:
-            got = holder_probe(ens, 0.5).max_ratio_stat
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         # a few MB of block temporaries; all 5050 pairs in one block take about 485 MB
-        assert peak < 16e6
+        assert traced_peak(lambda: holder_probe(ens, 0.5)) < 16e6
+        got = holder_probe(ens, 0.5).max_ratio_stat
         # all 5050 node pairs in one block, a few particles at a time
         ii, jj = np.triu_indices(101, k=1)
         dt_pow = (grid.times[jj] - grid.times[ii]) ** 0.5

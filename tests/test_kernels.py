@@ -357,6 +357,24 @@ class TestGridWeights:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_toeplitz_matches_the_lag_index(self, n):
+        lag = np.random.default_rng(n).normal(size=n)
+        lag[n // 2] = -0.0
+        i, j = np.indices((n + 1, n))
+        want = np.where(i > j, lag[np.clip(i - j - 1, 0, n - 1)], 0.0)
+        got = _toeplitz_strict_lower(lag, n)
+        assert got.shape == (n + 1, n) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n, bound", [(400, 12e6), (1000, 20e6)])
+    def test_fbm_build_memory_is_bounded(self, traced_peak, n, bound):
+        # the interior cells are evaluated in sub-blocks; whole row chunks
+        # took 27.5 MB at n = 400 and 68.5 MB at n = 1000
+        grid = TimeGrid(1.0, n)
+        assert traced_peak(lambda: FbmKernel(0.3).average_weights(grid)) <= bound
+
     def test_fbm_half_is_constant_weights(self):
         grid = TimeGrid(1.0, 40)
         assert np.array_equal(FbmKernel(0.5).average_weights(grid),

@@ -20,6 +20,7 @@ from volterra_mv import (
     ldp_rate,
     mdp_rate,
     minimize_rate_endpoint,
+    simulate_controlled,
     simulate_particles,
     solve_controlled_deterministic,
     solve_deterministic_limit,
@@ -27,6 +28,7 @@ from volterra_mv import (
 )
 from volterra_mv import rates
 from volterra_mv.kernels import grid_weights
+from volterra_mv.rng import normal_increments
 
 UNIT = ConstantKernel(1.0)
 
@@ -421,6 +423,46 @@ class TestTailProbe:
         cell = res.cells[0]
         assert cell.p_hat == 1.0
         assert cell.normalized_decay == pytest.approx(0.0, abs=1e-12)
+
+    def test_crude_cell_keeps_the_terminal_of_the_full_pass(self):
+        grid = TimeGrid(1.0, 70)
+        model = Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3), coeffs=BuiltinLinearMeanField(
+            a=-0.5, b=0.3, sigma0=1.0, sigma1=0.2).coefficients())
+        xi = np.array([0.1])
+        got = rates._terminal(model, xi, 0.3, grid, None, 80, 4,
+                              rates._drawn_blocks(4, "particles", 80, grid, 1))
+        want = simulate_particles(model.k1, model.k2, model.coeffs, xi, 0.3, grid, 80, 4)
+        assert np.array_equal(got, want.terminal())
+
+    def test_terminal_pass_holds_one_state_slab(self, traced_peak):
+        # the march of a crude cell keeps one (N, d) slab, not N (n+1) d states
+        grid = TimeGrid(1.0, 100)
+        model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs(a=-0.5))
+        xi = np.array([0.1])
+        full = traced_peak(lambda: simulate_particles(model.k1, model.k2, model.coeffs, xi,
+                                                      0.3, grid, 2000, 4))
+        blocks = rates._drawn_blocks(4, "particles", 2000, grid, 1)
+        terminal = traced_peak(lambda: rates._terminal(model, xi, 0.3, grid, None, 2000, 4,
+                                                       blocks))
+        assert full - terminal >= 0.9 * 2000 * (grid.n_steps + 1) * 8
+
+    def test_tagged_pass_shifts_and_weighs_per_block(self):
+        # against the whole shifted increments and the log-weights summed at once
+        grid = TimeGrid(1.0, 70)
+        model = Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3), coeffs=BuiltinLinearMeanField(
+            a=-0.5, b=0.3, sigma0=1.0, sigma1=0.2).coefficients())
+        xi = np.array([0.1])
+        law = simulate_particles(model.k1, model.k2, model.coeffs, xi, 0.3, grid, 50, 6).states
+        theta = np.linspace(0.5, 2.0, grid.n_steps)[:, None]
+        got, log_w = rates._tagged_terminal(model, xi, 0.3, grid, law, 80, 6, theta)
+        dt = grid.dt
+        dw = normal_increments(6, "tagged", 80, grid.n_steps, 1, dt) + theta[None] * dt
+        want = simulate_controlled(model.k1, model.k2, model.k2, model.coeffs, xi, 0.3,
+                                   ControlPath.zero(grid), grid, 80, 6, frozen_path=law,
+                                   driver_increments=dw)
+        assert np.array_equal(got, want.terminal())
+        want_w = 0.5 * dt * float(np.sum(theta * theta)) - np.einsum("nkm,km->n", dw, theta)
+        np.testing.assert_allclose(log_w, want_w, rtol=1e-13, atol=1e-13)
 
     def test_gaussian_closed_form(self):
         # b = 0, sigma = 1, constant kernels: X_T ~ N(0, eps T); the estimated

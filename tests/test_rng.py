@@ -5,6 +5,7 @@ import pytest
 
 from volterra_mv.rng import (
     _BLOCK,
+    _step_increments,
     derived_seed,
     fnv1a64,
     mix64,
@@ -99,6 +100,21 @@ def test_blocked_increments_match_one_pass_formula(shape):
     got = normal_increments(19, "particles", n_p, n, m, 0.3)
     assert got.shape == shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(5, 37, 1), (64, 40, 2), (7, 29, 3), (_BLOCK + 5, 3, 1),
+                                   (_BLOCK // 2 + 1, 3, 3)])
+@pytest.mark.parametrize("width", [1, 7, 32])
+def test_step_range_draws_match_normal_increments(shape, width):
+    # runs of steps that do not divide n, and steps with more draws than one
+    # block, which are drawn a run of particles at a time
+    n_p, n, m = shape
+    whole = normal_increments(19, "particles", n_p, n, m, 0.3)
+    for s0 in range(0, n, width):
+        s1 = min(s0 + width, n)
+        got = _step_increments(19, "particles", n_p, s0, s1, m, 0.3)
+        assert got.shape == (s1 - s0, n_p, m)
+        assert np.array_equal(got, whole[:, s0:s1].transpose(1, 0, 2))
 
 
 def test_identical_keys_identical_values():

@@ -2,7 +2,6 @@ import csv
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from volterra_mv import (
     BudgetError,
     ConfigError,
+    ConstantKernel,
     FbmKernel,
     GridKernel,
     PathEnsemble,
@@ -135,17 +135,22 @@ def _edge_array(shape, seed):
     return fill.reshape(shape)
 
 
-def _traced_peak(cfg, tmp_path):
-    # peak traced bytes of a serial run; a first untraced run does the lazy
-    # imports and fills the kernel-constant caches, which are no part of the arrays
-    run_experiment(cfg, out_dir=tmp_path / "warm", workers=1)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+# the dense kinds on a grid whose matrices outweigh the interpreter's own
+# allocations: one (n+1) x n weight matrix is 0.72 MB at n = 300
+DENSE = "\n[grid]\nn_steps = 300\n"
+TAIL = "\n[run]\nN = 500\neps_list = [0.5, 1.0]\n[rate]\nmode = ldp\nevent_level = 0.4\n"
+
+
+def _dense_cfg(kind, tmp_path, extra=""):
+    # a smooth target path on the n = 300 grid for the rate kinds, starting
+    # at xi = 1.0 (ldp) or at zero (mdp)
+    if kind in ("ldp-rate", "mdp-rate"):
+        start = 1.0 if kind == "ldp-rate" else 0.0
+        target = tmp_path / f"{kind}.csv"
+        target.write_text("t,x1\n" + "".join(
+            f"{float(t)!r},{float(start + 0.5 * t * t)!r}\n" for t in np.linspace(0.0, 1.0, 301)))
+        extra += f"\n[rate]\ntarget_csv = \"{target}\"\n"
+    return _cfg(kind, DENSE + extra)
 
 
 def _rows_by_chunk(cfg, chunk):
@@ -293,21 +298,68 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
             run_experiment(_cfg("simulate", extra), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    def test_clt_estimate_tracks_traced_peak(self, tmp_path):
+    def test_clt_estimate_tracks_traced_peak(self, traced_peak):
         cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [0.25]\n")
-        peak = _traced_peak(cfg, tmp_path)
+        peak = traced_peak(cfg)
         assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
-    def test_simulate_estimate_tracks_traced_peak(self, tmp_path):
+    def test_simulate_estimate_tracks_traced_peak(self, traced_peak):
         cfg = _cfg("simulate", "\n[run]\nN = 500\n")
-        peak = _traced_peak(cfg, tmp_path)
+        peak = traced_peak(cfg)
         assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
-    def test_chained_clt_estimate_tracks_traced_peak(self, tmp_path):
-        # a chained sweep keeps the earlier pair alive while the next pass runs
+    def test_chained_clt_estimate_tracks_traced_peak(self, traced_peak):
         cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [1e-1, 1e-2, 1e-3, 1e-4]\n")
-        peak = _traced_peak(cfg, tmp_path)
+        peak = traced_peak(cfg)
         assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
+
+    def test_tail_estimate_tracks_traced_peak(self, traced_peak):
+        # a crude cell keeps only its current state slab
+        cfg = _cfg("tail-probe", TAIL)
+        peak = traced_peak(cfg)
+        assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("limit", ""),
+        ("rate-min", "\n[rate]\nevent_level = 3.0\n"),
+        ("rate-min", "\n[rate]\nmode = mdp\n"),
+        ("ldp-rate", ""),
+        ("ldp-rate", "\n[rate]\nlambda_reg = 0.01\n"),
+        ("mdp-rate", ""),
+        ("resolvent", ""),
+        ("resolvent", "\n[probe]\nmethod = series\n"),
+    ], ids=["limit", "rate-min-ldp", "rate-min-mdp", "ldp-rate", "ldp-rate-ridge",
+            "mdp-rate", "resolvent-direct", "resolvent-series"])
+    def test_dense_estimate_tracks_traced_peak(self, traced_peak, tmp_path, kind, extra):
+        cfg = _dense_cfg(kind, tmp_path, extra)
+        peak = traced_peak(cfg)
+        assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
+
+    def test_chained_clt_peaks_as_one_pair(self, traced_peak):
+        # each pair lends X^0, the increments and Z to the next and drops its
+        # Z^eps first, so a sweep holds what one pair does
+        one = traced_peak(_cfg("clt", "\n[run]\nN = 500\neps_list = [0.25]\n"))
+        four = traced_peak(_cfg("clt", "\n[run]\nN = 500\neps_list = [1e-1, 1e-2, 1e-3, 1e-4]\n"))
+        assert four <= 1.05 * one
+
+    @pytest.mark.parametrize("kind", ["simulate", "clt", "tail-probe"])
+    def test_increments_are_drawn_once(self, tmp_path, monkeypatch, kind):
+        # a pass that draws its own increments reads them a block at a time,
+        # and the clt pairs share one draw: no run draws an increment twice
+        drawn = []
+        real = rng._step_increments
+
+        def counting(*args):
+            block = real(*args)
+            drawn.append(block.size)
+            return block
+
+        monkeypatch.setattr(rng, "_step_increments", counting)
+        extra = {"simulate": "", "clt": CLT_SWEEP, "tail-probe": TAIL}[kind]
+        cfg = _cfg(kind, extra)
+        run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
+        cells = len(cfg.eps_list) if kind == "tail-probe" else 1
+        assert sum(drawn) == cells * cfg.n_particles * cfg.grid.n_steps * cfg.coeffs.m
 
     def test_no_partial_artifacts_on_error(self, tmp_path):
         extra = "\n[rate]\ntarget_csv = \"/nonexistent/file.csv\"\n"
@@ -544,6 +596,22 @@ class TestCli:
         rc = cli_main(["tail-probe", "--config", cfg, "--out", str(tmp_path / "w1"),
                        "--workers", "1"])
         assert rc == 0
+
+    @pytest.mark.parametrize("kind", ["limit", "ldp-rate", "mdp-rate", "rate-min", "resolvent"])
+    def test_dense_kinds_exit_three_before_allocating(self, tmp_path, monkeypatch, kind):
+        # a tiny budget refuses each kind before its first grid weights
+        built = []
+        monkeypatch.setattr(ConstantKernel, "average_weights", lambda *args: built.append(args))
+        start = 0.0 if kind == "mdp-rate" else 1.0
+        target = tmp_path / "target.csv"
+        target.write_text("t,x1\n" + "".join(
+            f"{float(t)!r},{float(start + t)!r}\n" for t in np.linspace(0.0, 1.0, 41)))
+        cfg = self._write_config(tmp_path, kind=kind, extra=f"\n[rate]\ntarget_csv = \"{target}\"\n"
+                                 "\n[limits]\nmemory_bytes = 1000\n")
+        rc = cli_main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert built == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cells, issue", [
         ({3: ["np.float64(0.075)", "0.0"]}, "could not convert string to float"),

@@ -18,6 +18,7 @@ from volterra_mv import (
     solve_controlled_deterministic,
     solve_deterministic_limit,
 )
+from volterra_mv.rng import normal_increments
 
 
 def _successive_approximation(kernels, xi, grid, integrands, tol, max_iter):
@@ -230,6 +231,36 @@ class TestParticles:
         dt = grid_small.dt
         assert abs(flat.mean()) <= 5 * np.sqrt(dt / flat.size)
         assert abs(flat.var() - dt) <= 5 * dt * np.sqrt(2.0 / flat.size)
+
+
+class TestStreamedIncrements:
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2), (2, 3)])
+    def test_own_draws_match_injected_increments(self, d, m):
+        # 70 steps: two whole blocks of HISTORY_BLOCK steps and a partial one;
+        # N d = 80 floats sum their histories in blocks
+        grid = TimeGrid(1.0, 70)
+        coeffs = BuiltinLinearMeanField(a=-0.5, b=0.3, sigma0=1.0, sigma1=0.2,
+                                        d=d, m=m).coefficients()
+        args = (PowerKernel(0.3), FbmKernel(0.3), coeffs, np.full(d, 0.1), 0.2, grid, 40)
+        own = simulate_particles(*args, seed=5)
+        # the pass read its increments a block at a time and kept none
+        assert "driver_increments" not in vars(own)
+        dw = normal_increments(5, "particles", 40, 70, m, grid.dt)
+        given = simulate_particles(*args, seed=5, driver_increments=dw)
+        assert np.array_equal(own.states, given.states)
+        # a read draws them again, bit for bit
+        assert np.array_equal(own.driver_increments, dw)
+        assert own.driver_increments is own.driver_increments
+
+    def test_controlled_own_draws_match_injected_increments(self, unit_kernel, grid_small,
+                                                            linear_model):
+        v = ControlPath.constant(grid_small, 0.4)
+        args = (unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, 0.3, v, grid_small, 64)
+        own = simulate_controlled(*args, seed=2)
+        dw = normal_increments(2, "particles", 64, grid_small.n_steps, 1, grid_small.dt)
+        given = simulate_controlled(*args, seed=2, driver_increments=dw)
+        assert np.array_equal(own.states, given.states)
+        assert np.array_equal(own.driver_increments, dw)
 
 
 class TestControlled:
