@@ -22,7 +22,6 @@ from .errors import (
     KernelDomainError,
     NonIntegrableError,
     RankDeficiencyError,
-    SeriesDivergenceError,
     SingularityError,
     VolterraError,
 )

@@ -25,14 +25,35 @@ EXPERIMENT_KINDS = (
 
 DEFAULT_MEMORY_BUDGET = 4_000_000_000
 
+# the keys validate_config reads, per section; a model's builder checks the
+# keys of [model], and kernel sections are not checked
+_SECTION_KEYS = {
+    "experiment": ("kind",),
+    "grid": ("T", "n_steps"),
+    "run": ("N", "seed", "eps", "eps_list", "p_list", "h_beta"),
+    "rate": ("mode", "target_csv", "lambda_reg", "event_normal", "event_level"),
+    "probe": ("kernel", "t", "h_list"),
+    "output": ("directory", "ensemble_csv"),
+    "limits": ("memory_bytes",),
+    "workers": ("count",),
+}
+_SECTIONS = (*_SECTION_KEYS, "model", "kernel1", "kernel2", "kernelc")
+
 # custom coefficient models register here by name; values are callables
 # params_dict -> (CoefficientSet, xi_vector)
 MODEL_REGISTRY: dict = {}
 
 
+def _unknown_keys(section: str, params: dict, allowed) -> list:
+    return [f"{section}.{key}: unknown key (allowed: {', '.join(allowed)})"
+            for key in params if key not in allowed]
+
+
 def _build_linear_mean_field(params: dict):
-    issues = [f"model.{key} must be a positive integer" for key in ("dim", "m")
-              if not _is_positive_int(params.get(key, 1))]
+    issues = _unknown_keys("model", params,
+                           ("name", "dim", "m", "A", "B", "sigma0", "sigma1", "xi"))
+    issues += [f"model.{key} must be a positive integer" for key in ("dim", "m")
+               if not _is_positive_int(params.get(key, 1))]
     issues += [f"model.{key} must be finite" for key in ("A", "B", "sigma0", "sigma1", "xi")
                if params.get(key) is not None
                and not np.all(np.isfinite(np.asarray(params[key], dtype=float)))]
@@ -142,7 +163,6 @@ class ExperimentConfig:
     probe_kernel: str
     probe_t: float
     probe_h_list: list
-    resolvent_method: str
     out_dir: str
     memory_budget: int
     workers: int
@@ -208,6 +228,9 @@ def _kernel_from_section(issues, data, section: str, required: bool):
             f" (allowed: {', '.join(_CONFIG_FAMILIES)})"
         )
         return None
+    if family == "tabulated" and not isinstance(sec.get("csv", ""), str):
+        issues.append(f"{section}.csv must be a path")
+        return None
     try:
         return kernel_from_params(family, sec)
     except KeyError as exc:
@@ -220,6 +243,11 @@ def _kernel_from_section(issues, data, section: str, required: bool):
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError carrying every issue found."""
     data, issues = parse_flat(text)
+    for section, sec in data.items():
+        if section in _SECTION_KEYS:
+            issues += _unknown_keys(section, sec, _SECTION_KEYS[section])
+        elif section not in _SECTIONS:
+            issues.append(f"{section}: unknown section (allowed: {', '.join(_SECTIONS)})")
 
     kind = data.get("experiment", {}).get("kind")
     if kind is None:
@@ -291,6 +319,8 @@ def validate_config(text: str) -> ExperimentConfig:
     target_csv = rate_sec.get("target_csv")
     if kind in ("ldp-rate", "mdp-rate") and target_csv is None:
         issues.append("rate.target_csv is required for rate evaluation")
+    elif target_csv is not None and not isinstance(target_csv, str):
+        issues.append("rate.target_csv must be a path")
     lam_reg = _check_number(issues, data, "rate", "lambda_reg", 0.0, lo=0.0)
     event_normal = rate_sec.get("event_normal", [1.0])
     if not isinstance(event_normal, list) or not event_normal:
@@ -328,9 +358,6 @@ def validate_config(text: str) -> ExperimentConfig:
             issues.append("probe.h_list entries must be positive numbers")
         elif probe_t + max(probe_h_list) > t_horizon:
             issues.append("probe.t plus the largest h must stay within grid.T")
-    resolvent_method = probe_sec.get("method", "direct")
-    if resolvent_method not in ("direct", "series"):
-        issues.append("probe.method must be 'direct' or 'series'")
 
     out_dir = data.get("output", {}).get("directory", "out")
     write_ensemble = data.get("output", {}).get("ensemble_csv", True)
@@ -357,7 +384,6 @@ def validate_config(text: str) -> ExperimentConfig:
         event_level=float(event_level),
         probe_kernel=probe_kernel, probe_t=float(probe_t),
         probe_h_list=[float(h) for h in probe_h_list],
-        resolvent_method=resolvent_method,
         out_dir=str(out_dir), memory_budget=int(memory_budget),
         workers=int(workers), write_ensemble=write_ensemble,
         raw_text=text,

@@ -21,10 +21,6 @@ class GridMismatchError(VolterraError):
     """Operands live on different time grids."""
 
 
-class SeriesDivergenceError(VolterraError):
-    """Resolvent series kept growing for the full iteration budget."""
-
-
 class BlowUpError(VolterraError):
     """A trajectory exceeded the overflow guard."""
 

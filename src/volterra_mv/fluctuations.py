@@ -21,12 +21,26 @@ from .grids import TimeGrid
 from .solvers import (Model, PathEnsemble, _linear_march, simulate_particles,
                       solve_deterministic_limit)
 
-# floats in one block's temporaries in sup_gap and holder_probe (1 MB each)
+# floats in one block's temporaries in _sup_gap and holder_probe (1 MB each)
 _BLOCK_FLOATS = 1 << 17
 # clt_gap's bootstrap resamples and holder_probe's cap on node pairs, each
 # drawn from a generator seeded with 0
 _BOOTSTRAP_RESAMPLES = 200
 _HOLDER_MAX_PAIRS = 10**6
+
+
+def _sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sup_t |a_t - b_t| of each particle, (N,), for states a of shape
+    (N, n+1, d) and b broadcasting against them."""
+    # a running max over blocks of steps: the temporaries stay one block
+    # wide, and the max is exact, so the result is that of one block
+    n_particles, nodes, d = a.shape
+    width = max(1, _BLOCK_FLOATS // max(1, n_particles * d))
+    sup = np.full(n_particles, -np.inf)
+    for lo in range(0, nodes, width):
+        gap = np.linalg.norm(a[:, lo:lo + width] - b[:, lo:lo + width], axis=2)
+        np.maximum(sup, gap.max(axis=1), out=sup)
+    return sup
 
 
 @dataclass
@@ -48,15 +62,7 @@ class FluctuationPair:
     @cached_property
     def sup_gap(self) -> np.ndarray:
         """sup_t |Z^eps_t - Z_t| of each particle, (N,); every p reuses it."""
-        # a running max over blocks of steps: the temporaries stay one block
-        # wide, and the max is exact, so the result is that of one block
-        z_eps, z_lim = self.z_eps.states, self.z_lim.states
-        n_particles, nodes, d = z_eps.shape
-        width = max(1, _BLOCK_FLOATS // max(1, n_particles * d))
-        sup = np.full(n_particles, -np.inf)
-        for lo in range(0, nodes, width):
-            gap = np.linalg.norm(z_eps[:, lo:lo + width] - z_lim[:, lo:lo + width], axis=2)
-            np.maximum(sup, gap.max(axis=1), out=sup)
+        sup = _sup_gap(self.z_eps.states, self.z_lim.states)
         sup.flags.writeable = False  # one array serves every caller
         return sup
 
@@ -221,6 +227,5 @@ def strong_error_vs_eps(model: Model, xi, eps_list, grid: TimeGrid,
     for eps in eps_list:
         ens = simulate_particles(model.k1, model.k2, model.coeffs, xi, float(eps),
                                  grid, n_particles, seed, driver_increments=dw)
-        sup = np.linalg.norm(ens.states - x0[None, :, :], axis=2).max(axis=1)
-        out[float(eps)] = float(sup.mean())
+        out[float(eps)] = float(_sup_gap(ens.states, x0[None, :, :]).mean())
     return out

@@ -7,10 +7,9 @@ at the edge s -> 0).  Grid discretizations carry *cell-averaged* weights
     w[i, j] = (1/dt) * integral of K(t_i, s) over [t_j, t_{j+1}],   j < i,
 
 which stay finite for integrable singularities and make the left-point
-quadrature rule first-order accurate.  Convolution, the resolvent (both as a
-truncated iterated-convolution series and as a triangular solve of
-R = K + K*R), the Volterra Gronwall construction, and a numerical
-Hoelder-regularity probe all operate on these weights.
+quadrature rule first-order accurate.  Convolution, the resolvent (a
+triangular solve of R = K + K*R), the Volterra Gronwall construction, and a
+numerical Hoelder-regularity probe all operate on these weights.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .errors import (
     GridMismatchError,
     KernelDomainError,
     NonIntegrableError,
-    SeriesDivergenceError,
     SingularityError,
 )
 from .grids import TimeGrid
@@ -386,6 +384,8 @@ class TabulatedKernel(Kernel):
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 2 or v.shape != (t.size, t.size):
             raise ValueError("tabulated kernel needs times (m,) and values (m, m)")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("tabulated kernel times and values must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -662,7 +662,8 @@ class History:
     """Volterra history sums of a forward substitution on grid weights.
 
     ``weights`` has the (n+1, n) strictly lower layout of ``average_weights``.
-    The i-th ``push(h)`` stores ``h`` (of the given shape) as h_i and returns
+    A term is a scalar (``shape=()``) or a flat vector (``shape=(width,)``).
+    The i-th ``push(h)`` stores ``h`` as h_i and returns
     ``sum_{k <= i} weights[i+1, k] h_k``, the history term of node i+1, so a
     scheme x[i+1] = base + dt * sum_k w[i+1, k] f(x_k) pushes f(x_i) once per
     step.
@@ -679,10 +680,6 @@ class History:
     def __init__(self, weights: np.ndarray, shape: tuple = ()):
         self.weights = weights
         self._values = np.empty((weights.shape[1], *shape))
-        # matmul contracts a weight row with the leading axis of a 1-d or 2-d
-        # operand only, so terms of two or more axes are summed as flat rows
-        self._matrix = len(shape) > 1
-        self._rows = self._values.reshape(len(self._values), -1) if self._matrix else self._values
         width = math.prod(shape)
         self._far = np.empty((HISTORY_BLOCK, width)) if width >= HISTORY_BLOCKED_WIDTH else None
         self._count = 0
@@ -693,13 +690,11 @@ class History:
         self._count = i + 1
         b0 = i - i % HISTORY_BLOCK
         if self._far is None or b0 == 0:
-            out = self.weights[i + 1, : i + 1] @ self._rows[: i + 1]
-        else:
-            if i == b0:
-                far = self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
-                np.matmul(far, self._rows[:b0], out=self._far[: len(far)])
-            out = self._far[i - b0] + self.weights[i + 1, b0 : i + 1] @ self._rows[b0 : i + 1]
-        return out.reshape(self._values.shape[1:]) if self._matrix else out
+            return self.weights[i + 1, : i + 1] @ self._values[: i + 1]
+        if i == b0:
+            far = self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
+            np.matmul(far, self._values[:b0], out=self._far[: len(far)])
+        return self._far[i - b0] + self.weights[i + 1, b0 : i + 1] @ self._values[b0 : i + 1]
 
 
 def convolve(k: GridKernel, m: GridKernel) -> GridKernel:
@@ -711,41 +706,17 @@ def convolve(k: GridKernel, m: GridKernel) -> GridKernel:
     return GridKernel(grid=k.grid, weights=w)
 
 
-def resolvent(k: GridKernel, method: str = "direct", n_max: int = 200,
-              tol: float = 1e-10) -> GridKernel:
-    """Resolvent R of K, satisfying R = K + K*R on the grid.
-
-    method="series" sums iterated convolutions R_1 = K, R_{n+1} = K*R_n until
-    sup_t int R_n <= tol or n_max terms; method="direct" solves the identity
-    row by row (strictly lower-triangular forward substitution).
-    """
+def resolvent(k: GridKernel) -> GridKernel:
+    """Resolvent R of K, satisfying R = K + K*R on the grid, solved row by row
+    (strictly lower-triangular forward substitution)."""
     n = k.grid.n_steps
     dt = k.grid.dt
-    w = k.weights
-    if method == "direct":
-        r = w.copy()
-        hist = History(w, (n,))
-        hist.push(r[0])  # row 0 vanishes, so R and K share row 1
-        for i in range(2, n + 1):
-            r[i, :] += dt * hist.push(r[i - 1])
-        return GridKernel(grid=k.grid, weights=r)
-    if method == "series":
-        term = w.copy()
-        total = w.copy()
-        first_metric = float(dt * np.abs(term).sum(axis=1).max())
-        metric = first_metric
-        for _ in range(1, n_max):
-            term = dt * (w @ term[:n, :])
-            total += term
-            metric = float(dt * np.abs(term).sum(axis=1).max())
-            if metric <= tol:
-                return GridKernel(grid=k.grid, weights=total)
-        if metric > first_metric:
-            raise SeriesDivergenceError(
-                f"resolvent series still growing after {n_max} terms (sup-integral {metric:.3e})"
-            )
-        return GridKernel(grid=k.grid, weights=total)
-    raise ValueError(f"unknown resolvent method {method!r}")
+    r = k.weights.copy()
+    hist = History(k.weights, (n,))
+    hist.push(r[0])  # row 0 vanishes, so R and K share row 1
+    for i in range(2, n + 1):
+        r[i, :] += dt * hist.push(r[i - 1])
+    return GridKernel(grid=k.grid, weights=r)
 
 
 @dataclass(frozen=True)
@@ -760,7 +731,7 @@ def gronwall_check(k: GridKernel, g: np.ndarray) -> GronwallReport:
     """Volterra Gronwall construction on the grid.
 
     Builds the saturating solution f of f = g + K*f by forward substitution,
-    the comparison bound g + R*g with the direct resolvent, and reports
+    the comparison bound g + R*g with the resolvent, and reports
     whether f <= bound + slack where slack = 2 * dt * max(g) *
     (1 + max_t int R) absorbs quadrature rounding.
     """
@@ -776,7 +747,7 @@ def gronwall_check(k: GridKernel, g: np.ndarray) -> GronwallReport:
     hist = History(k.weights)
     for i in range(n):
         f[i + 1] = g[i + 1] + dt * hist.push(f[i])
-    r = resolvent(k, method="direct")
+    r = resolvent(k)
     bound = g + r.apply(g)
     slack = 2.0 * dt * float(g.max(initial=0.0)) * (
         1.0 + float(r.row_integrals().max(initial=0.0))

@@ -114,9 +114,9 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
         c = n * d * n * m
         floats = c + (3 * (n * m) ** 2 if cfg.lam_reg > 0.0 else c)
     elif kind == "resolvent":
-        # the resolvent's rows, the history of its forward substitution (or
-        # the series' term, sum and product), and the check of its zeros
-        floats = (n + 1) * n * (2 if cfg.resolvent_method == "direct" else 4)
+        # the resolvent's rows, the history of its forward substitution, and
+        # the check of its zeros
+        floats = 2 * (n + 1) * n
     else:
         # limit, rate-min and kernel-probe: one-particle paths and probes
         floats = 0
@@ -370,7 +370,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         _write_kv(art("summary.txt"), [("rate_reference", reference), ("mode", cfg.rate_mode)])
     elif kind == "resolvent":
         gk = GridKernel.from_kernel(cfg.k1, cfg.grid)
-        res = resolvent(gk, method=cfg.resolvent_method)
+        res = resolvent(gk)
         _write_resolvent_csv(art("resolvent.csv"), cfg.grid.times, res.weights)
     elif kind == "kernel-probe":
         kern = {"kernel1": cfg.k1, "kernel2": cfg.k2, "kernelc": cfg.kc}[cfg.probe_kernel]

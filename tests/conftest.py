@@ -37,6 +37,28 @@ def linear_model():
 
 
 @pytest.fixture
+def series_resolvent():
+    """The resolvent as the iterated-convolution series R = K + K*K + ...,
+    an oracle for the library's forward substitution.
+
+    Terms R_1 = K, R_{k+1} = K*R_k are summed until one has sup_t int |R_k|
+    <= tol; the (n+1, n) weights of the sum are returned.
+    """
+    def series(k, tol, n_max=200):
+        n, dt, w = k.grid.n_steps, k.grid.dt, k.weights
+        term = w.copy()
+        total = w.copy()
+        for _ in range(1, n_max):
+            term = dt * (w @ term[:n, :])
+            total += term
+            if dt * np.abs(term).sum(axis=1).max() <= tol:
+                return total
+        raise AssertionError(f"resolvent series did not reach {tol:g} in {n_max} terms")
+
+    return series
+
+
+@pytest.fixture
 def traced_peak(tmp_path):
     """Peak tracemalloc bytes of some work, after one untraced warm run of it.
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from volterra_mv import ConfigError
@@ -284,3 +285,70 @@ class TestModelAndFiniteness:
         assert main([kind, "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {issue}\n"
         assert not out.exists()
+
+
+def _cli_refuses(tmp_path, capsys, kind, text):
+    """The CLI's stderr for a config it must refuse with exit 1, before any output."""
+    from volterra_mv.cli import main
+
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("extra, issue", [
+        ("[run]\nn = 7", "run.n: unknown key (allowed: N, seed, eps, eps_list, p_list, h_beta)"),
+        ("[probe]\nmethod = series", "probe.method: unknown key (allowed: kernel, t, h_list)"),
+        ("[grid]\nsteps = 10", "grid.steps: unknown key (allowed: T, n_steps)"),
+        ("[model]\na = 2.0",
+         "model.a: unknown key (allowed: name, dim, m, A, B, sigma0, sigma1, xi)"),
+        ("[runs]\nN = 7", "runs: unknown section (allowed: experiment, grid, run, rate, probe,"
+                          " output, limits, workers, model, kernel1, kernel2, kernelc)"),
+    ], ids=["run-n", "probe-method", "grid-steps", "model-a", "section"])
+    def test_keys_nothing_reads_are_refused(self, extra, issue):
+        with pytest.raises(ConfigError) as err:
+            validate_config(MINIMAL + f"\n{extra}\n")
+        assert err.value.issues == [issue]
+
+    def test_cli_refuses_a_typo_and_writes_nothing(self, tmp_path, capsys):
+        err = _cli_refuses(tmp_path, capsys, "simulate", MINIMAL + "\n[run]\nn = 7\n")
+        assert err == ("config error: run.n: unknown key"
+                       " (allowed: N, seed, eps, eps_list, p_list, h_beta)\n")
+
+    def test_registered_model_keeps_its_own_keys(self, monkeypatch):
+        from volterra_mv import BuiltinLinearMeanField
+        from volterra_mv.config import MODEL_REGISTRY
+
+        def build(params):
+            model = BuiltinLinearMeanField(a=params["rate"])
+            return model.coefficients(), np.zeros(1)
+
+        monkeypatch.setitem(MODEL_REGISTRY, "decay", build)
+        cfg = validate_config(MINIMAL + "\n[model]\nname = decay\nrate = -1.0\n")
+        assert cfg.coeffs.d == 1
+
+
+class TestPathsAndTables:
+    def test_target_csv_must_be_a_path(self, tmp_path, capsys):
+        text = MINIMAL.replace("kind = simulate", "kind = ldp-rate") + "\n[rate]\ntarget_csv = 0\n"
+        err = _cli_refuses(tmp_path, capsys, "ldp-rate", text)
+        assert err == "config error: rate.target_csv must be a path\n"
+
+    def test_kernel_csv_must_be_a_path(self, tmp_path, capsys):
+        text = MINIMAL.replace("kind = simulate", "kind = limit").replace(
+            "family = constant\nc = 1.0\n\n[kernel2]", "family = tabulated\ncsv = 3\n\n[kernel2]")
+        err = _cli_refuses(tmp_path, capsys, "limit", text)
+        assert err == "config error: kernel1.csv must be a path\n"
+
+    def test_tabulated_values_must_be_finite(self, tmp_path, capsys):
+        table = tmp_path / "kern.csv"
+        table.write_text("t,s,value\n0.5,0.0,1.0\n1.0,0.0,nan\n1.0,0.5,1.0\n")
+        text = MINIMAL.replace("kind = simulate", "kind = limit").replace(
+            "family = constant\nc = 1.0\n\n[kernel2]",
+            f"family = tabulated\ncsv = \"{table}\"\n\n[kernel2]")
+        err = _cli_refuses(tmp_path, capsys, "limit", text)
+        assert err == "config error: kernel1: tabulated kernel times and values must be finite\n"

@@ -19,6 +19,7 @@ from volterra_mv import (
     strong_error_vs_eps,
 )
 from volterra_mv import fluctuations
+from volterra_mv.rng import normal_increments
 
 
 def _model(a=0.0, b=0.0, sigma0=1.0, sigma1=None):
@@ -286,6 +287,23 @@ class TestScalingRegression:
                                      grid, 50, seed=14)
             sup = np.linalg.norm(ens.states - x0[None, :, :], axis=2).max(axis=1)
             assert errs[eps] == float(sup.mean())
+
+    def test_strong_error_sup_is_taken_in_blocks(self, traced_peak):
+        # the sup over the nodes adds no temporaries of the ensemble's size to
+        # what one pass on drawn increments holds; a norm over the whole
+        # ensemble at once added about 1.7 such arrays
+        model = _model(a=1.0, b=0.5)
+        grid = TimeGrid(1.0, 200)
+        n_particles = 4000
+        sweep = traced_peak(lambda: strong_error_vs_eps(model, 1.0, [1e-2], grid,
+                                                        n_particles, seed=3))
+
+        def one_pass():
+            dw = normal_increments(3, "particles", n_particles, grid.n_steps, 1, grid.dt)
+            simulate_particles(model.k1, model.k2, model.coeffs, 1.0, 1e-2, grid,
+                               n_particles, 3, driver_increments=dw)
+
+        assert sweep <= traced_peak(one_pass) + 8 * n_particles * (grid.n_steps + 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

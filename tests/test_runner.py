@@ -327,9 +327,8 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         ("ldp-rate", "\n[rate]\nlambda_reg = 0.01\n"),
         ("mdp-rate", ""),
         ("resolvent", ""),
-        ("resolvent", "\n[probe]\nmethod = series\n"),
     ], ids=["limit", "rate-min-ldp", "rate-min-mdp", "ldp-rate", "ldp-rate-ridge",
-            "mdp-rate", "resolvent-direct", "resolvent-series"])
+            "mdp-rate", "resolvent-direct"])
     def test_dense_estimate_tracks_traced_peak(self, traced_peak, tmp_path, kind, extra):
         cfg = _dense_cfg(kind, tmp_path, extra)
         peak = traced_peak(cfg)
@@ -425,7 +424,7 @@ class TestWriters:
                 "[grid]\nT = 1.0\nn_steps = 40\n")
         cfg = validate_config(text)
         res = run_experiment(cfg, out_dir=tmp_path / "out")
-        r = resolvent(GridKernel.from_kernel(cfg.k1, cfg.grid), method=cfg.resolvent_method)
+        r = resolvent(GridKernel.from_kernel(cfg.k1, cfg.grid))
         _oracle_resolvent_csv(tmp_path / "old.csv", cfg.grid.times, r.weights)
         assert _read(os.path.join(res.out_dir, "resolvent.csv")) == _read(tmp_path / "old.csv")
 
