@@ -360,6 +360,8 @@ def validate_config(text: str) -> ExperimentConfig:
             issues.append("probe.t plus the largest h must stay within grid.T")
 
     out_dir = data.get("output", {}).get("directory", "out")
+    if not isinstance(out_dir, str):
+        issues.append("output.directory must be a path")
     write_ensemble = data.get("output", {}).get("ensemble_csv", True)
     if not isinstance(write_ensemble, bool):
         issues.append("output.ensemble_csv must be true or false")
@@ -384,7 +386,7 @@ def validate_config(text: str) -> ExperimentConfig:
         event_level=float(event_level),
         probe_kernel=probe_kernel, probe_t=float(probe_t),
         probe_h_list=[float(h) for h in probe_h_list],
-        out_dir=str(out_dir), memory_budget=int(memory_budget),
+        out_dir=out_dir, memory_budget=int(memory_budget),
         workers=int(workers), write_ensemble=write_ensemble,
         raw_text=text,
     )

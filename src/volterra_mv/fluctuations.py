@@ -11,17 +11,17 @@ the experiment tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import rng as _rng
 from .grids import TimeGrid
-from .solvers import (Model, PathEnsemble, _linear_march, simulate_particles,
+from .solvers import (Model, PathEnsemble, _eps_pass, _linear_march, simulate_particles,
                       solve_deterministic_limit)
 
-# floats in one block's temporaries in _sup_gap and holder_probe (1 MB each)
+# floats in one block's temporaries in holder_probe (1 MB)
 _BLOCK_FLOATS = 1 << 17
 # clt_gap's bootstrap resamples and holder_probe's cap on node pairs, each
 # drawn from a generator seeded with 0
@@ -29,40 +29,53 @@ _BOOTSTRAP_RESAMPLES = 200
 _HOLDER_MAX_PAIRS = 10**6
 
 
-def _sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sup_t |a_t - b_t| of each particle, (N,), for states a of shape
-    (N, n+1, d) and b broadcasting against them."""
-    # a running max over blocks of steps: the temporaries stay one block
-    # wide, and the max is exact, so the result is that of one block
-    n_particles, nodes, d = a.shape
-    width = max(1, _BLOCK_FLOATS // max(1, n_particles * d))
-    sup = np.full(n_particles, -np.inf)
-    for lo in range(0, nodes, width):
-        gap = np.linalg.norm(a[:, lo:lo + width] - b[:, lo:lo + width], axis=2)
-        np.maximum(sup, gap.max(axis=1), out=sup)
+def _folded_pass(model: Model, xi, eps: float, grid: TimeGrid, seed: int,
+                 driver_increments: np.ndarray, gap) -> np.ndarray:
+    """sup_t gap(i, X^eps_{t_i}) of each particle, (N,), over the particle pass
+    of simulate_particles on the given increments, which keeps no path: the
+    march folds each node's state slab into a running max, which is exact."""
+    sup = np.full(driver_increments.shape[0], -np.inf)
+    _eps_pass(model.k1, model.k2, model.coeffs, xi, eps, grid, driver_increments.shape[0],
+              seed, driver_increments, keep_path=False,
+              fold=lambda i, x_i: np.maximum(sup, gap(i, x_i), out=sup))
     return sup
 
 
 @dataclass
 class FluctuationPair:
-    """Rescaled deviation and its limiting linear process on shared drivers."""
+    """Rescaled deviation and its limiting linear process on shared drivers.
+
+    A pair from ``clt_pair`` records its model and the sup its particle pass
+    folded, and its ``z_eps`` keeps no path: the states are rebuilt on first
+    read.  A pair built from two held paths takes its sup from them.
+    """
 
     z_eps: PathEnsemble
     z_lim: PathEnsemble
     eps: float
     x0_path: np.ndarray
+    # set by clt_pair once the pair is built
+    model: Model | None = field(default=None, init=False, repr=False)
+    _sup: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.z_eps.seed != self.z_lim.seed or self.z_eps.tag != self.z_lim.tag:
             raise ValueError("fluctuation pair must share one driver stream")
-        if (np.abs(self.z_eps.states[:, 0, :]).max(initial=0.0) > 0.0
-                or np.abs(self.z_lim.states[:, 0, :]).max(initial=0.0) > 0.0):
+        # a Z^eps that is rebuilt on read starts at zero by construction, and
+        # reading it here would run its pass
+        held = [self.z_lim] + ([self.z_eps] if self.z_eps._rebuild is None else [])
+        if any(np.abs(z.states[:, 0, :]).max(initial=0.0) > 0.0 for z in held):
             raise ValueError("fluctuations must start at zero")
 
     @cached_property
     def sup_gap(self) -> np.ndarray:
         """sup_t |Z^eps_t - Z_t| of each particle, (N,); every p reuses it."""
-        sup = _sup_gap(self.z_eps.states, self.z_lim.states)
+        sup = self._sup
+        if sup is None:
+            a, b = self.z_eps.states, self.z_lim.states
+            sup = np.full(a.shape[0], -np.inf)
+            for i in range(a.shape[1]):
+                np.maximum(sup, np.linalg.norm(a[:, i] - b[:, i], axis=1), out=sup)
         sup.flags.writeable = False  # one array serves every caller
         return sup
 
@@ -75,13 +88,14 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     grid solution X^0; Z solves the linear equation driven by the frozen
     diffusion and the drift linearization (state gradient plus the
     measure-derivative term paired with the ensemble mean), on the very same
-    driver increments.
+    driver increments.  Z is marched first; the particle pass then folds
+    sup_t |Z^eps_t - Z_t| node by node and keeps no path, so ``z_eps``
+    rebuilds its states, bit for bit, on their first read.
 
     None of X^0, the driver increments and Z depends on eps.  ``limit``, a
-    pair from an earlier eps of the same model, xi, grid, N and seed, lends
-    them to this one, so only the eps-dependent particle pass runs; the
-    result is bitwise that of a call without it.  Only its x0_path and z_lim
-    are read, so a sweep may drop its z_eps before the next call.
+    pair from an earlier eps of the same model object, xi, grid, N and seed,
+    lends them to this one, so only the eps-dependent particle pass runs; the
+    result is bitwise that of a call without it.
     """
     coeffs = model.coeffs
     if callable(xi):
@@ -90,33 +104,44 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
         raise ValueError("fluctuation limit needs grad_b and lions_b")
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
 
     if limit is None:
         x0 = solve_deterministic_limit(model.k1, coeffs, xi, grid)
         # both the particle pass and the Z march read them: draw them once
         dw = _rng.normal_increments(seed, "particles", n_particles, grid.n_steps,
                                     coeffs.m, grid.dt)
+        z = _linear_march(model.k1, model.k2, coeffs, x0, grid, dw, 1.0, mean_field=True)
     else:
         lim = limit.z_lim
+        if limit.model is not model:
+            raise ValueError("limit pair was built from another model")
         if lim.seed != seed or lim.grid != grid or lim.n_particles != n_particles:
             raise ValueError("limit pair was drawn with another seed, grid or particle count")
         if not np.array_equal(limit.x0_path[0], np.atleast_1d(np.asarray(xi, dtype=float))):
             raise ValueError("limit pair starts from another initial condition")
-        x0, dw = limit.x0_path, lim.driver_increments
-    ens = simulate_particles(model.k1, model.k2, coeffs, xi, eps, grid,
-                             n_particles, seed, driver_increments=dw)
-    # the ensemble is private to this call: rescale its states in place
-    z_eps_states = ens.states
-    z_eps_states -= x0[None, :, :]
-    z_eps_states /= np.sqrt(eps)
-    z = (_linear_march(model.k1, model.k2, coeffs, x0, grid, dw, 1.0, mean_field=True)
-         if limit is None else limit.z_lim.states)
+        x0, dw, z = limit.x0_path, lim.driver_increments, lim.states
+    scale = np.sqrt(eps)
+    sup = _folded_pass(model, xi, eps, grid, seed, dw,
+                       lambda i, x_i: np.linalg.norm((x_i - x0[i]) / scale - z[:, i], axis=1))
 
-    z_eps = PathEnsemble(grid=grid, states=z_eps_states, driver_increments=dw,
-                         seed=seed, tag=ens.tag, eps=eps)
+    def z_eps_states():
+        # the same pass on the same increments, rescaled in place
+        states = simulate_particles(model.k1, model.k2, coeffs, xi, eps, grid,
+                                    n_particles, seed, driver_increments=dw).states
+        states -= x0[None, :, :]
+        states /= scale
+        return states
+
+    z_eps = PathEnsemble(grid=grid, states=None, driver_increments=dw, seed=seed,
+                         tag="particles", eps=eps)
+    z_eps._rebuild = z_eps_states
     z_lim = PathEnsemble(grid=grid, states=z, driver_increments=dw,
-                         seed=seed, tag=ens.tag, eps=eps)
-    return FluctuationPair(z_eps=z_eps, z_lim=z_lim, eps=eps, x0_path=x0)
+                         seed=seed, tag="particles", eps=eps)
+    pair = FluctuationPair(z_eps=z_eps, z_lim=z_lim, eps=eps, x0_path=x0)
+    pair.model, pair._sup = model, sup
+    return pair
 
 
 @dataclass(frozen=True)
@@ -218,14 +243,19 @@ def holder_probe(ensemble: PathEnsemble, alpha: float) -> HolderEstimate:
 
 def strong_error_vs_eps(model: Model, xi, eps_list, grid: TimeGrid,
                         n_particles: int, seed: int) -> dict:
-    """E sup_t |X^eps - X^0| per eps, all ensembles coupled through one seed."""
+    """E sup_t |X^eps - X^0| per eps, all ensembles coupled through one seed.
+
+    Each eps runs one particle pass that keeps no path: the march folds the
+    sup node by node."""
+    eps_list = [float(eps) for eps in eps_list]
+    if not all(0.0 <= eps <= 1.0 for eps in eps_list):
+        raise ValueError("eps must lie in [0, 1]")
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
     x0 = solve_deterministic_limit(model.k1, model.coeffs, xi, grid)
     # every eps draws the same increments (same seed and tag): draw them once
     dw = _rng.normal_increments(seed, "particles", n_particles, grid.n_steps,
                                 model.coeffs.m, grid.dt)
-    out = {}
-    for eps in eps_list:
-        ens = simulate_particles(model.k1, model.k2, model.coeffs, xi, float(eps),
-                                 grid, n_particles, seed, driver_increments=dw)
-        out[float(eps)] = float(_sup_gap(ens.states, x0[None, :, :]).mean())
-    return out
+    return {eps: float(_folded_pass(model, xi, eps, grid, seed, dw,
+                                    lambda i, x_i: np.linalg.norm(x_i - x0[i], axis=1)).mean())
+            for eps in eps_list}

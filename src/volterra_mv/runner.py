@@ -101,10 +101,10 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     if kind == "simulate":
         floats = big_n * march(n + 1) + draws
     elif kind == "clt":
-        # and the increments, drawn once before the first march, and Z (or
-        # Z^eps of the first pair) on the n+1 nodes beside the march; clt_gap
-        # takes its sup in blocks
-        floats = big_n * (n * m + (n + 1) * d + march(n + 1))
+        # and the increments, drawn once before the first march: the Z march
+        # keeps its states, and each particle pass beside Z folds its sup
+        # and keeps one state slab, which comes to the same
+        floats = big_n * (n * m + march(n + 1))
     elif kind == "tail-probe":
         # a crude cell reads only terminal states: the march keeps one node
         floats = big_n * march(1) + draws
@@ -232,8 +232,7 @@ def _write_summary_csv(path, ensemble, p_list):
 
 def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
     # X^0, the driver increments and Z do not depend on eps: each pair lends
-    # them to the next.  A row's gaps are taken first, and the pair then drops
-    # its Z^eps, so no earlier Z^eps is alive while the next pass runs
+    # them to the next.  A pair keeps no Z^eps path, only its folded sup
     model = _model(cfg)
     rows = []
     pair = None
@@ -244,7 +243,6 @@ def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
             gap = clt_gap(pair, p=p)
             row.extend([gap.value, gap.stderr])
         rows.append(tuple(row))
-        pair.z_eps = None
     return rows
 
 

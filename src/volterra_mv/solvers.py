@@ -24,6 +24,7 @@ the limit path, the mdp skeleton and the clt limit, run one linear march.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,27 +81,37 @@ class ControlPath:
 class PathEnsemble:
     """N particle trajectories and the driver increments that moved them.
 
-    A pass that draws its own increments reads them a block of steps at a
-    time and keeps none: its ensemble is built with ``driver_increments`` None
-    and the number of components m, and draws them again from (seed, tag) on
-    the first read, bit for bit, since the noise is counter-based.
+    A pass may keep either of them none; it is then made again on its first
+    read, bit for bit.  A pass that draws its own increments reads them a
+    block of steps at a time: its ensemble is built with ``driver_increments``
+    None and the number of components m, and draws them again from (seed,
+    tag), since the noise is counter-based.  An ensemble built with ``states``
+    None is given, after it is built, a ``_rebuild`` callable that runs its
+    pass again on the same increments.
     """
 
     grid: TimeGrid
-    states: np.ndarray            # (N, n_steps + 1, d)
+    states: np.ndarray | None     # (N, n_steps + 1, d)
     driver_increments: np.ndarray | None  # (N, n_steps, m)
     seed: int
     tag: str
     eps: float
     _components: int = field(default=0, repr=False)
+    _rebuild: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        # __getattr__ makes what the pass kept none of on first read
         if self.driver_increments is None:
-            del self.driver_increments  # __getattr__ draws them on first read
+            del self.driver_increments
+        if self.states is None:
+            del self.states
 
     def __getattr__(self, name):
-        # reached only when normal lookup fails: for driver_increments, when
-        # the pass kept none
+        # reached only when normal lookup fails: for states or
+        # driver_increments, when the pass kept none
+        if name == "states" and self._rebuild is not None:
+            self.states = self._rebuild()
+            return self.states
         if name != "driver_increments":
             raise AttributeError(name)
         self.driver_increments = _rng.normal_increments(
@@ -206,11 +217,13 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
               xi, grid: TimeGrid, n_particles: int, seed: int,
               v: ControlPath | None, noise_scale: float, law: np.ndarray | None,
               x0_path: np.ndarray | None, mdp_scale: float, blocks,
-              keep_path: bool = True) -> np.ndarray:
+              keep_path: bool = True, fold=None) -> np.ndarray:
     """The one explicit march of every nonlinear solver.
 
     Returns the states (N, n+1, d), or with ``keep_path`` False only the
     terminal node (N, 1, d): the march then holds just its current state slab.
+    ``fold(i, x_i)``, if given, is called on node 0 and then on each new
+    (N, d) state slab x_i, which the march may overwrite once it returns.
     ``blocks(s0, s1)`` gives the driver increments of steps s0 <= s < s1 as
     one time-major (s1 - s0, N, m) array; they are read a block of
     HISTORY_BLOCK steps at a time, and not at all without noise.
@@ -237,6 +250,8 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     nodes = n + 1 if keep_path else 1
     states = np.empty((nodes, n_particles, d))
     states[0] = states0
+    if fold is not None:
+        fold(0, states[0])
     base = states0.reshape(-1)
 
     flat = (n_particles * d,)
@@ -265,6 +280,8 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
             nxt = nxt + noise_scale * noise.push(noise_i)
         _guard(nxt, i + 1)
         states[(i + 1) % nodes] = nxt.reshape(n_particles, d)
+        if fold is not None:
+            fold(i + 1, states[(i + 1) % nodes])
 
     # release the histories and the last block of increments first: the
     # particle-major copy then takes their place instead of raising the peak
@@ -291,6 +308,22 @@ def _particle_pass(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: Coefficien
                         tag="particles", eps=eps, _components=m)
 
 
+def _eps_pass(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi, eps: float,
+              grid: TimeGrid, n_particles: int, seed: int, driver_increments,
+              **march) -> PathEnsemble:
+    """The particle pass of simulate_particles; ``march`` (``keep_path``,
+    ``fold``) goes on to ``_simulate``."""
+    if not (0.0 <= eps <= 1.0):
+        raise ValueError("eps must lie in [0, 1]")
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    return _particle_pass(
+        k1, k2, None, coeffs, xi, eps, grid, n_particles, seed, driver_increments,
+        v=None, noise_scale=float(np.sqrt(eps)), law=None, x0_path=None, mdp_scale=0.0,
+        **march,
+    )
+
+
 def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
                        eps: float, grid: TimeGrid, n_particles: int, seed: int,
                        driver_increments: np.ndarray | None = None) -> PathEnsemble:
@@ -300,14 +333,7 @@ def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
     two calls with the same seed but different eps consume identical driver
     increments, which is what couples the small-noise family pathwise.
     """
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError("eps must lie in [0, 1]")
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    return _particle_pass(
-        k1, k2, None, coeffs, xi, eps, grid, n_particles, seed, driver_increments,
-        v=None, noise_scale=float(np.sqrt(eps)), law=None, x0_path=None, mdp_scale=0.0,
-    )
+    return _eps_pass(k1, k2, coeffs, xi, eps, grid, n_particles, seed, driver_increments)
 
 
 def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientSet,

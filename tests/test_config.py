@@ -344,6 +344,28 @@ class TestPathsAndTables:
         err = _cli_refuses(tmp_path, capsys, "limit", text)
         assert err == "config error: kernel1.csv must be a path\n"
 
+    @pytest.mark.parametrize("value", ["7", "true", "[1, 2]"])
+    def test_output_directory_must_be_a_path(self, tmp_path, capsys, monkeypatch, value):
+        # without --out the config's directory is used; before, 7 wrote into
+        # ./7 and true into ./True
+        from volterra_mv.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        text = MINIMAL.replace("kind = simulate", "kind = limit")
+        (tmp_path / "exp.cfg").write_text(text + f"\n[output]\ndirectory = {value}\n")
+        assert main(["limit", "--config", "exp.cfg"]) == 1
+        assert capsys.readouterr().err == "config error: output.directory must be a path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_quoted_output_directory_is_a_path(self, tmp_path, monkeypatch):
+        from volterra_mv.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        text = MINIMAL.replace("kind = simulate", "kind = limit")
+        (tmp_path / "exp.cfg").write_text(text + '\n[output]\ndirectory = "7"\n')
+        assert main(["limit", "--config", "exp.cfg"]) == 0
+        assert (tmp_path / "7" / "path.csv").exists()
+
     def test_tabulated_values_must_be_finite(self, tmp_path, capsys):
         table = tmp_path / "kern.csv"
         table.write_text("t,s,value\n0.5,0.0,1.0\n1.0,0.0,nan\n1.0,0.5,1.0\n")

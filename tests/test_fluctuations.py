@@ -19,6 +19,7 @@ from volterra_mv import (
     strong_error_vs_eps,
 )
 from volterra_mv import fluctuations
+from volterra_mv.kernels import HISTORY_BLOCK
 from volterra_mv.rng import normal_increments
 
 
@@ -27,6 +28,11 @@ def _model(a=0.0, b=0.0, sigma0=1.0, sigma1=None):
         k1=ConstantKernel(1.0), k2=ConstantKernel(1.0),
         coeffs=BuiltinLinearMeanField(a=a, b=b, sigma0=sigma0, sigma1=sigma1).coefficients(),
     )
+
+
+def _d2_model():
+    return Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3), coeffs=BuiltinLinearMeanField(
+        a=1.0, b=0.5, sigma0=np.eye(2), sigma1=0.5, d=2, m=2).coefficients())
 
 
 class TestCltPair:
@@ -195,6 +201,22 @@ class TestChainedPairs:
         with pytest.raises(ValueError):
             clt_pair(model, eps=0.01, limit=earlier, **{**args, **change})
 
+    def test_limit_from_another_model_is_refused(self):
+        # seed, grid, N and xi all match, but X^0 and Z are another model's:
+        # with A = -3, sigma0 = 2 the borrowed Z differs from the pair's own
+        args = {"xi": 1.0, "grid": TimeGrid(1.0, 20), "n_particles": 8, "seed": 1}
+        earlier = clt_pair(_model(a=1.0, sigma1=0.5), eps=0.1, **args)
+        other = _model(a=-3.0, sigma0=2.0)
+        own = clt_pair(other, eps=0.01, **args)
+        assert not np.array_equal(own.z_lim.states, earlier.z_lim.states)
+        with pytest.raises(ValueError, match="another model"):
+            clt_pair(other, eps=0.01, limit=earlier, **args)
+        # an equal but distinct Model object is another model too
+        copy = Model(k1=other.k1, k2=other.k2, coeffs=other.coeffs)
+        with pytest.raises(ValueError, match="another model"):
+            clt_pair(copy, eps=0.001, limit=own, **args)
+        assert clt_pair(other, eps=0.001, limit=own, **args).model is other
+
 
 def _oracle_gap(pair, p, n_bootstrap=200, seed=0):
     # clt_gap as it was: the sup taken per call, one resample per draw
@@ -224,14 +246,159 @@ class TestCltGap:
         assert pair.sup_gap is sup
         assert np.array_equal(sup, np.abs(pair.z_eps.states - pair.z_lim.states).max(axis=(1, 2)))
 
-    def test_blocked_sup_matches_one_block(self, monkeypatch):
-        # blocks of 3 steps at N = 16, d = 2, the last one partial
-        monkeypatch.setattr(fluctuations, "_BLOCK_FLOATS", 96)
-        model = Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3), coeffs=BuiltinLinearMeanField(
-            a=1.0, b=0.5, sigma0=np.eye(2), sigma1=0.5, d=2, m=2).coefficients())
-        pair = clt_pair(model, [1.0, -0.5], 0.1, TimeGrid(1.0, 10), 16, seed=3)
+    def test_blocked_sup_matches_one_block(self):
+        # the sup the particle pass folds node by node, at d = 2, equals one
+        # norm over the whole rebuilt paths
+        pair = clt_pair(_d2_model(), [1.0, -0.5], 0.1, TimeGrid(1.0, 10), 16, seed=3)
         diff = pair.z_eps.states - pair.z_lim.states
         assert np.array_equal(pair.sup_gap, np.linalg.norm(diff, axis=2).max(axis=1))
+
+
+def _block_sup(a, b, width):
+    """sup_t |a_t - b_t| of each particle, as the library took it before the
+    march folded it: a running max over blocks of ``width`` nodes of the held
+    paths a (N, n+1, d) and b broadcasting against them."""
+    sup = np.full(a.shape[0], -np.inf)
+    for lo in range(0, a.shape[1], width):
+        gap = np.linalg.norm(a[:, lo:lo + width] - b[:, lo:lo + width], axis=2)
+        np.maximum(sup, gap.max(axis=1), out=sup)
+    return sup
+
+
+def _count_marches(monkeypatch):
+    """Count every particle and linear march from here on."""
+    from volterra_mv import solvers
+
+    calls = []
+
+    def counted(real):
+        def march(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return march
+
+    for owner, name in ((solvers, "_simulate"), (solvers, "_linear_march"),
+                        (fluctuations, "_linear_march")):
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    return calls
+
+
+class TestFoldedSup:
+    # the particle pass folds sup_t |Z^eps_t - Z_t| node by node and keeps no
+    # path; the held paths, rebuilt on read, give the same bits
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_folded_sup_matches_block_oracle(self, dim, chained):
+        if dim == 1:
+            model, xi = _model(a=1.0, b=0.5, sigma1=0.5), 1.0
+        else:
+            model, xi = _d2_model(), [1.0, -0.5]
+        grid = TimeGrid(1.0, 40)
+        pair = None
+        for eps in SWEEP:
+            pair = clt_pair(model, xi, eps, grid, 32, seed=5, limit=pair if chained else None)
+            for width in (1, 3, 41):
+                want = _block_sup(pair.z_eps.states, pair.z_lim.states, width)
+                assert np.array_equal(pair.sup_gap, want)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pair_of_held_paths_folds_them(self, dim):
+        # a pair built by hand from two held paths takes its sup node by node
+        # from them, bit for bit the block oracle's, and its Z^eps must start
+        # at zero
+        from volterra_mv.fluctuations import FluctuationPair
+
+        if dim == 1:
+            model, xi = _model(a=1.0, b=0.5, sigma1=0.5), 1.0
+        else:
+            model, xi = _d2_model(), [1.0, -0.5]
+        pair = clt_pair(model, xi, 1e-2, TimeGrid(1.0, 30), 24, seed=6)
+
+        def held(ens, states):
+            return PathEnsemble(grid=ens.grid, states=states, driver_increments=ens.driver_increments,
+                                seed=ens.seed, tag=ens.tag, eps=ens.eps)
+
+        a, b = pair.z_eps.states.copy(), pair.z_lim.states
+        hand = FluctuationPair(z_eps=held(pair.z_eps, a), z_lim=held(pair.z_lim, b),
+                               eps=pair.eps, x0_path=pair.x0_path)
+        assert hand.model is None
+        for width in (1, 4, 31):
+            assert np.array_equal(hand.sup_gap, _block_sup(a, b, width))
+        assert np.array_equal(hand.sup_gap, pair.sup_gap)
+        shifted = a.copy()
+        shifted[3, 0, -1] = 1e-300
+        with pytest.raises(ValueError, match="start at zero"):
+            FluctuationPair(z_eps=held(pair.z_eps, shifted), z_lim=held(pair.z_lim, b),
+                            eps=pair.eps, x0_path=pair.x0_path)
+
+    def test_constructors_take_no_new_parameters(self):
+        # clt_pair records the model, the folded sup and the rebuild after
+        # building the pair: none of them is a constructor parameter
+        import inspect
+
+        from volterra_mv.fluctuations import FluctuationPair
+
+        assert list(inspect.signature(FluctuationPair).parameters) == [
+            "z_eps", "z_lim", "eps", "x0_path"]
+        assert list(inspect.signature(PathEnsemble).parameters) == [
+            "grid", "states", "driver_increments", "seed", "tag", "eps", "_components"]
+
+    def test_strong_error_validates_before_any_pass(self, monkeypatch):
+        calls = _count_marches(monkeypatch)
+        grid = TimeGrid(1.0, 10)
+        with pytest.raises(ValueError, match="eps must lie"):
+            strong_error_vs_eps(_model(), 1.0, [0.1, 1.5], grid, 8, seed=0)
+        with pytest.raises(ValueError, match="at least one particle"):
+            strong_error_vs_eps(_model(), 1.0, [0.1], grid, 0, seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_rebuilt_states_equal_an_eager_pass(self, chained):
+        model = _d2_model()
+        grid = TimeGrid(1.0, 40)
+        first = clt_pair(model, [1.0, -0.5], 0.1, grid, 24, seed=4)
+        pair = clt_pair(model, [1.0, -0.5], 1e-3, grid, 24, seed=4,
+                        limit=first if chained else None)
+        dw = normal_increments(4, "particles", 24, grid.n_steps, 2, grid.dt)
+        eager = simulate_particles(model.k1, model.k2, model.coeffs, [1.0, -0.5], 1e-3,
+                                   grid, 24, 4, driver_increments=dw).states
+        want = (eager - pair.x0_path[None, :, :]) / np.sqrt(1e-3)
+        assert np.array_equal(pair.z_eps.states, want)
+        assert pair.z_eps.states is pair.z_eps.states  # rebuilt once
+
+    def test_reads_of_the_gap_run_no_march(self, monkeypatch):
+        pair = clt_pair(_model(a=1.0, sigma1=0.5), 1.0, 0.1, TimeGrid(1.0, 20), 16, seed=3)
+        calls = _count_marches(monkeypatch)
+        assert pair.z_lim.states.shape == (16, 21, 1)
+        assert pair.z_eps.driver_increments.shape == (16, 20, 1)
+        assert pair.sup_gap.shape == (16,)
+        clt_gap(pair, p=2)
+        clt_gap(pair, p=4)
+        assert calls == []
+        # the first read of the Z^eps path runs its pass again, once
+        pair.z_eps.states
+        pair.z_eps.states
+        assert calls == ["_simulate"]
+
+    def test_chained_sweep_peaks_below_its_arrays(self, traced_peak):
+        # three chained eps cells at N = 2000, n = 200: the peak is the
+        # increments, Z, the two histories of a march and the weights of
+        # both kernels, within 1 MB of block and node temporaries; a pass
+        # that kept its path would add N (n + 1) d floats (3.2 MB)
+        n_particles, grid = 2000, TimeGrid(1.0, 200)
+        n, d, m = grid.n_steps, 1, 1
+
+        def sweep():
+            # a new model each run, so that its weights are built and counted
+            model = _model(a=1.0, b=0.5, sigma1=0.5)
+            pair = None
+            for eps in (1e-1, 1e-2, 1e-3):
+                pair = clt_pair(model, 1.0, eps, grid, n_particles, seed=3, limit=pair)
+                clt_gap(pair, p=2)
+
+        floats = (n_particles * (n * m + (n + 1) * d + 2 * (n + HISTORY_BLOCK) * d)
+                  + 2 * (n + 1) * n)
+        assert traced_peak(sweep) <= 8 * floats + 1e6
 
 
 class TestMoments:
@@ -277,21 +444,25 @@ class TestScalingRegression:
         assert reg.slope == pytest.approx(0.5, abs=0.1)
 
     def test_strong_error_matches_per_eps_passes(self):
-        # the shared increments leave every value as one fresh pass per eps gave
+        # the shared increments and the folded sup leave every value as one
+        # fresh pass per eps gave, with its sup taken at once or in blocks
         model = _model(a=1.0, b=0.5, sigma1=0.5)
         grid = TimeGrid(1.0, 30)
         errs = strong_error_vs_eps(model, 1.0, SWEEP, grid, 50, seed=14)
         x0 = solve_deterministic_limit(model.k1, model.coeffs, 1.0, grid)
+        assert list(errs) == list(SWEEP)
         for eps in SWEEP:
             ens = simulate_particles(model.k1, model.k2, model.coeffs, 1.0, eps,
                                      grid, 50, seed=14)
             sup = np.linalg.norm(ens.states - x0[None, :, :], axis=2).max(axis=1)
             assert errs[eps] == float(sup.mean())
+            assert errs[eps] == float(_block_sup(ens.states, x0[None, :, :], 7).mean())
 
     def test_strong_error_sup_is_taken_in_blocks(self, traced_peak):
-        # the sup over the nodes adds no temporaries of the ensemble's size to
-        # what one pass on drawn increments holds; a norm over the whole
-        # ensemble at once added about 1.7 such arrays
+        # each eps pass folds the sup over the nodes and keeps no path, so a
+        # sweep holds no more than one pass on given increments that keeps
+        # its path; a norm over the whole ensemble at once added about 1.7
+        # ensemble-sized arrays
         model = _model(a=1.0, b=0.5)
         grid = TimeGrid(1.0, 200)
         n_particles = 4000
@@ -303,7 +474,7 @@ class TestScalingRegression:
             simulate_particles(model.k1, model.k2, model.coeffs, 1.0, 1e-2, grid,
                                n_particles, 3, driver_increments=dw)
 
-        assert sweep <= traced_peak(one_pass) + 8 * n_particles * (grid.n_steps + 1)
+        assert sweep <= traced_peak(one_pass)
 
     def test_validation(self):
         with pytest.raises(ValueError):
