@@ -17,6 +17,7 @@ from volterra_mv import (
     simulate_particles,
     solve_deterministic_limit,
 )
+from volterra_mv.rng import normal_increments
 
 grid = TimeGrid(horizon=1.0, n_steps=200)
 unit = ConstantKernel(1.0)
@@ -47,6 +48,9 @@ frozen = simulate_particles(unit, unit, coupled, 1.0, eps=0.0, grid=grid,
 print("max |particles - limit| =", np.abs(frozen.states - x0[None]).max())
 
 print("\n== the same seed reuses the same driver increments at every eps ==")
-a = simulate_particles(unit, unit, coupled, 1.0, 0.5, grid, 100, seed=3)
-b = simulate_particles(unit, unit, coupled, 1.0, 0.01, grid, 100, seed=3)
-print("increments shared:", np.array_equal(a.driver_increments, b.driver_increments))
+dw = normal_increments(3, "particles", 100, grid.n_steps, 1, grid.dt)
+for eps in (0.5, 0.01):
+    own = simulate_particles(unit, unit, coupled, 1.0, eps, grid, 100, seed=3)
+    given = simulate_particles(unit, unit, coupled, 1.0, eps, grid, 100, seed=3,
+                               driver_increments=dw)
+    print(f"eps = {eps}: increments shared:", np.array_equal(own.states, given.states))

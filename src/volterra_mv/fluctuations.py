@@ -18,7 +18,9 @@ import numpy as np
 
 from . import rng as _rng
 from .grids import TimeGrid
-from .solvers import (Model, PathEnsemble, _eps_pass, _linear_march, simulate_particles,
+# simulate_particles is not called here: the benchmark's traced layers wrap it
+# under this module's name
+from .solvers import (Model, PathEnsemble, _linear_march, _particle_pass, simulate_particles,
                       solve_deterministic_limit)
 
 # floats in one block's temporaries in holder_probe (1 MB)
@@ -35,9 +37,9 @@ def _folded_pass(model: Model, xi, eps: float, grid: TimeGrid, seed: int,
     of simulate_particles on the given increments, which keeps no path: the
     march folds each node's state slab into a running max, which is exact."""
     sup = np.full(driver_increments.shape[0], -np.inf)
-    _eps_pass(model.k1, model.k2, model.coeffs, xi, eps, grid, driver_increments.shape[0],
-              seed, driver_increments, keep_path=False,
-              fold=lambda i, x_i: np.maximum(sup, gap(i, x_i), out=sup))
+    _particle_pass(model.k1, model.k2, None, model.coeffs, xi, eps, grid,
+                   driver_increments.shape[0], seed, driver_increments, keep_path=False,
+                   fold=lambda i, x_i: np.maximum(sup, gap(i, x_i), out=sup))
     return sup
 
 
@@ -46,8 +48,8 @@ class FluctuationPair:
     """Rescaled deviation and its limiting linear process on shared drivers.
 
     A pair from ``clt_pair`` records its model and the sup its particle pass
-    folded, and its ``z_eps`` keeps no path: the states are rebuilt on first
-    read.  A pair built from two held paths takes its sup from them.
+    folded, and its ``z_eps`` holds the driver increments but no path.  A pair
+    built from two held paths takes its sup from them.
     """
 
     z_eps: PathEnsemble
@@ -61,9 +63,8 @@ class FluctuationPair:
     def __post_init__(self):
         if self.z_eps.seed != self.z_lim.seed or self.z_eps.tag != self.z_lim.tag:
             raise ValueError("fluctuation pair must share one driver stream")
-        # a Z^eps that is rebuilt on read starts at zero by construction, and
-        # reading it here would run its pass
-        held = [self.z_lim] + ([self.z_eps] if self.z_eps._rebuild is None else [])
+        # a Z^eps without a path started at zero in clt_pair's pass
+        held = [self.z_lim] + ([self.z_eps] if "states" in vars(self.z_eps) else [])
         if any(np.abs(z.states[:, 0, :]).max(initial=0.0) > 0.0 for z in held):
             raise ValueError("fluctuations must start at zero")
 
@@ -89,8 +90,8 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     diffusion and the drift linearization (state gradient plus the
     measure-derivative term paired with the ensemble mean), on the very same
     driver increments.  Z is marched first; the particle pass then folds
-    sup_t |Z^eps_t - Z_t| node by node and keeps no path, so ``z_eps``
-    rebuilds its states, bit for bit, on their first read.
+    sup_t |Z^eps_t - Z_t| node by node and keeps no path, so ``z_eps`` holds
+    the increments alone.
 
     None of X^0, the driver increments and Z depends on eps.  ``limit``, a
     pair from an earlier eps of the same model object, xi, grid, N and seed,
@@ -125,18 +126,8 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     scale = np.sqrt(eps)
     sup = _folded_pass(model, xi, eps, grid, seed, dw,
                        lambda i, x_i: np.linalg.norm((x_i - x0[i]) / scale - z[:, i], axis=1))
-
-    def z_eps_states():
-        # the same pass on the same increments, rescaled in place
-        states = simulate_particles(model.k1, model.k2, coeffs, xi, eps, grid,
-                                    n_particles, seed, driver_increments=dw).states
-        states -= x0[None, :, :]
-        states /= scale
-        return states
-
     z_eps = PathEnsemble(grid=grid, states=None, driver_increments=dw, seed=seed,
                          tag="particles", eps=eps)
-    z_eps._rebuild = z_eps_states
     z_lim = PathEnsemble(grid=grid, states=z, driver_increments=dw,
                          seed=seed, tag="particles", eps=eps)
     pair = FluctuationPair(z_eps=z_eps, z_lim=z_lim, eps=eps, x0_path=x0)

@@ -345,8 +345,7 @@ def _terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray 
     state slab, driven by the increments of the block source ``blocks``."""
     return _simulate(
         model.k1, model.k2, None, model.coeffs, xi_arr, grid, n_particles, seed,
-        v=None, noise_scale=float(np.sqrt(eps)), law=law, x0_path=None, mdp_scale=0.0,
-        blocks=blocks, keep_path=False,
+        v=None, noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks, keep_path=False,
     )[:, -1]
 
 

@@ -8,8 +8,8 @@ Three kinds of objects are produced here:
   retained (the dynamics are non-Markovian) and counter-based noise so that
   ensembles with the same seed share driver increments across different
   noise levels,
-* controlled variants of both, with the control entering through its own
-  kernel, used by the rate-function machinery.
+* controlled variants of both on the state scale, with the control entering
+  through its own kernel, used by the rate-function machinery.
 
 All schemes evaluate coefficients at the left endpoint of each cell and
 integrate the kernel exactly across the cell (cell-averaged weights), the
@@ -24,7 +24,6 @@ the limit path, the mdp skeleton and the clt limit, run one linear march.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,13 +80,12 @@ class ControlPath:
 class PathEnsemble:
     """N particle trajectories and the driver increments that moved them.
 
-    A pass may keep either of them none; it is then made again on its first
-    read, bit for bit.  A pass that draws its own increments reads them a
-    block of steps at a time: its ensemble is built with ``driver_increments``
-    None and the number of components m, and draws them again from (seed,
-    tag), since the noise is counter-based.  An ensemble built with ``states``
-    None is given, after it is built, a ``_rebuild`` callable that runs its
-    pass again on the same increments.
+    A pass that draws its own increments reads them a block of steps at a
+    time and keeps none: its ensemble is built with ``driver_increments`` None
+    and the number of components m, and draws them again, bit for bit, from
+    (seed, tag) on their first read, since the noise is counter-based.  An
+    ensemble built with ``states`` None holds no path, and reading its
+    ``states`` raises AttributeError.
     """
 
     grid: TimeGrid
@@ -97,21 +95,18 @@ class PathEnsemble:
     tag: str
     eps: float
     _components: int = field(default=0, repr=False)
-    _rebuild: Callable[[], np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # __getattr__ makes what the pass kept none of on first read
+        # __getattr__ draws the increments on their first read; an ensemble
+        # without states has none to read
         if self.driver_increments is None:
             del self.driver_increments
         if self.states is None:
             del self.states
 
     def __getattr__(self, name):
-        # reached only when normal lookup fails: for states or
-        # driver_increments, when the pass kept none
-        if name == "states" and self._rebuild is not None:
-            self.states = self._rebuild()
-            return self.states
+        # reached only when normal lookup fails: for driver_increments, when
+        # the pass kept none
         if name != "driver_increments":
             raise AttributeError(name)
         self.driver_increments = _rng.normal_increments(
@@ -121,7 +116,8 @@ class PathEnsemble:
 
     @property
     def n_particles(self) -> int:
-        return self.states.shape[0]
+        # an ensemble without states holds its increments
+        return (self.states if "states" in vars(self) else self.driver_increments).shape[0]
 
     @property
     def dim(self) -> int:
@@ -194,12 +190,12 @@ def _along_path(grid: TimeGrid, law: np.ndarray, *evaluators, at=None) -> list:
 
 def _one_path(k1: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi, grid: TimeGrid,
               v: ControlPath | None, law: np.ndarray | None) -> np.ndarray:
-    """The noise-free run of one particle from xi, with no drawn increments;
-    xi goes in as an array, so a random initial condition is refused."""
-    return _simulate(
-        k1, None, kc, coeffs, np.asarray(xi, dtype=float), grid, 1, 0,
-        v=v, noise_scale=0.0, law=law, x0_path=None, mdp_scale=0.0, blocks=None,
-    )[0]
+    """The noise-free run of one particle from a deterministic xi, with no
+    drawn increments."""
+    if callable(xi):
+        raise ValueError("the noise-free solvers need a deterministic initial condition")
+    return _simulate(k1, None, kc, coeffs, xi, grid, 1, 0,
+                     v=v, noise_scale=0.0, law=law, blocks=None)[0]
 
 
 def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
@@ -215,8 +211,7 @@ def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
 
 def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: CoefficientSet,
               xi, grid: TimeGrid, n_particles: int, seed: int,
-              v: ControlPath | None, noise_scale: float, law: np.ndarray | None,
-              x0_path: np.ndarray | None, mdp_scale: float, blocks,
+              v: ControlPath | None, noise_scale: float, law: np.ndarray | None, blocks,
               keep_path: bool = True, fold=None) -> np.ndarray:
     """The one explicit march of every nonlinear solver.
 
@@ -228,23 +223,13 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     one time-major (s1 - s0, N, m) array; they are read a block of
     HISTORY_BLOCK steps at a time, and not at all without noise.
     ``law`` is None for the ensemble's own empirical law, else states
-    (N', n+1, d) whose empirical law at each node is frozen in.  mdp_scale > 0
-    switches on the centered difference-quotient dynamics of the rescaled
-    deviation variable, whose coefficients are taken at x0 + mdp_scale * state.
+    (N', n+1, d) whose empirical law at each node is frozen in.
     """
     d = coeffs.d
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-
-    mdp = mdp_scale > 0.0
-    if mdp:
-        if x0_path is None or x0_path.shape != (n + 1, d):
-            raise GridMismatchError("the deviation dynamics need the limit path on the grid")
-        (b_base,) = _along_path(grid, x0_path, coeffs.drift)
-        states0 = np.zeros((n_particles, d))
-    else:
-        states0 = _initial_states(xi, n_particles, d, seed)
+    states0 = _initial_states(xi, n_particles, d, seed)
 
     # time-major storage: node i is one contiguous (N, d) slab, at i % nodes
     nodes = n + 1 if keep_path else 1
@@ -264,12 +249,8 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     for i in range(n):
         t = times[i]
         at = states[i % nodes]
-        if mdp:
-            at = x0_path[i][None, :] + mdp_scale * at
         mu = EmpiricalMeasure(points=at if own_law else law[:, i, :], _validate=False)
         bi = coeffs.drift(t, at, mu)
-        if mdp:
-            bi = (bi - b_base[i]) / mdp_scale
         nxt = base + dt * drift.push(bi.reshape(-1))
         if ctrl is not None or noise is not None:
             si = coeffs.diffusion(t, at, mu)
@@ -291,10 +272,16 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
 
 def _particle_pass(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi,
                    eps: float, grid: TimeGrid, n_particles: int, seed: int,
-                   driver_increments, **march) -> PathEnsemble:
-    """A particle march on the "particles" stream, as an ensemble.  Given
-    increments are read a block at a time and kept; without them the march
-    draws its own a block at a time and keeps none."""
+                   driver_increments, v: ControlPath | None = None,
+                   law: np.ndarray | None = None, **march) -> PathEnsemble:
+    """A particle march with noise sqrt(eps) on the "particles" stream, as an
+    ensemble; ``march`` (``keep_path``, ``fold``) goes on to ``_simulate``.
+    Given increments are read a block at a time and kept; without them the
+    march draws its own a block at a time and keeps none."""
+    if not (0.0 <= eps <= 1.0):
+        raise ValueError("eps must lie in [0, 1]")
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
     m = coeffs.m
     if driver_increments is None:
         dw, blocks = None, _drawn_blocks(seed, "particles", n_particles, grid, m)
@@ -303,25 +290,10 @@ def _particle_pass(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: Coefficien
         if dw.shape != (n_particles, grid.n_steps, m):
             raise GridMismatchError("injected driver increments have the wrong shape")
         blocks = _given_blocks(dw)
-    states = _simulate(k1, k2, kc, coeffs, xi, grid, n_particles, seed, blocks=blocks, **march)
+    states = _simulate(k1, k2, kc, coeffs, xi, grid, n_particles, seed, v=v,
+                       noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks, **march)
     return PathEnsemble(grid=grid, states=states, driver_increments=dw, seed=seed,
                         tag="particles", eps=eps, _components=m)
-
-
-def _eps_pass(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi, eps: float,
-              grid: TimeGrid, n_particles: int, seed: int, driver_increments,
-              **march) -> PathEnsemble:
-    """The particle pass of simulate_particles; ``march`` (``keep_path``,
-    ``fold``) goes on to ``_simulate``."""
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError("eps must lie in [0, 1]")
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    return _particle_pass(
-        k1, k2, None, coeffs, xi, eps, grid, n_particles, seed, driver_increments,
-        v=None, noise_scale=float(np.sqrt(eps)), law=None, x0_path=None, mdp_scale=0.0,
-        **march,
-    )
 
 
 def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
@@ -333,25 +305,20 @@ def simulate_particles(k1: Kernel, k2: Kernel, coeffs: CoefficientSet, xi,
     two calls with the same seed but different eps consume identical driver
     increments, which is what couples the small-noise family pathwise.
     """
-    return _eps_pass(k1, k2, coeffs, xi, eps, grid, n_particles, seed, driver_increments)
+    return _particle_pass(k1, k2, None, coeffs, xi, eps, grid, n_particles, seed,
+                          driver_increments)
 
 
 def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientSet,
                         xi, eps: float, v: ControlPath, grid: TimeGrid,
-                        n_particles: int, seed: int, form: str = "ldp",
-                        h_eps: float | None = None,
+                        n_particles: int, seed: int,
                         frozen_path: np.ndarray | None = None,
-                        x0_path: np.ndarray | None = None,
                         driver_increments: np.ndarray | None = None) -> PathEnsemble:
-    """Controlled dynamics with the control integrand sigma(.) v under kernel kc.
+    """Controlled state dynamics with the control integrand sigma(.) v under kernel kc.
 
-    form="ldp": state equation with drift under k1, control under kc and
-    noise sqrt(eps) under k2; with v identically zero this reproduces
+    The state equation has its drift under k1, the control under kc and the
+    noise sqrt(eps) under k2; with v identically zero it reproduces
     simulate_particles bit for bit at the same seed.
-
-    form="mdp": dynamics of the rescaled deviation from the limit path
-    (difference-quotient drift around x0_path, noise scale 1/h_eps); requires
-    eps > 0, h_eps > 0 and the precomputed limit path.
 
     Passing frozen_path freezes the law: it replaces the ensemble's own law,
     and is either a Dirac path of shape (n_steps + 1, d) or the states
@@ -362,18 +329,6 @@ def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientS
     """
     if v.grid != grid:
         raise GridMismatchError("control path lives on a different grid")
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError("eps must lie in [0, 1]")
-    if form == "ldp":
-        noise_scale, mdp_scale = float(np.sqrt(eps)), 0.0
-    elif form == "mdp":
-        if h_eps is None or h_eps <= 0.0:
-            raise ValueError("form='mdp' needs h_eps > 0")
-        if eps <= 0.0:
-            raise ValueError("form='mdp' needs eps > 0 (the deviation scale is sqrt(eps) h)")
-        noise_scale, mdp_scale = 1.0 / h_eps, float(np.sqrt(eps)) * h_eps
-    else:
-        raise ValueError(f"unknown controlled form {form!r}")
     law = None
     if frozen_path is not None:
         # a Dirac path (n+1, d) is the one-atom case of particle states (N', n+1, d)
@@ -386,10 +341,8 @@ def simulate_controlled(k1: Kernel, k2: Kernel, kc: Kernel, coeffs: CoefficientS
                 "frozen_path must be a Dirac path (n+1, d) or particle states "
                 "(N', n+1, d) on the grid nodes"
             )
-    return _particle_pass(
-        k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed, driver_increments,
-        v=v, noise_scale=noise_scale, law=law, x0_path=x0_path, mdp_scale=mdp_scale,
-    )
+    return _particle_pass(k1, k2, kc, coeffs, xi, eps, grid, n_particles, seed,
+                          driver_increments, v=v, law=law)
 
 
 def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSet,

@@ -35,6 +35,18 @@ def _d2_model():
         a=1.0, b=0.5, sigma0=np.eye(2), sigma1=0.5, d=2, m=2).coefficients())
 
 
+def _z_eps_states(pair):
+    """The Z^eps path of a clt_pair pair, which keeps none: the pair's particle
+    pass run again, eagerly, on its increments, less X^0 and over sqrt(eps)."""
+    z_eps, model = pair.z_eps, pair.model
+    dw = z_eps.driver_increments
+    states = simulate_particles(model.k1, model.k2, model.coeffs, pair.x0_path[0], pair.eps,
+                                z_eps.grid, dw.shape[0], z_eps.seed, driver_increments=dw).states
+    states -= pair.x0_path[None, :, :]
+    states /= np.sqrt(pair.eps)
+    return states
+
+
 class TestCltPair:
     def test_additive_case_gap_is_rounding(self):
         # b = 0, sigma constant: the linearization is exact
@@ -70,7 +82,7 @@ class TestCltPair:
         # continuity in sqrt(eps): at eps = 1e-12 the pair is indistinguishable
         grid = TimeGrid(1.0, 50)
         pair = clt_pair(_model(a=1.0, b=0.5, sigma1=0.5), 1.0, 1e-12, grid, 200, seed=7)
-        sup = np.linalg.norm(pair.z_eps.states - pair.z_lim.states, axis=2).max()
+        sup = np.linalg.norm(_z_eps_states(pair) - pair.z_lim.states, axis=2).max()
         scale = np.abs(pair.z_lim.states).max()
         assert sup <= 1e-5 * max(scale, 1.0)
 
@@ -181,7 +193,7 @@ class TestChainedPairs:
             pair = clt_pair(model, 1.0, eps, grid, 64, seed=7, limit=pair)
             fresh = clt_pair(model, 1.0, eps, grid, 64, seed=7)
             assert pair.eps == pair.z_eps.eps == pair.z_lim.eps == eps
-            assert np.array_equal(pair.z_eps.states, fresh.z_eps.states)
+            assert np.array_equal(_z_eps_states(pair), _z_eps_states(fresh))
             assert np.array_equal(pair.z_lim.states, fresh.z_lim.states)
             assert np.array_equal(pair.x0_path, fresh.x0_path)
             assert np.array_equal(pair.z_eps.driver_increments, fresh.z_eps.driver_increments)
@@ -220,7 +232,7 @@ class TestChainedPairs:
 
 def _oracle_gap(pair, p, n_bootstrap=200, seed=0):
     # clt_gap as it was: the sup taken per call, one resample per draw
-    diff = pair.z_eps.states - pair.z_lim.states
+    diff = _z_eps_states(pair) - pair.z_lim.states
     vals = np.linalg.norm(diff, axis=2).max(axis=1) ** p
     rng = np.random.default_rng(seed)
     boots = [vals[rng.integers(0, vals.size, size=vals.size)].mean() for _ in range(n_bootstrap)]
@@ -244,13 +256,13 @@ class TestCltGap:
         sup = pair.sup_gap
         clt_gap(pair, p=4)
         assert pair.sup_gap is sup
-        assert np.array_equal(sup, np.abs(pair.z_eps.states - pair.z_lim.states).max(axis=(1, 2)))
+        assert np.array_equal(sup, np.abs(_z_eps_states(pair) - pair.z_lim.states).max(axis=(1, 2)))
 
     def test_blocked_sup_matches_one_block(self):
         # the sup the particle pass folds node by node, at d = 2, equals one
-        # norm over the whole rebuilt paths
+        # norm over the whole eager paths
         pair = clt_pair(_d2_model(), [1.0, -0.5], 0.1, TimeGrid(1.0, 10), 16, seed=3)
-        diff = pair.z_eps.states - pair.z_lim.states
+        diff = _z_eps_states(pair) - pair.z_lim.states
         assert np.array_equal(pair.sup_gap, np.linalg.norm(diff, axis=2).max(axis=1))
 
 
@@ -285,7 +297,7 @@ def _count_marches(monkeypatch):
 
 class TestFoldedSup:
     # the particle pass folds sup_t |Z^eps_t - Z_t| node by node and keeps no
-    # path; the held paths, rebuilt on read, give the same bits
+    # path; the eager paths give the same bits
     @pytest.mark.parametrize("chained", [False, True])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_folded_sup_matches_block_oracle(self, dim, chained):
@@ -298,7 +310,7 @@ class TestFoldedSup:
         for eps in SWEEP:
             pair = clt_pair(model, xi, eps, grid, 32, seed=5, limit=pair if chained else None)
             for width in (1, 3, 41):
-                want = _block_sup(pair.z_eps.states, pair.z_lim.states, width)
+                want = _block_sup(_z_eps_states(pair), pair.z_lim.states, width)
                 assert np.array_equal(pair.sup_gap, want)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -318,7 +330,7 @@ class TestFoldedSup:
             return PathEnsemble(grid=ens.grid, states=states, driver_increments=ens.driver_increments,
                                 seed=ens.seed, tag=ens.tag, eps=ens.eps)
 
-        a, b = pair.z_eps.states.copy(), pair.z_lim.states
+        a, b = _z_eps_states(pair), pair.z_lim.states
         hand = FluctuationPair(z_eps=held(pair.z_eps, a), z_lim=held(pair.z_lim, b),
                                eps=pair.eps, x0_path=pair.x0_path)
         assert hand.model is None
@@ -332,8 +344,8 @@ class TestFoldedSup:
                             eps=pair.eps, x0_path=pair.x0_path)
 
     def test_constructors_take_no_new_parameters(self):
-        # clt_pair records the model, the folded sup and the rebuild after
-        # building the pair: none of them is a constructor parameter
+        # clt_pair records the model and the folded sup after building the
+        # pair: neither is a constructor parameter
         import inspect
 
         from volterra_mv.fluctuations import FluctuationPair
@@ -359,26 +371,34 @@ class TestFoldedSup:
         first = clt_pair(model, [1.0, -0.5], 0.1, grid, 24, seed=4)
         pair = clt_pair(model, [1.0, -0.5], 1e-3, grid, 24, seed=4,
                         limit=first if chained else None)
+        # Z^eps keeps no path; the helper's eager pass is the one the sup
+        # was folded in, bit for bit
+        assert "states" not in vars(pair.z_eps)
+        with pytest.raises(AttributeError):
+            pair.z_eps.states
         dw = normal_increments(4, "particles", 24, grid.n_steps, 2, grid.dt)
+        assert np.array_equal(pair.z_eps.driver_increments, dw)
         eager = simulate_particles(model.k1, model.k2, model.coeffs, [1.0, -0.5], 1e-3,
                                    grid, 24, 4, driver_increments=dw).states
         want = (eager - pair.x0_path[None, :, :]) / np.sqrt(1e-3)
-        assert np.array_equal(pair.z_eps.states, want)
-        assert pair.z_eps.states is pair.z_eps.states  # rebuilt once
+        assert np.array_equal(_z_eps_states(pair), want)
+        gap = np.linalg.norm(want - pair.z_lim.states, axis=2).max(axis=1)
+        assert np.array_equal(pair.sup_gap, gap)
 
     def test_reads_of_the_gap_run_no_march(self, monkeypatch):
         pair = clt_pair(_model(a=1.0, sigma1=0.5), 1.0, 0.1, TimeGrid(1.0, 20), 16, seed=3)
         calls = _count_marches(monkeypatch)
         assert pair.z_lim.states.shape == (16, 21, 1)
         assert pair.z_eps.driver_increments.shape == (16, 20, 1)
+        assert pair.z_eps.n_particles == 16
         assert pair.sup_gap.shape == (16,)
         clt_gap(pair, p=2)
         clt_gap(pair, p=4)
         assert calls == []
-        # the first read of the Z^eps path runs its pass again, once
-        pair.z_eps.states
-        pair.z_eps.states
-        assert calls == ["_simulate"]
+        # Z^eps keeps no path to read
+        with pytest.raises(AttributeError):
+            pair.z_eps.states
+        assert "states" not in vars(pair.z_eps) and calls == []
 
     def test_chained_sweep_peaks_below_its_arrays(self, traced_peak):
         # three chained eps cells at N = 2000, n = 200: the peak is the

@@ -226,8 +226,11 @@ def loop_linear_limit(model, x0, dw, grid):
 
 
 def loop_mdp_particles(k1, k2, kc, coeffs, v, x0_path, dw, grid, scale, noise_scale, law):
-    """The controlled deviation dynamics, with b(X^0) rebuilt in every step;
-    law is None for the ensemble's own law, else frozen states (N', n+1, d)."""
+    """The controlled dynamics of the rescaled deviation Y = (X - X^0) / scale
+    from the limit path, with b(X^0) rebuilt in every step; law is None for
+    the ensemble's own law, else frozen states (N', n+1, d).  The library has
+    no such particle system; the mdp-form tests of test_solvers.py compare
+    this loop with simulate_particles and the linearized skeleton."""
     n_particles = dw.shape[0]
     n, d = grid.n_steps, coeffs.d
     dt, times = grid.dt, grid.times
@@ -380,28 +383,6 @@ def test_linearized_march_matches_loop(setup_dm, kernels):
 
 
 @pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
-@pytest.mark.parametrize("law_mode", ["self", "frozen"])
-def test_mdp_particles_match_loop(setup, kernels, law_mode):
-    d, coeffs, xi, v = setup
-    k1, k2 = KERNELS[kernels]
-    x0 = _limit(k1, coeffs, xi)
-    eps, h = 0.04, 3.0
-    law = None
-    if law_mode == "frozen":
-        law = simulate_particles(k1, k2, coeffs, xi, eps, GRID, 7, seed=2).states
-    counted, calls = counting(coeffs)
-    ens = simulate_controlled(k1, k2, k2, counted, xi, eps, v, GRID, 12, seed=4,
-                              form="mdp", h_eps=h,
-                              frozen_path=law, x0_path=x0)
-    n = GRID.n_steps
-    # b at the shifted particles and b(X^0) once per cell; sigma once per cell
-    assert calls == Counter(b=2 * n, sigma=n)
-    want = loop_mdp_particles(k1, k2, k2, coeffs, v, x0, ens.driver_increments, GRID,
-                              np.sqrt(eps) * h, 1.0 / h, law)
-    assert_bitwise(ens.states, want)
-
-
-@pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
 def test_clt_limit_matches_loop(setup_dm, kernels):
     d, coeffs, xi, _ = setup_dm
     k1, k2 = KERNELS[kernels]
@@ -487,7 +468,7 @@ def test_controlled_ldp_frozen_ensemble_matches_loop(kernels):
                     values=np.random.default_rng(9).normal(size=(LONG_GRID.n_steps, m)))
     law = simulate_particles(k1, k2, coeffs, xi, eps, LONG_GRID, 9, seed=1).states
     ens = simulate_controlled(k1, k2, kc, coeffs, xi, eps, v, LONG_GRID, N_NOISY, seed=3,
-                              form="ldp", frozen_path=law)
+                              frozen_path=law)
     want = loop_particles(k1, k2, kc, coeffs, xi, ens.driver_increments, LONG_GRID,
                           np.sqrt(eps), v=v, law=law)
     assert_bitwise(ens.states, want)

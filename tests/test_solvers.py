@@ -20,6 +20,8 @@ from volterra_mv import (
 )
 from volterra_mv.rng import normal_increments
 
+from test_path_linearization import loop_mdp_particles
+
 
 def _successive_approximation(kernels, xi, grid, integrands, tol, max_iter):
     """Oracle for the explicit forward march: Picard sweeps of the discrete
@@ -327,43 +329,31 @@ class TestControlled:
         # with v = 0 the deviation variable reproduces (X^eps - X^0)/(sqrt(eps) h)
         eps, h = 0.01, 3.0
         x0 = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small)
-        y = simulate_controlled(
-            unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, eps,
-            ControlPath.zero(grid_small), grid_small, 40, seed=12,
-            form="mdp", h_eps=h, x0_path=x0,
-        )
+        dw = normal_increments(12, "particles", 40, grid_small.n_steps, 1, grid_small.dt)
+        y = loop_mdp_particles(unit_kernel, unit_kernel, unit_kernel, linear_model,
+                               ControlPath.zero(grid_small), x0, dw, grid_small,
+                               np.sqrt(eps) * h, 1.0 / h, None)
         x = simulate_particles(unit_kernel, unit_kernel, linear_model, 1.0, eps,
-                               grid_small, 40, seed=12)
-        implied = x0[None] + np.sqrt(eps) * h * y.states
+                               grid_small, 40, seed=12, driver_increments=dw)
+        implied = x0[None] + np.sqrt(eps) * h * y
         np.testing.assert_allclose(implied, x.states, atol=1e-9)
 
     def test_mdp_form_converges_to_linearization(self, unit_kernel, grid_small, linear_model):
         # frozen-law deviation dynamics with a shared control: the ensemble
-        # mean approaches the linearized deterministic solution as the noise
-        # prefactor 1/h vanishes
+        # mean approaches the library's linearized deterministic solution as
+        # the noise prefactor 1/h vanishes
         eps, h = 1e-8, 200.0
         x0 = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small)
         v = ControlPath.constant(grid_small, 1.0)
-        y = simulate_controlled(
-            unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, eps,
-            v, grid_small, 200, seed=19, form="mdp", h_eps=h,
-            frozen_path=x0, x0_path=x0,
-        )
+        dw = normal_increments(19, "particles", 200, grid_small.n_steps, 1, grid_small.dt)
+        y = loop_mdp_particles(unit_kernel, unit_kernel, unit_kernel, linear_model, v, x0, dw,
+                               grid_small, np.sqrt(eps) * h, 1.0 / h, x0[None])
         psi = solve_controlled_deterministic(
             unit_kernel, unit_kernel, linear_model, 1.0, v, x0,
             "mdp_linearized", grid_small,
         )
-        gap = np.abs(y.states.mean(axis=0) - psi).max()
+        gap = np.abs(y.mean(axis=0) - psi).max()
         assert gap <= 5.0 / (h * np.sqrt(200)) + 1e-6
-
-    def test_mdp_form_needs_scale(self, unit_kernel, grid_small, linear_model):
-        x0 = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small)
-        with pytest.raises(ValueError):
-            simulate_controlled(
-                unit_kernel, unit_kernel, unit_kernel, linear_model, 1.0, 0.0,
-                ControlPath.zero(grid_small), grid_small, 2, seed=1,
-                form="mdp", h_eps=2.0, x0_path=x0,
-            )
 
     def test_grid_mismatch(self, unit_kernel, grid_small, linear_model):
         other = TimeGrid(1.0, 49)
@@ -373,8 +363,41 @@ class TestControlled:
                 ControlPath.zero(other), grid_small, 2, seed=1,
             )
 
+    @pytest.mark.parametrize("entry", ["particles", "controlled"])
+    @pytest.mark.parametrize("n_particles, eps, message", [
+        (0, 0.1, "need at least one particle"),
+        (4, 1.5, "eps must lie in"),
+    ], ids=["no-particles", "eps-above-one"])
+    def test_entry_points_refuse_alike(self, unit_kernel, grid_small, linear_model,
+                                       entry, n_particles, eps, message):
+        # both entry points share one particle pass, and with it its checks
+        args = (linear_model, 1.0, eps)
+        with pytest.raises(ValueError, match=message):
+            if entry == "particles":
+                simulate_particles(unit_kernel, unit_kernel, *args, grid_small,
+                                   n_particles, seed=1)
+            else:
+                simulate_controlled(unit_kernel, unit_kernel, unit_kernel, *args,
+                                    ControlPath.zero(grid_small), grid_small,
+                                    n_particles, seed=1)
+
 
 class TestControlledDeterministic:
+    @pytest.mark.parametrize("entry", ["limit", "skeleton"])
+    def test_random_initial_condition_is_refused(self, unit_kernel, grid_small,
+                                                 linear_model, entry):
+        def xi(n, rng):
+            return rng.normal(size=(n, 1))
+
+        x0 = np.ones((grid_small.n_steps + 1, 1))
+        with pytest.raises(ValueError, match="deterministic initial condition"):
+            if entry == "limit":
+                solve_deterministic_limit(unit_kernel, linear_model, xi, grid_small)
+            else:
+                solve_controlled_deterministic(unit_kernel, unit_kernel, linear_model, xi,
+                                               ControlPath.zero(grid_small), x0, "ldp",
+                                               grid_small)
+
     def test_zero_control_recovers_limit(self, unit_kernel, grid_small, linear_model):
         x0 = solve_deterministic_limit(unit_kernel, linear_model, 1.0, grid_small)
         phi = solve_controlled_deterministic(
