@@ -27,10 +27,11 @@ from .rng import _BLOCK as _DRAW_BLOCK
 from .solvers import Model, ensemble_summary, simulate_particles, solve_deterministic_limit
 
 ENV_WORKERS = "VOLTERRA_MV_WORKERS"
-# rows of ensemble.csv and resolvent.csv formatted at a time
+# rows of resolvent.csv formatted at a time; ensemble.csv takes as many
+# whole particles as fit, and at least one
 BLOCK_ROWS = 1 << 14
 # the text and formatter temporaries of one resolvent.csv row (tracemalloc)
-_RESOLVENT_ROW_BYTES = 400
+_RESOLVENT_ROW_BYTES = 300
 
 
 def _fmt(x) -> str:
@@ -122,11 +123,12 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
         floats = 0
     estimate = (weights + floats) * 8
     if kind == "simulate" and cfg.write_ensemble:
-        # while ensemble.csv is written: the states and one block's text and
-        # formatter temporaries, about 130 bytes a row and 195 a state cell
+        # while ensemble.csv is written: the states and one block of whole
+        # particles, at least one, with its table, text and formatter
+        # temporaries: about 30 bytes a row and 162 a state cell
         # (tracemalloc, d = 1..3)
-        block = min(BLOCK_ROWS, big_n * (n + 1)) * (130 + 195 * d)
-        estimate = max(estimate, (weights + big_n * (n + 1) * d) * 8 + block)
+        rows = max(1, min(big_n, BLOCK_ROWS // (n + 1))) * (n + 1)
+        estimate = max(estimate, (weights + big_n * (n + 1) * d) * 8 + rows * (30 + 162 * d))
     if kind == "resolvent":
         # and one block of resolvent.csv rows
         estimate += min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
@@ -171,26 +173,31 @@ def _load_target_csv(path, grid, d):
 
 
 def _write_ensemble_csv(path, ensemble):
-    # blocks of rows (particle p, step i, t_i, the states of p at step i):
-    # the texts of p and of "i,t_i" are gathered per row, the states are
-    # formatted by textfmt; the bytes are those of csv.writer with _fmt
-    # cells (CRLF line ends, %.17g floats).  textfmt is imported here, so
-    # that only a run that writes such a file builds its digit tables.
+    # rows (particle p, step i, t_i, the states of p at step i) in blocks of
+    # whole particles, at least one, laid out in one table: the "i,t_i"
+    # cells go in once, and each block writes over them its particle cells
+    # and its states, formatted in place by textfmt.  The bytes are those
+    # of csv.writer with _fmt cells (CRLF line ends, %.17g floats).  textfmt
+    # is imported here, so that only a run that writes such a file builds
+    # its digit tables.
     from . import textfmt
 
     n, steps, d = ensemble.states.shape
-    times = ensemble.grid.times
-    step_cells = textfmt.text_cells([f"{i},{_fmt(t)}" for i, t in enumerate(times)])
-    states = ensemble.states.reshape(n * steps, d)
+    per_block = max(1, min(n, BLOCK_ROWS // steps))
+    step_cells = textfmt.text_cells([f"{i},{_fmt(t)}" for i, t in enumerate(ensemble.grid.times)])
+    p_width = len(str(n - 1))
+    table, (particle, step, value) = textfmt.row_table(
+        (per_block, steps), [(1, p_width), (1, step_cells.shape[1]), (d, textfmt.WIDTH)])
+    step[...] = step_cells[:, None, :]
     header = ["particle", "step", "t"] + [f"x{k + 1}" for k in range(d)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for lo in range(0, n * steps, BLOCK_ROWS):
-            p, i = np.divmod(np.arange(lo, min(lo + BLOCK_ROWS, n * steps)), steps)
-            particle_cells = textfmt.text_cells([str(k) for k in range(p[0], p[-1] + 1)])
-            fh.write(textfmt.csv_rows(np.take(particle_cells, p - p[0], axis=0),
-                                      np.take(step_cells, i, axis=0),
-                                      textfmt.format_g17(states[lo:lo + p.size])))
+        for lo in range(0, n, per_block):
+            k = min(per_block, n - lo)
+            cells = textfmt.text_cells([str(p) for p in range(lo, lo + k)], p_width)
+            particle[:k] = cells[:, None, None, :]
+            textfmt.format_g17(ensemble.states[lo:lo + k], out=value[:k])
+            fh.write(textfmt.csv_text(table[:k]))
 
 
 def _write_resolvent_csv(path, times, weights):

@@ -106,7 +106,10 @@ class PathEnsemble:
 
     def __getattr__(self, name):
         # reached only when normal lookup fails: for driver_increments, when
-        # the pass kept none
+        # the pass kept none; for states, and for dim, whose read of states
+        # failed, when the ensemble holds no path
+        if name in ("states", "dim"):
+            raise AttributeError(f"{name}: this ensemble holds no path, only its driver increments")
         if name != "driver_increments":
             raise AttributeError(name)
         self.driver_increments = _rng.normal_increments(

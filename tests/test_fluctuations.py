@@ -400,6 +400,16 @@ class TestFoldedSup:
             pair.z_eps.states
         assert "states" not in vars(pair.z_eps) and calls == []
 
+    def test_pathless_ensemble_says_it_holds_no_path(self):
+        # dim reads states; the error names the missing path, not just "dim"
+        pair = clt_pair(_model(a=1.0, sigma1=0.5), 1.0, 0.1, TimeGrid(1.0, 10), 8, seed=1)
+        assert pair.z_lim.dim == 1
+        for name in ("states", "dim"):
+            with pytest.raises(AttributeError, match="holds no path"):
+                getattr(pair.z_eps, name)
+        with pytest.raises(AttributeError, match="holds no path"):
+            pair.z_eps.terminal()
+
     def test_chained_sweep_peaks_below_its_arrays(self, traced_peak):
         # three chained eps cells at N = 2000, n = 200: the peak is the
         # increments, Z, the two histories of a march and the weights of

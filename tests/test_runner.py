@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -123,6 +124,20 @@ def _oracle_resolvent_csv(path, times, weights):
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, -np.nan,
                np.inf, -np.inf, 1e300, -1e300, 1.0, -3.0, 12345678.0, 2.0**53, 0.1, 1 / 3]
+
+
+# sha256 of two small seeded artifacts, recorded from the per-row writers
+# that the block writers replaced: a simulate run at d = 2 and an fbm
+# resolvent run.  Their bytes must not move.
+PINNED_SIMULATE = "\n[model]\ndim = 2\nm = 2\n[run]\nN = 16\n[output]\nensemble_csv = true\n"
+PINNED_ENSEMBLE_SHA256 = "59bf043436dc90b35ddd9098395f767fbe9a52684af7be897f857d09da50c4da"
+PINNED_RESOLVENT = ("[experiment]\nkind = resolvent\n[kernel1]\nfamily = fbm\nH = 0.3\n"
+                    "[grid]\nT = 1.0\nn_steps = 40\n")
+PINNED_RESOLVENT_SHA256 = "31cbb683a07fda6f6e1da7c65680b17c41bbfc49b7fd94b69a64c8ecae7f324b"
+
+
+def _sha256(path):
+    return hashlib.sha256(_read(path)).hexdigest()
 
 
 def _edge_array(shape, seed):
@@ -308,6 +323,14 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         peak = traced_peak(cfg)
         assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
+    def test_one_particle_blocks_estimate_tracks_traced_peak(self, traced_peak, monkeypatch):
+        # blocks of 16 rows hold less than one particle of 201 steps, so
+        # each block of ensemble.csv is one whole particle
+        monkeypatch.setattr(runner, "BLOCK_ROWS", 16)
+        cfg = _cfg("simulate", "\n[grid]\nn_steps = 200\n[run]\nN = 500\n")
+        peak = traced_peak(cfg)
+        assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
+
     def test_chained_clt_estimate_tracks_traced_peak(self, traced_peak):
         cfg = _cfg("clt", "\n[run]\nN = 500\neps_list = [1e-1, 1e-2, 1e-3, 1e-4]\n")
         peak = traced_peak(cfg)
@@ -407,6 +430,28 @@ class TestWriters:
         _write_ensemble_csv(tmp_path / "new.csv", ens)
         _oracle_ensemble_csv(tmp_path / "old.csv", ens)
         assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
+
+    def test_particle_longer_than_a_block_matches_oracle(self, tmp_path, monkeypatch):
+        # blocks of 4 rows hold less than one particle of 10 steps, so each
+        # block is one whole particle, and each starts and ends on values
+        # that textfmt leaves to Python's %
+        monkeypatch.setattr(runner, "BLOCK_ROWS", 4)
+        grid = TimeGrid(0.7, 9)
+        states = _edge_array((3, 10, 2), seed=17)
+        fallback = np.array([0.0, -0.0, 5e-324, 1e13, np.nan, np.inf]).reshape(3, 2)
+        states[:, 0] = fallback
+        states[:, -1] = -fallback[::-1]
+        ens = PathEnsemble(grid=grid, states=states, driver_increments=np.zeros((3, 9, 1)),
+                           seed=0, tag="edge", eps=0.1)
+        _write_ensemble_csv(tmp_path / "new.csv", ens)
+        _oracle_ensemble_csv(tmp_path / "old.csv", ens)
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
+
+    def test_seeded_artifact_bytes_are_pinned(self, tmp_path):
+        res = run_experiment(_cfg("simulate", PINNED_SIMULATE), out_dir=tmp_path / "sim")
+        assert _sha256(os.path.join(res.out_dir, "ensemble.csv")) == PINNED_ENSEMBLE_SHA256
+        res = run_experiment(validate_config(PINNED_RESOLVENT), out_dir=tmp_path / "res")
+        assert _sha256(os.path.join(res.out_dir, "resolvent.csv")) == PINNED_RESOLVENT_SHA256
 
     @pytest.mark.parametrize("block", [7, 11, 1000])
     def test_resolvent_blocks_match_oracle(self, tmp_path, monkeypatch, block):
