@@ -7,7 +7,6 @@ with its field path, never first-failure only.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -17,6 +16,16 @@ from .coefficients import BuiltinLinearMeanField, CoefficientSet
 from .errors import ConfigError
 from .grids import TimeGrid
 from .kernels import Kernel, kernel_from_params, _CONFIG_FAMILIES
+
+# CPython's built-in SHA-256 (_sha2 from 3.12, _sha256 before), as random.py
+# takes its sha512: hashlib would map OpenSSL only to hash the manifest
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 EXPERIMENT_KINDS = (
     "simulate", "limit", "clt", "ldp-rate", "mdp-rate", "rate-min",
@@ -171,7 +180,7 @@ class ExperimentConfig:
 
     @property
     def sha256(self) -> str:
-        return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
+        return _sha256(self.raw_text.encode("utf-8")).hexdigest()
 
 
 def _is_number(val) -> bool:

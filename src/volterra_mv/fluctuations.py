@@ -18,6 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .grids import TimeGrid
+from .kernels import Workspace
 # simulate_particles is not called here: the benchmark's traced layers wrap it
 # under this module's name
 from .solvers import (Model, PathEnsemble, _linear_march, _particle_pass, simulate_particles,
@@ -32,14 +33,16 @@ _HOLDER_MAX_PAIRS = 10**6
 
 
 def _folded_pass(model: Model, xi, eps: float, grid: TimeGrid, seed: int,
-                 driver_increments: np.ndarray, gap) -> np.ndarray:
+                 driver_increments: np.ndarray, gap, workspace: Workspace) -> np.ndarray:
     """sup_t gap(i, X^eps_{t_i}) of each particle, (N,), over the particle pass
     of simulate_particles on the given increments, which keeps no path: the
-    march folds each node's state slab into a running max, which is exact."""
+    march folds each node's state slab into a running max, which is exact.
+    The pass marches on the history buffers of ``workspace``."""
     sup = np.full(driver_increments.shape[0], -np.inf)
     _particle_pass(model.k1, model.k2, None, model.coeffs, xi, eps, grid,
                    driver_increments.shape[0], seed, driver_increments, keep_path=False,
-                   fold=lambda i, x_i: np.maximum(sup, gap(i, x_i), out=sup))
+                   fold=lambda i, x_i: np.maximum(sup, gap(i, x_i), out=sup),
+                   workspace=workspace)
     return sup
 
 
@@ -47,9 +50,10 @@ def _folded_pass(model: Model, xi, eps: float, grid: TimeGrid, seed: int,
 class FluctuationPair:
     """Rescaled deviation and its limiting linear process on shared drivers.
 
-    A pair from ``clt_pair`` records its model and the sup its particle pass
-    folded, and its ``z_eps`` holds the driver increments but no path.  A pair
-    built from two held paths takes its sup from them.
+    A pair from ``clt_pair`` records its model, the sup its particle pass
+    folded and the workspace of history buffers its marches ran on, and its
+    ``z_eps`` holds the driver increments but no path.  A pair built from two
+    held paths takes its sup from them.
     """
 
     z_eps: PathEnsemble
@@ -59,6 +63,7 @@ class FluctuationPair:
     # set by clt_pair once the pair is built
     model: Model | None = field(default=None, init=False, repr=False)
     _sup: np.ndarray | None = field(default=None, init=False, repr=False)
+    _workspace: Workspace | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.z_eps.seed != self.z_lim.seed or self.z_eps.tag != self.z_lim.tag:
@@ -91,12 +96,15 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
     measure-derivative term paired with the ensemble mean), on the very same
     driver increments.  Z is marched first; the particle pass then folds
     sup_t |Z^eps_t - Z_t| node by node and keeps no path, so ``z_eps`` holds
-    the increments alone.
+    the increments alone.  ``z_lim.states`` is a transposed view of the
+    time-major Z march.
 
     None of X^0, the driver increments and Z depends on eps.  ``limit``, a
     pair from an earlier eps of the same model object, xi, grid, N and seed,
-    lends them to this one, so only the eps-dependent particle pass runs; the
-    result is bitwise that of a call without it.
+    lends them to this one, with the workspace of history buffers that both
+    marches of its first pair allocated, so only the eps-dependent particle
+    pass runs and maps no new buffers; the result is bitwise that of a call
+    without it.
     """
     coeffs = model.coeffs
     if callable(xi):
@@ -113,7 +121,9 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
         # both the particle pass and the Z march read them: draw them once
         dw = _rng.normal_increments(seed, "particles", n_particles, grid.n_steps,
                                     coeffs.m, grid.dt)
-        z = _linear_march(model.k1, model.k2, coeffs, x0, grid, dw, 1.0, mean_field=True)
+        workspace = Workspace()
+        z = _linear_march(model.k1, model.k2, coeffs, x0, grid, dw, 1.0, mean_field=True,
+                          workspace=workspace)
     else:
         lim = limit.z_lim
         if limit.model is not model:
@@ -122,17 +132,25 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
             raise ValueError("limit pair was drawn with another seed, grid or particle count")
         if not np.array_equal(limit.x0_path[0], np.atleast_1d(np.asarray(xi, dtype=float))):
             raise ValueError("limit pair starts from another initial condition")
-        x0, dw, z = limit.x0_path, lim.driver_increments, lim.states
+        x0, dw, z, workspace = limit.x0_path, lim.driver_increments, lim.states, limit._workspace
     scale = np.sqrt(eps)
+    z_nodes = z.transpose(1, 0, 2)  # the time-major march: one (N, d) slab a node
     sup = _folded_pass(model, xi, eps, grid, seed, dw,
-                       lambda i, x_i: np.linalg.norm((x_i - x0[i]) / scale - z[:, i], axis=1))
+                       lambda i, x_i: np.linalg.norm((x_i - x0[i]) / scale - z_nodes[i], axis=1),
+                       workspace)
     z_eps = PathEnsemble(grid=grid, states=None, driver_increments=dw, seed=seed,
                          tag="particles", eps=eps)
     z_lim = PathEnsemble(grid=grid, states=z, driver_increments=dw,
                          seed=seed, tag="particles", eps=eps)
     pair = FluctuationPair(z_eps=z_eps, z_lim=z_lim, eps=eps, x0_path=x0)
-    pair.model, pair._sup = model, sup
+    pair.model, pair._sup, pair._workspace = model, sup, workspace
     return pair
+
+
+def _bootstrap_rows(n: int) -> int:
+    """How many of clt_gap's resamples of n values it draws at once: at most
+    256 KB of indices unless one resample is more."""
+    return min(_BOOTSTRAP_RESAMPLES, max(1, (1 << 15) // n))
 
 
 @dataclass(frozen=True)
@@ -143,19 +161,20 @@ class GapEstimate:
     n_particles: int
 
 
-def clt_gap(pair: FluctuationPair, p: float = 2.0) -> GapEstimate:
-    """Monte Carlo estimate of E[sup_t |Z^eps_t - Z_t|^p] with bootstrap stderr."""
+def clt_gap(pair, p: float = 2.0) -> GapEstimate:
+    """Monte Carlo estimate of E[sup_t |Z^eps_t - Z_t|^p] with bootstrap stderr,
+    from a FluctuationPair or from its ``sup_gap`` alone, which a sweep keeps
+    once it has let go of the pair's arrays."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    vals = pair.sup_gap**p
+    sup = pair.sup_gap if isinstance(pair, FluctuationPair) else np.asarray(pair, dtype=float)
+    vals = sup**p
     est = float(vals.mean())
     rng = np.random.default_rng(0)
     n = vals.size
     boots = np.empty(_BOOTSTRAP_RESAMPLES)
-    # resamples drawn a block of rows at a time, at most 256 KB of indices
-    # unless one row is more; the draws and the row means are those of one
-    # resample at a time
-    rows = max(1, (1 << 15) // n)
+    # the draws and the row means of a block are those of one resample at a time
+    rows = _bootstrap_rows(n)
     for lo in range(0, _BOOTSTRAP_RESAMPLES, rows):
         idx = rng.integers(0, n, size=(min(rows, _BOOTSTRAP_RESAMPLES - lo), n))
         boots[lo:lo + len(idx)] = vals[idx].mean(axis=1)
@@ -247,6 +266,8 @@ def strong_error_vs_eps(model: Model, xi, eps_list, grid: TimeGrid,
     # every eps draws the same increments (same seed and tag): draw them once
     dw = _rng.normal_increments(seed, "particles", n_particles, grid.n_steps,
                                 model.coeffs.m, grid.dt)
+    workspace = Workspace()  # and the passes, one after another, share their buffers
     return {eps: float(_folded_pass(model, xi, eps, grid, seed, dw,
-                                    lambda i, x_i: np.linalg.norm(x_i - x0[i], axis=1)).mean())
+                                    lambda i, x_i: np.linalg.norm(x_i - x0[i], axis=1),
+                                    workspace).mean())
             for eps in eps_list}

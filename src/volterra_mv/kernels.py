@@ -33,14 +33,46 @@ _GL_NODES = 12
 _GL_EDGE_NODES = 24
 
 
-def _gauss_legendre(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    # map from [-1, 1] to [0, 1]
-    return 0.5 * (x + 1.0), 0.5 * w
+def _hex_floats(text):
+    return np.array([float.fromhex(v) for v in text.split()])
 
 
-_GL_X, _GL_W = _gauss_legendre(_GL_NODES)
-_GLE_X, _GLE_W = _gauss_legendre(_GL_EDGE_NODES)
+# the _GL_NODES- and _GL_EDGE_NODES-point Gauss-Legendre rules on [0, 1],
+# nodes ascending: numpy.polynomial.legendre.leggauss(n) mapped by
+# x -> 0.5 * (x + 1) and w -> 0.5 * w, written out as exact hex floats so that
+# no run imports numpy.polynomial
+_GL_X = _hex_floats("""
+    0x1.2e1c4e37a2fe0p-7 0x1.88bc58023ba68p-5 0x1.d73d4449dc328p-4
+    0x1.a6961f47f100ep-3 0x1.43ab96faba732p-2 0x1.bfe1681c273c7p-2
+    0x1.200f4bf1ec61cp-1 0x1.5e2a3482a2c67p-1 0x1.965a782e03bfcp-1
+    0x1.c5185776c479bp-1 0x1.e7743a7fdc45ap-1 0x1.fb478ec721740p-1
+""")
+_GL_W = _hex_floats("""
+    0x1.8275d9dea6d53p-6 0x1.b60602bce61afp-5 0x1.47d7258f22d96p-4
+    0x1.a0163e6b1ab6bp-4 0x1.de3155c256aaep-4 0x1.fe40ce6d4f022p-4
+    0x1.fe40ce6d4f022p-4 0x1.de3155c256aaep-4 0x1.a0163e6b1ab6bp-4
+    0x1.47d7258f22d96p-4 0x1.b60602bce61afp-5 0x1.8275d9dea6d53p-6
+""")
+_GLE_X = _hex_floats("""
+    0x1.3b690cb733f00p-9 0x1.9e0c1e680f140p-7 0x1.f9a7a58f55b30p-6
+    0x1.d13df3cd97858p-5 0x1.70a2cc7cb2400p-4 0x1.0a1ce248c4454p-3
+    0x1.685a2340bdef4p-3 0x1.d17d08a7651aap-3 0x1.21e5d13f0eda6p-2
+    0x1.5eb2b9d3b8b78p-2 0x1.9e25aaf51ac1dp-2 0x1.df33ef5824ba3p-2
+    0x1.10660853eda2ep-1 0x1.30ed2a85729f2p-1 0x1.50a6a31623a44p-1
+    0x1.6f0d17607892dp-1 0x1.8ba0bdd626b96p-1 0x1.a5e9772fd0843p-1
+    0x1.bd78c76dceeebp-1 0x1.d1eba67069b80p-1 0x1.e2ec20c32687ap-1
+    0x1.f032c2d385526p-1 0x1.f987cf865fc3bp-1 0x1.fec496f348cc1p-1
+""")
+_GLE_W = _hex_floats("""
+    0x1.9465bd311255dp-8 0x1.d375514486effp-7 0x1.6ab884f57c940p-6
+    0x1.e5c6255d25e9dp-6 0x1.2c6d5c2eff05ap-5 0x1.6108ef5044635p-5
+    0x1.8fd8936444b19p-5 0x1.b8177ba4a68d7p-5 0x1.d91c78acb1b27p-5
+    0x1.f25cbce1d1fefp-5 0x1.01b7117cf8bd6p-4 0x1.060475e763731p-4
+    0x1.060475e763731p-4 0x1.01b7117cf8bd6p-4 0x1.f25cbce1d1fefp-5
+    0x1.d91c78acb1b27p-5 0x1.b8177ba4a68d7p-5 0x1.8fd8936444b19p-5
+    0x1.6108ef5044635p-5 0x1.2c6d5c2eff05ap-5 0x1.e5c6255d25e9dp-6
+    0x1.6ab884f57c940p-6 0x1.d375514486effp-7 0x1.9465bd311255dp-8
+""")
 
 
 # Gauss series terms summed per fbm kernel value; each series is evaluated only
@@ -675,13 +707,19 @@ class History:
     of the block, and each push adds the near part over h[b0 : i+1], so a
     step rereads at most B history rows instead of i+1.  Only the order of
     the additions changes (about 2e-15 relative per push).
+
+    ``buffers`` lends the history its value and far buffers, as
+    ``Workspace.history`` does; without them it allocates its own.  Every
+    push writes the rows it reads, so lent buffers give the same sums.
     """
 
-    def __init__(self, weights: np.ndarray, shape: tuple = ()):
+    def __init__(self, weights: np.ndarray, shape: tuple = (), buffers=None):
         self.weights = weights
-        self._values = np.empty((weights.shape[1], *shape))
-        width = math.prod(shape)
-        self._far = np.empty((HISTORY_BLOCK, width)) if width >= HISTORY_BLOCKED_WIDTH else None
+        if buffers is None:
+            width = math.prod(shape)
+            buffers = (np.empty((weights.shape[1], *shape)),
+                       np.empty((HISTORY_BLOCK, width)) if width >= HISTORY_BLOCKED_WIDTH else None)
+        self._values, self._far = buffers
         self._count = 0
 
     def push(self, h) -> np.ndarray:
@@ -695,6 +733,30 @@ class History:
             far = self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
             np.matmul(far, self._values[:b0], out=self._far[: len(far)])
         return self._far[i - b0] + self.weights[i + 1, b0 : i + 1] @ self._values[b0 : i + 1]
+
+
+class Workspace:
+    """A pool of the value and far buffers of History sums, for marches run
+    one after another: the passes of an eps sweep then map their buffers
+    once instead of once a pass.
+
+    ``history`` builds a History on a free pair of buffers of its shape, or on
+    new ones, and ``release`` hands the buffers of finished histories back;
+    a released history must not be pushed again.
+    """
+
+    def __init__(self):
+        self._free = []
+
+    def history(self, weights: np.ndarray, shape: tuple = ()) -> History:
+        rows = (weights.shape[1], *shape)
+        for k, buffers in enumerate(self._free):
+            if buffers[0].shape == rows:
+                return History(weights, shape, buffers=self._free.pop(k))
+        return History(weights, shape)
+
+    def release(self, *histories) -> None:
+        self._free.extend((h._values, h._far) for h in histories if h is not None)
 
 
 def convolve(k: GridKernel, m: GridKernel) -> GridKernel:

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
-from .fluctuations import clt_gap, clt_pair
+from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
 from .kernels import HISTORY_BLOCK, GridKernel, regularity_probe, resolvent
 from .rates import Halfspace, RateProblem, ldp_rate, mdp_rate, minimize_rate_endpoint, tail_probability_probe
 from .rng import _BLOCK as _DRAW_BLOCK
@@ -104,8 +104,10 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     elif kind == "clt":
         # and the increments, drawn once before the first march: the Z march
         # keeps its states, and each particle pass beside Z folds its sup
-        # and keeps one state slab, which comes to the same
-        floats = big_n * (n * m + march(n + 1))
+        # and keeps one state slab, which comes to the same.  The bootstrap
+        # runs once those are freed: a block of resample indices and the
+        # values they pick, at most about 512 KB, which is the peak of small runs
+        floats = max(big_n * (n * m + march(n + 1)), 2 * _bootstrap_rows(big_n) * big_n)
     elif kind == "tail-probe":
         # a crude cell reads only terminal states: the march keeps one node
         floats = big_n * march(1) + draws
@@ -221,33 +223,41 @@ def _write_resolvent_csv(path, times, weights):
 
 
 def _write_summary_csv(path, ensemble, p_list):
+    # every cell is a float, so textfmt formats the whole table at once, with
+    # the bytes of csv.writer with _fmt cells
+    from . import textfmt
+
     summary = ensemble_summary(ensemble, p_list=p_list)
     d = ensemble.dim
     header = (
         ["t"] + [f"mean_x{k + 1}" for k in range(d)] + [f"var_x{k + 1}" for k in range(d)]
         + [f"moment_p{_fmt(p)}" for p in p_list]
     )
-    rows = []
-    for i, t in enumerate(summary["t"]):
-        row = [t]
-        row += list(summary["mean"][i])
-        row += list(summary["var"][i])
-        row += [summary[f"moment_p{p}"][i] for p in p_list]
-        rows.append(row)
-    _write_csv(path, header, rows)
+    table = np.column_stack([summary["t"], summary["mean"], summary["var"]]
+                            + [summary[f"moment_p{p}"] for p in p_list])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.write(textfmt.csv_rows(textfmt.format_g17(table)))
 
 
 def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
-    # X^0, the driver increments and Z do not depend on eps: each pair lends
-    # them to the next.  A pair keeps no Z^eps path, only its folded sup
+    # X^0, the driver increments, Z and the workspace of history buffers do
+    # not depend on eps: each pair lends them to the next.  A pair keeps no
+    # Z^eps path, and the sweep keeps only its folded sup.  The bootstrap runs
+    # after the last pair, and with it those arrays, is gone, so its
+    # temporaries and numpy.random never sit beside them
     model = _model(cfg)
-    rows = []
+    sups = []
     pair = None
     for eps in eps_chunk:
         pair = clt_pair(model, cfg.xi, eps, cfg.grid, cfg.n_particles, cfg.seed, limit=pair)
+        sups.append(pair.sup_gap)
+    del pair
+    rows = []
+    for eps, sup in zip(eps_chunk, sups):
         row = [eps]
         for p in cfg.p_list:
-            gap = clt_gap(pair, p=p)
+            gap = clt_gap(sup, p=p)
             row.extend([gap.value, gap.stderr])
         rows.append(tuple(row))
     return rows

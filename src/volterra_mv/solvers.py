@@ -31,7 +31,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError
 from .grids import TimeGrid
-from .kernels import HISTORY_BLOCK, History, Kernel, grid_weights
+from .kernels import HISTORY_BLOCK, Kernel, Workspace, grid_weights
 from .measures import EmpiricalMeasure
 from . import rng as _rng
 
@@ -215,7 +215,7 @@ def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
 def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: CoefficientSet,
               xi, grid: TimeGrid, n_particles: int, seed: int,
               v: ControlPath | None, noise_scale: float, law: np.ndarray | None, blocks,
-              keep_path: bool = True, fold=None) -> np.ndarray:
+              keep_path: bool = True, fold=None, workspace: Workspace | None = None) -> np.ndarray:
     """The one explicit march of every nonlinear solver.
 
     Returns the states (N, n+1, d), or with ``keep_path`` False only the
@@ -227,6 +227,8 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     HISTORY_BLOCK steps at a time, and not at all without noise.
     ``law`` is None for the ensemble's own empirical law, else states
     (N', n+1, d) whose empirical law at each node is frozen in.
+    ``workspace`` lends the march the buffers of its history sums and takes
+    them back when it ends; without it the march allocates its own.
     """
     d = coeffs.d
     n = grid.n_steps
@@ -243,9 +245,10 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     base = states0.reshape(-1)
 
     flat = (n_particles * d,)
-    drift = History(grid_weights(k1, grid), flat)
-    noise = History(grid_weights(k2, grid), flat) if noise_scale != 0.0 else None
-    ctrl = History(grid_weights(kc, grid), flat) if v is not None else None
+    pool = Workspace() if workspace is None else workspace
+    drift = pool.history(grid_weights(k1, grid), flat)
+    noise = pool.history(grid_weights(k2, grid), flat) if noise_scale != 0.0 else None
+    ctrl = pool.history(grid_weights(kc, grid), flat) if v is not None else None
     steps = _time_major_steps(blocks, n) if noise is not None else None
     own_law = law is None
 
@@ -268,8 +271,10 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
             fold(i + 1, states[(i + 1) % nodes])
 
     # release the histories and the last block of increments first: the
-    # particle-major copy then takes their place instead of raising the peak
-    del drift, noise, ctrl, steps
+    # particle-major copy then takes their place instead of raising the peak,
+    # unless a caller's workspace keeps the history buffers for its next march
+    pool.release(drift, noise, ctrl)
+    del drift, noise, ctrl, steps, pool
     return _particle_major(states)
 
 
@@ -377,14 +382,15 @@ def solve_controlled_deterministic(k1: Kernel, kc: Kernel, coeffs: CoefficientSe
 
 def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.ndarray,
                   grid: TimeGrid, drivers: np.ndarray, scale: float,
-                  mean_field: bool = False) -> np.ndarray:
+                  mean_field: bool = False, workspace: Workspace | None = None) -> np.ndarray:
     """The one explicit march of the linear equations along the limit path.
 
-    States (N, n+1, d) from zero of
+    States (N, n+1, d) from zero, a transposed view of the time-major march, of
         z[i+1] = dt sum_k w1[i+1, k] (grad_b_k z_k [+ lions_b_k mean(z_k)])
                  + scale sum_k wf[i+1, k] sigma_k u_k,
     with u = drivers (N, n, m) and every coefficient taken at x0_path under its
     Dirac law; the measure-derivative term enters when ``mean_field`` is set.
+    ``workspace`` lends the history buffers, as in ``_simulate``.
     """
     n_paths, d = drivers.shape[0], coeffs.d
     n = grid.n_steps
@@ -395,8 +401,9 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
                                    *(lions if mean_field else []), coeffs.diffusion)
 
     flat = (n_paths * d,)
-    drift = History(grid_weights(k1, grid), flat)
-    forced = History(grid_weights(kf, grid), flat)
+    pool = Workspace() if workspace is None else workspace
+    drift = pool.history(grid_weights(k1, grid), flat)
+    forced = pool.history(grid_weights(kf, grid), flat)
     z = np.empty((n + 1, n_paths, d))  # time-major, as in _simulate
     z[0] = 0.0
     for i, ui in enumerate(_time_major_steps(_given_blocks(drivers), n)):
@@ -407,19 +414,28 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
         fi = np.dot(ui, sig[i].T)
         nxt = dt * drift.push(bi.reshape(-1)) + scale * forced.push(fi.reshape(-1))
         z[i + 1] = nxt.reshape(n_paths, d)
-    del drift, forced
-    return _particle_major(z)
+    pool.release(drift, forced)
+    return z.transpose(1, 0, 2)
 
 
 def ensemble_summary(ensemble: PathEnsemble, p_list=(2,)) -> dict:
     """Per-node mean/variance per component and p-moments of the norm."""
     s = ensemble.states
-    out = {
-        "t": ensemble.grid.times,
-        "mean": s.mean(axis=0),
-        "var": s.var(axis=0),
-    }
-    norms = np.linalg.norm(s, axis=2)
+    mean = s.mean(axis=0)
+    # the steps of s.var(axis=0) on the mean already taken, bit for bit
+    dev = s - mean
+    dev *= dev
+    out = {"t": ensemble.grid.times, "mean": mean, "var": dev.mean(axis=0)}
+    del dev
+    if s.shape[2] <= 2:
+        # np.linalg.norm's sqrt of the summed squares without its reduction
+        # over the short last axis: no order of two terms changes a bit
+        norms = s[..., 0] * s[..., 0]
+        if s.shape[2] == 2:
+            norms += s[..., 1] * s[..., 1]
+        np.sqrt(norms, out=norms)
+    else:
+        norms = np.linalg.norm(s, axis=2)
     for p in p_list:
         out[f"moment_p{p}"] = (norms**p).mean(axis=0)
     return out

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from volterra_mv import BuiltinLinearMeanField, ConstantKernel, TimeGrid
+from volterra_mv import BuiltinLinearMeanField, ConstantKernel, TimeGrid, kernels
 from volterra_mv.config import ExperimentConfig, validate_config
 from volterra_mv.runner import run_experiment
 
@@ -86,3 +86,18 @@ def traced_peak(tmp_path):
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def history_buffers(monkeypatch):
+    """One entry per History built during the test: True when it allocated
+    its own buffers, False when a workspace lent them."""
+    fresh = []
+    real = kernels.History.__init__
+
+    def counting(self, weights, shape=(), buffers=None):
+        fresh.append(buffers is None)
+        real(self, weights, shape, buffers)
+
+    monkeypatch.setattr(kernels.History, "__init__", counting)
+    return fresh

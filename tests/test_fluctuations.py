@@ -199,6 +199,26 @@ class TestChainedPairs:
             assert np.array_equal(pair.z_eps.driver_increments, fresh.z_eps.driver_increments)
             assert np.array_equal(pair.z_lim.driver_increments, fresh.z_lim.driver_increments)
 
+    def test_chain_marches_on_one_workspace(self, history_buffers):
+        # the first pair's Z march allocates the history buffers; every later
+        # pass of the chain runs on them, and its sup, its Z and the gap
+        # taken from the sup alone keep their bits
+        model = Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3),
+                      coeffs=_model(a=1.0, b=0.5, sigma1=0.5).coeffs)
+        grid = TimeGrid(1.0, 40)
+        fresh = [clt_pair(model, 1.0, eps, grid, 64, seed=7) for eps in SWEEP]
+        history_buffers.clear()
+        pair = first = None
+        for eps, want in zip(SWEEP, fresh):
+            pair = clt_pair(model, 1.0, eps, grid, 64, seed=7, limit=pair)
+            first = first or pair
+            assert pair._workspace is first._workspace
+            assert np.array_equal(pair.sup_gap, want.sup_gap)
+            assert np.array_equal(pair.z_lim.states, want.z_lim.states)
+            assert clt_gap(pair.sup_gap, p=4) == clt_gap(want, p=4)
+        # X^0's one-particle march, and the Z march's two histories
+        assert history_buffers.count(True) == 3
+
     @pytest.mark.parametrize("change", [
         {"seed": 8},
         {"grid": TimeGrid(1.0, 21)},
@@ -487,6 +507,13 @@ class TestScalingRegression:
             sup = np.linalg.norm(ens.states - x0[None, :, :], axis=2).max(axis=1)
             assert errs[eps] == float(sup.mean())
             assert errs[eps] == float(_block_sup(ens.states, x0[None, :, :], 7).mean())
+
+    def test_strong_error_passes_share_their_history_buffers(self, history_buffers):
+        # X^0's one-particle march and the first pass allocate history
+        # buffers; the later passes run on the first pass's
+        strong_error_vs_eps(_model(a=1.0, b=0.5), 1.0, SWEEP, TimeGrid(1.0, 30), 50, seed=14)
+        assert history_buffers.count(True) == 3
+        assert history_buffers.count(False) == 2 * (len(SWEEP) - 1)
 
     def test_strong_error_sup_is_taken_in_blocks(self, traced_peak):
         # each eps pass folds the sup over the nodes and keeps no path, so a

@@ -1,7 +1,9 @@
 """Start-up cost: importing the library loads numpy only, not even the CSV
-formatter and its digit tables, and a run loads only the scipy submodules its
-path calls; noisy runs and fbm kernels load no scipy.special.  Each check runs
-in a fresh interpreter, because this test session has imported scipy already."""
+formatter and its digit tables, numpy.polynomial or OpenSSL, and a run loads
+only the scipy submodules its path calls; noisy runs and fbm kernels load no
+scipy.special, and numpy.random loads only for a clt run's bootstrap.  Each
+check runs in a fresh interpreter, because this test session has imported
+scipy already."""
 
 import os
 import subprocess
@@ -152,3 +154,59 @@ def test_normal_increments_peak_memory_is_near_its_output(tmp_path):
         print(tracemalloc.get_traced_memory()[1] / z.nbytes)
     """, tmp_path)
     assert float(out) <= 1.3
+
+
+# OpenSSL comes in with hashlib (as _hashlib), and again with numpy.random,
+# whose seeding imports secrets and hmac
+def test_cli_import_loads_no_openssl_and_no_numpy_polynomial(tmp_path):
+    out = _run("""
+        import sys
+        import volterra_mv.cli
+        print(" ".join(m for m in ("_hashlib", "numpy.polynomial") if m in sys.modules))
+    """, tmp_path)
+    assert out.strip() == ""
+
+
+def _run_loads_no_openssl(tmp_path, kind, config, artifact):
+    (tmp_path / "exp.cfg").write_text(config.replace("kind = rate-min", f"kind = {kind}"))
+    out = _run(f"""
+        import sys
+        from volterra_mv.cli import main
+        rc = main(["{kind}", "--config", "exp.cfg", "--out", "out"])
+        print(rc, *(m for m in ("_hashlib", "numpy.random") if m in sys.modules))
+    """, tmp_path)
+    assert out.splitlines()[-1].split() == ["0"]
+    assert (tmp_path / "out" / artifact).exists()
+
+
+def test_simulate_run_loads_no_openssl_and_no_numpy_random(tmp_path):
+    _run_loads_no_openssl(tmp_path, "simulate", NOISY_FBM + "eps = 0.1\n", "summary.csv")
+
+
+def test_rate_min_run_loads_no_openssl_and_no_numpy_random(tmp_path):
+    _run_loads_no_openssl(tmp_path, "rate-min", RATE_MIN, "control.csv")
+
+
+def test_clt_marches_before_numpy_random_loads(tmp_path):
+    # the bootstrap, the one user of numpy.random in a clt run, runs once
+    # every eps has been marched and the march arrays are freed
+    (tmp_path / "exp.cfg").write_text(NOISY_FBM.replace("kind = rate-min", "kind = clt")
+                                      + "eps_list = [0.1, 0.01, 0.001]\n")
+    out = _run("""
+        import sys
+        from volterra_mv import runner
+        from volterra_mv.cli import main
+
+        loaded = []
+        real = runner.clt_pair
+
+        def pair(*args, **kwargs):
+            loaded.append("numpy.random" in sys.modules)
+            return real(*args, **kwargs)
+
+        runner.clt_pair = pair
+        rc = main(["clt", "--config", "exp.cfg", "--out", "out"])
+        print(rc, *loaded, "numpy.random" in sys.modules)
+    """, tmp_path)
+    assert out.split()[-5:] == ["0", "False", "False", "False", "True"]
+    assert (tmp_path / "out" / "clt.csv").exists()

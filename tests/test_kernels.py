@@ -33,6 +33,7 @@ from volterra_mv.kernels import (
     HISTORY_BLOCK,
     HISTORY_BLOCKED_WIDTH,
     History,
+    Workspace,
     _quad_power_edges,
     _fbm_series,
     _toeplitz_strict_lower,
@@ -419,6 +420,51 @@ class TestHistory:
                 assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
             with pytest.raises(IndexError):
                 hist.push(h[0])
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("shape", [(3,), (160,)])
+    def test_lent_buffers_give_the_same_sums(self, shape):
+        # a history on buffers that an earlier one filled sums bit for bit as
+        # one on fresh buffers: every push writes the rows it reads
+        grid = TimeGrid(1.0, 2 * HISTORY_BLOCK + 11)
+        n = grid.n_steps
+        w = FbmKernel(0.3).average_weights(grid)
+        rng = np.random.default_rng(3)
+        pool = Workspace()
+        first = pool.history(w, shape)
+        for h in rng.normal(size=(n, *shape)):
+            first.push(h)
+        pool.release(first)
+        h = rng.normal(size=(n, *shape))
+        lent, fresh = pool.history(w, shape), History(w, shape)
+        assert lent._values is first._values and lent._far is first._far
+        for i in range(n):
+            assert np.array_equal(lent.push(h[i]), fresh.push(h[i]))
+
+    def test_pool_matches_buffers_by_shape(self):
+        grid = TimeGrid(1.0, 10)
+        w = ConstantKernel(1.0).average_weights(grid)
+        pool = Workspace()
+        a, b = pool.history(w, (4,)), pool.history(w, (4,))
+        assert a._values is not b._values
+        pool.release(a, None, b)
+        other = pool.history(w, (5,))
+        assert other._values is not a._values and other._values is not b._values
+        assert {id(pool.history(w, (4,))._values) for _ in range(2)} == {id(a._values), id(b._values)}
+
+
+class TestGaussLegendreTables:
+    def test_tables_are_leggauss_on_the_unit_interval(self):
+        # the rules are written out as literals, so that no run imports
+        # numpy.polynomial; they are its nodes and weights mapped to [0, 1]
+        from numpy.polynomial.legendre import leggauss
+
+        for n, x_table, w_table in ((_GL_NODES, _GL_X, _GL_W), (24, _GLE_X, _GLE_W)):
+            x, w = leggauss(n)
+            assert x_table.dtype == w_table.dtype == np.float64
+            assert x_table.view(np.uint64).tolist() == (0.5 * (x + 1.0)).view(np.uint64).tolist()
+            assert w_table.view(np.uint64).tolist() == (0.5 * w).view(np.uint64).tolist()
 
 
 class TestConvolve:

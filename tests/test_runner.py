@@ -357,12 +357,26 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         peak = traced_peak(cfg)
         assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
-    def test_chained_clt_peaks_as_one_pair(self, traced_peak):
-        # each pair lends X^0, the increments and Z to the next and drops its
-        # Z^eps first, so a sweep holds what one pair does
+    def test_chained_clt_peaks_as_one_pair(self, traced_peak, history_buffers):
+        # each pair lends X^0, the increments, Z and the history buffers of
+        # its first pair's Z march to the next and drops its Z^eps first, so
+        # a sweep holds what one pair does and maps no more history buffers
         one = traced_peak(_cfg("clt", "\n[run]\nN = 500\neps_list = [0.25]\n"))
+        lent_one, fresh_one = history_buffers.count(False), history_buffers.count(True)
+        history_buffers.clear()
         four = traced_peak(_cfg("clt", "\n[run]\nN = 500\neps_list = [1e-1, 1e-2, 1e-3, 1e-4]\n"))
         assert four <= 1.05 * one
+        assert history_buffers.count(True) == fresh_one
+        # in the warm run and the traced one, the two histories of each of
+        # the three extra passes run on lent buffers
+        assert history_buffers.count(False) == lent_one + 2 * 2 * 3
+
+    def test_small_clt_estimate_counts_the_bootstrap(self, traced_peak):
+        # at the default N = 64, n = 40 the peak is the bootstrap's block of
+        # resample indices and values, after the march arrays are freed
+        cfg = _cfg("clt")
+        peak = traced_peak(cfg)
+        assert 0.8 * peak <= _memory_estimate(cfg) <= 1.5 * peak
 
     @pytest.mark.parametrize("kind", ["simulate", "clt", "tail-probe"])
     def test_increments_are_drawn_once(self, tmp_path, monkeypatch, kind):
@@ -568,6 +582,20 @@ class TestReproducibility:
                  "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 0.4\n")
         res = run_experiment(_cfg("tail-probe", extra), out_dir=tmp_path / "env")
         assert os.path.exists(os.path.join(res.out_dir, "tail.csv"))
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("simulate", ""), ("limit", ""), ("clt", ""), ("ldp-rate", ""), ("mdp-rate", ""),
+        ("rate-min", "\n[rate]\nevent_level = 3.0\n"), ("tail-probe", TAIL), ("resolvent", ""),
+        ("kernel-probe", "\n[probe]\nkernel = kernel1\nt = 0.5\nh_list = [1e-3, 2e-3, 5e-3, 1e-2]\n"),
+    ])
+    def test_manifest_hash_is_the_sha256_of_the_config(self, tmp_path, kind, extra):
+        # the built-in SHA-256 the manifest takes agrees with hashlib's
+        cfg = (_dense_cfg(kind, tmp_path, extra) if kind.endswith("-rate")
+               else _cfg(kind, extra, base=ROUGH))
+        res = run_experiment(cfg, out_dir=tmp_path / "out")
+        manifest = dict(line.strip().split(" = ", 1) for line in open(res.manifest_path))
+        want = hashlib.sha256(_read(os.path.join(res.out_dir, "config.resolved"))).hexdigest()
+        assert manifest["config_sha256"] == want == cfg.sha256
 
     def test_manifest_hash_mismatch_detected(self, tmp_path):
         res = run_experiment(_cfg("limit"), out_dir=tmp_path / "a")
