@@ -78,10 +78,11 @@ _GLE_W = _hex_floats("""
 # Gauss series terms summed per fbm kernel value; each series is evaluated only
 # where its argument is at most 1/2, so 2^-60 bounds the neglected tail
 _FBM_TERMS = 60
-# FbmKernel evaluates this many points at a time, and its weights this many
-# interior cells (of _GL_NODES points each) at a time
+# FbmKernel evaluates this many points at a time
 _FBM_BLOCK = 1 << 15
-_FBM_CELLS = 10000
+# _cell_averages evaluates interior cells this many at a time, one FbmKernel
+# block of points
+_CELL_BLOCK = _FBM_BLOCK // _GL_NODES
 # Bernoulli numbers B_2k as (numerator, denominator), for Stirling's series
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
               (7, 6), (-3617, 510), (43867, 798), (-174611, 330))
@@ -166,12 +167,11 @@ class Kernel:
 
     Subclasses implement a vectorized ``__call__(t, s)`` and exact or
     quadrature-backed subinterval integrals.  Cell-averaged grid weights
-    default to a Gauss-Legendre rule per cell; families with a closed form
-    override them.
+    default to ``_cell_averages`` with the declared edge exponents; families
+    with a closed form override them.
     """
 
     family = "abstract"
-    singular_at_diagonal = False
     # algebraic edge exponents used by singularity-aware quadrature:
     # K(t, s) ~ s^edge_exponent_origin as s -> 0,
     # K(t, s) ~ (t-s)^edge_exponent_diagonal as s -> t.
@@ -197,7 +197,11 @@ class Kernel:
 
     def average_weights(self, grid: TimeGrid) -> np.ndarray:
         """Cell-averaged weight matrix of shape (n+1, n); zero for j >= i."""
-        return _weights_by_cell_quadrature(self, grid)
+        if grid.horizon > getattr(self, "t_max", math.inf) + 1e-12:
+            raise KernelDomainError("grid horizon exceeds the kernel horizon")
+        n = grid.n_steps
+        return _cell_averages(self, grid, self.edge_exponent_origin,
+                              self.edge_exponent_diagonal, np.zeros((n + 1, n)))
 
 
 @dataclass(frozen=True)
@@ -239,10 +243,6 @@ class PowerKernel(Kernel):
     @property
     def _a(self):
         return self.hurst - 0.5
-
-    @property
-    def singular_at_diagonal(self):
-        return self.hurst < 0.5
 
     @property
     def edge_exponent_diagonal(self):
@@ -300,10 +300,6 @@ class FbmKernel(Kernel):
     @property
     def normalizer(self):
         return fbm_normalizer(self.hurst)
-
-    @property
-    def singular_at_diagonal(self):
-        return self.hurst < 0.5
 
     @property
     def edge_exponent_origin(self):
@@ -369,38 +365,10 @@ class FbmKernel(Kernel):
     def average_weights(self, grid):
         if self._a == 0.0:
             return ConstantKernel(1.0).average_weights(grid)
-        n = grid.n_steps
-        dt = grid.dt
-        times = grid.times
-        a = self._a
-        w = _power_lag_weights(self.normalizer, a, grid)
-
-        # correction term, cell by cell with fixed Gauss-Legendre nodes;
-        # the j = 0 cell gets a power substitution absorbing the s -> 0 blow-up
-        edge_q = 1.0 / (1.0 - abs(a))
-        s0 = dt * _GLE_X**edge_q
-        w0 = _GLE_W * edge_q * _GLE_X ** (edge_q - 1.0)
-
-        # rows in chunks of about 2e6 interior nodes; each chunk's edge column
-        # is one matrix product, whose sums may take another order for
-        # another number of rows, so this partition keeps the weights bitwise
-        chunk = max(1, int(2e6 / (max(n, 1) * _GL_NODES)))
-        for lo in range(1, n + 1, chunk):
-            hi = min(lo + chunk, n + 1)
-            # interior cells 1 <= j < i of rows lo <= i < hi, and nothing above,
-            # evaluated _FBM_CELLS at a time: each cell's sum is its own
-            i, j = np.tril_indices(hi - lo, lo - 2, n - 1)
-            i += lo
-            j += 1
-            for c0 in range(0, i.size, _FBM_CELLS):
-                ic, jc = i[c0:c0 + _FBM_CELLS], j[c0:c0 + _FBM_CELLS]
-                s_nodes = times[jc][:, None] + dt * _GL_X[None, :]
-                vals = self._correction(times[ic][:, None], s_nodes)
-                w[ic, jc] += np.einsum("pg,g->p", vals, _GL_W)
-            # edge cell j = 0
-            vals0 = self._correction(times[lo:hi][:, None], s0[None, :])
-            w[lo:hi, 0] += vals0 @ w0
-        return w
+        # the leading power part exactly, and the correction, which is bounded
+        # at the diagonal and blows up like the kernel at the origin, by cells
+        w = _power_lag_weights(self.normalizer, self._a, grid)
+        return _cell_averages(self._correction, grid, self.edge_exponent_origin, 0.0, w)
 
 
 @dataclass(frozen=True)
@@ -472,23 +440,20 @@ class TabulatedKernel(Kernel):
             res = np.where(tot > 0, out / np.maximum(tot, 1e-300), 0.0)
         return res
 
-    def average_weights(self, grid):
-        if grid.horizon > self.t_max + 1e-12:
-            raise KernelDomainError("grid horizon exceeds the tabulated range")
-        return _weights_by_cell_quadrature(self, grid)
-
 
 @dataclass(frozen=True)
 class CustomKernel(Kernel):
     """Kernel backed by a user evaluator ``fn(t, s)`` that broadcasts over arrays.
 
-    ``convolution_profile``, when given, declares K(t, s) = profile(t - s) so
-    grid weights collapse to one integral per lag.  Edge exponents let the
-    quadrature helpers absorb known algebraic singularities.
+    A negative ``edge_exponent_origin`` or ``edge_exponent_diagonal``, in
+    (-1, 0), declares K ~ s^e as s -> 0 or K ~ (t - s)^e as s -> t, and by
+    itself makes the grid weights of column 0 or of the diagonal cells absorb
+    it by a power substitution.  ``convolution_profile``, when given, declares
+    K(t, s) = profile(t - s), so grid weights collapse to one average per
+    lag; the lag-0 one absorbs ``edge_exponent_diagonal``.
     """
 
     fn: object
-    singular_at_diagonal: bool = False
     edge_exponent_origin: float = 0.0
     edge_exponent_diagonal: float = 0.0
     convolution_profile: object | None = None
@@ -503,18 +468,14 @@ class CustomKernel(Kernel):
         return out
 
     def average_weights(self, grid):
-        if self.convolution_profile is not None:
-            n = grid.n_steps
-            dt = grid.dt
-            lag = np.empty(n)
-            for r in range(n):
-                lo_exp = self.edge_exponent_diagonal if r == 0 else 0.0
-                lag[r] = _quad_power_edges(
-                    lambda u: float(self.convolution_profile(u)),
-                    r * dt, (r + 1) * dt, lo_exp, 0.0,
-                ) / dt
-            return _toeplitz_strict_lower(lag, n)
-        return _weights_by_cell_quadrature(self, grid)
+        if self.convolution_profile is None:
+            return super().average_weights(grid)
+        # lag r averages the profile over cell r, as row n of the weights of
+        # profile(s) does, whose blow-up at u -> 0 is one at the origin
+        n = grid.n_steps
+        last = _cell_averages(lambda t, s: self.convolution_profile(s), grid,
+                              self.edge_exponent_diagonal, 0.0, np.zeros((1, n)), first_row=n)
+        return _toeplitz_strict_lower(last[0], n)
 
 
 def _power_lag_weights(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
@@ -538,23 +499,57 @@ def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, n)[n::-1].copy()
 
 
-def _weights_by_cell_quadrature(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
-    n = grid.n_steps
-    dt = grid.dt
-    times = grid.times
-    w = np.zeros((n + 1, n))
-    nodes = times[:n][None, :, None] + dt * _GL_X[None, None, :]
-    for i in range(1, n + 1):
-        s = nodes[0, :i, :]
-        vals = kernel(np.float64(times[i]), s)
-        # the diagonal cell may hold an integrable singularity; redo it with a substitution
-        w[i, :i] = vals @ _GL_W
-        if kernel.singular_at_diagonal:
-            e = kernel.edge_exponent_diagonal
-            qe = 1.0 / (1.0 + e)
-            u = dt * _GLE_X**qe  # distance below t_i
-            vals_d = kernel(np.float64(times[i]), times[i] - u)
-            w[i, i - 1] = vals_d @ (_GLE_W * qe * _GLE_X ** (qe - 1.0))
+def _edge_rule(exponent, span):
+    """Nodes, and weights summing to 1, of the _GL_EDGE_NODES-point rule for
+    the mean over [0, span] after the substitution y = span x^q with
+    q = 1 / (1 + exponent), which makes y^exponent g(y) bounded."""
+    q = 1.0 / (1.0 + exponent)
+    return span * _GLE_X**q, _GLE_W * q * _GLE_X ** (q - 1.0)
+
+
+def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
+    """Add (1/dt) int_{t_j}^{t_{j+1}} f(t_i, s) ds to row i of w for j < i and
+    first_row <= i <= n, and return w, whose last row is row n.
+
+    f(t, s) broadcasts a column of times against their nodes.  Interior cells
+    take the _GL_NODES-point rule.  A negative exp_origin (f ~ s^e as s -> 0)
+    gives column 0 the substituted _GL_EDGE_NODES-point rule, and a negative
+    exp_diagonal (f ~ (t - s)^e as s -> t) the diagonal cells; row 1's one
+    cell, when both are negative, is split at its midpoint.
+    """
+    n, dt, times = grid.n_steps, grid.dt, grid.times
+    off = len(w) - (n + 1)  # row i is w[i + off]
+    j0, jd = int(exp_origin < 0.0), int(exp_diagonal < 0.0)
+    if j0:
+        s0, w0 = _edge_rule(exp_origin, dt)
+    if jd:
+        ud, wd = _edge_rule(exp_diagonal, dt)  # distances below t_i
+    # rows in chunks of about 2e6 interior nodes; each chunk's edge columns
+    # are matrix products, whose sums may take another order for another
+    # number of rows, so this partition keeps the weights bitwise
+    chunk = max(1, int(2e6 / (max(n, 1) * _GL_NODES)))
+    for lo in range(first_row, n + 1, chunk):
+        hi = min(lo + chunk, n + 1)
+        out = w[lo + off:hi + off]
+        # interior cells j0 <= j < i - jd of rows lo <= i < hi, and nothing
+        # above, evaluated _CELL_BLOCK at a time: each cell's sum is its own
+        i, j = np.tril_indices(hi - lo, lo - 1 - j0 - jd, n - j0)
+        j += j0
+        for c0 in range(0, i.size, _CELL_BLOCK):
+            ic, jc = i[c0:c0 + _CELL_BLOCK], j[c0:c0 + _CELL_BLOCK]
+            s_nodes = times[jc][:, None] + dt * _GL_X[None, :]
+            vals = f(times[ic + lo][:, None], s_nodes)
+            out[ic, jc] += np.einsum("pg,g->p", vals, _GL_W)
+        split = int(j0 and jd and lo == 1)
+        t = times[lo + split:hi][:, None]
+        if j0:
+            out[split:, 0] += f(t, s0[None, :]) @ w0
+        if jd:
+            k = np.arange(split, hi - lo)
+            out[k, k + lo - 1] += f(t, t - ud[None, :]) @ wd
+        if split:
+            t1 = times[1:2, None]
+            out[0, 0] += 0.5 * (f(t1, 0.5 * s0[None, :]) @ w0 + f(t1, t1 - 0.5 * ud[None, :]) @ wd)[0]
     return w
 
 

@@ -40,8 +40,6 @@ _U_MAX = 1.0 - 2.0**-53  # the largest double below 1
 
 # the step-range draw hashes, transforms and scales this many draws at a time
 _BLOCK = 1 << 16
-# normal_increments draws this many steps at a time
-_STEP_BLOCK = 32
 
 # Cephes ndtri: exp(-2), sqrt(2 pi), and the numerator (P) and monic
 # denominator (Q, leading 1 omitted) coefficients, highest degree first, for
@@ -244,16 +242,12 @@ def normal_increments(seed: int, tag: str, n_particles: int, n_steps: int,
     """Brownian increments of shape (n_particles, n_steps, n_components).
 
     Each entry is N(0, dt), keyed by (seed, tag, particle, step, component).
-    They are drawn ``_STEP_BLOCK`` steps at a time by ``_step_increments``,
-    the draw through which a particle march reads its own increments, into
-    time-major storage: the result is its (N, n, m) view, so that a march
-    reads each block of steps as one contiguous slice.
+    They are drawn by ``_step_increments``, the draw through which a particle
+    march reads its own increments, into time-major storage: the result is
+    its (N, n, m) view, so that a march reads each block of steps as one
+    contiguous slice.
     """
-    out = np.empty((n_steps, n_particles, n_components))
-    for s0 in range(0, n_steps, _STEP_BLOCK):
-        s1 = min(s0 + _STEP_BLOCK, n_steps)
-        out[s0:s1] = _step_increments(seed, tag, n_particles, s0, s1, n_components, dt)
-    return out.transpose(1, 0, 2)
+    return _step_increments(seed, tag, n_particles, 0, n_steps, n_components, dt).transpose(1, 0, 2)
 
 
 def derived_seed(seed: int, index: int) -> int:

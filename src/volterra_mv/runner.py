@@ -45,11 +45,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
+    # no header or _fmt cell needs quoting, so these are csv.writer's bytes
+    # without its 128 KiB record buffer
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            fh.write(",".join(_fmt(v) for v in row) + "\r\n")
 
 
 def _write_kv(path, items):
@@ -420,15 +421,17 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> str:
 
 
 def resolve_workers(cfg_workers: int, cli_workers: int | None) -> int:
-    if cli_workers is not None:
-        return max(1, cli_workers)
-    env = os.environ.get(ENV_WORKERS)
-    if env is not None:
+    """The call's worker count, else the environment's, else the config's
+    (validated already); a count below 1 is refused."""
+    source, count, env = "workers", cli_workers, os.environ.get(ENV_WORKERS)
+    if count is None and env is not None:
         try:
-            return max(1, int(env))
+            source, count = ENV_WORKERS, int(env)
         except ValueError:
             raise ConfigError([f"{ENV_WORKERS} must be an integer, got {env!r}"])
-    return max(1, cfg_workers)
+    if count is not None and count < 1:
+        raise ConfigError([f"{source} must be at least 1, got {count}"])
+    return cfg_workers if count is None else count
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,

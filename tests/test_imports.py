@@ -73,6 +73,19 @@ def test_fbm_point_evaluation_loads_no_quadrature(tmp_path):
     assert out.split() == ["True", "False"]
 
 
+def test_convolution_profile_weights_load_no_quadrature(tmp_path):
+    # the lag averages take the fixed Gauss-Legendre rules of every kernel
+    out = _run("""
+        import sys
+        from volterra_mv import CustomKernel, TimeGrid
+        kern = CustomKernel(fn=lambda t, s: (t - s) ** -0.2, edge_exponent_diagonal=-0.2,
+                            convolution_profile=lambda u: u ** -0.2)
+        w = kern.average_weights(TimeGrid(1.0, 20))
+        print(w[20, 0] > 0.0, "scipy.integrate" in sys.modules)
+    """, tmp_path)
+    assert out.split() == ["True", "False"]
+
+
 def test_constant_kernel_rate_min_run_loads_no_scipy(tmp_path):
     (tmp_path / "exp.cfg").write_text(RATE_MIN)
     out = _run("""

@@ -72,6 +72,17 @@ def _oracle_fbm_weights(kern, grid):
     return w
 
 
+def _per_row_weights(kern, grid):
+    """The former rule for kernels without edge exponents: each row's cells
+    by the _GL_NODES-point rule, as one matrix-vector product per row."""
+    n, dt, times = grid.n_steps, grid.dt, grid.times
+    w = np.zeros((n + 1, n))
+    nodes = times[:n][:, None] + dt * _GL_X[None, :]
+    for i in range(1, n + 1):
+        w[i, :i] = kern(np.float64(times[i]), nodes[:i]) @ _GL_W
+    return w
+
+
 def _fbm_reference(kernel: FbmKernel, t: float, s: float, epsrel: float = 1e-8) -> float:
     """K(t, s) from its integral form, with adaptive quadrature of the correction
     term: c_H (t-s)^a - a c_H int_0^{t-s} u^(a-1) (1 - (s/(s+u))^(-a)) du."""
@@ -318,6 +329,56 @@ class TestGridWeights:
             )
             exact = (np.exp(-lam * lo) - np.exp(-lam * hi)) / (lam * dt)
             assert gw.weights[i, j] == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("fn, e0, ed, rtol", [
+        pytest.param(lambda t, s: (s / t) ** -0.4, -0.4, 0.0, 1e-10, id="origin-0.4"),
+        pytest.param(lambda t, s: (s / t) ** -0.6, -0.6, 0.0, 1e-10, id="origin-0.6"),
+        pytest.param(lambda t, s: (t - s) ** -0.3, 0.0, -0.3, 1e-10, id="diagonal-0.3"),
+        # in a substituted cell the other edge's factor is a smooth function of
+        # x^q, which the fixed rule leaves about 3e-9 off in row 2
+        pytest.param(lambda t, s: (s / t) ** -0.4 * (t - s) ** -0.3, -0.4, -0.3, 5e-9, id="both"),
+    ])
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_declared_exponents_are_honoured_in_every_cell(self, fn, e0, ed, rtol, n):
+        # the former rule ignored the origin exponent, and the diagonal one
+        # unless a separate flag was set: 1.6% and 0.69% low
+        grid = TimeGrid(1.0, n)
+        kern = CustomKernel(fn=fn, edge_exponent_origin=e0, edge_exponent_diagonal=ed)
+        got = kern.average_weights(grid)
+        times = grid.times
+        for i in range(1, n + 1):
+            for j in range(i):
+                ref = _quad_power_edges(
+                    lambda s: float(fn(times[i], s)), times[j], times[j + 1],
+                    e0 if j == 0 else 0.0, ed if j == i - 1 else 0.0, epsrel=1e-12,
+                ) / grid.dt
+                assert got[i, j] == pytest.approx(ref, rel=rtol), (i, j)
+
+    @pytest.mark.parametrize("n", [2, 7, 50, 200])
+    def test_kernels_without_exponents_keep_the_per_row_rule(self, n):
+        # only the order of each cell's 12 products changes: at most 4 ulps
+        m = 80
+        nodes = np.linspace(0.0, 1.0, m + 1)
+        values = np.tril(nodes[:, None] + 2 * nodes + np.sin(7 * np.outer(nodes, nodes)), -1)
+        grid = TimeGrid(1.0, n)
+        dt = grid.dt
+        for kern in (TabulatedKernel(times=nodes, values=values),
+                     CustomKernel(fn=lambda t, s: np.exp(-1.3 * (t - s)) * (1.0 + s)),
+                     CustomKernel(fn=lambda t, s: np.where(t - s >= 2 * dt, 1.0, 0.0))):
+            got = kern.average_weights(grid)
+            want = _per_row_weights(kern, grid)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [2, 50, 400])
+    def test_singular_profile_matches_the_power_kernel(self, n):
+        # u^-0.2 is PowerKernel(0.3); lag 0 absorbs the declared exponent
+        grid = TimeGrid(1.0, n)
+        kern = CustomKernel(fn=lambda t, s: (t - s) ** -0.2, edge_exponent_diagonal=-0.2,
+                            convolution_profile=lambda u: u ** -0.2)
+        got = kern.average_weights(grid)
+        want = PowerKernel(0.3).average_weights(grid)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_cache_keeps_last_grid(self, monkeypatch):
         builds = []
@@ -652,6 +713,8 @@ class TestTabulated:
         kern = TabulatedKernel(times=nodes, values=np.ones((11, 11)))
         with pytest.raises(KernelDomainError):
             eval_kernel(kern, 1.5, 0.1)
+        with pytest.raises(KernelDomainError):
+            kern.average_weights(TimeGrid(1.5, 10))
 
 
 class TestKernelFromParams:

@@ -583,6 +583,19 @@ class TestReproducibility:
         res = run_experiment(_cfg("tail-probe", extra), out_dir=tmp_path / "env")
         assert os.path.exists(os.path.join(res.out_dir, "tail.csv"))
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_counts_below_one_are_refused(self, tmp_path, workers):
+        with pytest.raises(ConfigError, match=f"workers must be at least 1, got {workers}"):
+            run_experiment(_cfg("limit"), out_dir=tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("env", ["0", "-1"])
+    def test_env_worker_counts_below_one_are_refused(self, tmp_path, monkeypatch, env):
+        monkeypatch.setenv("VOLTERRA_MV_WORKERS", env)
+        with pytest.raises(ConfigError, match=f"VOLTERRA_MV_WORKERS must be at least 1, got {env}"):
+            run_experiment(_cfg("limit"), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind, extra", [
         ("simulate", ""), ("limit", ""), ("clt", ""), ("ldp-rate", ""), ("mdp-rate", ""),
         ("rate-min", "\n[rate]\nevent_level = 3.0\n"), ("tail-probe", TAIL), ("resolvent", ""),
@@ -622,6 +635,20 @@ class TestCli:
         rc = cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "run.eps[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")],
+                             ids=["flag-zero", "flag-negative", "env-zero"])
+    def test_worker_count_below_one_exit_one(self, tmp_path, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("VOLTERRA_MV_WORKERS", env)
+        cfg = self._write_config(tmp_path)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+        rc = cli_main(argv + (["--workers", flag] if flag is not None else []))
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "must be at least 1" in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_budget_exit_three(self, tmp_path):
         cfg = self._write_config(tmp_path, extra="\n[limits]\nmemory_bytes = 10\n")
