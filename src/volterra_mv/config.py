@@ -344,6 +344,9 @@ def validate_config(text: str) -> ExperimentConfig:
     elif kind in ("rate-min", "tail-probe") and coeffs is not None and len(event_normal) != coeffs.d:
         issues.append(f"rate.event_normal must have one entry per model dimension"
                       f" ({coeffs.d}), got {len(event_normal)}")
+    elif kind in ("rate-min", "tail-probe") and not any(event_normal):
+        # the event {0 >= level} is empty or everything: no rate to measure
+        issues.append("rate.event_normal must not be all zero")
     event_level = _check_number(issues, data, "rate", "event_level", 1.0)
 
     probe_sec = data.get("probe", {})

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import rng as _rng
 from .grids import TimeGrid
-from .kernels import Workspace
+from .kernels import Workspace, _log_fit
 # simulate_particles is not called here: the benchmark's traced layers wrap it
 # under this module's name
-from .solvers import (Model, PathEnsemble, _linear_march, _particle_pass, simulate_particles,
-                      solve_deterministic_limit)
+from .solvers import (Model, PathEnsemble, _given_blocks, _linear_march, _simulate,
+                      simulate_particles, solve_deterministic_limit)
 
 # floats in one block's temporaries in holder_probe (1 MB)
 _BLOCK_FLOATS = 1 << 17
@@ -34,15 +34,14 @@ _HOLDER_MAX_PAIRS = 10**6
 
 def _folded_pass(model: Model, xi, eps: float, grid: TimeGrid, seed: int,
                  driver_increments: np.ndarray, gap, workspace: Workspace) -> np.ndarray:
-    """sup_t gap(i, X^eps_{t_i}) of each particle, (N,), over the particle pass
-    of simulate_particles on the given increments, which keeps no path: the
-    march folds each node's state slab into a running max, which is exact.
-    The pass marches on the history buffers of ``workspace``."""
+    """sup_t gap(i, X^eps_{t_i}) of each particle, (N,), over the particle march
+    of simulate_particles on the given increments, which keeps no path: its
+    fold takes each node's state slab into a running max, which is exact.
+    The march runs on the history buffers of ``workspace``."""
     sup = np.full(driver_increments.shape[0], -np.inf)
-    _particle_pass(model.k1, model.k2, None, model.coeffs, xi, eps, grid,
-                   driver_increments.shape[0], seed, driver_increments, keep_path=False,
-                   fold=lambda i, x_i: np.maximum(sup, gap(i, x_i), out=sup),
-                   workspace=workspace)
+    _simulate(model.k1, model.k2, None, model.coeffs, xi, grid, driver_increments.shape[0],
+              seed, noise_scale=float(np.sqrt(eps)), blocks=_given_blocks(driver_increments),
+              fold=lambda i, x_i: np.maximum(sup, gap(i, x_i), out=sup), workspace=workspace)
     return sup
 
 
@@ -206,11 +205,7 @@ def scaling_regression(quantity) -> RegressionResult:
         raise ValueError("regression inputs must be positive")
     if x.max() / x.min() < 100.0:
         raise ValueError("sample points must span at least two decades")
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fit = slope * lx + intercept
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - float(np.sum((ly - fit) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2, _ = _log_fit(x, y)
     return RegressionResult(slope=float(slope), intercept=float(intercept), r2=r2)
 
 

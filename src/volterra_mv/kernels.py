@@ -813,6 +813,17 @@ def gronwall_check(k: GridKernel, g: np.ndarray) -> GronwallReport:
     return GronwallReport(f=f, bound=bound, satisfied=satisfied, slack=slack)
 
 
+def _log_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares line through (log x, log y): its slope and intercept, R^2
+    and the residuals log y - fit."""
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    residuals = ly - (slope * lx + intercept)
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(residuals ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, r2, residuals
+
+
 @dataclass(frozen=True)
 class RegularityEstimate:
     gamma_hat: float
@@ -855,19 +866,13 @@ def regularity_probe(kernel: Kernel, t: float, h_list) -> RegularityEstimate:
         d_vals[idx] = d1 + d2
     if np.any(d_vals <= 0.0) or not np.all(np.isfinite(d_vals)):
         raise NonIntegrableError("regularity probe produced non-positive increments")
-    x = np.log(h_arr)
-    y = np.log(d_vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = slope * x + intercept
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2, residuals = _log_fit(h_arr, d_vals)
     return RegularityEstimate(
         gamma_hat=0.5 * slope,
         slope=float(slope),
         intercept=float(intercept),
         r2=r2,
-        max_log_residual=float(np.abs(y - fit).max()),
+        max_log_residual=float(np.abs(residuals).max()),
         h_values=h_arr,
         d_values=d_vals,
     )

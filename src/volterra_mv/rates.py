@@ -215,6 +215,14 @@ def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, nor
     return np.einsum("kdm,kd->km", sig, dt * (wc.T @ q)).reshape(-1)
 
 
+def _control_kernel(model: Model, mode: str, kc: Kernel | None) -> Kernel:
+    """The kernel a rate's control enters under: kc if given, else the drift
+    kernel (ldp) or the noise kernel (mdp)."""
+    if kc is not None:
+        return kc
+    return model.k1 if mode == "ldp" else model.k2
+
+
 GN_MAX_ITER = 50  # cap on Gauss-Newton iterations, and on secant steps per ray
 GN_TOL = 1e-9  # terminal gap, relative to the problem scale; direction change
 
@@ -256,8 +264,7 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     kernel defaults to the drift kernel (ldp) or the noise kernel (mdp).
     """
     coeffs = model.coeffs
-    if kc is None:
-        kc = model.k1 if mode == "ldp" else model.k2
+    kc = _control_kernel(model, mode, kc)
     n, m = grid.n_steps, coeffs.m
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     x0_path = solve_deterministic_limit(model.k1, coeffs, xi_arr, grid)
@@ -341,12 +348,10 @@ def _weighted_tail(log_w: np.ndarray, n: int):
 
 def _terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray | None,
               n_particles: int, seed: int, blocks) -> np.ndarray:
-    """Terminal states (N, d) of a particle pass that keeps only its current
-    state slab, driven by the increments of the block source ``blocks``."""
-    return _simulate(
-        model.k1, model.k2, None, model.coeffs, xi_arr, grid, n_particles, seed,
-        v=None, noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks, keep_path=False,
-    )[:, -1]
+    """Terminal states (N, d) of a particle march that keeps no path, driven by
+    the increments of the block source ``blocks``."""
+    return _simulate(model.k1, model.k2, None, model.coeffs, xi_arr, grid, n_particles, seed,
+                     noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks)
 
 
 def _tagged_terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray,
@@ -422,8 +427,7 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
     reference = None
     if method == "importance":
         tilt = minimize_rate_endpoint(model, mode, event, grid, xi=xi_arr, kc=model.k2)
-        ref_kc = kc if kc is not None else (model.k1 if mode == "ldp" else model.k2)
-        if with_reference and ref_kc is model.k2:
+        if with_reference and _control_kernel(model, mode, kc) is model.k2:
             reference = tilt.rate
     cells = []
     for idx, eps in zip(seed_indices, eps_sorted):

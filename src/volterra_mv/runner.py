@@ -22,7 +22,8 @@ from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
 from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
 from .kernels import HISTORY_BLOCK, GridKernel, regularity_probe, resolvent
-from .rates import Halfspace, RateProblem, ldp_rate, mdp_rate, minimize_rate_endpoint, tail_probability_probe
+from .rates import (Halfspace, RateProblem, _control_kernel, ldp_rate, mdp_rate,
+                    minimize_rate_endpoint, tail_probability_probe)
 from .rng import _BLOCK as _DRAW_BLOCK
 from .solvers import Model, ensemble_summary, simulate_particles, solve_deterministic_limit
 
@@ -74,12 +75,11 @@ def _weight_kernels(cfg: ExperimentConfig) -> int:
         return 1
     if cfg.kind in ("simulate", "clt"):
         return 2
-    if cfg.kind == "tail-probe":
-        # the particle kernels, and kernelc for the reference rate
-        return 2 + (cfg.kc is not None)
-    # a rate's drift kernel and its control kernel: kernelc, or else the drift
-    # kernel (ldp) or the noise kernel (mdp)
-    return 1 + (cfg.kc is not None or cfg.rate_mode == "mdp")
+    # the particle kernels of a tail probe or a rate's drift kernel, and the
+    # rate's control kernel if it is not one of them
+    used = (cfg.k1, cfg.k2) if cfg.kind == "tail-probe" else (cfg.k1,)
+    kc = _control_kernel(_model(cfg), cfg.rate_mode, cfg.kc)
+    return len(used) + all(kc is not k for k in used)
 
 
 def _memory_estimate(cfg: ExperimentConfig) -> int:
@@ -105,12 +105,12 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     elif kind == "clt":
         # and the increments, drawn once before the first march: the Z march
         # keeps its states, and each particle pass beside Z folds its sup
-        # and keeps one state slab, which comes to the same.  The bootstrap
+        # and keeps no path, which comes to the same.  The bootstrap
         # runs once those are freed: a block of resample indices and the
         # values they pick, at most about 512 KB, which is the peak of small runs
         floats = max(big_n * (n * m + march(n + 1)), 2 * _bootstrap_rows(big_n) * big_n)
     elif kind == "tail-probe":
-        # a crude cell reads only terminal states: the march keeps one node
+        # a crude cell keeps no path: the march holds its current state slab
         floats = big_n * march(1) + draws
     elif kind in ("ldp-rate", "mdp-rate"):
         # the dense (n d) x (n m) control matrix and its scaled copy, or with
@@ -264,22 +264,17 @@ def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
     return rows
 
 
-def _tail_row(cfg: ExperimentConfig, index: int, eps: float) -> tuple:
-    event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
-    res = tail_probability_probe(
-        _model(cfg), cfg.rate_mode, event, [eps], cfg.n_particles,
-        cfg.seed, cfg.grid, xi=cfg.xi, h_beta=cfg.h_beta, kc=cfg.kc,
-        with_reference=False, seed_indices=[index],
-    )
-    cell = res.cells[0]
-    return (cell.eps, cell.h, cell.n_hits, cell.p_hat, cell.normalized_decay,
-            cell.censored, cell.resolved)
-
-
 def _tail_rows(cfg: ExperimentConfig, indexed_eps) -> list:
-    # cells get independent substreams derived from (seed, index); the probe
-    # itself derives them per call, so feed one eps per call with its index
-    return [_tail_row(cfg, index, eps) for index, eps in indexed_eps]
+    # cells get independent substreams derived from (seed, index): one probe
+    # call takes the chunk's eps, which the sweep sorted, with their indices
+    indices, eps = zip(*indexed_eps)
+    res = tail_probability_probe(
+        _model(cfg), cfg.rate_mode, Halfspace(normal=cfg.event_normal, level=cfg.event_level),
+        eps, cfg.n_particles, cfg.seed, cfg.grid, xi=cfg.xi, h_beta=cfg.h_beta, kc=cfg.kc,
+        with_reference=False, seed_indices=indices,
+    )
+    return [(cell.eps, cell.h, cell.n_hits, cell.p_hat, cell.normalized_decay,
+             cell.censored, cell.resolved) for cell in res.cells]
 
 
 def _rows_from_text(rows_fn, config_text: str, chunk) -> list:
@@ -353,7 +348,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         else:
             target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
             x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
-            kc = cfg.kc or (cfg.k1 if cfg.rate_mode == "ldp" else cfg.k2)
+            kc = _control_kernel(model, cfg.rate_mode, cfg.kc)
             try:
                 problem = RateProblem(
                     mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs, grid=cfg.grid,

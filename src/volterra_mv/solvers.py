@@ -4,10 +4,10 @@ Three kinds of objects are produced here:
 
 * the deterministic small-noise limit, whose law argument is its own Dirac
   path,
-* interacting-particle ensembles for the noisy system, with full history
-  retained (the dynamics are non-Markovian) and counter-based noise so that
-  ensembles with the same seed share driver increments across different
-  noise levels,
+* interacting-particle ensembles for the noisy system, whose every step sums
+  over the whole past (the dynamics are non-Markovian), with counter-based
+  noise so that ensembles with the same seed share driver increments across
+  different noise levels,
 * controlled variants of both on the state scale, with the control entering
   through its own kernel, used by the rate-function machinery.
 
@@ -18,8 +18,10 @@ the driver coupling exact.  The scheme is explicit, so every solver is one
 forward march, with its history sums kept by ``kernels.History``; the march
 lands on the discrete fixed point that successive approximation would reach.
 Every nonlinear solver runs the particle march: the limit and the controlled
-skeleton are its noise-free runs of one particle.  The linear equations along
-the limit path, the mdp skeleton and the clt limit, run one linear march.
+skeleton are its noise-free runs of one particle.  The march keeps no path:
+what a solver keeps is what its fold takes from each node's state slab.  The
+linear equations along the limit path, the mdp skeleton and the clt limit,
+run one linear march.
 """
 
 from __future__ import annotations
@@ -160,11 +162,6 @@ def _time_major_steps(blocks, n: int):
         yield from blocks(s0, min(s0 + HISTORY_BLOCK, n))
 
 
-def _particle_major(states: np.ndarray) -> np.ndarray:
-    """The (N, n+1, d) layout callers see, from a time-major (n+1, N, d) march."""
-    return np.ascontiguousarray(states.transpose(1, 0, 2))
-
-
 def _initial_states(xi, n_particles: int, d: int, seed: int) -> np.ndarray:
     if callable(xi):
         rng = np.random.default_rng(_rng.derived_seed(seed, 0x696E6974))
@@ -193,12 +190,11 @@ def _along_path(grid: TimeGrid, law: np.ndarray, *evaluators, at=None) -> list:
 
 def _one_path(k1: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi, grid: TimeGrid,
               v: ControlPath | None, law: np.ndarray | None) -> np.ndarray:
-    """The noise-free run of one particle from a deterministic xi, with no
-    drawn increments."""
+    """The path (n+1, d) of the noise-free pass of one particle from a
+    deterministic xi, which reads no increments."""
     if callable(xi):
         raise ValueError("the noise-free solvers need a deterministic initial condition")
-    return _simulate(k1, None, kc, coeffs, xi, grid, 1, 0,
-                     v=v, noise_scale=0.0, law=law, blocks=None)[0]
+    return _particle_pass(k1, None, kc, coeffs, xi, 0.0, grid, 1, 0, None, v=v, law=law).states[0]
 
 
 def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
@@ -214,14 +210,14 @@ def solve_deterministic_limit(k1: Kernel, coeffs: CoefficientSet, xi,
 
 def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: CoefficientSet,
               xi, grid: TimeGrid, n_particles: int, seed: int,
-              v: ControlPath | None, noise_scale: float, law: np.ndarray | None, blocks,
-              keep_path: bool = True, fold=None, workspace: Workspace | None = None) -> np.ndarray:
+              v: ControlPath | None = None, noise_scale: float = 0.0,
+              law: np.ndarray | None = None, blocks=None, fold=None,
+              workspace: Workspace | None = None) -> np.ndarray:
     """The one explicit march of every nonlinear solver.
 
-    Returns the states (N, n+1, d), or with ``keep_path`` False only the
-    terminal node (N, 1, d): the march then holds just its current state slab.
-    ``fold(i, x_i)``, if given, is called on node 0 and then on each new
-    (N, d) state slab x_i, which the march may overwrite once it returns.
+    Holds only the current (N, d) state slab and returns the last one, the
+    terminal state.  ``fold(i, x_i)``, if given, is called on node 0 and then
+    on each new slab x_i; every slab is a fresh array, so a fold may keep it.
     ``blocks(s0, s1)`` gives the driver increments of steps s0 <= s < s1 as
     one time-major (s1 - s0, N, m) array; they are read a block of
     HISTORY_BLOCK steps at a time, and not at all without noise.
@@ -234,15 +230,10 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     n = grid.n_steps
     dt = grid.dt
     times = grid.times
-    states0 = _initial_states(xi, n_particles, d, seed)
-
-    # time-major storage: node i is one contiguous (N, d) slab, at i % nodes
-    nodes = n + 1 if keep_path else 1
-    states = np.empty((nodes, n_particles, d))
-    states[0] = states0
+    x = _initial_states(xi, n_particles, d, seed)
     if fold is not None:
-        fold(0, states[0])
-    base = states0.reshape(-1)
+        fold(0, x)
+    base = x.reshape(-1)
 
     flat = (n_particles * d,)
     pool = Workspace() if workspace is None else workspace
@@ -254,38 +245,33 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
 
     for i in range(n):
         t = times[i]
-        at = states[i % nodes]
-        mu = EmpiricalMeasure(points=at if own_law else law[:, i, :], _validate=False)
-        bi = coeffs.drift(t, at, mu)
+        mu = EmpiricalMeasure(points=x if own_law else law[:, i, :], _validate=False)
+        bi = coeffs.drift(t, x, mu)
         nxt = base + dt * drift.push(bi.reshape(-1))
         if ctrl is not None or noise is not None:
-            si = coeffs.diffusion(t, at, mu)
+            si = coeffs.diffusion(t, x, mu)
         if ctrl is not None:
             nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
         if noise is not None:
             noise_i = np.einsum("ndm,nm->nd", si, next(steps)).reshape(-1)
             nxt = nxt + noise_scale * noise.push(noise_i)
         _guard(nxt, i + 1)
-        states[(i + 1) % nodes] = nxt.reshape(n_particles, d)
+        x = nxt.reshape(n_particles, d)
         if fold is not None:
-            fold(i + 1, states[(i + 1) % nodes])
+            fold(i + 1, x)
 
-    # release the histories and the last block of increments first: the
-    # particle-major copy then takes their place instead of raising the peak,
-    # unless a caller's workspace keeps the history buffers for its next march
     pool.release(drift, noise, ctrl)
-    del drift, noise, ctrl, steps, pool
-    return _particle_major(states)
+    return x
 
 
 def _particle_pass(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi,
                    eps: float, grid: TimeGrid, n_particles: int, seed: int,
                    driver_increments, v: ControlPath | None = None,
-                   law: np.ndarray | None = None, **march) -> PathEnsemble:
+                   law: np.ndarray | None = None) -> PathEnsemble:
     """A particle march with noise sqrt(eps) on the "particles" stream, as an
-    ensemble; ``march`` (``keep_path``, ``fold``) goes on to ``_simulate``.
-    Given increments are read a block at a time and kept; without them the
-    march draws its own a block at a time and keeps none."""
+    ensemble whose path a recording fold kept.  Given increments are read a
+    block at a time and kept; without them the march draws its own a block at
+    a time and keeps none."""
     if not (0.0 <= eps <= 1.0):
         raise ValueError("eps must lie in [0, 1]")
     if n_particles < 1:
@@ -298,8 +284,13 @@ def _particle_pass(k1: Kernel, k2: Kernel, kc: Kernel | None, coeffs: Coefficien
         if dw.shape != (n_particles, grid.n_steps, m):
             raise GridMismatchError("injected driver increments have the wrong shape")
         blocks = _given_blocks(dw)
-    states = _simulate(k1, k2, kc, coeffs, xi, grid, n_particles, seed, v=v,
-                       noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks, **march)
+    states = np.empty((n_particles, grid.n_steps + 1, coeffs.d))
+
+    def record(i, x_i):
+        states[:, i] = x_i
+
+    _simulate(k1, k2, kc, coeffs, xi, grid, n_particles, seed, v=v,
+              noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks, fold=record)
     return PathEnsemble(grid=grid, states=states, driver_increments=dw, seed=seed,
                         tag="particles", eps=eps, _components=m)
 
@@ -404,7 +395,7 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
     pool = Workspace() if workspace is None else workspace
     drift = pool.history(grid_weights(k1, grid), flat)
     forced = pool.history(grid_weights(kf, grid), flat)
-    z = np.empty((n + 1, n_paths, d))  # time-major, as in _simulate
+    z = np.empty((n + 1, n_paths, d))  # time-major: node i is one (N, d) slab
     z[0] = 0.0
     for i, ui in enumerate(_time_major_steps(_given_blocks(drivers), n)):
         zi = z[i]

@@ -206,6 +206,20 @@ class TestRunAndRateChecks:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["rate-min", "tail-probe"])
+    @pytest.mark.parametrize("normal", ["[0.0]", "[0]", "[-0.0]"])
+    def test_cli_refuses_a_zero_event_normal(self, tmp_path, capsys, kind, normal):
+        # the event {0 >= level} is empty or everything: its rate means nothing
+        from volterra_mv.cli import main
+
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL.replace("kind = simulate", f"kind = {kind}")
+                        + f"\n[rate]\nevent_normal = {normal}\n")
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: rate.event_normal must not be all zero\n"
+        assert not out.exists()
+
 
 class TestListEntries:
     @pytest.mark.parametrize("kind, extra, issue", [

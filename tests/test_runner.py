@@ -134,6 +134,14 @@ PINNED_ENSEMBLE_SHA256 = "59bf043436dc90b35ddd9098395f767fbe9a52684af7be897f857d
 PINNED_RESOLVENT = ("[experiment]\nkind = resolvent\n[kernel1]\nfamily = fbm\nH = 0.3\n"
                     "[grid]\nT = 1.0\nn_steps = 40\n")
 PINNED_RESOLVENT_SHA256 = "31cbb683a07fda6f6e1da7c65680b17c41bbfc49b7fd94b69a64c8ecae7f324b"
+# and, seed 7, the tiny sizes of the clt_rough and rate_min_ldp benchmark
+# workloads: a clt sweep whose particle passes fold their sup and keep no
+# path, and the control of the ldp rate minimizer
+PINNED_CLT = "\n[model]\nsigma1 = 0.5\n[run]\nN = 200\n" + CLT_SWEEP
+PINNED_CLT_SHA256 = "da8f2f3b1a5110bc1fe26bbe268183953c41bfcb3df5ceae32e729ed2c8ebfea"
+PINNED_RATE_MIN = ("\n[model]\nsigma1 = 0.5\nxi = 0.0\n[grid]\nn_steps = 20\n"
+                   "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 1.0\n")
+PINNED_CONTROL_SHA256 = "f0c58a2c975bf170ac8ada47657414d647ac29c10d20ff837263d0ce0dfb6847"
 
 
 def _sha256(path):
@@ -466,6 +474,10 @@ class TestWriters:
         assert _sha256(os.path.join(res.out_dir, "ensemble.csv")) == PINNED_ENSEMBLE_SHA256
         res = run_experiment(validate_config(PINNED_RESOLVENT), out_dir=tmp_path / "res")
         assert _sha256(os.path.join(res.out_dir, "resolvent.csv")) == PINNED_RESOLVENT_SHA256
+        res = run_experiment(_cfg("clt", PINNED_CLT, base=ROUGH), out_dir=tmp_path / "clt")
+        assert _sha256(os.path.join(res.out_dir, "clt.csv")) == PINNED_CLT_SHA256
+        res = run_experiment(_cfg("rate-min", PINNED_RATE_MIN), out_dir=tmp_path / "rate")
+        assert _sha256(os.path.join(res.out_dir, "control.csv")) == PINNED_CONTROL_SHA256
 
     @pytest.mark.parametrize("block", [7, 11, 1000])
     def test_resolvent_blocks_match_oracle(self, tmp_path, monkeypatch, block):

@@ -18,6 +18,7 @@ from volterra_mv import (
     solve_controlled_deterministic,
     solve_deterministic_limit,
 )
+from volterra_mv import solvers
 from volterra_mv.rng import normal_increments
 
 from test_path_linearization import loop_mdp_particles
@@ -263,6 +264,53 @@ class TestStreamedIncrements:
         given = simulate_controlled(*args, seed=2, driver_increments=dw)
         assert np.array_equal(own.states, given.states)
         assert np.array_equal(own.driver_increments, dw)
+
+
+class TestFoldContract:
+    # the march holds only its current state slab and hands each node's new
+    # slab to its fold; a path is what a recording fold keeps
+
+    def test_fold_may_keep_every_slab(self):
+        grid = TimeGrid(1.0, 70)
+        coeffs = BuiltinLinearMeanField(a=-0.5, b=0.3, sigma0=1.0, sigma1=0.2,
+                                        d=2, m=2).coefficients()
+        k1, k2, xi = PowerKernel(0.3), FbmKernel(0.3), np.array([0.1, -0.2])
+        kept = []
+        terminal = solvers._simulate(
+            k1, k2, None, coeffs, xi, grid, 40, 5, noise_scale=float(np.sqrt(0.2)),
+            blocks=solvers._drawn_blocks(5, "particles", 40, grid, 2),
+            fold=lambda i, x_i: kept.append((i, x_i)))
+        assert [i for i, _ in kept] == list(range(grid.n_steps + 1))
+        # no later step wrote over a kept slab
+        want = simulate_particles(k1, k2, coeffs, xi, 0.2, grid, 40, seed=5).states
+        assert np.array_equal(np.stack([x_i for _, x_i in kept], axis=1), want)
+        assert terminal.shape == (40, 2)
+        assert np.array_equal(terminal, want[:, -1])
+
+    def test_blow_up_is_reported_alike_with_and_without_a_path(self):
+        from volterra_mv import CoefficientSet, Model
+        from volterra_mv.fluctuations import _folded_pass
+        from volterra_mv.kernels import Workspace
+
+        def b(t, x, mu):
+            return 6.0 * x**3 + mu.mean()[None, :]
+
+        def sigma(t, x, mu):
+            return np.ones((*x.shape, 1))
+
+        grid = TimeGrid(1.0, 50)
+        model = Model(k1=ConstantKernel(1.0), k2=PowerKernel(0.3),
+                      coeffs=CoefficientSet(b=b, sigma=sigma, d=1, m=1))
+        dw = normal_increments(2, "particles", 200, grid.n_steps, 1, grid.dt)
+        with pytest.raises(BlowUpError) as kept:
+            simulate_particles(model.k1, model.k2, model.coeffs, 0.0, 1.0, grid, 200,
+                               seed=2, driver_increments=dw)
+        with pytest.raises(BlowUpError) as folded:
+            _folded_pass(model, 0.0, 1.0, grid, 2, dw, lambda i, x_i: np.abs(x_i[:, 0]),
+                         Workspace())
+        assert 1 < kept.value.step < grid.n_steps
+        assert folded.value.step == kept.value.step
+        assert folded.value.magnitude == kept.value.magnitude
 
 
 class TestControlled:
