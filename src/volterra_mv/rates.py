@@ -191,6 +191,9 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "normal", np.atleast_1d(np.asarray(self.normal, dtype=float)))
+        if not np.any(self.normal):
+            # the event {0 >= level} is empty or everything: no rate to measure
+            raise ValueError("event normal must not be all zero")
 
 
 def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, normal):
@@ -215,12 +218,12 @@ def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, nor
     return np.einsum("kdm,kd->km", sig, dt * (wc.T @ q)).reshape(-1)
 
 
-def _control_kernel(model: Model, mode: str, kc: Kernel | None) -> Kernel:
+def _control_kernel(k1: Kernel, k2: Kernel, mode: str, kc: Kernel | None) -> Kernel:
     """The kernel a rate's control enters under: kc if given, else the drift
-    kernel (ldp) or the noise kernel (mdp)."""
+    kernel k1 (ldp) or the noise kernel k2 (mdp)."""
     if kc is not None:
         return kc
-    return model.k1 if mode == "ldp" else model.k2
+    return k1 if mode == "ldp" else k2
 
 
 GN_MAX_ITER = 50  # cap on Gauss-Newton iterations, and on secant steps per ray
@@ -264,7 +267,7 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     kernel defaults to the drift kernel (ldp) or the noise kernel (mdp).
     """
     coeffs = model.coeffs
-    kc = _control_kernel(model, mode, kc)
+    kc = _control_kernel(model.k1, model.k2, mode, kc)
     n, m = grid.n_steps, coeffs.m
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     x0_path = solve_deterministic_limit(model.k1, coeffs, xi_arr, grid)
@@ -427,7 +430,7 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
     reference = None
     if method == "importance":
         tilt = minimize_rate_endpoint(model, mode, event, grid, xi=xi_arr, kc=model.k2)
-        if with_reference and _control_kernel(model, mode, kc) is model.k2:
+        if with_reference and _control_kernel(model.k1, model.k2, mode, kc) is model.k2:
             reference = tilt.rate
     cells = []
     for idx, eps in zip(seed_indices, eps_sorted):

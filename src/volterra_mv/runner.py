@@ -78,7 +78,7 @@ def _weight_kernels(cfg: ExperimentConfig) -> int:
     # the particle kernels of a tail probe or a rate's drift kernel, and the
     # rate's control kernel if it is not one of them
     used = (cfg.k1, cfg.k2) if cfg.kind == "tail-probe" else (cfg.k1,)
-    kc = _control_kernel(_model(cfg), cfg.rate_mode, cfg.kc)
+    kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
     return len(used) + all(kc is not k for k in used)
 
 
@@ -348,7 +348,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         else:
             target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
             x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
-            kc = _control_kernel(model, cfg.rate_mode, cfg.kc)
+            kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
             try:
                 problem = RateProblem(
                     mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs, grid=cfg.grid,

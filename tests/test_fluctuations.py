@@ -309,8 +309,8 @@ def _count_marches(monkeypatch):
             return real(*args, **kwargs)
         return march
 
-    for owner, name in ((solvers, "_simulate"), (solvers, "_linear_march"),
-                        (fluctuations, "_linear_march")):
+    for owner, name in ((solvers, "_simulate"), (fluctuations, "_simulate"),
+                        (solvers, "_linear_march"), (fluctuations, "_linear_march")):
         monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
     return calls
 
@@ -404,6 +404,18 @@ class TestFoldedSup:
         assert np.array_equal(_z_eps_states(pair), want)
         gap = np.linalg.norm(want - pair.z_lim.states, axis=2).max(axis=1)
         assert np.array_equal(pair.sup_gap, gap)
+
+    def test_march_counter_sees_every_pass_of_a_pair(self, monkeypatch):
+        # the counter above guards the reads below: it must see the particle
+        # pass beside Z, however fluctuations calls it; a first pair also
+        # marches X^0 (one noise-free particle) and Z
+        calls = _count_marches(monkeypatch)
+        model, grid = _model(a=1.0, sigma1=0.5), TimeGrid(1.0, 10)
+        first = clt_pair(model, 1.0, 0.1, grid, 8, seed=3)
+        assert sorted(calls) == ["_linear_march", "_simulate", "_simulate"]
+        calls.clear()
+        clt_pair(model, 1.0, 0.01, grid, 8, seed=3, limit=first)
+        assert calls == ["_simulate"]
 
     def test_reads_of_the_gap_run_no_march(self, monkeypatch):
         pair = clt_pair(_model(a=1.0, sigma1=0.5), 1.0, 0.1, TimeGrid(1.0, 20), 16, seed=3)

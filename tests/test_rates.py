@@ -277,6 +277,12 @@ class TestMultiDimensional:
 
 
 class TestMinimizeEndpoint:
+    @pytest.mark.parametrize("normal", [[0.0], [0.0, 0.0], [-0.0]])
+    def test_zero_event_normal_is_refused(self, normal):
+        # {<0, x> >= level} is empty or everything, so no rate means anything
+        with pytest.raises(ValueError, match="all zero"):
+            Halfspace(normal, 1.0)
+
     def test_already_inside_event(self):
         grid = TimeGrid(1.0, 50)
         model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs())
