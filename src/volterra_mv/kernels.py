@@ -168,10 +168,13 @@ class Kernel:
     Subclasses implement a vectorized ``__call__(t, s)`` and exact or
     quadrature-backed subinterval integrals.  Cell-averaged grid weights
     default to ``_cell_averages`` with the declared edge exponents; families
-    with a closed form override them.
+    with a closed form override them.  A ``stationary`` kernel, K(t, s) =
+    k(t - s), has n cell-averaged lags (``average_lags``) as its grid weights,
+    w[i, j] = lags[i - j - 1].
     """
 
     family = "abstract"
+    stationary = False
     # algebraic edge exponents used by singularity-aware quadrature:
     # K(t, s) ~ s^edge_exponent_origin as s -> 0,
     # K(t, s) ~ (t-s)^edge_exponent_diagonal as s -> t.
@@ -195,11 +198,19 @@ class Kernel:
             lambda s: float(self(t, s)) ** power, a, b, exp_lo, exp_hi
         )
 
+    def average_lags(self, grid: TimeGrid) -> np.ndarray:
+        """The n cell-averaged lags of a stationary kernel: lags[r] weighs,
+        seen from a node, the cell that ends r cells before it, so that
+        w[i, j] = lags[i - j - 1]."""
+        raise NotImplementedError(f"the {self.family} kernel is not stationary")
+
     def average_weights(self, grid: TimeGrid) -> np.ndarray:
         """Cell-averaged weight matrix of shape (n+1, n); zero for j >= i."""
         if grid.horizon > getattr(self, "t_max", math.inf) + 1e-12:
             raise KernelDomainError("grid horizon exceeds the kernel horizon")
         n = grid.n_steps
+        if self.stationary:
+            return _toeplitz_strict_lower(self.average_lags(grid), n)
         return _cell_averages(self, grid, self.edge_exponent_origin,
                               self.edge_exponent_diagonal, np.zeros((n + 1, n)))
 
@@ -208,6 +219,7 @@ class Kernel:
 class ConstantKernel(Kernel):
     value: float = 1.0
     family = "constant"
+    stationary = True
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -221,9 +233,8 @@ class ConstantKernel(Kernel):
     def _integrate_impl(self, t, a, b, power):
         return self.value**power * (b - a)
 
-    def average_weights(self, grid):
-        n = grid.n_steps
-        return _toeplitz_strict_lower(np.full(n, float(self.value)), n)
+    def average_lags(self, grid):
+        return np.full(grid.n_steps, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -233,6 +244,7 @@ class PowerKernel(Kernel):
     hurst: float
     scale: float = 1.0
     family = "power"
+    stationary = True
 
     def __post_init__(self):
         if not np.isfinite(self.hurst):
@@ -263,8 +275,8 @@ class PowerKernel(Kernel):
             return self.scale**power * (math.log(t - a) - math.log(t - b))
         return self.scale**power * ((t - a) ** q - (t - b) ** q) / q
 
-    def average_weights(self, grid):
-        return _power_lag_weights(self.scale, self._a, grid)
+    def average_lags(self, grid):
+        return _power_lags(self.scale, self._a, grid)
 
 
 @dataclass(frozen=True)
@@ -300,6 +312,11 @@ class FbmKernel(Kernel):
     @property
     def normalizer(self):
         return fbm_normalizer(self.hurst)
+
+    @property
+    def stationary(self):
+        # at H = 1/2 the kernel is the constant 1
+        return self._a == 0.0
 
     @property
     def edge_exponent_origin(self):
@@ -362,12 +379,17 @@ class FbmKernel(Kernel):
         """K(t, s) minus its leading power part, vectorized."""
         return self._series(t, s, correction=True)
 
+    def average_lags(self, grid):
+        if not self.stationary:
+            return super().average_lags(grid)
+        return ConstantKernel(1.0).average_lags(grid)
+
     def average_weights(self, grid):
-        if self._a == 0.0:
-            return ConstantKernel(1.0).average_weights(grid)
+        if self.stationary:
+            return super().average_weights(grid)
         # the leading power part exactly, and the correction, which is bounded
         # at the diagonal and blows up like the kernel at the origin, by cells
-        w = _power_lag_weights(self.normalizer, self._a, grid)
+        w = _toeplitz_strict_lower(_power_lags(self.normalizer, self._a, grid), grid.n_steps)
         return _cell_averages(self._correction, grid, self.edge_exponent_origin, 0.0, w)
 
 
@@ -449,8 +471,8 @@ class CustomKernel(Kernel):
     (-1, 0), declares K ~ s^e as s -> 0 or K ~ (t - s)^e as s -> t, and by
     itself makes the grid weights of column 0 or of the diagonal cells absorb
     it by a power substitution.  ``convolution_profile``, when given, declares
-    K(t, s) = profile(t - s), so grid weights collapse to one average per
-    lag; the lag-0 one absorbs ``edge_exponent_diagonal``.
+    K(t, s) = profile(t - s): the kernel is stationary, and its grid weights
+    are one average per lag; the lag-0 one absorbs ``edge_exponent_diagonal``.
     """
 
     fn: object
@@ -467,26 +489,29 @@ class CustomKernel(Kernel):
             raise SingularityError("custom kernel evaluator returned a non-finite value")
         return out
 
-    def average_weights(self, grid):
-        if self.convolution_profile is None:
-            return super().average_weights(grid)
+    @property
+    def stationary(self):
+        return self.convolution_profile is not None
+
+    def average_lags(self, grid):
+        if not self.stationary:
+            return super().average_lags(grid)
         # lag r averages the profile over cell r, as row n of the weights of
         # profile(s) does, whose blow-up at u -> 0 is one at the origin
-        n = grid.n_steps
         last = _cell_averages(lambda t, s: self.convolution_profile(s), grid,
-                              self.edge_exponent_diagonal, 0.0, np.zeros((1, n)), first_row=n)
-        return _toeplitz_strict_lower(last[0], n)
+                              self.edge_exponent_diagonal, 0.0, np.zeros((1, grid.n_steps)),
+                              first_row=grid.n_steps)
+        return last[0]
 
 
-def _power_lag_weights(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
-    """Cell-averaged weights of scale * (t - s)^a: antiderivative differences
-    over whole cells, one value per lag r = i - j."""
+def _power_lags(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
+    """Cell-averaged lags of scale * (t - s)^a: antiderivative differences
+    over whole cells, one value per lag r = i - j - 1."""
     q = a + 1.0
     if q <= 0.0:
         raise NonIntegrableError("power kernel is not integrable at the diagonal")
     r = np.arange(grid.n_steps + 1, dtype=float)
-    lag = scale * grid.dt**a * (r[1:] ** q - r[:-1] ** q) / q
-    return _toeplitz_strict_lower(lag, grid.n_steps)
+    return scale * grid.dt**a * (r[1:] ** q - r[:-1] ** q) / q
 
 
 def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
@@ -507,6 +532,22 @@ def _edge_rule(exponent, span):
     return span * _GLE_X**q, _GLE_W * q * _GLE_X ** (q - 1.0)
 
 
+def _row_chunk(n: int) -> int:
+    """Rows _cell_averages takes at a time: about 2e6 interior nodes.  Each
+    chunk's edge columns are matrix products, whose sums may take another
+    order for another number of rows, so this partition keeps the weights
+    bitwise."""
+    return max(1, int(2e6 / (max(n, 1) * _GL_NODES)))
+
+
+def _cell_averages_scratch(n: int, temporaries: int) -> int:
+    """Bytes _cell_averages holds beside its output at n steps, for an f that
+    makes ``temporaries`` arrays of its input's size: the index pair of one
+    row chunk's interior cells, and f over one block of cells."""
+    cells = min(n * (n - 1) // 2, _row_chunk(n) * n)
+    return 16 * cells + 8 * temporaries * _GL_NODES * min(cells, _CELL_BLOCK)
+
+
 def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
     """Add (1/dt) int_{t_j}^{t_{j+1}} f(t_i, s) ds to row i of w for j < i and
     first_row <= i <= n, and return w, whose last row is row n.
@@ -524,10 +565,7 @@ def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
         s0, w0 = _edge_rule(exp_origin, dt)
     if jd:
         ud, wd = _edge_rule(exp_diagonal, dt)  # distances below t_i
-    # rows in chunks of about 2e6 interior nodes; each chunk's edge columns
-    # are matrix products, whose sums may take another order for another
-    # number of rows, so this partition keeps the weights bitwise
-    chunk = max(1, int(2e6 / (max(n, 1) * _GL_NODES)))
+    chunk = _row_chunk(n)
     for lo in range(first_row, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
         out = w[lo + off:hi + off]
@@ -664,15 +702,34 @@ class GridKernel:
         return float(np.abs(self.weights).max(initial=0.0))
 
 
-def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
-    """Cell-averaged weights, cached on the (immutable) kernel for the last
-    grid it was used on, so a kernel holds at most one dense matrix."""
+def _cached(kernel: Kernel, name: str, grid: TimeGrid, build):
+    """build(grid), cached as attribute ``name`` of the (immutable) kernel for
+    the last grid it was used on."""
     key = (grid.horizon, grid.n_steps)
-    cached = getattr(kernel, "_weights_cache", None)
+    cached = getattr(kernel, name, None)
     if cached is None or cached[0] != key:
-        cached = (key, kernel.average_weights(grid))
-        object.__setattr__(kernel, "_weights_cache", cached)
+        cached = (key, build(grid))
+        object.__setattr__(kernel, name, cached)
     return cached[1]
+
+
+def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
+    """The dense (n+1, n) cell-averaged weights, cached on the kernel for the
+    last grid it was used on, so a kernel holds at most one dense matrix.
+
+    Only the algebra that indexes the matrix asks for it: the rate functionals,
+    ``GridKernel``, ``resolvent`` and ``convolve``.  A stationary kernel builds
+    it from its lags; a march reads those alone (``march_weights``).
+    """
+    return _cached(kernel, "_weights_cache", grid, kernel.average_weights)
+
+
+def march_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
+    """The weights a march's History reads: a stationary kernel's n lags,
+    cached as grid_weights caches the matrix, else the dense matrix itself."""
+    if not kernel.stationary:
+        return grid_weights(kernel, grid)
+    return _cached(kernel, "_lags_cache", grid, kernel.average_lags)
 
 
 # History sums terms of at least HISTORY_BLOCKED_WIDTH floats in blocks of
@@ -688,7 +745,9 @@ HISTORY_BLOCKED_WIDTH = 64
 class History:
     """Volterra history sums of a forward substitution on grid weights.
 
-    ``weights`` has the (n+1, n) strictly lower layout of ``average_weights``.
+    ``weights`` is the (n+1, n) strictly lower matrix of ``average_weights``,
+    or the n lags of a stationary kernel (``average_lags``), which stand for
+    the matrix weights[i, j] = lags[i - j - 1].
     A term is a scalar (``shape=()``) or a flat vector (``shape=(width,)``).
     The i-th ``push(h)`` stores ``h`` as h_i and returns
     ``sum_{k <= i} weights[i+1, k] h_k``, the history term of node i+1, so a
@@ -703,19 +762,51 @@ class History:
     step rereads at most B history rows instead of i+1.  Only the order of
     the additions changes (about 2e-15 relative per push).
 
-    ``buffers`` lends the history its value and far buffers, as
+    Over lags, a row slice is a contiguous slice of the reversed lags, and a
+    far block is one window of them, copied into a buffer whose rows are laid
+    out as the matrix's: the products read the operands they would read in
+    the matrix, and the sums are the same bit for bit.
+
+    ``buffers`` lends the history its value, far and window buffers, as
     ``Workspace.history`` does; without them it allocates its own.  Every
     push writes the rows it reads, so lent buffers give the same sums.
     """
 
     def __init__(self, weights: np.ndarray, shape: tuple = (), buffers=None):
         self.weights = weights
+        n = weights.shape[-1]
         if buffers is None:
             width = math.prod(shape)
-            buffers = (np.empty((weights.shape[1], *shape)),
-                       np.empty((HISTORY_BLOCK, width)) if width >= HISTORY_BLOCKED_WIDTH else None)
-        self._values, self._far = buffers
+            buffers = (np.empty((n, *shape)),
+                       np.empty((HISTORY_BLOCK, width)) if width >= HISTORY_BLOCKED_WIDTH else None,
+                       None)
+        self._values, self._far, self._window = buffers
+        self._rev = None
+        if weights.ndim == 1:
+            self._rev = weights[::-1].copy()
+            if self._far is not None and self._window is None:
+                self._window = np.empty((HISTORY_BLOCK, n))
         self._count = 0
+
+    def _row(self, i: int, lo: int) -> np.ndarray:
+        """Row i+1 of the weights over the columns lo <= j <= i."""
+        if self._rev is None:
+            return self.weights[i + 1, lo : i + 1]
+        return self._rev[len(self._rev) - 1 - i + lo :]
+
+    def _far_rows(self, b0: int) -> np.ndarray:
+        """Rows b0+1 .. b0+B of the weights, those up to row n, over the
+        columns j < b0."""
+        if self._rev is None:
+            return self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
+        n = len(self._rev)
+        rows = min(HISTORY_BLOCK, n - b0)
+        # row b0+1+k is rev[n-1-b0-k : n-1-k]: the windows of
+        # rev[n-b0-rows : n-1], last first
+        far = self._window[:rows, :b0]
+        far[...] = np.lib.stride_tricks.sliding_window_view(
+            self._rev[n - b0 - rows : n - 1], b0)[::-1]
+        return far
 
     def push(self, h) -> np.ndarray:
         i = self._count
@@ -723,35 +814,35 @@ class History:
         self._count = i + 1
         b0 = i - i % HISTORY_BLOCK
         if self._far is None or b0 == 0:
-            return self.weights[i + 1, : i + 1] @ self._values[: i + 1]
+            return self._row(i, 0) @ self._values[: i + 1]
         if i == b0:
-            far = self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
+            far = self._far_rows(b0)
             np.matmul(far, self._values[:b0], out=self._far[: len(far)])
-        return self._far[i - b0] + self.weights[i + 1, b0 : i + 1] @ self._values[b0 : i + 1]
+        return self._far[i - b0] + self._row(i, b0) @ self._values[b0 : i + 1]
 
 
 class Workspace:
-    """A pool of the value and far buffers of History sums, for marches run
-    one after another: the passes of an eps sweep then map their buffers
-    once instead of once a pass.
+    """A pool of the buffers of History sums, for marches run one after
+    another: the passes of an eps sweep then map their buffers once instead
+    of once a pass.
 
-    ``history`` builds a History on a free pair of buffers of its shape, or on
-    new ones, and ``release`` hands the buffers of finished histories back;
-    a released history must not be pushed again.
+    ``history`` builds a History on free buffers of its shape, or on new
+    ones, and ``release`` hands the buffers of finished histories back; a
+    released history must not be pushed again.
     """
 
     def __init__(self):
         self._free = []
 
     def history(self, weights: np.ndarray, shape: tuple = ()) -> History:
-        rows = (weights.shape[1], *shape)
+        rows = (weights.shape[-1], *shape)
         for k, buffers in enumerate(self._free):
             if buffers[0].shape == rows:
                 return History(weights, shape, buffers=self._free.pop(k))
         return History(weights, shape)
 
     def release(self, *histories) -> None:
-        self._free.extend((h._values, h._far) for h in histories if h is not None)
+        self._free.extend((h._values, h._far, h._window) for h in histories if h is not None)
 
 
 def convolve(k: GridKernel, m: GridKernel) -> GridKernel:

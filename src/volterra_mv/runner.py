@@ -21,7 +21,8 @@ from . import __version__
 from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
 from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
-from .kernels import HISTORY_BLOCK, GridKernel, regularity_probe, resolvent
+from .kernels import (HISTORY_BLOCK, HISTORY_BLOCKED_WIDTH, GridKernel, _cell_averages_scratch,
+                      regularity_probe, resolvent)
 from .rates import (Halfspace, RateProblem, _control_kernel, ldp_rate, mdp_rate,
                     minimize_rate_endpoint, tail_probability_probe)
 from .rng import _BLOCK as _DRAW_BLOCK
@@ -67,19 +68,26 @@ class RunResult:
     manifest_path: str
 
 
-def _weight_kernels(cfg: ExperimentConfig) -> int:
-    """How many kernels a run builds (n+1) x n grid weights for."""
-    if cfg.kind == "kernel-probe":
-        return 0
-    if cfg.kind in ("limit", "resolvent"):
-        return 1
-    if cfg.kind in ("simulate", "clt"):
-        return 2
-    # the particle kernels of a tail probe or a rate's drift kernel, and the
-    # rate's control kernel if it is not one of them
-    used = (cfg.k1, cfg.k2) if cfg.kind == "tail-probe" else (cfg.k1,)
+def _weight_kernels(cfg: ExperimentConfig) -> list:
+    """The kernels a run builds grid weights for, each with True when it
+    builds the dense (n+1) x n matrix: the rate functionals and the resolvent
+    index it, and a kernel that is not stationary has no other form.  A
+    stationary kernel that only marches read is built as its n lags."""
+    kind = cfg.kind
+    if kind == "kernel-probe":
+        return []
+    if kind == "resolvent":
+        return [(cfg.k1, True)]
+    if kind in ("limit", "simulate", "clt"):
+        marched = (cfg.k1,) if kind == "limit" else (cfg.k1, cfg.k2)
+        return [(k, not k.stationary) for k in marched]
+    # a rate's drift kernel and its control kernel, if that is another one,
+    # and the noise kernel of a tail probe's particles, if neither
     kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
-    return len(used) + all(kc is not k for k in used)
+    out = [(cfg.k1, True)] + ([(kc, True)] if kc is not cfg.k1 else [])
+    if kind == "tail-probe" and all(cfg.k2 is not k for k, _ in out):
+        out.append((cfg.k2, not cfg.k2.stationary))
+    return out
 
 
 def _memory_estimate(cfg: ExperimentConfig) -> int:
@@ -88,7 +96,17 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     d, m = cfg.coeffs.d, cfg.coeffs.m
     n = cfg.grid.n_steps
     big_n = cfg.n_particles
-    weights = _weight_kernels(cfg) * (n + 1) * n
+    built = _weight_kernels(cfg)
+    # a stationary kernel's lags, and in a wide march of N particles the
+    # window of HISTORY_BLOCK rows that its History copies them into
+    wide = cfg.kind in ("simulate", "clt", "tail-probe") and big_n * d >= HISTORY_BLOCKED_WIDTH
+    lags = n * (1 + HISTORY_BLOCK * wide)
+    weights = sum((n + 1) * n if dense else lags for _, dense in built)
+    # and, while a tabulated kernel's matrix is built, the scratch of its
+    # cell quadrature, where TabulatedKernel.__call__ makes about 14 arrays
+    # of its input's size
+    build = max((_cell_averages_scratch(n, 14)
+                 for k, dense in built if dense and k.family == "tabulated"), default=0)
 
     def march(nodes):
         # per particle, in a particle or linear march: the states on the nodes
@@ -121,10 +139,15 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
         # the resolvent's rows, the history of its forward substitution, and
         # the check of its zeros
         floats = 2 * (n + 1) * n
+    elif kind == "limit":
+        # the march of one particle, which keeps its path, and the rows of
+        # path.csv, formed before they are written: a list, its step, time
+        # and d state scalars, about 134 + 32 d bytes (tracemalloc)
+        floats = march(n + 1) + (n + 1) * (134 + 32 * d) // 8
     else:
-        # limit, rate-min and kernel-probe: one-particle paths and probes
+        # rate-min and kernel-probe: one-particle paths and probes
         floats = 0
-    estimate = (weights + floats) * 8
+    estimate = (weights + floats) * 8 + build
     if kind == "simulate" and cfg.write_ensemble:
         # while ensemble.csv is written: the states and one block of whole
         # particles, at least one, with its table, text and formatter
@@ -281,6 +304,23 @@ def _rows_from_text(rows_fn, config_text: str, chunk) -> list:
     return rows_fn(validate_config(config_text), chunk)
 
 
+def _one_blas_thread() -> None:
+    """Give this process one BLAS thread, through the setter of the OpenBLAS
+    that numpy's wheels bundle; nothing happens where that library is absent."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
     """Rows of rows_fn over the cells, in order.
 
@@ -288,7 +328,8 @@ def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
     worker rebuilds the config, and with it the kernels, from its text once
     and runs the same row function as a serial run, which calls it with the
     config it already holds, so one set of kernel objects and their cached
-    grid weights serves every cell of a chunk.
+    grid weights serves every cell of a chunk.  Each worker runs one BLAS
+    thread, since the workers already share the cores.
     """
     n_chunks = min(workers, len(cells))
     if n_chunks <= 1:
@@ -297,7 +338,7 @@ def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
     chunks = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+    with ProcessPoolExecutor(max_workers=n_chunks, initializer=_one_blas_thread) as pool:
         parts = pool.map(_rows_from_text, [rows_fn] * n_chunks,
                          [cfg.raw_text] * n_chunks, chunks)
         return [row for part in parts for row in part]

@@ -33,7 +33,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError
 from .grids import TimeGrid
-from .kernels import HISTORY_BLOCK, Kernel, Workspace, grid_weights
+from .kernels import HISTORY_BLOCK, Kernel, Workspace, march_weights
 from .measures import EmpiricalMeasure
 from . import rng as _rng
 
@@ -237,9 +237,9 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
 
     flat = (n_particles * d,)
     pool = Workspace() if workspace is None else workspace
-    drift = pool.history(grid_weights(k1, grid), flat)
-    noise = pool.history(grid_weights(k2, grid), flat) if noise_scale != 0.0 else None
-    ctrl = pool.history(grid_weights(kc, grid), flat) if v is not None else None
+    drift = pool.history(march_weights(k1, grid), flat)
+    noise = pool.history(march_weights(k2, grid), flat) if noise_scale != 0.0 else None
+    ctrl = pool.history(march_weights(kc, grid), flat) if v is not None else None
     steps = _time_major_steps(blocks, n) if noise is not None else None
     own_law = law is None
 
@@ -393,8 +393,8 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
 
     flat = (n_paths * d,)
     pool = Workspace() if workspace is None else workspace
-    drift = pool.history(grid_weights(k1, grid), flat)
-    forced = pool.history(grid_weights(kf, grid), flat)
+    drift = pool.history(march_weights(k1, grid), flat)
+    forced = pool.history(march_weights(kf, grid), flat)
     z = np.empty((n + 1, n_paths, d))  # time-major: node i is one (N, d) slab
     z[0] = 0.0
     for i, ui in enumerate(_time_major_steps(_given_blocks(drivers), n)):

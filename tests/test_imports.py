@@ -223,3 +223,17 @@ def test_clt_marches_before_numpy_random_loads(tmp_path):
     """, tmp_path)
     assert out.split()[-5:] == ["0", "False", "False", "False", "True"]
     assert (tmp_path / "out" / "clt.csv").exists()
+
+
+def test_all_lists_the_public_names_and_no_module():
+    import types
+
+    import volterra_mv
+
+    names = volterra_mv.__all__
+    assert len(names) == len(set(names)) == 56
+    for name in names:
+        assert not isinstance(getattr(volterra_mv, name), types.ModuleType), name
+    public = {name for name, value in vars(volterra_mv).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == public

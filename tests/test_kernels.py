@@ -39,6 +39,7 @@ from volterra_mv.kernels import (
     _toeplitz_strict_lower,
     fbm_normalizer,
     grid_weights,
+    march_weights,
 )
 
 
@@ -481,6 +482,54 @@ class TestHistory:
                 assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
             with pytest.raises(IndexError):
                 hist.push(h[0])
+
+
+# the stationary kernels, whose marches read their lags
+STATIONARY = {
+    "constant": ConstantKernel(0.7),
+    "power": PowerKernel(0.3),
+    "profile": CustomKernel(fn=lambda t, s: np.exp(-2.0 * (t - s)) * (1.0 + (t - s)),
+                            convolution_profile=lambda u: np.exp(-2.0 * u) * (1.0 + u)),
+    "fbm-half": FbmKernel(0.5),
+}
+
+
+class TestLagHistory:
+    @pytest.mark.parametrize("n", [2, 3, 32, 33, 64, 65, 400])
+    @pytest.mark.parametrize("shape", [(), (1,), (63,), (64,), (2000,)],
+                             ids=["scalar", "w1", "w63", "w64", "w2000"])
+    @pytest.mark.parametrize("name", list(STATIONARY))
+    def test_lags_sum_as_the_dense_matrix(self, name, shape, n):
+        # every push over the lags equals the push over the matrix they stand
+        # for, bit for bit, on fresh buffers and on buffers a workspace lends
+        # after another lag history has filled them
+        kern = STATIONARY[name]
+        grid = TimeGrid(1.0, n)
+        lags, dense = kern.average_lags(grid), kern.average_weights(grid)
+        assert lags.shape == (n,)
+        assert np.array_equal(dense, _toeplitz_strict_lower(lags, n))
+        rng = np.random.default_rng(n)
+        pool = Workspace()
+        stale = pool.history(lags, shape)
+        for h in rng.normal(size=(n, *shape)):
+            stale.push(h)
+        pool.release(stale)
+        h = rng.normal(size=(n, *shape))
+        for lagged in (History(lags, shape), pool.history(lags, shape)):
+            ref = History(dense, shape)
+            for i in range(n):
+                np.testing.assert_array_equal(lagged.push(h[i]), ref.push(h[i]))
+
+    def test_march_reads_lags_of_stationary_kernels_only(self):
+        grid = TimeGrid(1.0, 20)
+        for kern in STATIONARY.values():
+            lags = march_weights(kern, grid)
+            assert lags.shape == (20,) and march_weights(kern, grid) is lags
+            assert "_weights_cache" not in vars(kern)
+        fbm = FbmKernel(0.3)
+        assert march_weights(fbm, grid) is grid_weights(fbm, grid)
+        with pytest.raises(NotImplementedError):
+            fbm.average_lags(grid)
 
 
 class TestWorkspace:

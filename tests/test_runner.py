@@ -1,4 +1,6 @@
 import csv
+import ctypes
+import glob
 import hashlib
 import os
 import subprocess
@@ -14,10 +16,12 @@ from volterra_mv import (
     ConstantKernel,
     FbmKernel,
     GridKernel,
+    Halfspace,
     PathEnsemble,
     PowerKernel,
     TimeGrid,
     resolvent,
+    tail_probability_probe,
     config,
     fluctuations,
     rng,
@@ -27,6 +31,7 @@ from volterra_mv.cli import main as cli_main
 from volterra_mv.config import validate_config
 from volterra_mv.runner import (
     _memory_estimate,
+    _model,
     _write_csv,
     _write_ensemble_csv,
     _write_resolvent_csv,
@@ -164,7 +169,7 @@ DENSE = "\n[grid]\nn_steps = 300\n"
 TAIL = "\n[run]\nN = 500\neps_list = [0.5, 1.0]\n[rate]\nmode = ldp\nevent_level = 0.4\n"
 
 
-def _dense_cfg(kind, tmp_path, extra=""):
+def _dense_cfg(kind, tmp_path, extra="", tabulated=False):
     # a smooth target path on the n = 300 grid for the rate kinds, starting
     # at xi = 1.0 (ldp) or at zero (mdp)
     if kind in ("ldp-rate", "mdp-rate"):
@@ -173,12 +178,51 @@ def _dense_cfg(kind, tmp_path, extra=""):
         target.write_text("t,x1\n" + "".join(
             f"{float(t)!r},{float(start + 0.5 * t * t)!r}\n" for t in np.linspace(0.0, 1.0, 301)))
         extra += f"\n[rate]\ntarget_csv = \"{target}\"\n"
-    return _cfg(kind, DENSE + extra)
+    base = BASE
+    if tabulated:
+        # kernel1 = 1 + t + s, tabulated on 41 nodes
+        table = tmp_path / "kernel1.csv"
+        nodes = np.linspace(0.0, 1.0, 41).tolist()
+        table.write_text("t,s,value\n" + "".join(
+            f"{t!r},{s!r},{1.0 + t + s!r}\n" for i, t in enumerate(nodes) for s in nodes[:i]))
+        base = BASE.replace("[kernel1]\nfamily = constant\nc = 1.0",
+                            f"[kernel1]\nfamily = tabulated\ncsv = \"{table}\"")
+    return _cfg(kind, DENSE + extra, base=base)
 
 
 def _rows_by_chunk(cfg, chunk):
     # a row function for the pool: tags each cell with its chunk's first cell
     return [(chunk[0], cell) for cell in chunk]
+
+
+def _openblas():
+    # the OpenBLAS that numpy's wheels bundle, or None
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+    return ctypes.CDLL(paths[0]) if paths else None
+
+
+def _blas_threads(lib):
+    get = lib.scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def _blas_threads_by_chunk(cfg, chunk):
+    # a row function for the pool: the BLAS thread count of the worker
+    return [_blas_threads(_openblas()) for _ in chunk]
+
+
+# kernel1 constant and kernel2 power: both stationary
+STATIONARY = BASE.replace("[kernel2]\nfamily = constant\nc = 1.0",
+                          "[kernel2]\nfamily = power\nH = 0.3")
+
+
+def _dense_matrices(kernel):
+    # the (n+1) x n weight matrices a kernel holds in its caches
+    return [x for value in vars(kernel).values()
+            for x in (value if isinstance(value, tuple) else (value,))
+            if isinstance(x, np.ndarray) and x.ndim == 2]
 
 
 class TestRunExperiment:
@@ -228,13 +272,15 @@ n_steps = 1000
         assert len(rows) == 5
 
     def test_serial_clt_builds_each_kernel_once(self, tmp_path, monkeypatch):
+        # a build is a kernel's dense weights or, for a stationary kernel, its lags
         builds = []
         for cls in (PowerKernel, FbmKernel):
-            def counted(self, grid, build=cls.average_weights):
-                builds.append(self.family)
-                return build(self, grid)
+            for name in ("average_weights", "average_lags"):
+                def counted(self, grid, build=getattr(cls, name)):
+                    builds.append(self.family)
+                    return build(self, grid)
 
-            monkeypatch.setattr(cls, "average_weights", counted)
+                monkeypatch.setattr(cls, name, counted)
         validations = _count_validations(monkeypatch)
         run_experiment(_cfg("clt", CLT_SWEEP, base=ROUGH), out_dir=tmp_path / "out", workers=1)
         assert sorted(builds) == ["fbm", "power"]
@@ -350,18 +396,22 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         peak = traced_peak(cfg)
         assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
-    @pytest.mark.parametrize("kind, extra", [
-        ("limit", ""),
-        ("rate-min", "\n[rate]\nevent_level = 3.0\n"),
-        ("rate-min", "\n[rate]\nmode = mdp\n"),
-        ("ldp-rate", ""),
-        ("ldp-rate", "\n[rate]\nlambda_reg = 0.01\n"),
-        ("mdp-rate", ""),
-        ("resolvent", ""),
+    @pytest.mark.parametrize("kind, extra, tabulated", [
+        ("limit", "", False),
+        ("rate-min", "\n[rate]\nevent_level = 3.0\n", False),
+        ("rate-min", "\n[rate]\nmode = mdp\n", False),
+        ("ldp-rate", "", False),
+        ("ldp-rate", "\n[rate]\nlambda_reg = 0.01\n", False),
+        ("mdp-rate", "", False),
+        ("resolvent", "", False),
+        # the peak is the weight build: about 14 temporaries of
+        # TabulatedKernel.__call__ on a block of quadrature nodes
+        ("limit", "\n[grid]\nn_steps = 400\n", True),
     ], ids=["limit", "rate-min-ldp", "rate-min-mdp", "ldp-rate", "ldp-rate-ridge",
-            "mdp-rate", "resolvent-direct"])
-    def test_dense_estimate_tracks_traced_peak(self, traced_peak, tmp_path, kind, extra):
-        cfg = _dense_cfg(kind, tmp_path, extra)
+            "mdp-rate", "resolvent-direct", "limit-tabulated"])
+    def test_dense_estimate_tracks_traced_peak(self, traced_peak, tmp_path, kind, extra,
+                                               tabulated):
+        cfg = _dense_cfg(kind, tmp_path, extra, tabulated)
         peak = traced_peak(cfg)
         assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
 
@@ -419,6 +469,34 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         (out / "junk.txt").write_text("x")
         with pytest.raises(ConfigError):
             run_experiment(_cfg("limit"), out_dir=out)
+
+
+class TestLagWeights:
+    @pytest.mark.parametrize("kind", ["simulate", "clt", "limit"])
+    def test_marching_kinds_build_no_dense_matrix_of_a_stationary_kernel(self, tmp_path, kind):
+        cfg = _cfg(kind, base=STATIONARY)
+        run_experiment(cfg, out_dir=tmp_path / "out", workers=1)
+        marched = (cfg.k1,) if kind == "limit" else (cfg.k1, cfg.k2)
+        for kern in marched:
+            assert _dense_matrices(kern) == []
+            assert kern._lags_cache[1].shape == (cfg.grid.n_steps,)
+
+    def test_crude_tail_probe_builds_no_dense_matrix_of_a_stationary_kernel(self):
+        cfg = _cfg("tail-probe", TAIL, base=STATIONARY)
+        res = tail_probability_probe(_model(cfg), "ldp", Halfspace(normal=[1.0], level=0.4),
+                                     cfg.eps_list, cfg.n_particles, cfg.seed, cfg.grid,
+                                     xi=cfg.xi, with_reference=False)
+        assert len(res.cells) == 2
+        for kern in (cfg.k1, cfg.k2):
+            assert _dense_matrices(kern) == []
+
+    @pytest.mark.parametrize("kind", ["rate-min", "ldp-rate"])
+    def test_rate_kinds_build_the_dense_matrix(self, tmp_path, kind):
+        # the rate functionals index the matrix of the drift and control kernel
+        cfg = _dense_cfg(kind, tmp_path)
+        run_experiment(cfg, out_dir=tmp_path / "out")
+        n = cfg.grid.n_steps
+        assert [w.shape for w in _dense_matrices(cfg.k1)] == [(n + 1, n)]
 
 
 class TestWriters:
@@ -572,6 +650,21 @@ class TestReproducibility:
         rows = runner._sweep(_rows_by_chunk, _cfg("clt", CLT_SWEEP), list(range(7)), workers=3)
         assert rows == [(0, 0), (0, 1), (2, 2), (2, 3), (4, 4), (4, 5), (4, 6)]
 
+    def test_pool_workers_run_one_blas_thread(self):
+        lib = _openblas()
+        if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy bundles no scipy-openblas here")
+        before = _blas_threads(lib)
+        setter = lib.scipy_openblas_set_num_threads64_
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(2)
+        try:
+            rows = runner._sweep(_blas_threads_by_chunk, _cfg("clt", CLT_SWEEP), [0, 1],
+                                 workers=2)
+        finally:
+            setter(before)
+        assert rows == [1, 1]
+
     def test_pool_workers_see_a_model_registered_at_run_time(self, tmp_path, monkeypatch):
         # workers validate the config text again, so they must inherit the
         # registry of the process that started the pool
@@ -710,9 +803,10 @@ class TestCli:
 
     @pytest.mark.parametrize("kind", ["limit", "ldp-rate", "mdp-rate", "rate-min", "resolvent"])
     def test_dense_kinds_exit_three_before_allocating(self, tmp_path, monkeypatch, kind):
-        # a tiny budget refuses each kind before its first grid weights
+        # a tiny budget refuses each kind before its first grid weights or lags
         built = []
-        monkeypatch.setattr(ConstantKernel, "average_weights", lambda *args: built.append(args))
+        for name in ("average_weights", "average_lags"):
+            monkeypatch.setattr(ConstantKernel, name, lambda *args: built.append(args))
         start = 0.0 if kind == "mdp-rate" else 1.0
         target = tmp_path / "target.csv"
         target.write_text("t,x1\n" + "".join(
