@@ -4,7 +4,8 @@
 
 Subcommands mirror the experiment kinds; the subcommand always wins over the
 config's experiment.kind (a mismatch is a validation error).  Exit codes:
-0 success, 1 validation failure, 2 runtime failure, 3 memory-budget refusal.
+0 success, 1 validation failure, 2 runtime failure (an output directory or
+artifact that cannot be written among them), 3 memory-budget refusal.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    out = args.out
     try:
         from .config import parse_flat
 
@@ -62,6 +64,7 @@ def main(argv=None) -> int:
                 f" subcommand is \"{args.subcommand}\""
             ])
         cfg = validate_config(_apply_overrides(text, args.subcommand, args.seed))
+        out = out or cfg.out_dir
         result = run_experiment(cfg, out_dir=args.out, workers=args.workers)
     except ConfigError as exc:
         for issue in exc.issues:
@@ -72,6 +75,10 @@ def main(argv=None) -> int:
         return 3
     except VolterraError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # the run leaves no partial output behind
+        print(f"runtime error: cannot write {out}: {exc}", file=sys.stderr)
         return 2
     print(result.out_dir)
     for name in result.artifacts:

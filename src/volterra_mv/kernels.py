@@ -204,15 +204,24 @@ class Kernel:
         w[i, j] = lags[i - j - 1]."""
         raise NotImplementedError(f"the {self.family} kernel is not stationary")
 
-    def average_weights(self, grid: TimeGrid) -> np.ndarray:
-        """Cell-averaged weight matrix of shape (n+1, n); zero for j >= i."""
-        if grid.horizon > getattr(self, "t_max", math.inf) + 1e-12:
-            raise KernelDomainError("grid horizon exceeds the kernel horizon")
+    def average_triangle(self, grid: TimeGrid) -> "PackedTriangle":
+        """The strictly lower triangle of the cell-averaged weights, packed
+        row after row: a stationary kernel's from its lags, any other's by
+        cells."""
+        _check_horizon(self, grid)
         n = grid.n_steps
         if self.stationary:
-            return _toeplitz_strict_lower(self.average_lags(grid), n)
-        return _cell_averages(self, grid, self.edge_exponent_origin,
-                              self.edge_exponent_diagonal, np.zeros((n + 1, n)))
+            return PackedTriangle(_packed_lags(self.average_lags(grid)), n)
+        return PackedTriangle(_cell_averages(self, grid, self.edge_exponent_origin,
+                                             self.edge_exponent_diagonal,
+                                             np.zeros(n * (n + 1) // 2)), n)
+
+    def average_weights(self, grid: TimeGrid) -> np.ndarray:
+        """Cell-averaged weight matrix of shape (n+1, n); zero for j >= i."""
+        _check_horizon(self, grid)
+        if self.stationary:
+            return _toeplitz_strict_lower(self.average_lags(grid), grid.n_steps)
+        return self.average_triangle(grid).dense()
 
 
 @dataclass(frozen=True)
@@ -384,13 +393,14 @@ class FbmKernel(Kernel):
             return super().average_lags(grid)
         return ConstantKernel(1.0).average_lags(grid)
 
-    def average_weights(self, grid):
+    def average_triangle(self, grid):
         if self.stationary:
-            return super().average_weights(grid)
+            return super().average_triangle(grid)
         # the leading power part exactly, and the correction, which is bounded
         # at the diagonal and blows up like the kernel at the origin, by cells
-        w = _toeplitz_strict_lower(_power_lags(self.normalizer, self._a, grid), grid.n_steps)
-        return _cell_averages(self._correction, grid, self.edge_exponent_origin, 0.0, w)
+        w = _packed_lags(_power_lags(self.normalizer, self._a, grid))
+        return PackedTriangle(_cell_averages(self._correction, grid, self.edge_exponent_origin,
+                                             0.0, w), grid.n_steps)
 
 
 @dataclass(frozen=True)
@@ -498,10 +508,31 @@ class CustomKernel(Kernel):
             return super().average_lags(grid)
         # lag r averages the profile over cell r, as row n of the weights of
         # profile(s) does, whose blow-up at u -> 0 is one at the origin
-        last = _cell_averages(lambda t, s: self.convolution_profile(s), grid,
-                              self.edge_exponent_diagonal, 0.0, np.zeros((1, grid.n_steps)),
+        return _cell_averages(lambda t, s: self.convolution_profile(s), grid,
+                              self.edge_exponent_diagonal, 0.0, np.zeros(grid.n_steps),
                               first_row=grid.n_steps)
-        return last[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PackedTriangle:
+    """The strictly lower triangle of (n+1, n) grid weights, n(n+1)/2 floats
+    packed row after row: row i, over its columns j < i, is
+    values[i(i-1)/2 : i(i+1)/2]."""
+
+    values: np.ndarray = field(repr=False)
+    n_steps: int
+
+    def row(self, i: int) -> np.ndarray:
+        start = i * (i - 1) // 2
+        return self.values[start : start + i]
+
+    def dense(self) -> np.ndarray:
+        """The (n+1, n) matrix, zero for j >= i."""
+        n = self.n_steps
+        w = np.zeros((n + 1, n))
+        for i in range(1, n + 1):
+            w[i, :i] = self.row(i)
+        return w
 
 
 def _power_lags(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
@@ -512,6 +543,14 @@ def _power_lags(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
         raise NonIntegrableError("power kernel is not integrable at the diagonal")
     r = np.arange(grid.n_steps + 1, dtype=float)
     return scale * grid.dt**a * (r[1:] ** q - r[:-1] ** q) / q
+
+
+def _packed_lags(lag: np.ndarray) -> np.ndarray:
+    """The packed triangle of w[i, j] = lag[i - j - 1]: row i is the last i
+    of the reversed lags."""
+    rev = np.asarray(lag, dtype=float)[::-1]
+    n = len(rev)
+    return np.concatenate([rev[n - i:] for i in range(1, n + 1)])
 
 
 def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
@@ -549,8 +588,9 @@ def _cell_averages_scratch(n: int, temporaries: int) -> int:
 
 
 def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
-    """Add (1/dt) int_{t_j}^{t_{j+1}} f(t_i, s) ds to row i of w for j < i and
-    first_row <= i <= n, and return w, whose last row is row n.
+    """Add (1/dt) int_{t_j}^{t_{j+1}} f(t_i, s) ds to the entry (i, j) of w for
+    j < i and first_row <= i <= n, and return w: the rows first_row .. n of a
+    strictly lower triangle, packed row after row, so that row n is last.
 
     f(t, s) broadcasts a column of times against their nodes.  Interior cells
     take the _GL_NODES-point rule.  A negative exp_origin (f ~ s^e as s -> 0)
@@ -559,7 +599,9 @@ def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
     cell, when both are negative, is split at its midpoint.
     """
     n, dt, times = grid.n_steps, grid.dt, grid.times
-    off = len(w) - (n + 1)  # row i is w[i + off]
+    # row i starts at starts[i]
+    nodes = np.arange(n + 1)
+    starts = (nodes * (nodes - 1) - first_row * (first_row - 1)) // 2
     j0, jd = int(exp_origin < 0.0), int(exp_diagonal < 0.0)
     if j0:
         s0, w0 = _edge_rule(exp_origin, dt)
@@ -568,27 +610,33 @@ def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
     chunk = _row_chunk(n)
     for lo in range(first_row, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
-        out = w[lo + off:hi + off]
         # interior cells j0 <= j < i - jd of rows lo <= i < hi, and nothing
         # above, evaluated _CELL_BLOCK at a time: each cell's sum is its own
         i, j = np.tril_indices(hi - lo, lo - 1 - j0 - jd, n - j0)
+        i += lo
         j += j0
         for c0 in range(0, i.size, _CELL_BLOCK):
             ic, jc = i[c0:c0 + _CELL_BLOCK], j[c0:c0 + _CELL_BLOCK]
             s_nodes = times[jc][:, None] + dt * _GL_X[None, :]
-            vals = f(times[ic + lo][:, None], s_nodes)
-            out[ic, jc] += np.einsum("pg,g->p", vals, _GL_W)
+            vals = f(times[ic][:, None], s_nodes)
+            w[starts[ic] + jc] += np.einsum("pg,g->p", vals, _GL_W)
         split = int(j0 and jd and lo == 1)
-        t = times[lo + split:hi][:, None]
+        rows = nodes[lo + split:hi]
+        t = times[rows][:, None]
         if j0:
-            out[split:, 0] += f(t, s0[None, :]) @ w0
+            w[starts[rows]] += f(t, s0[None, :]) @ w0
         if jd:
-            k = np.arange(split, hi - lo)
-            out[k, k + lo - 1] += f(t, t - ud[None, :]) @ wd
+            w[starts[rows] + rows - 1] += f(t, t - ud[None, :]) @ wd
         if split:
             t1 = times[1:2, None]
-            out[0, 0] += 0.5 * (f(t1, 0.5 * s0[None, :]) @ w0 + f(t1, t1 - 0.5 * ud[None, :]) @ wd)[0]
+            w[starts[1]] += 0.5 * (f(t1, 0.5 * s0[None, :]) @ w0 + f(t1, t1 - 0.5 * ud[None, :]) @ wd)[0]
     return w
+
+
+def _check_horizon(kernel, grid):
+    t_max = getattr(kernel, "t_max", None)
+    if t_max is not None and grid.horizon > t_max + 1e-12:
+        raise KernelDomainError("grid horizon exceeds the kernel horizon")
 
 
 def _check_integral_bounds(t, a, b):
@@ -719,17 +767,20 @@ def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
 
     Only the algebra that indexes the matrix asks for it: the rate functionals,
     ``GridKernel``, ``resolvent`` and ``convolve``.  A stationary kernel builds
-    it from its lags; a march reads those alone (``march_weights``).
+    it from its lags, any other unpacks its cached triangle; a march reads
+    those alone (``march_weights``).
     """
-    return _cached(kernel, "_weights_cache", grid, kernel.average_weights)
+    if kernel.stationary:
+        return _cached(kernel, "_weights_cache", grid, kernel.average_weights)
+    return _cached(kernel, "_weights_cache", grid, lambda g: march_weights(kernel, g).dense())
 
 
-def march_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
-    """The weights a march's History reads: a stationary kernel's n lags,
-    cached as grid_weights caches the matrix, else the dense matrix itself."""
-    if not kernel.stationary:
-        return grid_weights(kernel, grid)
-    return _cached(kernel, "_lags_cache", grid, kernel.average_lags)
+def march_weights(kernel: Kernel, grid: TimeGrid):
+    """The weights a march's History reads, cached as grid_weights caches the
+    matrix: a stationary kernel's n lags, else its packed triangle."""
+    if kernel.stationary:
+        return _cached(kernel, "_lags_cache", grid, kernel.average_lags)
+    return _cached(kernel, "_triangle_cache", grid, kernel.average_triangle)
 
 
 # History sums terms of at least HISTORY_BLOCKED_WIDTH floats in blocks of
@@ -742,12 +793,18 @@ HISTORY_BLOCK = 32
 HISTORY_BLOCKED_WIDTH = 64
 
 
+def _steps(weights) -> int:
+    """n of the weights of an n-step grid, in any form History reads."""
+    return weights.n_steps if isinstance(weights, PackedTriangle) else weights.shape[-1]
+
+
 class History:
     """Volterra history sums of a forward substitution on grid weights.
 
     ``weights`` is the (n+1, n) strictly lower matrix of ``average_weights``,
-    or the n lags of a stationary kernel (``average_lags``), which stand for
-    the matrix weights[i, j] = lags[i - j - 1].
+    its packed triangle (``average_triangle``), or the n lags of a stationary
+    kernel (``average_lags``), which stand for the matrix
+    weights[i, j] = lags[i - j - 1].
     A term is a scalar (``shape=()``) or a flat vector (``shape=(width,)``).
     The i-th ``push(h)`` stores ``h`` as h_i and returns
     ``sum_{k <= i} weights[i+1, k] h_k``, the history term of node i+1, so a
@@ -760,65 +817,66 @@ class History:
     forms the far part ``weights[b0+1 : b0+B+1, :b0] @ h[:b0]`` of every row
     of the block, and each push adds the near part over h[b0 : i+1], so a
     step rereads at most B history rows instead of i+1.  Only the order of
-    the additions changes (about 2e-15 relative per push).
+    the additions changes (about 2e-15 relative per push).  The far sums
+    live in the block's own rows of the history, which no push has written
+    yet: push i moves row i's into a one-row scratch before it stores h_i
+    there.
 
-    Over lags, a row slice is a contiguous slice of the reversed lags, and a
-    far block is one window of them, copied into a buffer whose rows are laid
-    out as the matrix's: the products read the operands they would read in
-    the matrix, and the sums are the same bit for bit.
+    Over lags or a packed triangle, a row slice is a contiguous slice, and a
+    far block is copied into a window whose rows are laid out as the
+    matrix's: the products read the operands they would read in the matrix,
+    and the sums are the same bit for bit.
 
-    ``buffers`` lends the history its value, far and window buffers, as
+    ``buffers`` lends the history its value, window and scratch buffers, as
     ``Workspace.history`` does; without them it allocates its own.  Every
     push writes the rows it reads, so lent buffers give the same sums.
     """
 
-    def __init__(self, weights: np.ndarray, shape: tuple = (), buffers=None):
+    def __init__(self, weights, shape: tuple = (), buffers=None):
         self.weights = weights
-        n = weights.shape[-1]
+        n = _steps(weights)
+        wide = math.prod(shape) >= HISTORY_BLOCKED_WIDTH
         if buffers is None:
-            width = math.prod(shape)
-            buffers = (np.empty((n, *shape)),
-                       np.empty((HISTORY_BLOCK, width)) if width >= HISTORY_BLOCKED_WIDTH else None,
-                       None)
-        self._values, self._far, self._window = buffers
-        self._rev = None
-        if weights.ndim == 1:
-            self._rev = weights[::-1].copy()
-            if self._far is not None and self._window is None:
-                self._window = np.empty((HISTORY_BLOCK, n))
+            buffers = (np.empty((n, *shape)), None, np.empty(shape) if wide else None)
+        self._values, self._window, self._scratch = buffers
+        self._dense = isinstance(weights, np.ndarray) and weights.ndim == 2
+        if self._dense:
+            self._full_row = lambda r: weights[r, :r]
+        elif isinstance(weights, PackedTriangle):
+            self._full_row = weights.row
+        else:
+            rev = weights[::-1].copy()
+            self._full_row = lambda r: rev[n - r:]
+        if wide and not self._dense and self._window is None:
+            self._window = np.empty((HISTORY_BLOCK, n))
         self._count = 0
-
-    def _row(self, i: int, lo: int) -> np.ndarray:
-        """Row i+1 of the weights over the columns lo <= j <= i."""
-        if self._rev is None:
-            return self.weights[i + 1, lo : i + 1]
-        return self._rev[len(self._rev) - 1 - i + lo :]
 
     def _far_rows(self, b0: int) -> np.ndarray:
         """Rows b0+1 .. b0+B of the weights, those up to row n, over the
         columns j < b0."""
-        if self._rev is None:
+        if self._dense:
             return self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
-        n = len(self._rev)
-        rows = min(HISTORY_BLOCK, n - b0)
-        # row b0+1+k is rev[n-1-b0-k : n-1-k]: the windows of
-        # rev[n-b0-rows : n-1], last first
+        rows = min(HISTORY_BLOCK, len(self._values) - b0)
         far = self._window[:rows, :b0]
-        far[...] = np.lib.stride_tricks.sliding_window_view(
-            self._rev[n - b0 - rows : n - 1], b0)[::-1]
+        for k in range(rows):
+            far[k] = self._full_row(b0 + 1 + k)[:b0]
         return far
 
     def push(self, h) -> np.ndarray:
         i = self._count
-        self._values[i] = h
-        self._count = i + 1
         b0 = i - i % HISTORY_BLOCK
-        if self._far is None or b0 == 0:
-            return self._row(i, 0) @ self._values[: i + 1]
+        if self._scratch is None or b0 == 0:
+            self._values[i] = h
+            self._count = i + 1
+            return self._full_row(i + 1) @ self._values[: i + 1]
         if i == b0:
             far = self._far_rows(b0)
-            np.matmul(far, self._values[:b0], out=self._far[: len(far)])
-        return self._far[i - b0] + self._row(i, b0) @ self._values[b0 : i + 1]
+            np.matmul(far, self._values[:b0], out=self._values[b0 : b0 + len(far)])
+        far_i = self._scratch
+        far_i[...] = self._values[i]
+        self._values[i] = h
+        self._count = i + 1
+        return far_i + self._full_row(i + 1)[b0:] @ self._values[b0 : i + 1]
 
 
 class Workspace:
@@ -834,15 +892,15 @@ class Workspace:
     def __init__(self):
         self._free = []
 
-    def history(self, weights: np.ndarray, shape: tuple = ()) -> History:
-        rows = (weights.shape[-1], *shape)
+    def history(self, weights, shape: tuple = ()) -> History:
+        rows = (_steps(weights), *shape)
         for k, buffers in enumerate(self._free):
             if buffers[0].shape == rows:
                 return History(weights, shape, buffers=self._free.pop(k))
         return History(weights, shape)
 
     def release(self, *histories) -> None:
-        self._free.extend((h._values, h._far, h._window) for h in histories if h is not None)
+        self._free.extend((h._values, h._window, h._scratch) for h in histories if h is not None)
 
 
 def convolve(k: GridKernel, m: GridKernel) -> GridKernel:

@@ -68,11 +68,17 @@ class RunResult:
     manifest_path: str
 
 
+# arrays of its input's size that a kernel family's evaluator makes while the
+# cells of its weights are averaged (tracemalloc, n = 50..1600): about 14 in
+# TabulatedKernel.__call__ and 8-10 in FbmKernel's correction
+_BUILD_TEMPORARIES = {"tabulated": 14, "fbm": 10}
+
+
 def _weight_kernels(cfg: ExperimentConfig) -> list:
     """The kernels a run builds grid weights for, each with True when it
-    builds the dense (n+1) x n matrix: the rate functionals and the resolvent
-    index it, and a kernel that is not stationary has no other form.  A
-    stationary kernel that only marches read is built as its n lags."""
+    builds the dense (n+1) x n matrix, which the rate functionals and the
+    resolvent index.  A march reads a stationary kernel's n lags and any
+    other kernel's packed triangle, which its dense matrix is unpacked from."""
     kind = cfg.kind
     if kind == "kernel-probe":
         return []
@@ -80,13 +86,13 @@ def _weight_kernels(cfg: ExperimentConfig) -> list:
         return [(cfg.k1, True)]
     if kind in ("limit", "simulate", "clt"):
         marched = (cfg.k1,) if kind == "limit" else (cfg.k1, cfg.k2)
-        return [(k, not k.stationary) for k in marched]
+        return [(k, False) for k in marched]
     # a rate's drift kernel and its control kernel, if that is another one,
     # and the noise kernel of a tail probe's particles, if neither
     kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
     out = [(cfg.k1, True)] + ([(kc, True)] if kc is not cfg.k1 else [])
     if kind == "tail-probe" and all(cfg.k2 is not k for k, _ in out):
-        out.append((cfg.k2, not cfg.k2.stationary))
+        out.append((cfg.k2, False))
     return out
 
 
@@ -97,23 +103,23 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     n = cfg.grid.n_steps
     big_n = cfg.n_particles
     built = _weight_kernels(cfg)
-    # a stationary kernel's lags, and in a wide march of N particles the
-    # window of HISTORY_BLOCK rows that its History copies them into
+    # each kernel's n lags or n(n+1)/2 packed floats; in a wide march of N
+    # particles, the window of HISTORY_BLOCK rows that its History copies far
+    # blocks of them into; and the dense matrix of a kernel that is indexed
     wide = cfg.kind in ("simulate", "clt", "tail-probe") and big_n * d >= HISTORY_BLOCKED_WIDTH
-    lags = n * (1 + HISTORY_BLOCK * wide)
-    weights = sum((n + 1) * n if dense else lags for _, dense in built)
-    # and, while a tabulated kernel's matrix is built, the scratch of its
-    # cell quadrature, where TabulatedKernel.__call__ makes about 14 arrays
-    # of its input's size
-    build = max((_cell_averages_scratch(n, 14)
-                 for k, dense in built if dense and k.family == "tabulated"), default=0)
+    weights = sum((n if k.stationary else n * (n + 1) // 2) + HISTORY_BLOCK * n * wide
+                  + (n + 1) * n * dense for k, dense in built)
+    # and the scratch of the cell quadrature that builds a kernel that is not
+    # stationary
+    build = max((_cell_averages_scratch(n, _BUILD_TEMPORARIES[k.family])
+                 for k, _ in built if not k.stationary), default=0)
 
     def march(nodes):
         # per particle, in a particle or linear march: the states on the nodes
-        # it keeps, the drift and noise histories on n nodes with their two
-        # far-part blocks of HISTORY_BLOCK rows (d floats each), and one
-        # time-major block of HISTORY_BLOCK steps of increments (m floats)
-        return nodes * d + 2 * (n + HISTORY_BLOCK) * d + HISTORY_BLOCK * m
+        # it keeps, the drift and noise histories on n nodes with one scratch
+        # row each (d floats each), and one time-major block of HISTORY_BLOCK
+        # steps of increments (m floats)
+        return nodes * d + 2 * (n + 1) * d + HISTORY_BLOCK * m
 
     # the hashing and inverse-CDF temporaries of one block of drawn increments
     draws = 4 * min(_DRAW_BLOCK, HISTORY_BLOCK * big_n * m)
@@ -147,7 +153,7 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     else:
         # rate-min and kernel-probe: one-particle paths and probes
         floats = 0
-    estimate = (weights + floats) * 8 + build
+    estimate = (weights + floats) * 8
     if kind == "simulate" and cfg.write_ensemble:
         # while ensemble.csv is written: the states and one block of whole
         # particles, at least one, with its table, text and formatter
@@ -158,7 +164,9 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     if kind == "resolvent":
         # and one block of resolvent.csv rows
         estimate += min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
-    return estimate
+    # a weight build is its own phase: it comes before the larger arrays of
+    # its run, so its scratch is counted beside the weights alone
+    return max(estimate, weights * 8 + build)
 
 
 def _budget_guard(cfg: ExperimentConfig, concurrent: int = 1):

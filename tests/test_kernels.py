@@ -30,12 +30,17 @@ from volterra_mv.kernels import (
     _GL_X,
     _GLE_W,
     _GLE_X,
+    _CELL_BLOCK,
     HISTORY_BLOCK,
     HISTORY_BLOCKED_WIDTH,
     History,
+    PackedTriangle,
     Workspace,
     _quad_power_edges,
+    _edge_rule,
     _fbm_series,
+    _power_lags,
+    _row_chunk,
     _toeplitz_strict_lower,
     fbm_normalizer,
     grid_weights,
@@ -82,6 +87,50 @@ def _per_row_weights(kern, grid):
     for i in range(1, n + 1):
         w[i, :i] = kern(np.float64(times[i]), nodes[:i]) @ _GL_W
     return w
+
+
+def _dense_cell_averages(f, grid, exp_origin, exp_diagonal, w):
+    """The cell quadrature as it was before the weights were packed: it adds
+    each cell's sum into the dense (n+1, n) matrix w, by the same row chunks,
+    blocks and rules."""
+    n, dt, times = grid.n_steps, grid.dt, grid.times
+    j0, jd = int(exp_origin < 0.0), int(exp_diagonal < 0.0)
+    if j0:
+        s0, w0 = _edge_rule(exp_origin, dt)
+    if jd:
+        ud, wd = _edge_rule(exp_diagonal, dt)
+    chunk = _row_chunk(n)
+    for lo in range(1, n + 1, chunk):
+        hi = min(lo + chunk, n + 1)
+        out = w[lo:hi]
+        i, j = np.tril_indices(hi - lo, lo - 1 - j0 - jd, n - j0)
+        j += j0
+        for c0 in range(0, i.size, _CELL_BLOCK):
+            ic, jc = i[c0:c0 + _CELL_BLOCK], j[c0:c0 + _CELL_BLOCK]
+            s_nodes = times[jc][:, None] + dt * _GL_X[None, :]
+            vals = f(times[ic + lo][:, None], s_nodes)
+            out[ic, jc] += np.einsum("pg,g->p", vals, _GL_W)
+        split = int(j0 and jd and lo == 1)
+        t = times[lo + split:hi][:, None]
+        if j0:
+            out[split:, 0] += f(t, s0[None, :]) @ w0
+        if jd:
+            k = np.arange(split, hi - lo)
+            out[k, k + lo - 1] += f(t, t - ud[None, :]) @ wd
+        if split:
+            t1 = times[1:2, None]
+            out[0, 0] += 0.5 * (f(t1, 0.5 * s0[None, :]) @ w0 + f(t1, t1 - 0.5 * ud[None, :]) @ wd)[0]
+    return w
+
+
+def _dense_weights(kern, grid):
+    """average_weights as it was before the weights were packed."""
+    n = grid.n_steps
+    if isinstance(kern, FbmKernel):
+        w = _toeplitz_strict_lower(_power_lags(kern.normalizer, kern._a, grid), n)
+        return _dense_cell_averages(kern._correction, grid, kern.edge_exponent_origin, 0.0, w)
+    return _dense_cell_averages(kern, grid, kern.edge_exponent_origin,
+                                kern.edge_exponent_diagonal, np.zeros((n + 1, n)))
 
 
 def _fbm_reference(kernel: FbmKernel, t: float, s: float, epsrel: float = 1e-8) -> float:
@@ -471,7 +520,7 @@ class TestHistory:
         for w in (FbmKernel(0.3).average_weights(grid), lower):
             h = rng.normal(size=(n, *shape))
             hist = History(w, shape)
-            assert hist._far is not None
+            assert hist._scratch is not None
             for i in range(n):
                 got = hist.push(h[i])
                 dense = w[i + 1, : i + 1] @ h[: i + 1]
@@ -527,9 +576,83 @@ class TestLagHistory:
             assert lags.shape == (20,) and march_weights(kern, grid) is lags
             assert "_weights_cache" not in vars(kern)
         fbm = FbmKernel(0.3)
-        assert march_weights(fbm, grid) is grid_weights(fbm, grid)
+        packed = march_weights(fbm, grid)
+        assert isinstance(packed, PackedTriangle) and march_weights(fbm, grid) is packed
+        assert np.array_equal(grid_weights(fbm, grid), packed.dense())
         with pytest.raises(NotImplementedError):
             fbm.average_lags(grid)
+
+
+_TABLE = np.linspace(0.0, 1.0, 41)
+
+# kernels that are not stationary, whose marches read their packed triangle;
+# the custom one blows up at the origin and at the diagonal, so its cells take
+# every rule of the quadrature
+PACKED = {
+    "fbm-0.3": FbmKernel(0.3),
+    "fbm-0.7": FbmKernel(0.7),
+    "tabulated": TabulatedKernel(times=_TABLE, values=np.exp(_TABLE[None, :] - _TABLE[:, None])
+                                 * (1.0 + _TABLE[:, None] * _TABLE[None, :])),
+    "custom": CustomKernel(fn=lambda t, s: s**-0.2 * (t - s) ** -0.3 * np.exp(-t),
+                           edge_exponent_origin=-0.2, edge_exponent_diagonal=-0.3),
+}
+
+
+class TestPackedTriangle:
+    @pytest.mark.parametrize("n", [2, 3, 32, 33, 64, 65, 400])
+    @pytest.mark.parametrize("shape", [(), (1,), (63,), (64,), (2000,)],
+                             ids=["scalar", "w1", "w63", "w64", "w2000"])
+    @pytest.mark.parametrize("name", list(PACKED))
+    def test_packed_sums_as_the_dense_matrix(self, name, shape, n):
+        # every push over the packed triangle equals the push over the matrix
+        # it unpacks to, bit for bit, on fresh buffers and on buffers a
+        # workspace lends after another march has filled their rows
+        kern = PACKED[name]
+        grid = TimeGrid(1.0, n)
+        packed = march_weights(kern, grid)
+        dense = kern.average_weights(grid)
+        assert isinstance(packed, PackedTriangle) and packed.values.shape == (n * (n + 1) // 2,)
+        assert np.array_equal(packed.dense(), dense)
+        rng = np.random.default_rng(n)
+        pool = Workspace()
+        stale = pool.history(packed, shape)
+        for h in rng.normal(size=(n, *shape)):
+            stale.push(h)
+        pool.release(stale)
+        h = rng.normal(size=(n, *shape))
+        for hist in (History(packed, shape), pool.history(packed, shape)):
+            ref = History(dense, shape)
+            for i in range(n):
+                np.testing.assert_array_equal(hist.push(h[i]), ref.push(h[i]))
+            with pytest.raises(IndexError):
+                hist.push(h[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 400, 1600])
+    @pytest.mark.parametrize("kern", [FbmKernel(0.1), FbmKernel(0.3), FbmKernel(0.7),
+                                      PACKED["tabulated"], PACKED["custom"]],
+                             ids=["fbm-0.1", "fbm-0.3", "fbm-0.7", "tabulated", "custom"])
+    def test_unpacked_triangle_is_the_dense_build(self, kern, n):
+        # n = 1600 spans 16 row chunks of the quadrature
+        grid = TimeGrid(1.0, n)
+        got = kern.average_triangle(grid).dense()
+        want = _dense_weights(kern, grid)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_indexing_unpacks_the_cached_triangle(self, monkeypatch):
+        # a kernel that marches and is indexed builds its cells once
+        builds = []
+        build = FbmKernel.average_triangle
+
+        def counted(self, grid):
+            builds.append(grid.n_steps)
+            return build(self, grid)
+
+        monkeypatch.setattr(FbmKernel, "average_triangle", counted)
+        kern, grid = FbmKernel(0.3), TimeGrid(1.0, 30)
+        packed = march_weights(kern, grid)
+        assert np.array_equal(grid_weights(kern, grid), packed.dense())
+        assert march_weights(kern, grid) is packed and builds == [30]
 
 
 class TestWorkspace:
@@ -548,7 +671,7 @@ class TestWorkspace:
         pool.release(first)
         h = rng.normal(size=(n, *shape))
         lent, fresh = pool.history(w, shape), History(w, shape)
-        assert lent._values is first._values and lent._far is first._far
+        assert lent._values is first._values and lent._scratch is first._scratch
         for i in range(n):
             assert np.array_equal(lent.push(h[i]), fresh.push(h[i]))
 

@@ -272,10 +272,11 @@ n_steps = 1000
         assert len(rows) == 5
 
     def test_serial_clt_builds_each_kernel_once(self, tmp_path, monkeypatch):
-        # a build is a kernel's dense weights or, for a stationary kernel, its lags
+        # a build is a kernel's dense weights, its packed triangle or, for a
+        # stationary kernel, its lags
         builds = []
         for cls in (PowerKernel, FbmKernel):
-            for name in ("average_weights", "average_lags"):
+            for name in ("average_weights", "average_triangle", "average_lags"):
                 def counted(self, grid, build=getattr(cls, name)):
                     builds.append(self.family)
                     return build(self, grid)
@@ -407,8 +408,11 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         # the peak is the weight build: about 14 temporaries of
         # TabulatedKernel.__call__ on a block of quadrature nodes
         ("limit", "\n[grid]\nn_steps = 400\n", True),
+        # the peak is the weight build: the packed triangle, the index pair
+        # of its cells and about 10 temporaries of FbmKernel's correction
+        ("limit", "\n[kernel1]\nfamily = fbm\nH = 0.3\n[grid]\nn_steps = 400\n", False),
     ], ids=["limit", "rate-min-ldp", "rate-min-mdp", "ldp-rate", "ldp-rate-ridge",
-            "mdp-rate", "resolvent-direct", "limit-tabulated"])
+            "mdp-rate", "resolvent-direct", "limit-tabulated", "limit-fbm"])
     def test_dense_estimate_tracks_traced_peak(self, traced_peak, tmp_path, kind, extra,
                                                tabulated):
         cfg = _dense_cfg(kind, tmp_path, extra, tabulated)
@@ -741,6 +745,35 @@ class TestCli:
         assert rc == 1
         assert "run.eps[0]" in capsys.readouterr().err
 
+    def test_output_under_a_file_exit_two(self, tmp_path, capsys):
+        # the output's parent is a regular file: one runtime line naming it,
+        # and nothing left beside it
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        cfg = self._write_config(tmp_path, kind="rate-min")
+        rc = cli_main(["rate-min", "--config", cfg, "--out", str(blocker / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error: ")
+        assert str(blocker) in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["FILE", "exp.cfg"]
+
+    def test_failed_artifact_write_exit_two(self, tmp_path, capsys, monkeypatch):
+        # a write that fails without a file name (a full disk) still names the
+        # output directory, and the partial directory is removed
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(runner, "_write_kv", full)
+        cfg = self._write_config(tmp_path, kind="rate-min")
+        out = tmp_path / "out"
+        rc = cli_main(["rate-min", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("runtime error: ")
+        assert str(out) in err[0] and "No space left on device" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
     @pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")],
                              ids=["flag-zero", "flag-negative", "env-zero"])
     def test_worker_count_below_one_exit_one(self, tmp_path, capsys, monkeypatch, flag, env):
@@ -803,9 +836,10 @@ class TestCli:
 
     @pytest.mark.parametrize("kind", ["limit", "ldp-rate", "mdp-rate", "rate-min", "resolvent"])
     def test_dense_kinds_exit_three_before_allocating(self, tmp_path, monkeypatch, kind):
-        # a tiny budget refuses each kind before its first grid weights or lags
+        # a tiny budget refuses each kind before its first grid weights,
+        # packed triangle or lags
         built = []
-        for name in ("average_weights", "average_lags"):
+        for name in ("average_weights", "average_triangle", "average_lags"):
             monkeypatch.setattr(ConstantKernel, name, lambda *args: built.append(args))
         start = 0.0 if kind == "mdp-rate" else 1.0
         target = tmp_path / "target.csv"
