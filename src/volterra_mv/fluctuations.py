@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng as _rng
 from .grids import TimeGrid
-from .kernels import Workspace, _log_fit
+from .kernels import Workspace, _log_fit, march_weights
 # simulate_particles is not called here: the benchmark's traced layers wrap it
 # under this module's name
 from .solvers import (Model, PathEnsemble, _given_blocks, _linear_march, _simulate,
@@ -30,6 +30,16 @@ _BLOCK_FLOATS = 1 << 17
 # drawn from a generator seeded with 0
 _BOOTSTRAP_RESAMPLES = 200
 _HOLDER_MAX_PAIRS = 10**6
+
+
+def _norms(g: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(g, axis=1) of an (N, d) array, bit for bit: the square
+    root of the summed squares, formed in place on g, with no sum over an axis
+    of length 1.  Not |g| at d = 1, which differs where g^2 under- or
+    overflows."""
+    g *= g
+    s = g[:, 0] if g.shape[1] == 1 else np.add.reduce(g, axis=1)
+    return np.sqrt(s, out=s)
 
 
 def _folded_pass(model: Model, xi, eps: float, grid: TimeGrid, seed: int,
@@ -80,7 +90,7 @@ class FluctuationPair:
             a, b = self.z_eps.states, self.z_lim.states
             sup = np.full(a.shape[0], -np.inf)
             for i in range(a.shape[1]):
-                np.maximum(sup, np.linalg.norm(a[:, i] - b[:, i], axis=1), out=sup)
+                np.maximum(sup, _norms(a[:, i] - b[:, i]), out=sup)
         sup.flags.writeable = False  # one array serves every caller
         return sup
 
@@ -117,6 +127,10 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
 
     if limit is None:
         x0 = solve_deterministic_limit(model.k1, coeffs, xi, grid)
+        # the marches read both kernels' weights, which are cached: build the
+        # noise kernel's too before the draw, so that no build's scratch sits
+        # beside the increments
+        march_weights(model.k2, grid)
         # both the particle pass and the Z march read them: draw them once
         dw = _rng.normal_increments(seed, "particles", n_particles, grid.n_steps,
                                     coeffs.m, grid.dt)
@@ -134,9 +148,15 @@ def clt_pair(model: Model, xi, eps: float, grid: TimeGrid, n_particles: int,
         x0, dw, z, workspace = limit.x0_path, lim.driver_increments, lim.states, limit._workspace
     scale = np.sqrt(eps)
     z_nodes = z.transpose(1, 0, 2)  # the time-major march: one (N, d) slab a node
-    sup = _folded_pass(model, xi, eps, grid, seed, dw,
-                       lambda i, x_i: np.linalg.norm((x_i - x0[i]) / scale - z_nodes[i], axis=1),
-                       workspace)
+
+    def gap(i, x_i):
+        # |(x_i - x0_i) / sqrt(eps) - z_i|, in place on one new array
+        g = x_i - x0[i]
+        g /= scale
+        g -= z_nodes[i]
+        return _norms(g)
+
+    sup = _folded_pass(model, xi, eps, grid, seed, dw, gap, workspace)
     z_eps = PathEnsemble(grid=grid, states=None, driver_increments=dw, seed=seed,
                          tag="particles", eps=eps)
     z_lim = PathEnsemble(grid=grid, states=z, driver_increments=dw,
@@ -263,6 +283,6 @@ def strong_error_vs_eps(model: Model, xi, eps_list, grid: TimeGrid,
                                 model.coeffs.m, grid.dt)
     workspace = Workspace()  # and the passes, one after another, share their buffers
     return {eps: float(_folded_pass(model, xi, eps, grid, seed, dw,
-                                    lambda i, x_i: np.linalg.norm(x_i - x0[i], axis=1),
+                                    lambda i, x_i: _norms(x_i - x0[i]),
                                     workspace).mean())
             for eps in eps_list}

@@ -28,6 +28,7 @@ from .errors import (
     SingularityError,
 )
 from .grids import TimeGrid
+from . import rng as _rng
 
 _GL_NODES = 12
 _GL_EDGE_NODES = 24
@@ -581,10 +582,10 @@ def _row_chunk(n: int) -> int:
 
 def _cell_averages_scratch(n: int, temporaries: int) -> int:
     """Bytes _cell_averages holds beside its output at n steps, for an f that
-    makes ``temporaries`` arrays of its input's size: the index pair of one
-    row chunk's interior cells, and f over one block of cells."""
-    cells = min(n * (n - 1) // 2, _row_chunk(n) * n)
-    return 16 * cells + 8 * temporaries * _GL_NODES * min(cells, _CELL_BLOCK)
+    makes ``temporaries`` arrays of its input's size: one block of cells, its
+    indices (about 5 integer arrays) and f over it."""
+    cells = min(n * (n - 1) // 2, _CELL_BLOCK)
+    return (40 + 8 * temporaries * _GL_NODES) * cells
 
 
 def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
@@ -610,13 +611,18 @@ def _cell_averages(f, grid, exp_origin, exp_diagonal, w, first_row=1):
     chunk = _row_chunk(n)
     for lo in range(first_row, n + 1, chunk):
         hi = min(lo + chunk, n + 1)
-        # interior cells j0 <= j < i - jd of rows lo <= i < hi, and nothing
-        # above, evaluated _CELL_BLOCK at a time: each cell's sum is its own
-        i, j = np.tril_indices(hi - lo, lo - 1 - j0 - jd, n - j0)
-        i += lo
-        j += j0
-        for c0 in range(0, i.size, _CELL_BLOCK):
-            ic, jc = i[c0:c0 + _CELL_BLOCK], j[c0:c0 + _CELL_BLOCK]
+        # interior cells j0 <= j < i - jd of rows lo <= i < hi, row after
+        # row, evaluated _CELL_BLOCK at a time: each cell's sum is its own.
+        # Row lo + r holds the cells ends[r] - counts[r] <= c < ends[r] of
+        # the chunk, and a block finds its cells' rows and columns from those
+        counts = np.maximum(nodes[lo:hi] - j0 - jd, 0)
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        for c0 in range(0, total, _CELL_BLOCK):
+            cells = np.arange(c0, min(c0 + _CELL_BLOCK, total))
+            r = np.searchsorted(ends, cells, side="right")
+            ic = lo + r
+            jc = cells - (ends[r] - counts[r]) + j0
             s_nodes = times[jc][:, None] + dt * _GL_X[None, :]
             vals = f(times[ic][:, None], s_nodes)
             w[starts[ic] + jc] += np.einsum("pg,g->p", vals, _GL_W)
@@ -880,17 +886,19 @@ class History:
 
 
 class Workspace:
-    """A pool of the buffers of History sums, for marches run one after
-    another: the passes of an eps sweep then map their buffers once instead
-    of once a pass.
+    """A pool of the buffers of History sums and of noise draws, for marches
+    run one after another: the passes of an eps sweep then map their buffers
+    once instead of once a pass.
 
     ``history`` builds a History on free buffers of its shape, or on new
     ones, and ``release`` hands the buffers of finished histories back; a
-    released history must not be pushed again.
+    released history must not be pushed again.  ``draws`` lends the one
+    scratch of the pool's noise draws, which run one at a time.
     """
 
     def __init__(self):
         self._free = []
+        self._draws = None
 
     def history(self, weights, shape: tuple = ()) -> History:
         rows = (_steps(weights), *shape)
@@ -901,6 +909,15 @@ class Workspace:
 
     def release(self, *histories) -> None:
         self._free.extend((h._values, h._window, h._scratch) for h in histories if h is not None)
+
+    def draws(self, n_particles: int, n_steps: int, n_components: int) -> _rng.DrawScratch:
+        """The scratch of draws of at most ``n_steps`` steps at a time of N
+        particles with m components: the pool's, or a larger one that
+        replaces it."""
+        shape = _rng.scratch_shape(n_particles, n_steps, n_components)
+        if self._draws is None or not self._draws.fits(*shape):
+            self._draws = _rng.DrawScratch(*shape)
+        return self._draws
 
 
 def convolve(k: GridKernel, m: GridKernel) -> GridKernel:

@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError, RankDeficiencyError
 from .grids import TimeGrid
-from .kernels import Kernel, grid_weights
+from .kernels import Kernel, Workspace, grid_weights
 from .solvers import (
     ControlPath,
     Model,
@@ -350,21 +350,25 @@ def _weighted_tail(log_w: np.ndarray, n: int):
 
 
 def _terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray | None,
-              n_particles: int, seed: int, blocks) -> np.ndarray:
+              n_particles: int, seed: int, blocks,
+              workspace: Workspace | None = None) -> np.ndarray:
     """Terminal states (N, d) of a particle march that keeps no path, driven by
-    the increments of the block source ``blocks``."""
+    the increments of the block source ``blocks``, on the history buffers of
+    ``workspace`` if one is given."""
     return _simulate(model.k1, model.k2, None, model.coeffs, xi_arr, grid, n_particles, seed,
-                     noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks)
+                     noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks,
+                     workspace=workspace)
 
 
 def _tagged_terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray,
-                     n_particles: int, seed: int, theta: np.ndarray):
+                     n_particles: int, seed: int, theta: np.ndarray,
+                     workspace: Workspace | None = None):
     """Terminal states of tagged particles under the frozen empirical law path,
     with driver increments shifted by theta * dt, and their log likelihood
     ratios sum_k (-theta_k . dW_k + 0.5 |theta_k|^2 dt) in the shifted dW,
     summed a block of steps at a time as the pass reads them."""
     dt = grid.dt
-    draw = _drawn_blocks(seed, "tagged", n_particles, grid, model.coeffs.m)
+    draw = _drawn_blocks(seed, "tagged", n_particles, grid, model.coeffs.m, workspace)
     log_w = np.full(n_particles, 0.5 * dt * float(np.sum(theta * theta)))
 
     def shifted(s0, s1):
@@ -373,7 +377,7 @@ def _tagged_terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.n
         log_w[:] -= np.einsum("knm,km->n", dw, theta[s0:s1])
         return dw
 
-    return _terminal(model, xi_arr, eps, grid, law, n_particles, seed, shifted), log_w
+    return _terminal(model, xi_arr, eps, grid, law, n_particles, seed, shifted, workspace), log_w
 
 
 def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
@@ -433,6 +437,9 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
         if with_reference and _control_kernel(model.k1, model.k2, mode, kc) is model.k2:
             reference = tilt.rate
     cells = []
+    # the crude and tagged passes, one after another, share their history
+    # buffers and their draw scratch
+    workspace = Workspace()
     for idx, eps in zip(seed_indices, eps_sorted):
         cell_seed = _rng.derived_seed(seed, idx)
         h = eps ** (-h_beta) if mode == "mdp" else 1.0
@@ -444,12 +451,12 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
             theta = (tilt.v_star.values / np.sqrt(eps) if mode == "ldp"
                      else h * tilt.v_star.values)
             terminal, log_w = _tagged_terminal(model, xi_arr, eps, grid, law,
-                                               n_particles, cell_seed, theta)
+                                               n_particles, cell_seed, theta, workspace)
             del law
         else:
             terminal = _terminal(model, xi_arr, eps, grid, None, n_particles, cell_seed,
                                  _drawn_blocks(cell_seed, "particles", n_particles, grid,
-                                               model.coeffs.m))
+                                               model.coeffs.m, workspace), workspace)
         if mode == "mdp":
             values = (terminal - x0_path[-1][None, :]) / (np.sqrt(eps) * h)
         else:

@@ -35,11 +35,12 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 _U_MAX = 1.0 - 2.0**-53  # the largest double below 1
 
 # the step-range draw hashes, transforms and scales this many draws at a time
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 # Cephes ndtri: exp(-2), sqrt(2 pi), and the numerator (P) and monic
 # denominator (Q, leading 1 omitted) coefficients, highest degree first, for
@@ -85,16 +86,21 @@ def mix64(z, out=None):
     elif out is not z:
         out[...] = z
     with np.errstate(over="ignore"):
-        out += _GOLDEN
-        tmp = np.empty_like(out)
-        np.right_shift(out, np.uint64(30), out=tmp)
-        out ^= tmp
-        out *= _MIX1
-        np.right_shift(out, np.uint64(27), out=tmp)
-        out ^= tmp
-        out *= _MIX2
-        np.right_shift(out, np.uint64(31), out=tmp)
-        out ^= tmp
+        return _mix_into(out, np.empty_like(out))
+
+
+def _mix_into(out, tmp):
+    """mix64 in place on the uint64 array ``out``, with the shifts in ``tmp``,
+    of out's shape.  Integer arrays wrap without a warning."""
+    out += _GOLDEN
+    np.right_shift(out, _SHIFTS[0], out=tmp)
+    out ^= tmp
+    out *= _MIX1
+    np.right_shift(out, _SHIFTS[1], out=tmp)
+    out ^= tmp
+    out *= _MIX2
+    np.right_shift(out, _SHIFTS[2], out=tmp)
+    out ^= tmp
     return out
 
 
@@ -121,10 +127,18 @@ def substream_uint64(key, particles, steps, components):
     return h
 
 
-def uniform_from_uint64(h):
+def uniform_from_uint64(h, out=None, scratch=None):
+    """The uniforms of uint64 words h, made in ``out``, a float64 array of h's
+    shape, with the shifted words in ``scratch``, a uint64 one, or in new
+    arrays."""
+    h = np.asarray(h, dtype=np.uint64)
+    if out is None:
+        out = np.empty(h.shape)
+    np.copyto(out, np.right_shift(h, np.uint64(11), out=scratch), casting="unsafe")
+    out += 0.5
+    out *= 2.0**-53
     # the top code's 2^53 - 1/2 rounds to 2^53, so it alone is clamped below 1
-    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return np.minimum(u, _U_MAX)
+    return np.minimum(out, _U_MAX, out=out)
 
 
 def _polevl(x, coef, out=None):
@@ -137,13 +151,62 @@ def _polevl(x, coef, out=None):
     return out
 
 
-def _p1evl(x, coef):
+def _p1evl(x, coef, out=None):
     """Cephes p1evl: polevl with a leading coefficient of 1 left out of coef."""
-    ans = x + coef[0]
+    ans = np.add(x, coef[0], out=out)
     for c in coef[1:]:
         ans *= x
         ans += c
     return ans
+
+
+class DrawScratch:
+    """The buffers in which ``_step_increments`` makes a block of at most
+    ``size`` draws from runs of at most ``rows`` particles.
+
+    Per particle: its counter and its hash word.  Per draw: the hash word,
+    mix64's shift word, the uniform and, for ndtri, a tail value; ndtri
+    takes the first three as scratch once the uniforms are made.  A draw
+    writes every entry it reads, so one scratch serves any number of draws,
+    one at a time.
+    """
+
+    def __init__(self, size: int, rows: int):
+        self.size = size
+        self.counts = np.arange(rows, dtype=np.uint64)
+        self.particles = np.empty(rows, dtype=np.uint64)
+        self.words = np.empty(size, dtype=np.uint64)
+        self.shift = np.empty(size, dtype=np.uint64)
+        self.uniforms = np.empty(size)
+        self.tail = np.empty(size)
+
+    def fits(self, size: int, rows: int) -> bool:
+        return self.size >= size and self.counts.size >= rows
+
+
+def _block_shape(n_particles: int, m: int) -> tuple:
+    """(rows, steps) of the blocks of ``_step_increments``: about ``_BLOCK``
+    draws, whole steps of all N particles, or a run of ``rows`` particles of
+    one step when a step has more draws than that."""
+    rows = max(1, min(n_particles, _BLOCK // max(m, 1)))
+    steps = max(1, _BLOCK // max(n_particles * m, 1))
+    return rows, steps
+
+
+def scratch_shape(n_particles: int, n_steps: int, n_components: int) -> tuple:
+    """(size, rows) of the DrawScratch of draws of at most ``n_steps`` steps
+    at a time of N particles with m components."""
+    rows, steps = _block_shape(n_particles, n_components)
+    return rows * n_components * min(steps, n_steps), rows
+
+
+def scratch_bytes(n_particles: int, n_steps: int, n_components: int) -> int:
+    """Bytes that draws of at most ``n_steps`` steps at a time of N particles
+    with m components hold beside their output: the DrawScratch, four floats
+    a draw of a block and two words a particle of a run, and the tail
+    indices of one block, on average 2 exp(-2) of its draws."""
+    size, rows = scratch_shape(n_particles, n_steps, n_components)
+    return 8 * (4 * size + 2 * rows) + int(16 * _EXP_M2 * size)
 
 
 def ndtri(y):
@@ -153,86 +216,116 @@ def ndtri(y):
     """
     y = np.array(y, dtype=np.float64)
     out = np.empty_like(y)
-    _ndtri_into(y.reshape(-1), out.reshape(-1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _ndtri_into(y.reshape(-1), out.reshape(-1))
     return out
 
 
-def _ndtri_into(y, out):
+def _ndtri_into(y, out, scratch: DrawScratch | None = None):
     """Write ndtri(y) into ``out``, using ``y`` as scratch; both are flat.
 
     The central branch is evaluated on every entry and the tails are then
     overwritten by index, since boolean masks of random draws are slow.
+    Every temporary of y's size or of the tails' is a buffer of ``scratch``,
+    or of a new one: only index arrays, and the values of the rare far tail,
+    are allocated.  The caller sets the floating-point error state:
+    ndtri(0) divides by zero, for one.
     """
-    tail = np.flatnonzero((y <= _EXP_M2) | (y > 1.0 - _EXP_M2))
-    yt = y.take(tail)
+    n = y.size
+    if scratch is None or scratch.size < n:
+        scratch = DrawScratch(n, 0)
+    # the words and the shift word of the draw, free by now, as floats
+    w, s = scratch.words.view(np.float64), scratch.shift.view(np.float64)
+    flags = scratch.shift.view(np.bool_)[:n]
+    low = np.flatnonzero(np.less_equal(y, _EXP_M2, out=flags))
+    high = np.flatnonzero(np.greater(y, 1.0 - _EXP_M2, out=flags))
+    split, k = low.size, low.size + high.size
+    yt = scratch.tail[:k]
+    np.take(y, low, out=yt[:split])
+    np.take(y, high, out=yt[split:])
     # central branch: c + c^3 P0(c^2) / Q0(c^2) with c = y - 1/2, times sqrt(2 pi)
-    with np.errstate(invalid="ignore", over="ignore"):
-        c = y
-        c -= 0.5
-        c2 = c * c
-        x = _polevl(c2, _P0, out=out)
-        x *= c2
-        x /= _p1evl(c2, _Q0)
-        del c2
-        x *= c
-        x += c
-        x *= _S2PI
+    c = y
+    c -= 0.5
+    c2 = np.multiply(c, c, out=w[:n])
+    x = _polevl(c2, _P0, out=out)
+    x *= c2
+    x /= _p1evl(c2, _Q0, out=s[:n])
+    x *= c
+    x += c
+    x *= _S2PI
     # tails, on min(y, 1 - y), which is exact there, with the sign of c:
-    # with x = sqrt(-2 log y) and z = 1/x, x - log(x)/x - z P(z) / Q(z)
-    np.minimum(yt, 1.0 - yt, out=yt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.log(yt, out=yt)
-        x *= -2.0
-        np.sqrt(x, out=x)
-        x0 = np.log(x)
-        x0 /= x
-        np.subtract(x, x0, out=x0)
-        far = np.flatnonzero(x >= 8.0)
-        edge = np.flatnonzero(np.isinf(x))
-        z = np.divide(1.0, x, out=x)
-        x1 = _polevl(z, _P1)
-        x1 *= z
-        x1 /= _p1evl(z, _Q1)
+    # with x = sqrt(-2 log y) and z = 1/x, x - log(x)/x - z P(z) / Q(z).
+    # y is free: c is negative on the low tail and positive on the high one
+    np.minimum(yt, np.subtract(1.0, yt, out=w[:k]), out=yt)
+    x = np.log(yt, out=yt)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    x0 = np.log(x, out=w[:k])
+    x0 /= x
+    np.subtract(x, x0, out=x0)
+    flags = y.view(np.bool_)[:k]
+    far = np.flatnonzero(np.greater_equal(x, 8.0, out=flags))
+    edge = np.flatnonzero(np.isinf(x, out=flags))
+    z = np.divide(1.0, x, out=x)
+    x1 = _polevl(z, _P1, out=y[:k])
+    x1 *= z
+    x1 /= _p1evl(z, _Q1, out=s[:k])
+    if far.size:
         zf = z.take(far)
         x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
-        x0 -= x1
+    x0 -= x1
     x0[edge] = np.inf
-    out[tail] = np.copysign(x0, c.take(tail))
+    # copysign(x0, c): -|x0| on the low tail, |x0| on the high one
+    np.abs(x0, out=x0)
+    out[high] = x0[split:]
+    out[low] = np.negative(x0[:split], out=x0[:split])
 
 
 def _step_increments(seed: int, tag: str, n_particles: int, s0: int, s1: int,
-                     n_components: int, dt: float) -> np.ndarray:
+                     n_components: int, dt: float,
+                     scratch: DrawScratch | None = None) -> np.ndarray:
     """The increments of steps s0 <= s < s1, time-major (s1 - s0, N, m).
 
     Each draw is the function of its (particle, step, component) given in the
     module docstring, so any split of the steps gives the same bits.  They are
-    made in blocks of about ``_BLOCK``: whole steps, or a run of particles of
-    one step when a step has more draws than that.
+    made in blocks of about ``_BLOCK`` (``_block_shape``), each in the
+    buffers of ``scratch``, which a march lends across its calls, or of one
+    new scratch when it is None or too small.
     """
     m = n_components
     out = np.empty((s1 - s0, n_particles, m))
+    if out.size == 0:
+        return out
+    rows, steps = _block_shape(n_particles, m)
+    shape = scratch_shape(n_particles, s1 - s0, m)
+    if scratch is None or not scratch.fits(*shape):
+        scratch = DrawScratch(*shape)
     key = stream_key(seed, tag)
     scale = np.sqrt(dt)
     components = np.arange(m, dtype=np.uint64)
-    rows = max(1, min(n_particles, _BLOCK // max(m, 1)))
-    steps = max(1, _BLOCK // max(n_particles * m, 1))
     flat = out.reshape(-1)
     for p0 in range(0, n_particles, rows):
         p1 = min(p0 + rows, n_particles)
-        h_p = key ^ np.arange(p0, p1, dtype=np.uint64)[None, :, None]
-        mix64(h_p, out=h_p)
+        h_p = np.add(scratch.counts[:p1 - p0], np.uint64(p0), out=scratch.particles[:p1 - p0])
+        h_p ^= key
+        _mix_into(h_p, scratch.shift[:p1 - p0])
         for a in range(s0, s1, steps):
             b = min(a + steps, s1)
-            h = h_p ^ np.arange(a, b, dtype=np.uint64)[:, None, None]
-            mix64(h, out=h)
-            h = h ^ components
-            mix64(h, out=h)
-            u = uniform_from_uint64(h).reshape(-1)
-            del h
+            k = (b - a) * (p1 - p0)
+            shift = scratch.shift[:k * m]
+            # the (step, particle) words in the uniforms' buffer, which is
+            # free until the uniforms are made from the block's words
+            h_s = scratch.uniforms.view(np.uint64)[:k].reshape(b - a, p1 - p0, 1)
+            np.bitwise_xor(h_p[None, :, None], np.arange(a, b, dtype=np.uint64)[:, None, None],
+                           out=h_s)
+            _mix_into(h_s, shift[:k].reshape(h_s.shape))
+            h = np.bitwise_xor(h_s, components, out=scratch.words[:k * m].reshape(b - a, p1 - p0, m))
+            _mix_into(h, shift.reshape(h.shape))
+            u = uniform_from_uint64(h.reshape(-1), out=scratch.uniforms[:k * m], scratch=shift)
             # whole steps, or one step's run of particles: contiguous either way
             lo = ((a - s0) * n_particles + p0) * m
             block = flat[lo:lo + u.size]
-            _ndtri_into(u, block)
+            _ndtri_into(u, block, scratch)
             block *= scale
     return out
 

@@ -25,7 +25,7 @@ from .kernels import (HISTORY_BLOCK, HISTORY_BLOCKED_WIDTH, GridKernel, _cell_av
                       regularity_probe, resolvent)
 from .rates import (Halfspace, RateProblem, _control_kernel, ldp_rate, mdp_rate,
                     minimize_rate_endpoint, tail_probability_probe)
-from .rng import _BLOCK as _DRAW_BLOCK
+from .rng import scratch_bytes as _draw_scratch_bytes
 from .solvers import Model, ensemble_summary, simulate_particles, solve_deterministic_limit
 
 ENV_WORKERS = "VOLTERRA_MV_WORKERS"
@@ -34,6 +34,11 @@ ENV_WORKERS = "VOLTERRA_MV_WORKERS"
 BLOCK_ROWS = 1 << 14
 # the text and formatter temporaries of one resolvent.csv row (tracemalloc)
 _RESOLVENT_ROW_BYTES = 300
+# rows of path.csv formatted at a time, and the text and formatter
+# temporaries of one of its cells (tracemalloc, d = 1..3): a block holds
+# about as much as a march of one particle over 2000 steps
+PATH_BLOCK_ROWS = 1 << 7
+_PATH_CELL_BYTES = 150
 
 
 def _fmt(x) -> str:
@@ -121,18 +126,23 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
         # steps of increments (m floats)
         return nodes * d + 2 * (n + 1) * d + HISTORY_BLOCK * m
 
-    # the hashing and inverse-CDF temporaries of one block of drawn increments
-    draws = 4 * min(_DRAW_BLOCK, HISTORY_BLOCK * big_n * m)
+    # the scratch that a march which draws its own increments lends each
+    # block of HISTORY_BLOCK steps of its draws
+    draws = _draw_scratch_bytes(big_n, HISTORY_BLOCK, m) // 8
     kind = cfg.kind
     if kind == "simulate":
         floats = big_n * march(n + 1) + draws
     elif kind == "clt":
-        # and the increments, drawn once before the first march: the Z march
-        # keeps its states, and each particle pass beside Z folds its sup
-        # and keeps no path, which comes to the same.  The bootstrap
-        # runs once those are freed: a block of resample indices and the
-        # values they pick, at most about 512 KB, which is the peak of small runs
-        floats = max(big_n * (n * m + march(n + 1)), 2 * _bootstrap_rows(big_n) * big_n)
+        # and the increments, drawn once before the first march, beside the
+        # scratch of their draw, which outweighs a short march of few
+        # particles: the Z march keeps its states, and each particle pass
+        # beside Z folds its sup and keeps no path, which comes to the same.
+        # The bootstrap runs once those are freed: a block of resample
+        # indices and the values they pick, at most about 512 KB, which is
+        # the peak of small runs
+        floats = max(big_n * (n * m + march(n + 1)),
+                     big_n * n * m + _draw_scratch_bytes(big_n, n, m) // 8,
+                     2 * _bootstrap_rows(big_n) * big_n)
     elif kind == "tail-probe":
         # a crude cell keeps no path: the march holds its current state slab
         floats = big_n * march(1) + draws
@@ -146,10 +156,8 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
         # the check of its zeros
         floats = 2 * (n + 1) * n
     elif kind == "limit":
-        # the march of one particle, which keeps its path, and the rows of
-        # path.csv, formed before they are written: a list, its step, time
-        # and d state scalars, about 134 + 32 d bytes (tracemalloc)
-        floats = march(n + 1) + (n + 1) * (134 + 32 * d) // 8
+        # the march of one particle, which keeps its path
+        floats = march(n + 1)
     else:
         # rate-min and kernel-probe: one-particle paths and probes
         floats = 0
@@ -164,6 +172,9 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     if kind == "resolvent":
         # and one block of resolvent.csv rows
         estimate += min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
+    if kind == "limit":
+        # and one block of path.csv rows
+        estimate += min(PATH_BLOCK_ROWS, n + 1) * (2 + d) * _PATH_CELL_BYTES
     # a weight build is its own phase: it comes before the larger arrays of
     # its run, so its scratch is counted beside the weights alone
     return max(estimate, weights * 8 + build)
@@ -272,6 +283,21 @@ def _write_summary_csv(path, ensemble, p_list):
         fh.write(textfmt.csv_rows(textfmt.format_g17(table)))
 
 
+def _write_path_csv(path, times, states):
+    # rows (i, t_i, the state at t_i), formatted by textfmt as summary.csv is,
+    # in blocks of rows: the %.17g text of the float i is the decimal i, so
+    # these are the bytes of csv.writer with _fmt cells
+    from . import textfmt
+
+    header = ["step", "t"] + [f"x{k + 1}" for k in range(states.shape[1])]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for lo in range(0, len(times), PATH_BLOCK_ROWS):
+            hi = min(lo + PATH_BLOCK_ROWS, len(times))
+            table = np.column_stack([np.arange(lo, hi, dtype=float), times[lo:hi], states[lo:hi]])
+            fh.write(textfmt.csv_rows(textfmt.format_g17(table)))
+
+
 def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
     # X^0, the driver increments, Z and the workspace of history buffers do
     # not depend on eps: each pair lends them to the next.  A pair keeps no
@@ -373,11 +399,7 @@ def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
         _write_summary_csv(art("summary.csv"), ens, cfg.p_list)
     elif kind == "limit":
         path = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
-        _write_csv(
-            art("path.csv"),
-            ["step", "t"] + [f"x{k + 1}" for k in range(cfg.coeffs.d)],
-            [[i, cfg.grid.times[i]] + list(path[i]) for i in range(cfg.grid.n_steps + 1)],
-        )
+        _write_path_csv(art("path.csv"), cfg.grid.times, path)
     elif kind == "clt":
         eps_sorted = sorted(cfg.eps_list)
         rows = _sweep(_clt_rows, cfg, eps_sorted, workers)

@@ -133,12 +133,24 @@ class PathEnsemble:
 
 
 def _guard(x: np.ndarray, step: int) -> None:
-    mx = float(np.max(np.abs(x))) if x.size else 0.0
+    # max |x| without an |x| copy: max(max x, -min x), nan where any x is
+    mx = float(np.maximum(x.max(), -x.min())) if x.size else 0.0
     if not np.isfinite(mx) or mx > OVERFLOW_GUARD:
         raise BlowUpError(
             f"trajectory magnitude {mx:.3e} exceeded the overflow guard at step {step}",
             step=step, magnitude=mx,
         )
+
+
+def _noise_term(si: np.ndarray, dw: np.ndarray, product: np.ndarray | None) -> np.ndarray:
+    """The flat noise term einsum("ndm,nm->nd", si, dw) of one step.  At
+    d = m = 1 it is the product, made into ``product``, plus +0.0: einsum's
+    one-term sum 0 + s dw, which makes a -0.0 product +0.0."""
+    if product is None:
+        return np.einsum("ndm,nm->nd", si, dw).reshape(-1)
+    out = np.multiply(si.reshape(-1), dw.reshape(-1), out=product)
+    out += 0.0
+    return out
 
 
 def _given_blocks(increments: np.ndarray):
@@ -148,10 +160,14 @@ def _given_blocks(increments: np.ndarray):
     return lambda s0, s1: np.ascontiguousarray(increments[:, s0:s1].transpose(1, 0, 2))
 
 
-def _drawn_blocks(seed: int, tag: str, n_particles: int, grid: TimeGrid, m: int):
+def _drawn_blocks(seed: int, tag: str, n_particles: int, grid: TimeGrid, m: int,
+                  workspace: Workspace | None = None):
     """The block source of a pass that draws its own increments, keyed by
-    (seed, tag): only the steps asked for are drawn."""
-    return lambda s0, s1: _rng._step_increments(seed, tag, n_particles, s0, s1, m, grid.dt)
+    (seed, tag): only the steps asked for are drawn, each block in the draw
+    scratch of ``workspace``, or of a workspace of the source's own."""
+    pool = Workspace() if workspace is None else workspace
+    return lambda s0, s1: _rng._step_increments(seed, tag, n_particles, s0, s1, m, grid.dt,
+                                                pool.draws(n_particles, HISTORY_BLOCK, m))
 
 
 def _time_major_steps(blocks, n: int):
@@ -241,6 +257,8 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     noise = pool.history(march_weights(k2, grid), flat) if noise_scale != 0.0 else None
     ctrl = pool.history(march_weights(kc, grid), flat) if v is not None else None
     steps = _time_major_steps(blocks, n) if noise is not None else None
+    # at d = m = 1 the noise term is a product, into one buffer
+    product = np.empty(flat) if noise is not None and d == coeffs.m == 1 else None
     own_law = law is None
 
     for i in range(n):
@@ -253,8 +271,7 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
         if ctrl is not None:
             nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
         if noise is not None:
-            noise_i = np.einsum("ndm,nm->nd", si, next(steps)).reshape(-1)
-            nxt = nxt + noise_scale * noise.push(noise_i)
+            nxt = nxt + noise_scale * noise.push(_noise_term(si, next(steps), product))
         _guard(nxt, i + 1)
         x = nxt.reshape(n_particles, d)
         if fold is not None:

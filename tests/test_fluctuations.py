@@ -182,6 +182,24 @@ SWEEP = (1e-1, 1e-2, 1e-3, 1e-4)
 class TestChainedPairs:
     # clt_pair(limit=earlier) reuses X^0, the increments and Z of an earlier
     # eps; every array must equal that of a fresh call bit for bit
+    def test_first_pair_builds_both_weights_before_the_draw(self, monkeypatch):
+        # no weight build's scratch sits beside the increments: when they are
+        # drawn, both kernels' march weights are cached already
+        model = Model(k1=PowerKernel(0.3), k2=FbmKernel(0.3),
+                      coeffs=_model(a=1.0, b=0.5, sigma1=0.5).coeffs)
+        grid = TimeGrid(1.0, 40)
+        cached = []
+        real = fluctuations._rng.normal_increments
+
+        def drawing(*args):
+            cached.append([getattr(k, name, None) is not None for k, name in
+                           ((model.k1, "_lags_cache"), (model.k2, "_triangle_cache"))])
+            return real(*args)
+
+        monkeypatch.setattr(fluctuations._rng, "normal_increments", drawing)
+        clt_pair(model, 1.0, 0.1, grid, 64, seed=7)
+        assert cached == [[True, True]]
+
     @pytest.mark.parametrize("rough", [False, True])
     def test_chain_equals_fresh_calls(self, rough):
         model = _model(a=1.0, b=0.5, sigma1=0.5)
@@ -332,6 +350,22 @@ class TestFoldedSup:
             for width in (1, 3, 41):
                 want = _block_sup(_z_eps_states(pair), pair.z_lim.states, width)
                 assert np.array_equal(pair.sup_gap, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fold_norms_are_linalg_norm_bit_for_bit(self, dim):
+        # signed zeros, subnormals, infinities, nans, and squares that under-
+        # or overflow, where |g| at d = 1 is not the norm
+        vals = np.array([0.0, -0.0, 5e-324, -1e-170, 1e-150, 1e160, -1e200, np.inf, -np.inf,
+                         np.nan, 1.5, -2.25])
+        rng = np.random.default_rng(8)
+        g = np.concatenate([vals, rng.normal(size=600) * 10.0 ** rng.integers(-200, 200, 600)])
+        g = g[:g.size // dim * dim].reshape(-1, dim)
+        with np.errstate(all="ignore"):
+            want = np.linalg.norm(g, axis=1)
+            got = fluctuations._norms(g.copy())
+            if dim == 1:
+                assert not np.array_equal(np.abs(g[:, 0]), want, equal_nan=True)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pair_of_held_paths_folds_them(self, dim):

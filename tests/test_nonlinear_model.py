@@ -64,10 +64,11 @@ def _model(state_sigma: bool) -> Model:
 SIGMAS = pytest.mark.parametrize("state_sigma", [True, False], ids=["cos-sigma", "unit-sigma"])
 
 
-def _lions_report(state_sigma):
+def _lions_report(state_sigma, coeffs=None):
     rng = np.random.default_rng(2201)
     mu = EmpiricalMeasure(points=rng.normal(size=(200, 1)))
-    return lions_fd_check(_coeffs(state_sigma), 0.3, np.array([0.4]), mu,
+    coeffs = _coeffs(state_sigma) if coeffs is None else coeffs
+    return lions_fd_check(coeffs, 0.3, np.array([0.4]), mu,
                           direction=lambda y: np.sin(y) + 0.5, eps_list=[1e-2, 1e-3, 1e-4, 1e-5])
 
 
@@ -80,12 +81,26 @@ def test_measure_derivative_discrepancy_is_first_order(state_sigma):
     assert np.all(np.abs(ratio / ratio[-1] - 1.0) <= 0.01)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "lions_fd_check takes C from its largest eps and fails a discrepancy whose "
-    "ratio to eps grows as eps falls, here by 0.1% (9.729e-2 to 9.739e-2)"))
 @SIGMAS
 def test_measure_derivative_passes_lions_fd_check(state_sigma):
-    assert _lions_report(state_sigma).passed
+    # the ratio of the discrepancy to eps grows by 0.1% (9.729e-2 to
+    # 9.739e-2) as eps falls, well inside the check's margin
+    rep = _lions_report(state_sigma)
+    assert rep.first_order and rep.passed
+
+
+@SIGMAS
+def test_lions_fd_check_refuses_a_wrong_measure_derivative(state_sigma):
+    # the declared derivative 5% too large leaves a discrepancy that does
+    # not vanish with eps
+    true = _coeffs(state_sigma)
+    wrong = CoefficientSet(b=true.b, sigma=true.sigma, grad_b=true.grad_b,
+                           lions_b=lambda t, x, mu, y: 1.05 * true.lions_b(t, x, mu, y),
+                           d=1, m=1)
+    rep = _lions_report(state_sigma, wrong)
+    ratio = rep.discrepancies / rep.eps_values
+    assert ratio[-1] > 100 * ratio[0]
+    assert not rep.first_order and not rep.passed
 
 
 @SIGMAS

@@ -26,7 +26,7 @@ from volterra_mv import (
     solve_deterministic_limit,
     tail_probability_probe,
 )
-from volterra_mv import rates
+from volterra_mv import rates, rng
 from volterra_mv.kernels import grid_weights
 from volterra_mv.rng import normal_increments
 
@@ -451,6 +451,34 @@ class TestTailProbe:
         terminal = traced_peak(lambda: rates._terminal(model, xi, 0.3, grid, None, 2000, 4,
                                                        blocks))
         assert full - terminal >= 0.9 * 2000 * (grid.n_steps + 1) * 8
+
+    @pytest.mark.parametrize("method", ["crude", "importance"])
+    def test_passes_of_a_probe_share_one_workspace(self, monkeypatch, history_buffers, method):
+        # the crude or tagged pass of each cell after the first runs on the
+        # history buffers of the one before, and every cell's draws on one
+        # scratch; an importance cell's untilted pass keeps its states and
+        # runs on buffers of its own, as the minimizer's noise-free marches do
+        scratches = []
+        real = rng.DrawScratch.__init__
+
+        def counting(self, *args):
+            scratches.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(rng.DrawScratch, "__init__", counting)
+        grid = TimeGrid(1.0, 70)
+        model = Model(k1=UNIT, k2=PowerKernel(0.3), coeffs=_coeffs())
+        res = tail_probability_probe(model, "ldp", Halfspace([1.0], 0.5), [0.25, 0.5, 1.0], 80,
+                                     3, grid, xi=0.0, with_reference=False, method=method)
+        assert len(res.cells) == 3
+        history_buffers.clear()
+        scratches.clear()
+        tail_probability_probe(model, "ldp", Halfspace([1.0], 0.5), [0.25, 0.5, 1.0], 80,
+                               3, grid, xi=0.0, with_reference=False, method=method)
+        if method == "crude":
+            assert history_buffers.count(True) == 2
+        assert history_buffers.count(False) == 2 * 2
+        assert len(scratches) == 1 + (3 if method == "importance" else 0)
 
     def test_tagged_pass_shifts_and_weighs_per_block(self):
         # against the whole shifted increments and the log-weights summed at once

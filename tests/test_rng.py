@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from volterra_mv.kernels import HISTORY_BLOCK, Workspace
 from volterra_mv.rng import (
     _BLOCK,
+    DrawScratch,
     _step_increments,
     derived_seed,
     fnv1a64,
@@ -87,19 +89,24 @@ def test_ndtri_special_values():
     assert ndtri(0.975).shape == () and abs(float(ndtri(0.975)) - 1.959963984540054) < 1e-15
 
 
+def _formula(n_p, s0, s1, m, dt):
+    # the stream formula of the module docstring over steps s0 <= s < s1,
+    # time-major
+    key = stream_key(19, "particles")
+    h = substream_uint64(key, np.arange(n_p, dtype=np.uint64)[None, :, None],
+                         np.arange(s0, s1, dtype=np.uint64)[:, None, None],
+                         np.arange(m, dtype=np.uint64)[None, None, :])
+    return ndtri(uniform_from_uint64(h)) * np.sqrt(dt)
+
+
 @pytest.mark.parametrize("shape", [(5, 7, 2), (700, 200, 1), (3, _BLOCK + 70, 2),
                                    (2, 3, _BLOCK + 5), (0, 4, 1), (4, 0, 1)])
 def test_blocked_increments_match_one_pass_formula(shape):
-    # the stream formula of the module docstring over the whole array at once
-    key = stream_key(19, "particles")
+    # the stream formula over the whole array at once
     n_p, n, m = shape
-    h = substream_uint64(key, np.arange(n_p, dtype=np.uint64)[:, None, None],
-                         np.arange(n, dtype=np.uint64)[None, :, None],
-                         np.arange(m, dtype=np.uint64)[None, None, :])
-    want = ndtri(uniform_from_uint64(h)) * np.sqrt(0.3)
     got = normal_increments(19, "particles", n_p, n, m, 0.3)
     assert got.shape == shape
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _formula(n_p, 0, n, m, 0.3).transpose(1, 0, 2))
 
 
 @pytest.mark.parametrize("shape", [(5, 37, 1), (64, 40, 2), (7, 29, 3), (_BLOCK + 5, 3, 1),
@@ -115,6 +122,37 @@ def test_step_range_draws_match_normal_increments(shape, width):
         got = _step_increments(19, "particles", n_p, s0, s1, m, 0.3)
         assert got.shape == (s1 - s0, n_p, m)
         assert np.array_equal(got, whole[:, s0:s1].transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("shape", [(1, 7, 1), (2000, 400, 1), (5000, 200, 1), (3, 100, 2),
+                                   (70000, 40, 3)])
+def test_step_draws_in_a_lent_scratch_match_the_formula(shape):
+    # the scratch a march lends its draws, and runs of steps that fit it,
+    # that do not (33 steps) and that do not divide n; at 70000 particles of
+    # 3 components a step is drawn a run of particles at a time.  Every run
+    # draws over what the one before left in the scratch
+    n_p, n, m = shape
+    scratch = Workspace().draws(n_p, HISTORY_BLOCK, m)
+    widths = [1, 7, 32, 3, 33, 2] if n_p * m < 10**5 else [1, 3, 2]
+    s0, k = 0, 0
+    while s0 < n:
+        s1 = min(s0 + widths[k % len(widths)], n)
+        got = _step_increments(19, "particles", n_p, s0, s1, m, 0.3, scratch)
+        assert got.shape == (s1 - s0, n_p, m)
+        assert np.array_equal(got.view(np.uint64), _formula(n_p, s0, s1, m, 0.3).view(np.uint64))
+        s0, k = s1, k + 1
+
+
+def test_a_workspace_lends_one_draw_scratch():
+    pool = Workspace()
+    scratch = pool.draws(500, HISTORY_BLOCK, 1)
+    assert isinstance(scratch, DrawScratch)
+    # smaller draws take it as it is; a larger one replaces it
+    assert pool.draws(20, HISTORY_BLOCK, 2) is scratch
+    assert pool.draws(1, 1, 1) is scratch
+    bigger = pool.draws(10**5, HISTORY_BLOCK, 1)
+    assert bigger is not scratch and bigger.size >= scratch.size
+    assert pool.draws(500, HISTORY_BLOCK, 1) is bigger
 
 
 def test_identical_keys_identical_values():

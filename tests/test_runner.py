@@ -92,9 +92,9 @@ def _read(path):
         return fh.read()
 
 
-# Oracles: per-cell csv.writer writers.  The runner writes ensemble.csv and
-# resolvent.csv in blocks of rows formatted by textfmt; it must reproduce
-# their bytes exactly.
+# Oracles: per-cell csv.writer writers.  The runner writes ensemble.csv,
+# resolvent.csv and path.csv in blocks of rows formatted by textfmt; it must
+# reproduce their bytes exactly.
 def _oracle_fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
@@ -116,6 +116,14 @@ def _oracle_ensemble_csv(path, ensemble):
                 writer.writerow(
                     [p, i, _oracle_fmt(times[i])] + [_oracle_fmt(v) for v in ensemble.states[p, i]]
                 )
+
+
+def _oracle_path_csv(path, times, states):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "t"] + [f"x{k + 1}" for k in range(states.shape[1])])
+        for i, t in enumerate(times):
+            writer.writerow([i, _oracle_fmt(t)] + [_oracle_fmt(v) for v in states[i]])
 
 
 def _oracle_resolvent_csv(path, times, weights):
@@ -560,6 +568,18 @@ class TestWriters:
         assert _sha256(os.path.join(res.out_dir, "clt.csv")) == PINNED_CLT_SHA256
         res = run_experiment(_cfg("rate-min", PINNED_RATE_MIN), out_dir=tmp_path / "rate")
         assert _sha256(os.path.join(res.out_dir, "control.csv")) == PINNED_CONTROL_SHA256
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("block", [7, 30, 128])
+    def test_path_blocks_match_oracle(self, tmp_path, monkeypatch, d, block):
+        # 30 rows: blocks of 7 leave a last block of 2 rows, 30 is one whole
+        # block and 128 one partial block
+        monkeypatch.setattr(runner, "PATH_BLOCK_ROWS", block)
+        times = TimeGrid(0.7, 29).times
+        states = _edge_array((30, d), seed=11 + d)
+        runner._write_path_csv(tmp_path / "new.csv", times, states)
+        _oracle_path_csv(tmp_path / "old.csv", times, states)
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "old.csv")
 
     @pytest.mark.parametrize("block", [7, 11, 1000])
     def test_resolvent_blocks_match_oracle(self, tmp_path, monkeypatch, block):

@@ -255,6 +255,28 @@ class TestStreamedIncrements:
         assert np.array_equal(own.driver_increments, dw)
         assert own.driver_increments is own.driver_increments
 
+    def test_own_draws_run_on_one_lent_scratch(self, monkeypatch):
+        # 100 steps are drawn in 4 calls, every one in the scratch the pass's
+        # workspace lends; a noise-free pass draws nothing and makes none
+        from volterra_mv import rng
+
+        made = []
+        real = rng.DrawScratch.__init__
+        monkeypatch.setattr(rng.DrawScratch, "__init__",
+                            lambda self, *args: made.append(args) or real(self, *args))
+        drawn = []
+        real_draw = rng._step_increments
+        monkeypatch.setattr(rng, "_step_increments",
+                            lambda *args: drawn.append(args[-1]) or real_draw(*args))
+        grid = TimeGrid(1.0, 100)
+        coeffs = BuiltinLinearMeanField(a=-0.5, b=0.3, sigma0=1.0).coefficients()
+        simulate_particles(PowerKernel(0.3), FbmKernel(0.3), coeffs, 0.1, 0.2, grid, 300, 5)
+        assert len(made) == 1 and len(drawn) == 4
+        assert all(scratch is drawn[0] for scratch in drawn)
+        made.clear()
+        simulate_particles(PowerKernel(0.3), FbmKernel(0.3), coeffs, 0.1, 0.0, grid, 300, 5)
+        assert made == []
+
     def test_controlled_own_draws_match_injected_increments(self, unit_kernel, grid_small,
                                                             linear_model):
         v = ControlPath.constant(grid_small, 0.4)
@@ -311,6 +333,78 @@ class TestFoldContract:
         assert 1 < kept.value.step < grid.n_steps
         assert folded.value.step == kept.value.step
         assert folded.value.magnitude == kept.value.magnitude
+
+
+class TestGuard:
+    # the guard reads max |x| as max(max x, -min x), without an |x| copy
+
+    @pytest.mark.parametrize("values", [[3.0, -2e12, 5.0], [-1.0, 2e12], [np.inf, -1.0],
+                                        [-np.inf, 1.0], [1.0, np.nan, -3e12],
+                                        [np.inf, np.nan, -np.inf], [-0.0, 2e12]])
+    def test_magnitude_is_the_largest_absolute_value(self, values):
+        x = np.array(values)[:, None]
+        with pytest.raises(BlowUpError) as err:
+            solvers._guard(x, 7)
+        assert err.value.step == 7
+        want = float(np.max(np.abs(x)))
+        assert np.array_equal(err.value.magnitude, want, equal_nan=True)
+
+    def test_quiet_below_the_guard(self):
+        solvers._guard(np.array([[-1e12], [1e12], [-0.0]]), 3)
+        solvers._guard(np.empty((0, 2)), 3)
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("jump", [31, 32, 33])
+    def test_blow_up_on_a_block_boundary_keeps_its_step_and_magnitude(self, monkeypatch,
+                                                                      jump, d, m):
+        # node `jump` leaves the guard, about a block of HISTORY_BLOCK = 32
+        # steps of the increments that the pass draws for itself; a run
+        # past the guard records the nodes the error must name
+        grid = TimeGrid(1.0, 50)
+        kick = 1e14 / grid.dt
+
+        def b(t, x, mu):
+            return np.where(x < 0.0, -kick, kick) if t >= grid.times[jump - 1] else 0.0 * x
+
+        def sigma(t, x, mu):
+            return np.broadcast_to(np.eye(d, m), (*x.shape, m)).copy()
+
+        from volterra_mv import CoefficientSet
+
+        args = (ConstantKernel(1.0), PowerKernel(0.3), CoefficientSet(b=b, sigma=sigma, d=d, m=m),
+                np.zeros(d), 0.5, grid, 80, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "OVERFLOW_GUARD", np.inf)
+            states = simulate_particles(*args).states
+        peaks = np.abs(states).max(axis=(0, 2))
+        assert np.all(peaks[:jump] <= solvers.OVERFLOW_GUARD) and peaks[jump] > 1e13
+        with pytest.raises(BlowUpError) as err:
+            simulate_particles(*args)
+        assert err.value.step == jump
+        assert err.value.magnitude == peaks[jump]
+
+
+class TestNoiseTerm:
+    def test_scalar_product_is_the_einsum_bit_for_bit(self):
+        # every pair of signed zeros, subnormals, infinities, nans and
+        # ordinary values: s dw + 0.0 is einsum's 0 + s dw, where the bare
+        # product keeps a -0.0
+        vals = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                         -5e-324, 1e-200, -1e-200, 1e300, -1e300, 2.5, -3.75])
+        si = np.repeat(vals, vals.size)[:, None, None]
+        dw = np.tile(vals, vals.size)[:, None]
+        with np.errstate(all="ignore"):
+            want = np.einsum("ndm,nm->nd", si, dw).reshape(-1)
+            got = solvers._noise_term(si, dw, np.empty(vals.size**2))
+            bare = si.reshape(-1) * dw.reshape(-1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.array_equal(bare.view(np.uint64), want.view(np.uint64))
+
+    def test_general_term_is_the_einsum(self):
+        rng = np.random.default_rng(4)
+        si, dw = rng.normal(size=(30, 2, 3)), rng.normal(size=(30, 3))
+        got = solvers._noise_term(si, dw, None)
+        assert np.array_equal(got, np.einsum("ndm,nm->nd", si, dw).reshape(-1))
 
 
 class TestControlled:
