@@ -73,6 +73,27 @@ def _as_matrix(value, rows, cols) -> np.ndarray:
     return arr
 
 
+def _affine_sigma_2d(s0: np.ndarray, s1: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """s0 + einsum("dmk,...k->...dm", s1, x) at d = 2, bit for bit, formed one
+    strided column of the (..., 2, m) result at a time, where einsum takes
+    about 60 us at N = 2000, m = 2 for 5 us at d = 1.
+
+    einsum sums the two products from +0.0, which differs from their bare sum
+    only where both are -0.0; adding s0 + 0.0 in place of s0 gives its bits.
+    """
+    m = s1.shape[1]
+    rows = x.reshape(-1, 2)
+    s = s1.reshape(2 * m, 2)
+    s0z = s0.reshape(-1) + 0.0
+    out = np.empty((len(rows), 2 * m))
+    second = np.empty(len(rows))
+    for j in range(2 * m):
+        col = np.multiply(rows[:, 0], s[j, 0], out=out[:, j])
+        col += np.multiply(rows[:, 1], s[j, 1], out=second)
+        col += s0z[j]
+    return out.reshape(*x.shape[:-1], 2, m)
+
+
 @dataclass(frozen=True)
 class BuiltinLinearMeanField:
     """b(t, x, mu) = A x + B mean(mu), sigma(t, x, mu) = sigma0 (+ sigma1 . x).
@@ -114,6 +135,8 @@ class BuiltinLinearMeanField:
                 out = np.empty((*x.shape[:-1], d, m))
                 out[...] = s0
                 return out
+            if d == 2:
+                return _affine_sigma_2d(s0, s1, x)
             return s0 + np.einsum("dmk,...k->...dm", s1, x)
 
         def gradient(t, x, mu):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -152,10 +153,10 @@ def _fbm_series(hurst: float):
         return float(_fbm_normalizer_dec(Decimal(hurst)) * b), series[0], series[1]
 
 
-def _horner(coef, x):
+def _horner(coef, x, out=None):
     """sum of coef[k] x^(n-1-k) for coef of length n >= 2, of a float or, in
-    place on one new array, of an array."""
-    acc = coef[0] * x
+    place on one array, ``out`` or a new one, of an array."""
+    acc = coef[0] * x if out is None else np.multiply(x, coef[0], out=out)
     acc += coef[1]
     for ck in coef[2:]:
         acc *= x
@@ -289,6 +290,30 @@ class PowerKernel(Kernel):
         return _power_lags(self.scale, self._a, grid)
 
 
+class _SeriesScratch:
+    """The buffers of FbmKernel's series over one block of at most ``size``
+    points: four float columns, a mask, and an index set with the positions
+    it is taken from.  A weight build lends one to all its blocks, which then
+    allocate none of their own.  The columns are separate arrays: a single
+    (4, size) one, once freed, raises glibc's mmap threshold past the later
+    march temporaries, which then stay in the heap and raise the peak RSS."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._floats = [np.empty(size) for _ in range(4)]
+        self.mask = np.empty(size, dtype=bool)
+        self._index = np.empty(size, dtype=np.intp)
+        self._positions = np.arange(size)
+
+    def columns(self, k: int):
+        return tuple(col[:k] for col in self._floats)
+
+    def indices(self, mask: np.ndarray) -> np.ndarray:
+        """np.flatnonzero(mask), written into the index buffer."""
+        k = int(np.count_nonzero(mask))
+        return np.compress(mask, self._positions[:len(mask)], out=self._index[:k])
+
+
 @dataclass(frozen=True)
 class FbmKernel(Kernel):
     """The Volterra representation kernel of fractional Brownian motion.
@@ -365,24 +390,45 @@ class FbmKernel(Kernel):
         t = t.ravel()
         s = s.ravel()
         out = np.empty(t.size)
-        # in blocks, so that the Horner passes stay in cache
+        scratch = self.__dict__.get("_block_scratch")
+        if scratch is None or scratch.size < min(t.size, _FBM_BLOCK):
+            scratch = _SeriesScratch(min(t.size, _FBM_BLOCK))
+        # in blocks, so that the Horner passes stay in cache, and into the
+        # scratch's buffers by the operations, in the order, of
+        #     d = t - s;  out = c_H (d t / s)^a
+        #     out[near] *= horner(w_coef, d[near] / t[near])
+        #     out[far] = cb s[far]^a + 0.5 out[far] horner(r_coef, s[far] / t[far])
         for lo in range(0, t.size, _FBM_BLOCK):
             tb = t[lo:lo + _FBM_BLOCK]
             sb = s[lo:lo + _FBM_BLOCK]
             ob = out[lo:lo + _FBM_BLOCK]
-            d = tb - sb
+            d, u, v, g = scratch.columns(len(tb))
             with np.errstate(divide="ignore", invalid="ignore"):
+                np.subtract(tb, sb, out=d)
                 # c_H ((t-s) t/s)^a = c_H (t-s)^a (t/s)^a, shared by both series
-                np.power(d * tb / sb, a, out=ob)
+                np.divide(np.multiply(d, tb, out=u), sb, out=u)
+                np.power(u, a, out=ob)
                 ob *= c
-                is_near = sb > 0.5 * tb
-                near = np.flatnonzero(is_near)
-                ob[near] *= _horner(w_coef, d[near] / tb[near])
-                far = np.flatnonzero(~is_near)
-                sf = sb[far]
-                ob[far] = cb * sf**a + 0.5 * ob[far] * _horner(r_coef, sf / tb[far])
+                is_near = np.greater(sb, np.multiply(tb, 0.5, out=u), out=scratch.mask[:len(tb)])
+                near = scratch.indices(is_near)
+                x = np.take(d, near, out=u[:len(near)])
+                x /= np.take(tb, near, out=v[:len(near)])
+                on = np.take(ob, near, out=v[:len(near)])
+                on *= _horner(w_coef, x, out=g[:len(near)])
+                ob[near] = on
+                far = scratch.indices(np.logical_not(is_near, out=is_near))
+                sf = np.take(sb, far, out=u[:len(far)])
+                x = np.divide(sf, np.take(tb, far, out=v[:len(far)]), out=v[:len(far)])
+                hz = _horner(r_coef, x, out=g[:len(far)])
+                lead = np.power(sf, a, out=sf)
+                lead *= cb
+                of = np.take(ob, far, out=v[:len(far)])
+                of *= 0.5
+                of *= hz
+                of += lead
+                ob[far] = of
                 if correction:
-                    ob -= c * d**a
+                    ob -= np.multiply(np.power(d, a, out=u), c, out=u)
         return out.reshape(shape)
 
     def _correction(self, t, s):
@@ -400,8 +446,16 @@ class FbmKernel(Kernel):
         # the leading power part exactly, and the correction, which is bounded
         # at the diagonal and blows up like the kernel at the origin, by cells
         w = _packed_lags(_power_lags(self.normalizer, self._a, grid))
-        return PackedTriangle(_cell_averages(self._correction, grid, self.edge_exponent_origin,
-                                             0.0, w), grid.n_steps)
+        # every block of the build evaluates the series in one scratch, of a
+        # block of quadrature nodes or of all of them
+        n = grid.n_steps
+        size = min(_FBM_BLOCK, _GL_NODES * n * (n + 1) // 2)
+        object.__setattr__(self, "_block_scratch", _SeriesScratch(size))
+        try:
+            _cell_averages(self._correction, grid, self.edge_exponent_origin, 0.0, w)
+        finally:
+            object.__delattr__(self, "_block_scratch")
+        return PackedTriangle(w, grid.n_steps)
 
 
 @dataclass(frozen=True)
@@ -798,6 +852,71 @@ def march_weights(kernel: Kernel, grid: TimeGrid):
 HISTORY_BLOCK = 32
 HISTORY_BLOCKED_WIDTH = 64
 
+# A march whose history terms are narrower than BLAS_THREADED_WIDTH floats
+# pushes on one BLAS thread (``_one_blas_thread_below``).  Timed over one
+# fbm(0.3) history sum of 400 pushes (200 at width 2e5) in 5 fresh processes
+# a side on a 2-core host, numpy 2.4.6 with its OpenBLAS 0.3.31, seconds:
+#     width    one thread     two threads
+#     1200     0.010-0.014    0.008-0.012, and 0.180-0.186 in 2 processes
+#     2000     0.014-0.019    0.014-0.018; 0.017-0.184 in earlier runs
+#     5000     0.031-0.055    0.024-0.035, slower than its pair in 1
+#     1e4      0.062-0.089    0.058-0.068, slower than its pair in 1
+#     2e4      0.137-0.207    0.115-0.163
+#     2e5      0.650-0.916    0.416-0.463
+# From 2e4 up two threads won in every process.  Below it they lose in some
+# processes, spin beside every push, and in some stall the far GEMMs, as at
+# width 1200 (and at 2000 in earlier runs)
+BLAS_THREADED_WIDTH = 20000
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that numpy's wheels
+    bundle, looked up once; None where numpy links another BLAS."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set the BLAS thread count and return the one it replaced, or do
+    nothing and return None where the count cannot be set."""
+    api = _openblas_threads()
+    if api is None:
+        return None
+    before = api[0]()
+    if before != count:
+        api[1](count)
+    return before
+
+
+@contextmanager
+def _one_blas_thread_below(width: int):
+    """Run the body on one BLAS thread if ``width`` is below
+    BLAS_THREADED_WIDTH, and give the caller's count back on every exit.
+    Sums are the same bit for bit at any count, so two threads that march
+    at once may change each other's speed but not their results."""
+    before = _set_blas_threads(1) if width < BLAS_THREADED_WIDTH else None
+    try:
+        yield
+    finally:
+        if before not in (None, 1):
+            _set_blas_threads(before)
+
 
 def _steps(weights) -> int:
     """n of the weights of an n-step grid, in any form History reads."""
@@ -936,9 +1055,10 @@ def resolvent(k: GridKernel) -> GridKernel:
     dt = k.grid.dt
     r = k.weights.copy()
     hist = History(k.weights, (n,))
-    hist.push(r[0])  # row 0 vanishes, so R and K share row 1
-    for i in range(2, n + 1):
-        r[i, :] += dt * hist.push(r[i - 1])
+    with _one_blas_thread_below(n):
+        hist.push(r[0])  # row 0 vanishes, so R and K share row 1
+        for i in range(2, n + 1):
+            r[i, :] += dt * hist.push(r[i - 1])
     return GridKernel(grid=k.grid, weights=r)
 
 

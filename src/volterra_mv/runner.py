@@ -22,7 +22,7 @@ from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
 from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
 from .kernels import (HISTORY_BLOCK, HISTORY_BLOCKED_WIDTH, GridKernel, _cell_averages_scratch,
-                      regularity_probe, resolvent)
+                      _set_blas_threads, regularity_probe, resolvent)
 from .rates import (Halfspace, RateProblem, _control_kernel, ldp_rate, mdp_rate,
                     minimize_rate_endpoint, tail_probability_probe)
 from .rng import scratch_bytes as _draw_scratch_bytes
@@ -73,10 +73,11 @@ class RunResult:
     manifest_path: str
 
 
-# arrays of its input's size that a kernel family's evaluator makes while the
+# arrays of its input's size that a kernel family's evaluator holds while the
 # cells of its weights are averaged (tracemalloc, n = 50..1600): about 14 in
-# TabulatedKernel.__call__ and 8-10 in FbmKernel's correction
-_BUILD_TEMPORARIES = {"tabulated": 14, "fbm": 10}
+# TabulatedKernel.__call__, and in FbmKernel's correction its series scratch
+# (four float columns, a mask and two index columns) and about 5 more
+_BUILD_TEMPORARIES = {"tabulated": 14, "fbm": 12}
 
 
 def _weight_kernels(cfg: ExperimentConfig) -> list:
@@ -338,23 +339,6 @@ def _rows_from_text(rows_fn, config_text: str, chunk) -> list:
     return rows_fn(validate_config(config_text), chunk)
 
 
-def _one_blas_thread() -> None:
-    """Give this process one BLAS thread, through the setter of the OpenBLAS
-    that numpy's wheels bundle; nothing happens where that library is absent."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
-        except OSError:
-            continue
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-
-
 def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
     """Rows of rows_fn over the cells, in order.
 
@@ -372,7 +356,8 @@ def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
     chunks = [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=n_chunks, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=n_chunks, initializer=_set_blas_threads,
+                             initargs=(1,)) as pool:
         parts = pool.map(_rows_from_text, [rows_fn] * n_chunks,
                          [cfg.raw_text] * n_chunks, chunks)
         return [row for part in parts for row in part]

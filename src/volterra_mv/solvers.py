@@ -33,7 +33,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError
 from .grids import TimeGrid
-from .kernels import HISTORY_BLOCK, Kernel, Workspace, march_weights
+from .kernels import HISTORY_BLOCK, Kernel, Workspace, _one_blas_thread_below, march_weights
 from .measures import EmpiricalMeasure
 from . import rng as _rng
 
@@ -240,7 +240,8 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     ``law`` is None for the ensemble's own empirical law, else states
     (N', n+1, d) whose empirical law at each node is frozen in.
     ``workspace`` lends the march the buffers of its history sums and takes
-    them back when it ends; without it the march allocates its own.
+    them back when it ends; without it the march allocates its own.  A march
+    narrower than ``kernels.BLAS_THREADED_WIDTH`` runs on one BLAS thread.
     """
     d = coeffs.d
     n = grid.n_steps
@@ -261,21 +262,22 @@ def _simulate(k1: Kernel, k2: Kernel | None, kc: Kernel | None, coeffs: Coeffici
     product = np.empty(flat) if noise is not None and d == coeffs.m == 1 else None
     own_law = law is None
 
-    for i in range(n):
-        t = times[i]
-        mu = EmpiricalMeasure(points=x if own_law else law[:, i, :], _validate=False)
-        bi = coeffs.drift(t, x, mu)
-        nxt = base + dt * drift.push(bi.reshape(-1))
-        if ctrl is not None or noise is not None:
-            si = coeffs.diffusion(t, x, mu)
-        if ctrl is not None:
-            nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
-        if noise is not None:
-            nxt = nxt + noise_scale * noise.push(_noise_term(si, next(steps), product))
-        _guard(nxt, i + 1)
-        x = nxt.reshape(n_particles, d)
-        if fold is not None:
-            fold(i + 1, x)
+    with _one_blas_thread_below(flat[0]):
+        for i in range(n):
+            t = times[i]
+            mu = EmpiricalMeasure(points=x if own_law else law[:, i, :], _validate=False)
+            bi = coeffs.drift(t, x, mu)
+            nxt = base + dt * drift.push(bi.reshape(-1))
+            if ctrl is not None or noise is not None:
+                si = coeffs.diffusion(t, x, mu)
+            if ctrl is not None:
+                nxt = nxt + dt * ctrl.push((si @ v.values[i]).reshape(-1))
+            if noise is not None:
+                nxt = nxt + noise_scale * noise.push(_noise_term(si, next(steps), product))
+            _guard(nxt, i + 1)
+            x = nxt.reshape(n_particles, d)
+            if fold is not None:
+                fold(i + 1, x)
 
     pool.release(drift, noise, ctrl)
     return x
@@ -414,14 +416,15 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
     forced = pool.history(march_weights(kf, grid), flat)
     z = np.empty((n + 1, n_paths, d))  # time-major: node i is one (N, d) slab
     z[0] = 0.0
-    for i, ui in enumerate(_time_major_steps(_given_blocks(drivers), n)):
-        zi = z[i]
-        bi = np.dot(zi, grads[i].T)
-        if mean_field:
-            bi = bi + np.dot(zi.mean(axis=0), dls[0][i].T)[None, :]
-        fi = np.dot(ui, sig[i].T)
-        nxt = dt * drift.push(bi.reshape(-1)) + scale * forced.push(fi.reshape(-1))
-        z[i + 1] = nxt.reshape(n_paths, d)
+    with _one_blas_thread_below(flat[0]):
+        for i, ui in enumerate(_time_major_steps(_given_blocks(drivers), n)):
+            zi = z[i]
+            bi = np.dot(zi, grads[i].T)
+            if mean_field:
+                bi = bi + np.dot(zi.mean(axis=0), dls[0][i].T)[None, :]
+            fi = np.dot(ui, sig[i].T)
+            nxt = dt * drift.push(bi.reshape(-1)) + scale * forced.push(fi.reshape(-1))
+            z[i + 1] = nxt.reshape(n_paths, d)
     pool.release(drift, forced)
     return z.transpose(1, 0, 2)
 

@@ -27,6 +27,27 @@ class TestBuiltin:
         x = np.array([[2.0]])
         assert coeffs.diffusion(0.0, x, mu)[0, 0, 0] == pytest.approx(1.0 + 0.5 * 2.0)
 
+    @pytest.mark.parametrize("d, m", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_affine_diffusion_is_the_einsum_bit_for_bit(self, d, m):
+        # signed zeros, subnormals and far-apart magnitudes: at d = 2 the
+        # columns are formed without einsum, whose sum starts at +0.0
+        rng = np.random.default_rng(10 * d + m)
+        vals = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-200, -1e-200, 1.0, -2.5, 1e100, -1e100])
+        s0, s1 = rng.choice(vals, size=(d, m)), rng.choice(vals, size=(d, m, d))
+        mu = EmpiricalMeasure.dirac(np.zeros(d))
+        x = rng.choice(vals, size=(600, d))
+        for sigma1 in (s1, 0.5):
+            coeffs = BuiltinLinearMeanField(sigma0=s0, sigma1=sigma1, d=d, m=m).coefficients()
+            full = s1 if sigma1 is s1 else np.zeros((d, m, d))
+            if sigma1 is not s1:
+                for i in range(min(d, m)):
+                    full[i, i, i] = 0.5
+            for pts in (x, x[None, :7], x[:1]):
+                got = coeffs.diffusion(0.0, pts, mu)
+                want = s0 + np.einsum("dmk,...k->...dm", full, pts)
+                assert got.shape == want.shape == (*pts.shape[:-1], d, m)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_multidimensional(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         coeffs = BuiltinLinearMeanField(a=a, b=0.0, sigma0=np.eye(2), d=2, m=2).coefficients()

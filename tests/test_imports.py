@@ -237,3 +237,13 @@ def test_all_lists_the_public_names_and_no_module():
     public = {name for name, value in vars(volterra_mv).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == public
+
+
+def test_import_looks_up_no_blas(tmp_path):
+    # the OpenBLAS thread setter is looked up at the first march, not at import
+    out = _run("""
+        import volterra_mv.cli
+        from volterra_mv import kernels
+        print(kernels._openblas_threads.cache_info().currsize)
+    """, tmp_path)
+    assert out.strip() == "0"

@@ -24,6 +24,7 @@ from volterra_mv import (
     regularity_probe,
     resolvent,
 )
+import volterra_mv.kernels as kernels_module
 from volterra_mv.kernels import (
     _GL_NODES,
     _GL_W,
@@ -31,6 +32,8 @@ from volterra_mv.kernels import (
     _GLE_W,
     _GLE_X,
     _CELL_BLOCK,
+    _FBM_BLOCK,
+    BLAS_THREADED_WIDTH,
     HISTORY_BLOCK,
     HISTORY_BLOCKED_WIDTH,
     History,
@@ -41,6 +44,9 @@ from volterra_mv.kernels import (
     _fbm_series,
     _power_lags,
     _row_chunk,
+    _SeriesScratch,
+    _set_blas_threads,
+    _openblas_threads,
     _toeplitz_strict_lower,
     fbm_normalizer,
     grid_weights,
@@ -229,6 +235,34 @@ class _Hyp2f1Fbm(FbmKernel):
         return hyp2f1(-a, a, a + 1.0, -(t - s) / s)
 
 
+def _series_oracle(kern, t, s, correction):
+    """FbmKernel._series over arrays as it was before its block scratch: each
+    block's values from fresh temporaries."""
+    from volterra_mv.kernels import _horner
+
+    a, c = kern._a, kern.normalizer
+    cb, w_coef, r_coef = _fbm_series(kern.hurst)
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    shape = t.shape
+    t, s = t.ravel(), s.ravel()
+    out = np.empty(t.size)
+    for lo in range(0, t.size, _FBM_BLOCK):
+        tb, sb, ob = t[lo:lo + _FBM_BLOCK], s[lo:lo + _FBM_BLOCK], out[lo:lo + _FBM_BLOCK]
+        d = tb - sb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.power(d * tb / sb, a, out=ob)
+            ob *= c
+            is_near = sb > 0.5 * tb
+            near = np.flatnonzero(is_near)
+            ob[near] *= _horner(w_coef, d[near] / tb[near])
+            far = np.flatnonzero(~is_near)
+            sf = sb[far]
+            ob[far] = cb * sf**a + 0.5 * ob[far] * _horner(r_coef, sf / tb[far])
+            if correction:
+                ob -= c * d**a
+    return out.reshape(shape)
+
+
 class TestFbmSeries:
     @pytest.mark.parametrize("hurst", FBM_HURSTS)
     def test_no_less_accurate_than_hyp2f1(self, hurst):
@@ -290,6 +324,49 @@ class TestFbmSeries:
             one = [kern._series(np.float64(a), np.float64(b), correction) for a, b in zip(t, s)]
             assert all(np.ndim(v) == 0 for v in one)
             assert np.allclose(one, arr, rtol=1e-15, atol=1e-16 * np.abs(arr).max())
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95])
+    def test_block_scratch_keeps_the_values_bit_for_bit(self, hurst):
+        # the series formed in a scratch's buffers, fresh or lent, and one
+        # too small for the input, against the fresh temporaries of each
+        # block; a run of more than one block, edges of 0 and t included
+        kern = FbmKernel(hurst)
+        rng = np.random.default_rng(17)
+        t = rng.uniform(0.01, 2.0, _FBM_BLOCK + 1000)
+        s = t * rng.uniform(0.0, 1.0, t.size)
+        s[:5] = 0.0
+        s[5:10] = t[5:10]
+        grid_t, grid_s = t[:300, None], rng.uniform(0.0, 0.01, 24)[None, :]
+        for correction in (False, True):
+            for args in ((t, s), (t[:700], s[:700]), (grid_t, grid_s)):
+                want = _series_oracle(kern, *args, correction)
+                got = kern._series(*args, correction)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                for size in (_FBM_BLOCK, 100):
+                    object.__setattr__(kern, "_block_scratch", _SeriesScratch(size))
+                    try:
+                        lent = kern._series(*args, correction)
+                    finally:
+                        object.__delattr__(kern, "_block_scratch")
+                    assert np.array_equal(lent.view(np.int64), want.view(np.int64))
+
+    def test_a_weight_build_lends_one_scratch_to_its_blocks(self, monkeypatch):
+        made = []
+
+        class Counted(_SeriesScratch):
+            def __init__(self, size):
+                made.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(kernels_module, "_SeriesScratch", Counted)
+        kern = FbmKernel(0.3)
+        # 400 steps take 30 blocks of interior cells and the edge columns
+        assert 400 * 399 // 2 > 20 * _CELL_BLOCK
+        kern.average_triangle(TimeGrid(1.0, 400))
+        assert made == [_FBM_BLOCK]
+        kern.average_triangle(TimeGrid(1.0, 10))
+        assert made == [_FBM_BLOCK, _GL_NODES * 10 * 11 // 2]
+        assert "_block_scratch" not in vars(kern)
 
     def test_normalizer_and_branch_constant(self):
         mpmath = pytest.importorskip("mpmath")
@@ -653,6 +730,29 @@ class TestPackedTriangle:
         packed = march_weights(kern, grid)
         assert np.array_equal(grid_weights(kern, grid), packed.dense())
         assert march_weights(kern, grid) is packed and builds == [30]
+
+
+class TestHistoryThreads:
+    def test_wide_history_sums_alike_on_one_and_two_blas_threads(self):
+        # the marches keep every BLAS thread from BLAS_THREADED_WIDTH up, where
+        # the far GEMMs and near GEMVs are split over the threads
+        if _openblas_threads() is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        n, width = 2 * HISTORY_BLOCK + 7, BLAS_THREADED_WIDTH
+        grid = TimeGrid(1.0, n)
+        h = np.random.default_rng(23).normal(size=(n, width))
+        for kern in (FbmKernel(0.3), PowerKernel(0.3)):
+            w = march_weights(kern, grid)
+            sums = []
+            for threads in (1, 2):
+                before = _set_blas_threads(threads)
+                try:
+                    assert _openblas_threads()[0]() == threads
+                    hist = History(w, (width,))
+                    sums.append(np.array([hist.push(h[i]) for i in range(n)]))
+                finally:
+                    _set_blas_threads(before)
+            assert np.array_equal(sums[0], sums[1])
 
 
 class TestWorkspace:

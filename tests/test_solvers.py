@@ -18,7 +18,8 @@ from volterra_mv import (
     solve_controlled_deterministic,
     solve_deterministic_limit,
 )
-from volterra_mv import solvers
+from volterra_mv import kernels, solvers
+from volterra_mv.kernels import BLAS_THREADED_WIDTH, GridKernel, resolvent
 from volterra_mv.rng import normal_increments
 
 from test_path_linearization import loop_mdp_particles
@@ -382,6 +383,109 @@ class TestGuard:
             simulate_particles(*args)
         assert err.value.step == jump
         assert err.value.magnitude == peaks[jump]
+
+
+def _blas_count():
+    return kernels._openblas_threads()[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs two BLAS threads, and gets its own count back."""
+    if kernels._openblas_threads() is None:
+        pytest.skip("numpy bundles no scipy-openblas here")
+    before = kernels._set_blas_threads(2)
+    try:
+        if _blas_count() != 2:
+            pytest.skip("OpenBLAS does not take a second thread here")
+        yield
+    finally:
+        kernels._set_blas_threads(before)
+
+
+class TestBlasThreads:
+    # a march narrower than BLAS_THREADED_WIDTH pushes on one BLAS thread and
+    # gives the caller's count back on every exit; a wide one keeps it
+
+    @pytest.mark.parametrize("n_particles, inside", [(50, 1), (BLAS_THREADED_WIDTH, 2)])
+    def test_fold_reads_the_count_of_the_march(self, two_blas_threads, n_particles, inside):
+        grid = TimeGrid(1.0, 5)
+        coeffs = BuiltinLinearMeanField(a=-1.0, b=0.5, sigma1=0.3).coefficients()
+        seen = []
+        solvers._simulate(ConstantKernel(1.0), PowerKernel(0.3), None, coeffs, 1.0, grid,
+                          n_particles, 3, noise_scale=0.1,
+                          blocks=solvers._drawn_blocks(3, "particles", n_particles, grid, 1),
+                          fold=lambda i, x: seen.append(_blas_count()))
+        # node 0 is folded before the march starts
+        assert seen == [2] + [inside] * grid.n_steps
+        assert _blas_count() == 2
+
+    @pytest.mark.parametrize("n_paths, inside", [(7, 1), (BLAS_THREADED_WIDTH, 2)])
+    def test_linear_march_pushes_on_the_count_of_its_width(self, two_blas_threads, monkeypatch,
+                                                           n_paths, inside):
+        grid = TimeGrid(1.0, 5)
+        coeffs = BuiltinLinearMeanField(a=-1.0, b=0.5, sigma1=0.3).coefficients()
+        x0 = solve_deterministic_limit(ConstantKernel(1.0), coeffs, 1.0, grid)
+        drivers = normal_increments(5, "particles", n_paths, grid.n_steps, 1, grid.dt)
+        seen = []
+        push = kernels.History.push
+        monkeypatch.setattr(kernels.History, "push",
+                            lambda self, h: seen.append(_blas_count()) or push(self, h))
+        solvers._linear_march(ConstantKernel(1.0), PowerKernel(0.3), coeffs, x0, grid, drivers,
+                              1.0, mean_field=True)
+        assert seen == [inside] * (2 * grid.n_steps)
+        assert _blas_count() == 2
+
+    def test_resolvent_pushes_on_one_thread(self, two_blas_threads, monkeypatch):
+        seen = []
+        push = kernels.History.push
+        monkeypatch.setattr(kernels.History, "push",
+                            lambda self, h: seen.append(_blas_count()) or push(self, h))
+        resolvent(GridKernel.from_kernel(PowerKernel(0.3), TimeGrid(1.0, 40)))
+        assert seen == [1] * 40
+        assert _blas_count() == 2
+
+    def test_caller_count_is_back_after_a_blow_up(self, two_blas_threads):
+        from volterra_mv import CoefficientSet
+
+        def b(t, x, mu):
+            return x**3
+
+        def sigma(t, x, mu):
+            return np.zeros((*x.shape, 1))
+
+        coeffs = CoefficientSet(b=b, sigma=sigma, d=1, m=1)
+        seen = []
+        with pytest.raises(BlowUpError):
+            solvers._simulate(ConstantKernel(1.0), None, None, coeffs, 50.0, TimeGrid(1.0, 40),
+                              1, 0, fold=lambda i, x: seen.append(_blas_count()))
+        assert seen[1:] and set(seen[1:]) == {1}
+        assert _blas_count() == 2
+
+    def test_helper_does_nothing_without_the_symbols(self, monkeypatch):
+        real = kernels._openblas_threads()
+        outside = real[0]() if real else None
+        monkeypatch.setattr(kernels, "_openblas_threads", lambda: None)
+        assert kernels._set_blas_threads(1) is None
+        with kernels._one_blas_thread_below(1):
+            inside = real[0]() if real else None
+        path = solve_deterministic_limit(ConstantKernel(1.0),
+                                         BuiltinLinearMeanField(a=-1.0).coefficients(), 1.0,
+                                         TimeGrid(1.0, 5))
+        assert path.shape == (6, 1)
+        assert inside == outside
+
+    @pytest.mark.parametrize("symbols", [(), ("scipy_openblas_set_num_threads64_",),
+                                         ("scipy_openblas_get_num_threads64_",)])
+    def test_lookup_needs_both_symbols(self, monkeypatch, symbols):
+        import ctypes
+        from types import SimpleNamespace
+
+        def lib(path):
+            return SimpleNamespace(**{name: lambda *args: 1 for name in symbols})
+
+        monkeypatch.setattr(ctypes, "CDLL", lib)
+        assert kernels._openblas_threads.__wrapped__() is None
 
 
 class TestNoiseTerm:
