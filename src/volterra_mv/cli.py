@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENT_KINDS, validate_config
+from .config import validate_config
 from .errors import BudgetError, ConfigError, VolterraError
-from .runner import run_experiment
+from .runner import EXPERIMENT_KINDS, run_experiment
 
 
 def build_parser() -> argparse.ArgumentParser:

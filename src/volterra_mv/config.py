@@ -27,11 +27,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-EXPERIMENT_KINDS = (
-    "simulate", "limit", "clt", "ldp-rate", "mdp-rate", "rate-min",
-    "tail-probe", "resolvent", "kernel-probe",
-)
-
 DEFAULT_MEMORY_BUDGET = 4_000_000_000
 
 # the keys validate_config reads, per section; a model's builder checks the
@@ -251,6 +246,9 @@ def _kernel_from_section(issues, data, section: str, required: bool):
 
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError carrying every issue found."""
+    # what each kind requires is in the runner's table, which imports this module
+    from .runner import EXPERIMENT_KINDS, _KINDS, _Kind
+
     data, issues = parse_flat(text)
     for section, sec in data.items():
         if section in _SECTION_KEYS:
@@ -265,6 +263,9 @@ def validate_config(text: str) -> ExperimentConfig:
         issues.append(
             f"experiment.kind: unknown kind \"{kind}\" (allowed: {', '.join(EXPERIMENT_KINDS)})"
         )
+    # an unknown kind is held to [kernel2] alone, and a missing one to nothing
+    need = (_KINDS[kind] if kind in EXPERIMENT_KINDS
+            else _Kind(None, None, None, kernel2=kind is not None))
 
     t_horizon = _check_number(issues, data, "grid", "T", 1.0, lo=0.0, lo_strict=True)
     n_steps = _check_number(issues, data, "grid", "n_steps", 100, lo=2, integer=True)
@@ -286,8 +287,7 @@ def validate_config(text: str) -> ExperimentConfig:
             issues.append(f"model: {exc}")
 
     k1 = _kernel_from_section(issues, data, "kernel1", required=True)
-    k2 = _kernel_from_section(issues, data, "kernel2", required=kind not in
-                              ("limit", "resolvent", "kernel-probe", None))
+    k2 = _kernel_from_section(issues, data, "kernel2", required=need.kernel2)
     kc = _kernel_from_section(issues, data, "kernelc", required=False)
 
     n_particles = _check_number(issues, data, "run", "N", 1000, integer=True)
@@ -318,15 +318,11 @@ def validate_config(text: str) -> ExperimentConfig:
         issues.append("run.h_beta must lie in (0, 1/2)")
 
     rate_sec = data.get("rate", {})
-    rate_mode = rate_sec.get("mode", "ldp" if kind in ("ldp-rate", "rate-min", "tail-probe") else "mdp")
-    if kind == "ldp-rate":
-        rate_mode = "ldp"
-    if kind == "mdp-rate":
-        rate_mode = "mdp"
+    rate_mode = need.target or rate_sec.get("mode", need.rate_mode)
     if rate_mode not in ("ldp", "mdp"):
         issues.append("rate.mode must be 'ldp' or 'mdp'")
     target_csv = rate_sec.get("target_csv")
-    if kind in ("ldp-rate", "mdp-rate") and target_csv is None:
+    if need.target and target_csv is None:
         issues.append("rate.target_csv is required for rate evaluation")
     elif target_csv is not None and not isinstance(target_csv, str):
         issues.append("rate.target_csv must be a path")
@@ -341,10 +337,10 @@ def validate_config(text: str) -> ExperimentConfig:
     elif not all(math.isfinite(e) for e in event_normal):
         issues.append("rate.event_normal entries must be finite")
         event_normal = [1.0]
-    elif kind in ("rate-min", "tail-probe") and coeffs is not None and len(event_normal) != coeffs.d:
+    elif need.event and coeffs is not None and len(event_normal) != coeffs.d:
         issues.append(f"rate.event_normal must have one entry per model dimension"
                       f" ({coeffs.d}), got {len(event_normal)}")
-    elif kind in ("rate-min", "tail-probe") and not any(event_normal):
+    elif need.event and not any(event_normal):
         # the event {0 >= level} is empty or everything: no rate to measure
         issues.append("rate.event_normal must not be all zero")
     event_level = _check_number(issues, data, "rate", "event_level", 1.0)
@@ -353,6 +349,8 @@ def validate_config(text: str) -> ExperimentConfig:
     probe_kernel = probe_sec.get("kernel", "kernel1")
     if probe_kernel not in ("kernel1", "kernel2", "kernelc"):
         issues.append("probe.kernel must name one of kernel1, kernel2, kernelc")
+    elif need.probe and probe_kernel in ("kernel2", "kernelc") and probe_kernel not in data:
+        issues.append(f"probe.kernel: section {probe_kernel} is not defined")
     probe_t = _check_number(issues, data, "probe", "t", 0.5, lo=0.0, lo_strict=True)
     default_h = [1e-3, 2e-3, 5e-3, 1e-2]
     probe_h_list = probe_sec.get("h_list", default_h)
@@ -365,7 +363,7 @@ def validate_config(text: str) -> ExperimentConfig:
     elif not all(math.isfinite(h) for h in probe_h_list):
         issues.append("probe.h_list entries must be finite")
         probe_h_list = default_h
-    if kind == "kernel-probe" and _is_number(probe_t) and _is_number(t_horizon):
+    if need.probe and _is_number(probe_t) and _is_number(t_horizon):
         if min(probe_h_list) <= 0:
             issues.append("probe.h_list entries must be positive numbers")
         elif probe_t + max(probe_h_list) > t_horizon:

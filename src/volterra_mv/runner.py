@@ -80,115 +80,31 @@ class RunResult:
 _BUILD_TEMPORARIES = {"tabulated": 14, "fbm": 12}
 
 
-def _weight_kernels(cfg: ExperimentConfig) -> list:
-    """The kernels a run builds grid weights for, each with True when it
-    builds the dense (n+1) x n matrix, which the rate functionals and the
-    resolvent index.  A march reads a stationary kernel's n lags and any
-    other kernel's packed triangle, which its dense matrix is unpacked from."""
-    kind = cfg.kind
-    if kind == "kernel-probe":
-        return []
-    if kind == "resolvent":
-        return [(cfg.k1, True)]
-    if kind in ("limit", "simulate", "clt"):
-        marched = (cfg.k1,) if kind == "limit" else (cfg.k1, cfg.k2)
-        return [(k, False) for k in marched]
-    # a rate's drift kernel and its control kernel, if that is another one,
-    # and the noise kernel of a tail probe's particles, if neither
-    kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
-    out = [(cfg.k1, True)] + ([(kc, True)] if kc is not cfg.k1 else [])
-    if kind == "tail-probe" and all(cfg.k2 is not k for k, _ in out):
-        out.append((cfg.k2, False))
-    return out
-
-
 def _memory_estimate(cfg: ExperimentConfig) -> int:
     """Bytes one run (or one cell of a pool sweep) holds at its peak: the grid
     weights of its kernels and the arrays of its kind."""
-    d, m = cfg.coeffs.d, cfg.coeffs.m
     n = cfg.grid.n_steps
-    big_n = cfg.n_particles
-    built = _weight_kernels(cfg)
+    kind = _KINDS[cfg.kind]
+    # the kernels it builds weights for, each once, as it is first named: a
+    # rate's control kernel may be its drift or its noise kernel
+    control = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
+    built = {}
+    for name, dense in kind.weights:
+        k = control if name == "control" else getattr(cfg, name)
+        built.setdefault(id(k), (k, dense))
     # each kernel's n lags or n(n+1)/2 packed floats; in a wide march of N
     # particles, the window of HISTORY_BLOCK rows that its History copies far
     # blocks of them into; and the dense matrix of a kernel that is indexed
-    wide = cfg.kind in ("simulate", "clt", "tail-probe") and big_n * d >= HISTORY_BLOCKED_WIDTH
+    wide = kind.particles and cfg.n_particles * cfg.coeffs.d >= HISTORY_BLOCKED_WIDTH
     weights = sum((n if k.stationary else n * (n + 1) // 2) + HISTORY_BLOCK * n * wide
-                  + (n + 1) * n * dense for k, dense in built)
+                  + (n + 1) * n * dense for k, dense in built.values())
     # and the scratch of the cell quadrature that builds a kernel that is not
-    # stationary
+    # stationary.  A weight build is its own phase: it comes before the
+    # larger arrays of its run, so its scratch is counted beside the weights
+    # alone
     build = max((_cell_averages_scratch(n, _BUILD_TEMPORARIES[k.family])
-                 for k, _ in built if not k.stationary), default=0)
-
-    def march(nodes):
-        # per particle, in a particle or linear march: the states on the nodes
-        # it keeps, the drift and noise histories on n nodes with one scratch
-        # row each (d floats each), and one time-major block of HISTORY_BLOCK
-        # steps of increments (m floats)
-        return nodes * d + 2 * (n + 1) * d + HISTORY_BLOCK * m
-
-    # the scratch that a march which draws its own increments lends each
-    # block of HISTORY_BLOCK steps of its draws
-    draws = _draw_scratch_bytes(big_n, HISTORY_BLOCK, m) // 8
-    kind = cfg.kind
-    if kind == "simulate":
-        floats = big_n * march(n + 1) + draws
-    elif kind == "clt":
-        # and the increments, drawn once before the first march, beside the
-        # scratch of their draw, which outweighs a short march of few
-        # particles: the Z march keeps its states, and each particle pass
-        # beside Z folds its sup and keeps no path, which comes to the same.
-        # The bootstrap runs once those are freed: a block of resample
-        # indices and the values they pick, at most about 512 KB, which is
-        # the peak of small runs
-        floats = max(big_n * (n * m + march(n + 1)),
-                     big_n * n * m + _draw_scratch_bytes(big_n, n, m) // 8,
-                     2 * _bootstrap_rows(big_n) * big_n)
-    elif kind == "tail-probe":
-        # a crude cell keeps no path: the march holds its current state slab
-        floats = big_n * march(1) + draws
-    elif kind in ("ldp-rate", "mdp-rate"):
-        # the dense (n d) x (n m) control matrix and its scaled copy, or with
-        # a ridge the (n m)^2 normal matrix, the scaled identity and their sum
-        c = n * d * n * m
-        floats = c + (3 * (n * m) ** 2 if cfg.lam_reg > 0.0 else c)
-    elif kind == "resolvent":
-        # the resolvent's rows, the history of its forward substitution, and
-        # the check of its zeros
-        floats = 2 * (n + 1) * n
-    elif kind == "limit":
-        # the march of one particle, which keeps its path
-        floats = march(n + 1)
-    else:
-        # rate-min and kernel-probe: one-particle paths and probes
-        floats = 0
-    estimate = (weights + floats) * 8
-    if kind == "simulate" and cfg.write_ensemble:
-        # while ensemble.csv is written: the states and one block of whole
-        # particles, at least one, with its table, text and formatter
-        # temporaries: about 30 bytes a row and 162 a state cell
-        # (tracemalloc, d = 1..3)
-        rows = max(1, min(big_n, BLOCK_ROWS // (n + 1))) * (n + 1)
-        estimate = max(estimate, (weights + big_n * (n + 1) * d) * 8 + rows * (30 + 162 * d))
-    if kind == "resolvent":
-        # and one block of resolvent.csv rows
-        estimate += min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
-    if kind == "limit":
-        # and one block of path.csv rows
-        estimate += min(PATH_BLOCK_ROWS, n + 1) * (2 + d) * _PATH_CELL_BYTES
-    # a weight build is its own phase: it comes before the larger arrays of
-    # its run, so its scratch is counted beside the weights alone
-    return max(estimate, weights * 8 + build)
-
-
-def _budget_guard(cfg: ExperimentConfig, concurrent: int = 1):
-    # concurrent: how many cells of a pool sweep are alive at once
-    estimate = concurrent * _memory_estimate(cfg)
-    if estimate > cfg.memory_budget:
-        raise BudgetError(
-            f"estimated state memory {estimate} bytes exceeds the budget "
-            f"{cfg.memory_budget}; lower run.N or grid.n_steps or raise limits.memory_bytes"
-        )
+                 for k, _ in built.values() if not k.stationary), default=0)
+    return weights * 8 + max(kind.memory(cfg), build)
 
 
 def _model(cfg: ExperimentConfig) -> Model:
@@ -314,12 +230,12 @@ def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
     del pair
     rows = []
     for eps, sup in zip(eps_chunk, sups):
-        row = [eps]
-        for p in cfg.p_list:
-            gap = clt_gap(sup, p=p)
-            row.extend([gap.value, gap.stderr])
-        rows.append(tuple(row))
+        gaps = [clt_gap(sup, p=p) for p in cfg.p_list]
+        rows.append((eps, *(x for gap in gaps for x in (gap.value, gap.stderr))))
     return rows
+
+
+_TAIL_COLUMNS = ("eps", "h", "n_hits", "p_hat", "normalized_decay", "censored", "resolved")
 
 
 def _tail_rows(cfg: ExperimentConfig, indexed_eps) -> list:
@@ -331,8 +247,7 @@ def _tail_rows(cfg: ExperimentConfig, indexed_eps) -> list:
         eps, cfg.n_particles, cfg.seed, cfg.grid, xi=cfg.xi, h_beta=cfg.h_beta, kc=cfg.kc,
         with_reference=False, seed_indices=indices,
     )
-    return [(cell.eps, cell.h, cell.n_hits, cell.p_hat, cell.normalized_decay,
-             cell.censored, cell.resolved) for cell in res.cells]
+    return [tuple(getattr(cell, col) for col in _TAIL_COLUMNS) for cell in res.cells]
 
 
 def _rows_from_text(rows_fn, config_text: str, chunk) -> list:
@@ -363,112 +278,201 @@ def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
         return [row for part in parts for row in part]
 
 
-def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> list:
+def _march(cfg: ExperimentConfig, nodes: int, particles: int = 1, draws: bool = False) -> int:
+    # floats of a particle or linear march: per particle, the states on the
+    # nodes it keeps, the drift and noise histories on n nodes with a scratch
+    # row each (d floats each) and a time-major block of HISTORY_BLOCK steps of
+    # increments (m floats); and the scratch its own draws lend each such block
+    m = cfg.coeffs.m
+    per = (nodes + 2 * (cfg.grid.n_steps + 1)) * cfg.coeffs.d + HISTORY_BLOCK * m
+    return particles * per + (_draw_scratch_bytes(particles, HISTORY_BLOCK, m) // 8 if draws else 0)
+
+
+def _run_simulate(cfg: ExperimentConfig, art, workers: int):
+    ens = simulate_particles(cfg.k1, cfg.k2, cfg.coeffs, cfg.xi, cfg.eps_list[0],
+                             cfg.grid, cfg.n_particles, cfg.seed)
+    if cfg.write_ensemble:
+        _write_ensemble_csv(art("ensemble.csv"), ens)
+    _write_summary_csv(art("summary.csv"), ens, cfg.p_list)
+
+
+def _simulate_bytes(cfg: ExperimentConfig) -> int:
+    # the march of N particles, which keeps their paths, or while
+    # ensemble.csv is written the states and one block of whole particles,
+    # at least one, with its table, text and formatter temporaries: about 30
+    # bytes a row and 162 a state cell (tracemalloc, d = 1..3)
+    n, d, big_n = cfg.grid.n_steps, cfg.coeffs.d, cfg.n_particles
+    rows = max(1, min(big_n, BLOCK_ROWS // (n + 1))) * (n + 1)
+    writing = 8 * big_n * (n + 1) * d + rows * (30 + 162 * d) if cfg.write_ensemble else 0
+    return max(8 * _march(cfg, n + 1, big_n, draws=True), writing)
+
+
+def _run_limit(cfg: ExperimentConfig, art, workers: int):
+    path = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
+    _write_path_csv(art("path.csv"), cfg.grid.times, path)
+
+
+def _limit_bytes(cfg: ExperimentConfig) -> int:
+    # the march of one particle, which keeps its path, and one block of
+    # path.csv rows
+    rows = min(PATH_BLOCK_ROWS, cfg.grid.n_steps + 1)
+    return 8 * _march(cfg, cfg.grid.n_steps + 1) + rows * (2 + cfg.coeffs.d) * _PATH_CELL_BYTES
+
+
+def _run_clt(cfg: ExperimentConfig, art, workers: int):
+    header = ["eps"] + [f"{col}_p{_fmt(p)}" for p in cfg.p_list for col in ("gap", "stderr")]
+    _write_csv(art("clt.csv"), header, _sweep(_clt_rows, cfg, sorted(cfg.eps_list), workers))
+
+
+def _clt_bytes(cfg: ExperimentConfig) -> int:
+    # the march of N particles and the increments, drawn once before the
+    # first march, beside the scratch of their draw, which outweighs a short
+    # march of few particles: the Z march keeps its states, and each particle
+    # pass beside Z folds its sup and keeps no path, which comes to the same.
+    # The bootstrap runs once those are freed: a block of resample indices
+    # and the values they pick, at most about 512 KB, which is the peak of
+    # small runs
+    n, m, big_n = cfg.grid.n_steps, cfg.coeffs.m, cfg.n_particles
+    return 8 * max(_march(cfg, n + 1, big_n) + big_n * n * m,
+                   big_n * n * m + _draw_scratch_bytes(big_n, n, m) // 8,
+                   2 * _bootstrap_rows(big_n) * big_n)
+
+
+def _write_control(cfg: ExperimentConfig, art, sol, last):
+    # a rate's control.csv and summary.txt, whose last line is its own
+    _write_csv(art("control.csv"), ["t"] + [f"v{k + 1}" for k in range(cfg.coeffs.m)],
+               ([t, *v] for t, v in zip(cfg.grid.times, sol.v_star.values)))
+    _write_kv(art("summary.txt"), [("rate", sol.rate), ("residual", sol.residual),
+                                   ("attained", sol.attained), last])
+
+
+def _run_rate(cfg: ExperimentConfig, art, workers: int):
+    target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
+    x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
+    kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
+    try:
+        problem = RateProblem(mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs,
+                              grid=cfg.grid, x0_path=x0, target=target, lam_reg=cfg.lam_reg)
+    except ValueError as exc:
+        # the file passed its format checks, so the target's start is off
+        raise ConfigError([f"rate.target_csv: {exc}"]) from None
+    sol = ldp_rate(problem) if cfg.rate_mode == "ldp" else mdp_rate(problem)
+    _write_control(cfg, art, sol, ("lambda_used", sol.lambda_used))
+
+
+def _rate_bytes(cfg: ExperimentConfig) -> int:
+    # the dense (n d) x (n m) control matrix and its scaled copy, or with a
+    # ridge the (n m)^2 normal matrix, the scaled identity and their sum
+    nm = cfg.grid.n_steps * cfg.coeffs.m
+    c = cfg.grid.n_steps * cfg.coeffs.d * nm
+    return 8 * (c + (3 * nm ** 2 if cfg.lam_reg > 0.0 else c))
+
+
+def _rate_min(cfg: ExperimentConfig):
+    event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
+    return minimize_rate_endpoint(_model(cfg), cfg.rate_mode, event, cfg.grid, xi=cfg.xi, kc=cfg.kc)
+
+
+def _run_rate_min(cfg: ExperimentConfig, art, workers: int):
+    sol = _rate_min(cfg)
+    terminal = sol.diagnostics.get("terminal_value", float("nan"))
+    _write_control(cfg, art, sol, ("terminal_value", terminal))
+
+
+def _rate_min_bytes(cfg: ExperimentConfig) -> int:
+    # the minimizer's limit, best and trial paths, its control, direction,
+    # sensitivity and next control, beside the march of one trial path
+    n, d, m = cfg.grid.n_steps, cfg.coeffs.d, cfg.coeffs.m
+    return 8 * (3 * (n + 1) * d + 4 * n * m + _march(cfg, n + 1))
+
+
+def _run_tail(cfg: ExperimentConfig, art, workers: int):
+    rows = _sweep(_tail_rows, cfg, list(enumerate(sorted(cfg.eps_list))), workers)
+    reference = _rate_min(cfg).rate
+    _write_csv(art("tail.csv"), _TAIL_COLUMNS, rows)
+    _write_kv(art("summary.txt"), [("rate_reference", reference), ("mode", cfg.rate_mode)])
+
+
+def _run_resolvent(cfg: ExperimentConfig, art, workers: int):
+    res = resolvent(GridKernel.from_kernel(cfg.k1, cfg.grid))
+    _write_resolvent_csv(art("resolvent.csv"), cfg.grid.times, res.weights)
+
+
+def _resolvent_bytes(cfg: ExperimentConfig) -> int:
+    # the resolvent's rows, the history of its forward substitution and the
+    # check of its zeros, and one block of resolvent.csv rows
+    n = cfg.grid.n_steps
+    return 8 * 2 * (n + 1) * n + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
+
+
+def _run_probe(cfg: ExperimentConfig, art, workers: int):
+    kern = {"kernel1": cfg.k1, "kernel2": cfg.k2, "kernelc": cfg.kc}[cfg.probe_kernel]
+    est = regularity_probe(kern, cfg.probe_t, cfg.probe_h_list)
+    _write_csv(art("probe.csv"), ["h", "D"], list(zip(est.h_values, est.d_values)))
+    _write_kv(art("summary.txt"), [(key, getattr(est, key)) for key in
+                                   ("gamma_hat", "slope", "intercept", "r2", "max_log_residual")])
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind: what it requires of its config, builds and holds."""
+
+    run: object  # (cfg, art, workers): runs it, writing each artifact at art(name)
+    memory: object  # cfg -> the bytes it holds at its peak beside its weights
+    weights: tuple  # (cfg.<name> or a rate's "control" kernel, whether it is indexed)
+    kernel2: bool = True  # [kernel2] is required
+    target: str | None = None  # rates rate.target_csv (then required) in this fixed mode
+    event: bool = False  # rate.event_normal must fit the model and not be zero
+    probe: bool = False  # probe.kernel's section must be defined, probe.t + h <= T
+    rate_mode: str = "mdp"  # the default rate.mode, where target does not fix it
+    particles: bool = False  # marches N particles, which may be a wide march
+    sweep: bool = False  # the eps list is a sweep of cells, run at once one per worker
+
+
+# the drift and noise kernels of a particle march, and a rate's drift and
+# control kernels, which it indexes
+_MARCHED, _RATE = (("k1", False), ("k2", False)), (("k1", True), ("control", True))
+# one entry per kind, in the order of the command line's subcommands
+_KINDS = {
+    "simulate": _Kind(_run_simulate, _simulate_bytes, _MARCHED, particles=True),
+    "limit": _Kind(_run_limit, _limit_bytes, (("k1", False),), kernel2=False),
+    "clt": _Kind(_run_clt, _clt_bytes, _MARCHED, particles=True, sweep=True),
+    "ldp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="ldp"),
+    "mdp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="mdp"),
+    "rate-min": _Kind(_run_rate_min, _rate_min_bytes, _RATE, event=True, rate_mode="ldp"),
+    # a crude tail-probe cell keeps no path: its march holds its state slab
+    "tail-probe": _Kind(_run_tail, lambda cfg: 8 * _march(cfg, 1, cfg.n_particles, draws=True),
+                        _RATE + (("k2", False),), event=True, rate_mode="ldp", particles=True,
+                        sweep=True),
+    "resolvent": _Kind(_run_resolvent, _resolvent_bytes, (("k1", True),), kernel2=False),
+    "kernel-probe": _Kind(_run_probe, lambda cfg: 0, (), kernel2=False, probe=True),
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
+
+
+def _run_into(cfg: ExperimentConfig, out_dir: str, workers: int) -> tuple:
     artifacts = []
-    kind = cfg.kind
-    model = _model(cfg)
+    kind = _KINDS[cfg.kind]
 
     def art(name):
-        path = os.path.join(out_dir, name)
         artifacts.append(name)
-        return path
+        return os.path.join(out_dir, name)
 
-    # the cells of a clt or tail-probe sweep run at once, one per worker
-    cells = len(cfg.eps_list) if kind in ("clt", "tail-probe") else 1
-    _budget_guard(cfg, concurrent=min(workers, cells))
-    if kind == "simulate":
-        ens = simulate_particles(cfg.k1, cfg.k2, cfg.coeffs, cfg.xi, cfg.eps_list[0],
-                                 cfg.grid, cfg.n_particles, cfg.seed)
-        if cfg.write_ensemble:
-            _write_ensemble_csv(art("ensemble.csv"), ens)
-        _write_summary_csv(art("summary.csv"), ens, cfg.p_list)
-    elif kind == "limit":
-        path = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
-        _write_path_csv(art("path.csv"), cfg.grid.times, path)
-    elif kind == "clt":
-        eps_sorted = sorted(cfg.eps_list)
-        rows = _sweep(_clt_rows, cfg, eps_sorted, workers)
-        header = ["eps"]
-        for p in cfg.p_list:
-            header.extend([f"gap_p{_fmt(p)}", f"stderr_p{_fmt(p)}"])
-        _write_csv(art("clt.csv"), header, rows)
-    elif kind in ("ldp-rate", "mdp-rate", "rate-min"):
-        if kind == "rate-min":
-            event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
-            sol = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,
-                                         xi=cfg.xi, kc=cfg.kc)
-            summary = [
-                ("rate", sol.rate), ("residual", sol.residual), ("attained", sol.attained),
-                ("terminal_value", sol.diagnostics.get("terminal_value", float("nan"))),
-            ]
-        else:
-            target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
-            x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
-            kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
-            try:
-                problem = RateProblem(
-                    mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs, grid=cfg.grid,
-                    x0_path=x0, target=target, lam_reg=cfg.lam_reg,
-                )
-            except ValueError as exc:
-                # the file passed its format checks, so the target's start is off
-                raise ConfigError([f"rate.target_csv: {exc}"]) from None
-            sol = ldp_rate(problem) if cfg.rate_mode == "ldp" else mdp_rate(problem)
-            summary = [
-                ("rate", sol.rate), ("residual", sol.residual),
-                ("attained", sol.attained), ("lambda_used", sol.lambda_used),
-            ]
-        _write_csv(
-            art("control.csv"),
-            ["t"] + [f"v{k + 1}" for k in range(cfg.coeffs.m)],
-            [[cfg.grid.times[i]] + list(sol.v_star.values[i]) for i in range(cfg.grid.n_steps)],
+    # the budget guard: the cells of a sweep run at once, one per worker
+    estimate = min(workers, len(cfg.eps_list) if kind.sweep else 1) * _memory_estimate(cfg)
+    if estimate > cfg.memory_budget:
+        raise BudgetError(
+            f"estimated state memory {estimate} bytes exceeds the budget "
+            f"{cfg.memory_budget}; lower run.N or grid.n_steps or raise limits.memory_bytes"
         )
-        _write_kv(art("summary.txt"), summary)
-    elif kind == "tail-probe":
-        rows = _sweep(_tail_rows, cfg, list(enumerate(sorted(cfg.eps_list))), workers)
-        event = Halfspace(normal=cfg.event_normal, level=cfg.event_level)
-        reference = minimize_rate_endpoint(model, cfg.rate_mode, event, cfg.grid,
-                                           xi=cfg.xi, kc=cfg.kc).rate
-        _write_csv(
-            art("tail.csv"),
-            ["eps", "h", "n_hits", "p_hat", "normalized_decay", "censored", "resolved"],
-            rows,
-        )
-        _write_kv(art("summary.txt"), [("rate_reference", reference), ("mode", cfg.rate_mode)])
-    elif kind == "resolvent":
-        gk = GridKernel.from_kernel(cfg.k1, cfg.grid)
-        res = resolvent(gk)
-        _write_resolvent_csv(art("resolvent.csv"), cfg.grid.times, res.weights)
-    elif kind == "kernel-probe":
-        kern = {"kernel1": cfg.k1, "kernel2": cfg.k2, "kernelc": cfg.kc}[cfg.probe_kernel]
-        if kern is None:
-            raise ConfigError([f"probe.kernel: section {cfg.probe_kernel} is not defined"])
-        est = regularity_probe(kern, cfg.probe_t, cfg.probe_h_list)
-        _write_csv(art("probe.csv"), ["h", "D"],
-                   list(zip(est.h_values, est.d_values)))
-        _write_kv(art("summary.txt"), [
-            ("gamma_hat", est.gamma_hat), ("slope", est.slope),
-            ("intercept", est.intercept), ("r2", est.r2),
-            ("max_log_residual", est.max_log_residual),
-        ])
-    else:
-        raise ConfigError([f"experiment.kind: unhandled kind {kind!r}"])
-    return artifacts
-
-
-def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> str:
-    with open(os.path.join(out_dir, "config.resolved"), "w") as fh:
+    kind.run(cfg, art, workers)
+    # and what re-runs it: the exact configuration text and the manifest
+    with open(art("config.resolved"), "w") as fh:
         fh.write(cfg.raw_text)
-    manifest_path = os.path.join(out_dir, "manifest")
-    _write_kv(manifest_path, [
-        ("kind", cfg.kind),
-        ("config_sha256", cfg.sha256),
-        ("library_version", __version__),
-        ("seed", cfg.seed),
-        ("grid_T", cfg.grid.horizon),
-        ("grid_n_steps", cfg.grid.n_steps),
-    ])
-    return manifest_path
+    _write_kv(art("manifest"), [
+        ("kind", cfg.kind), ("config_sha256", cfg.sha256), ("library_version", __version__),
+        ("seed", cfg.seed), ("grid_T", cfg.grid.horizon), ("grid_n_steps", cfg.grid.n_steps)])
+    return tuple(artifacts)
 
 
 def resolve_workers(cfg_workers: int, cli_workers: int | None) -> int:
@@ -497,19 +501,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     tmp_dir = tempfile.mkdtemp(prefix=os.path.basename(final_dir) + ".partial.", dir=parent)
     try:
         artifacts = _run_into(cfg, tmp_dir, n_workers)
-        manifest = _write_manifest(cfg, tmp_dir)
-        artifacts = tuple(artifacts) + ("config.resolved", "manifest")
         if os.path.isdir(final_dir):
             os.rmdir(final_dir)
         os.replace(tmp_dir, final_dir)
     except Exception:
         shutil.rmtree(tmp_dir, ignore_errors=True)
         raise
-    return RunResult(
-        out_dir=final_dir,
-        artifacts=artifacts,
-        manifest_path=os.path.join(final_dir, "manifest"),
-    )
+    return RunResult(out_dir=final_dir, artifacts=artifacts,
+                     manifest_path=os.path.join(final_dir, "manifest"))
 
 
 def run_from_manifest(manifest_path: str, out_dir: str,

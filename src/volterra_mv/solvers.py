@@ -196,12 +196,15 @@ def _along_path(grid: TimeGrid, law: np.ndarray, *evaluators, at=None) -> list:
     over the cells k < n, the law frozen at the Dirac of a deterministic path
     at each cell's left node, built once per cell; ``at`` defaults to law."""
     at = law if at is None else at
-    stacks = [[] for _ in evaluators]
+    stacks = [None] * len(evaluators)
     for k, t in enumerate(grid.times[:-1]):
         mu = EmpiricalMeasure.dirac(law[k])
-        for f, stack in zip(evaluators, stacks):
-            stack.append(f(t, at[k][None, :], mu)[0])
-    return [np.array(stack) for stack in stacks]
+        for j, f in enumerate(evaluators):
+            value = f(t, at[k][None, :], mu)[0]
+            if k == 0:  # filled in place: a list of n cells and its copy hold twice as much
+                stacks[j] = np.empty((grid.n_steps,) + np.shape(value), np.result_type(value))
+            stacks[j][k] = value
+    return stacks
 
 
 def _one_path(k1: Kernel, kc: Kernel | None, coeffs: CoefficientSet, xi, grid: TimeGrid,

@@ -313,6 +313,25 @@ def _cli_refuses(tmp_path, capsys, kind, text):
     return capsys.readouterr().err
 
 
+class TestKernelProbe:
+    def test_undefined_probe_section_is_reported_with_every_other_issue(self, tmp_path, capsys):
+        # collected with every other issue, and refused before any output
+        text = (MINIMAL.replace("kind = simulate", "kind = kernel-probe")
+                + "\n[probe]\nkernel = kernelc\nt = 2.0\n")
+        err = _cli_refuses(tmp_path, capsys, "kernel-probe", text)
+        assert err == ("config error: probe.kernel: section kernelc is not defined\n"
+                       "config error: probe.t plus the largest h must stay within grid.T\n")
+
+    def test_undefined_kernel2_is_refused_for_the_probe_alone(self):
+        text = "\n[experiment]\nkind = {}\n[kernel1]\nfamily = constant\nc = 1.0\n" + (
+            "\n[probe]\nkernel = kernel2\n")
+        with pytest.raises(ConfigError) as err:
+            validate_config(text.format("kernel-probe"))
+        assert err.value.issues == ["probe.kernel: section kernel2 is not defined"]
+        # the other kinds check the probe section but never read its kernel
+        assert validate_config(text.format("limit")).probe_kernel == "kernel2"
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize("extra, issue", [
         ("[run]\nn = 7", "run.n: unknown key (allowed: N, seed, eps, eps_list, p_list, h_beta)"),

@@ -334,9 +334,13 @@ def test_along_path_one_call_per_evaluator_per_cell(setup):
     n = GRID.n_steps
     assert calls == Counter(b=n, grad_b=n, sigma=n)
     assert drift.shape == (n, d) and grads.shape == (n, d, d) and sig.shape == (n, d, d)
-    for k in (0, n - 1):
+    # every cell of every stack, which is filled in place
+    assert drift.dtype == grads.dtype == sig.dtype == np.float64
+    for k in range(n):
         mu = EmpiricalMeasure.dirac(x0[k])
-        assert_bitwise(sig[k], coeffs.diffusion(GRID.times[k], x0[k][None, :], mu)[0])
+        for got, f in ((drift, coeffs.drift), (grads, coeffs.drift_gradient),
+                       (sig, coeffs.diffusion)):
+            assert_bitwise(got[k], f(GRID.times[k], x0[k][None, :], mu)[0])
 
 
 @pytest.mark.parametrize("kernels", KERNELS, ids=list(KERNELS))
