@@ -218,12 +218,11 @@ def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, nor
     return np.einsum("kdm,kd->km", sig, dt * (wc.T @ q)).reshape(-1)
 
 
-def _control_kernel(k1: Kernel, k2: Kernel, mode: str, kc: Kernel | None) -> Kernel:
-    """The kernel a rate's control enters under: kc if given, else the drift
-    kernel k1 (ldp) or the noise kernel k2 (mdp)."""
-    if kc is not None:
-        return kc
-    return k1 if mode == "ldp" else k2
+def _control_kernel(k2: Kernel, kc: Kernel | None) -> Kernel:
+    """The kernel a rate's control enters under: kc if given, else the noise
+    kernel k2 in both modes, since shifting the driver W by v / sqrt(eps)
+    (ldp) or by h v (mdp) moves the state by the noise term's kernel."""
+    return k2 if kc is None else kc
 
 
 GN_MAX_ITER = 50  # cap on Gauss-Newton iterations, and on secant steps per ray
@@ -264,10 +263,10 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     not depend on the path, so one iteration suffices.  attained is false if
     GN_MAX_ITER comes first.  The ldp sensitivity freezes a state-dependent
     sigma along the path: the d sigma / dx . v term is dropped.  The control
-    kernel defaults to the drift kernel (ldp) or the noise kernel (mdp).
+    kernel defaults to the noise kernel, in both modes.
     """
     coeffs = model.coeffs
-    kc = _control_kernel(model.k1, model.k2, mode, kc)
+    kc = _control_kernel(model.k2, kc)
     n, m = grid.n_steps, coeffs.m
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     x0_path = solve_deterministic_limit(model.k1, coeffs, xi_arr, grid)
@@ -408,8 +407,8 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
     weighted by the exact discrete Gaussian likelihood ratio.  The estimate
     is unbiased for the frozen-law dynamics whatever the shift; the shift
     makes it efficient when the minimizer's control is the optimal tilt.
-    When the reference control kernel is model.k2 itself, the minimizer call
-    doubles as the reference rate.
+    The reference rate puts the control under kc, by default k2 as the tilt
+    does; then the tilt's minimizer call gives it.
     """
     if mode not in ("ldp", "mdp"):
         raise ValueError("mode must be 'ldp' or 'mdp'")
@@ -433,8 +432,8 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
         raise ValueError("seed_indices must match eps_list in length")
     reference = None
     if method == "importance":
-        tilt = minimize_rate_endpoint(model, mode, event, grid, xi=xi_arr, kc=model.k2)
-        if with_reference and _control_kernel(model.k1, model.k2, mode, kc) is model.k2:
+        tilt = minimize_rate_endpoint(model, mode, event, grid, xi=xi_arr)
+        if with_reference and _control_kernel(model.k2, kc) is model.k2:
             reference = tilt.rate
     cells = []
     # the crude and tagged passes, one after another, share their history

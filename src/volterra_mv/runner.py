@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
+from .floattext import float_text
 from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
 from .kernels import (HISTORY_BLOCK, HISTORY_BLOCKED_WIDTH, GridKernel, _cell_averages_scratch,
                       _set_blas_threads, regularity_probe, resolvent)
@@ -33,12 +34,12 @@ ENV_WORKERS = "VOLTERRA_MV_WORKERS"
 # whole particles as fit, and at least one
 BLOCK_ROWS = 1 << 14
 # the text and formatter temporaries of one resolvent.csv row (tracemalloc)
-_RESOLVENT_ROW_BYTES = 300
+_RESOLVENT_ROW_BYTES = 285
 # rows of path.csv formatted at a time, and the text and formatter
 # temporaries of one of its cells (tracemalloc, d = 1..3): a block holds
 # about as much as a march of one particle over 2000 steps
 PATH_BLOCK_ROWS = 1 << 7
-_PATH_CELL_BYTES = 150
+_PATH_CELL_BYTES = 185
 
 
 def _fmt(x) -> str:
@@ -48,7 +49,7 @@ def _fmt(x) -> str:
         return str(int(x))
     if x is None:
         return ""
-    return f"{float(x):.17g}"
+    return float_text(x)
 
 
 def _write_csv(path, header, rows):
@@ -86,8 +87,8 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     n = cfg.grid.n_steps
     kind = _KINDS[cfg.kind]
     # the kernels it builds weights for, each once, as it is first named: a
-    # rate's control kernel may be its drift or its noise kernel
-    control = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
+    # rate's control kernel is its noise kernel unless [kernelc] is given
+    control = _control_kernel(cfg.k2, cfg.kc)
     built = {}
     for name, dense in kind.weights:
         k = control if name == "control" else getattr(cfg, name)
@@ -139,9 +140,9 @@ def _write_ensemble_csv(path, ensemble):
     # whole particles, at least one, laid out in one table: the "i,t_i"
     # cells go in once, and each block writes over them its particle cells
     # and its states, formatted in place by textfmt.  The bytes are those
-    # of csv.writer with _fmt cells (CRLF line ends, %.17g floats).  textfmt
-    # is imported here, so that only a run that writes such a file builds
-    # its digit tables.
+    # of csv.writer with _fmt cells (CRLF line ends, shortest round-trip
+    # floats).  textfmt is imported here, so that only a run that writes
+    # such a file builds its digit tables.
     from . import textfmt
 
     n, steps, d = ensemble.states.shape
@@ -158,7 +159,7 @@ def _write_ensemble_csv(path, ensemble):
             k = min(per_block, n - lo)
             cells = textfmt.text_cells([str(p) for p in range(lo, lo + k)], p_width)
             particle[:k] = cells[:, None, None, :]
-            textfmt.format_g17(ensemble.states[lo:lo + k], out=value[:k])
+            textfmt.format_shortest(ensemble.states[lo:lo + k], out=value[:k])
             fh.write(textfmt.csv_text(table[:k]))
 
 
@@ -179,7 +180,7 @@ def _write_resolvent_csv(path, times, weights):
             j = r - starts[i]
             fh.write(textfmt.csv_rows(np.take(time_cells, i, axis=0),
                                       np.take(time_cells, j, axis=0),
-                                      textfmt.format_g17(weights[i, j])))
+                                      textfmt.format_shortest(weights[i, j])))
 
 
 def _write_summary_csv(path, ensemble, p_list):
@@ -197,12 +198,12 @@ def _write_summary_csv(path, ensemble, p_list):
                             + [summary[f"moment_p{p}"] for p in p_list])
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        fh.write(textfmt.csv_rows(textfmt.format_g17(table)))
+        fh.write(textfmt.csv_rows(textfmt.format_shortest(table)))
 
 
 def _write_path_csv(path, times, states):
     # rows (i, t_i, the state at t_i), formatted by textfmt as summary.csv is,
-    # in blocks of rows: the %.17g text of the float i is the decimal i, so
+    # in blocks of rows: the text of the float i is the decimal i, so
     # these are the bytes of csv.writer with _fmt cells
     from . import textfmt
 
@@ -212,7 +213,7 @@ def _write_path_csv(path, times, states):
         for lo in range(0, len(times), PATH_BLOCK_ROWS):
             hi = min(lo + PATH_BLOCK_ROWS, len(times))
             table = np.column_stack([np.arange(lo, hi, dtype=float), times[lo:hi], states[lo:hi]])
-            fh.write(textfmt.csv_rows(textfmt.format_g17(table)))
+            fh.write(textfmt.csv_rows(textfmt.format_shortest(table)))
 
 
 def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
@@ -235,7 +236,8 @@ def _clt_rows(cfg: ExperimentConfig, eps_chunk) -> list:
     return rows
 
 
-_TAIL_COLUMNS = ("eps", "h", "n_hits", "p_hat", "normalized_decay", "censored", "resolved")
+_TAIL_COLUMNS = ("eps", "h", "n_hits", "p_hat", "normalized_decay", "censored", "resolved",
+                 "rel_stderr", "ess")
 
 
 def _tail_rows(cfg: ExperimentConfig, indexed_eps) -> list:
@@ -299,11 +301,11 @@ def _run_simulate(cfg: ExperimentConfig, art, workers: int):
 def _simulate_bytes(cfg: ExperimentConfig) -> int:
     # the march of N particles, which keeps their paths, or while
     # ensemble.csv is written the states and one block of whole particles,
-    # at least one, with its table, text and formatter temporaries: about 30
-    # bytes a row and 162 a state cell (tracemalloc, d = 1..3)
+    # at least one, with its table, text and formatter temporaries: about 32
+    # bytes a row and 167 a state cell (tracemalloc, d = 1..3)
     n, d, big_n = cfg.grid.n_steps, cfg.coeffs.d, cfg.n_particles
     rows = max(1, min(big_n, BLOCK_ROWS // (n + 1))) * (n + 1)
-    writing = 8 * big_n * (n + 1) * d + rows * (30 + 162 * d) if cfg.write_ensemble else 0
+    writing = 8 * big_n * (n + 1) * d + rows * (32 + 167 * d) if cfg.write_ensemble else 0
     return max(8 * _march(cfg, n + 1, big_n, draws=True), writing)
 
 
@@ -349,7 +351,7 @@ def _write_control(cfg: ExperimentConfig, art, sol, last):
 def _run_rate(cfg: ExperimentConfig, art, workers: int):
     target = _load_target_csv(cfg.target_csv, cfg.grid, cfg.coeffs.d)
     x0 = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
-    kc = _control_kernel(cfg.k1, cfg.k2, cfg.rate_mode, cfg.kc)
+    kc = _control_kernel(cfg.k2, cfg.kc)
     try:
         problem = RateProblem(mode=cfg.rate_mode, k1=cfg.k1, kc=kc, coeffs=cfg.coeffs,
                               grid=cfg.grid, x0_path=x0, target=target, lam_reg=cfg.lam_reg)

@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,6 +8,27 @@ import pytest
 from volterra_mv import BuiltinLinearMeanField, ConstantKernel, TimeGrid, kernels
 from volterra_mv.config import ExperimentConfig, validate_config
 from volterra_mv.runner import run_experiment
+
+
+def shortest_text(v) -> str:
+    """Oracle for the text of a float in an artifact: the digits of repr(v),
+    the shortest that read back as v, laid out as '%.17g' lays out its own:
+    fixed notation for decimal exponents -4 <= X < 17, else d.ddde+XX."""
+    text = repr(float(v))
+    if text[-1] in "fn":  # inf, -inf, nan
+        return text
+    d = Decimal(text)
+    sign = "-" if d.is_signed() else ""
+    if d == 0:
+        return sign + "0"
+    d = abs(d).normalize()
+    _, digits, exp = d.as_tuple()
+    x = len(digits) + exp - 1
+    if -4 <= x < 17:
+        return sign + format(d, "f")
+    mantissa = "".join(map(str, digits))
+    point = "." if len(mantissa) > 1 else ""
+    return f"{sign}{mantissa[0]}{point}{mantissa[1:]}e{x:+03d}"
 
 
 @pytest.fixture

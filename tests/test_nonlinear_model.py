@@ -121,17 +121,17 @@ def test_fluctuation_gap_and_strong_error_rates(state_sigma):
     assert scaling_regression(strong).slope == pytest.approx(0.5, abs=0.1)
 
 
-def _slsqp_rate(model, event, grid):
-    """The least energy 0.5 dt sum v_k^2 over controls whose ldp path ends
-    in the event, by SLSQP from several starts, each constraint gradient by
-    finite differences of the forward solve."""
+def _slsqp_rate(model, event, grid, kc):
+    """The least energy 0.5 dt sum v_k^2 over controls, entering under kc,
+    whose ldp path ends in the event, by SLSQP from several starts, each
+    constraint gradient by finite differences of the forward solve."""
     from scipy.optimize import minimize
 
     coeffs, dt = model.coeffs, grid.dt
     x0 = solve_deterministic_limit(model.k1, coeffs, XI, grid)
 
     def terminal(v):
-        path = solve_controlled_deterministic(model.k1, model.k1, coeffs, XI,
+        path = solve_controlled_deterministic(model.k1, kc, coeffs, XI,
                                               ControlPath(grid=grid, values=v), x0, "ldp", grid)
         return float(path[-1] @ event.normal) - event.level
 
@@ -150,12 +150,13 @@ def _slsqp_rate(model, event, grid):
 def test_constant_sigma_ldp_rate_is_the_least_energy():
     # with constant sigma the minimizer's sensitivity is exact, so its rate
     # may not exceed the best energy SLSQP finds for the same discrete
-    # problem; the limit path ends near 1, below the event
+    # problem, whose control enters under the noise kernel as the call's
+    # does by default; the limit path ends near 1, below the event
     model = _model(False)
     grid = TimeGrid(1.0, 20)
     event = Halfspace(normal=[1.0], level=2.0)
     sol = minimize_rate_endpoint(model, "ldp", event, grid, xi=XI)
     assert sol.attained
-    oracle = _slsqp_rate(model, event, grid)
+    oracle = _slsqp_rate(model, event, grid, kc=model.k2)
     assert np.isfinite(oracle)
     assert sol.rate <= oracle * (1.0 + 1e-8)

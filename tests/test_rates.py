@@ -328,6 +328,20 @@ class TestMinimizeEndpoint:
         assert sol.attained
         assert sol.rate == pytest.approx(rate, rel=1e-12)
 
+    @pytest.mark.parametrize("k1, k2", [(UNIT, PowerKernel(0.3)),
+                                        (PowerKernel(0.3), FbmKernel(0.3))],
+                             ids=["constant-power", "power-fbm"])
+    def test_default_ldp_control_enters_under_the_noise_kernel(self, k1, k2):
+        # with A = B = 0, sigma = 1 and xi = 0, x_T = sqrt(eps) sum_k w2[n, k] dW_k
+        # is Gaussian with variance eps dt sum_k w2[n, k]^2, so the event
+        # x_T >= 1 has the exact grid rate 1 / (2 dt sum_k w2[n, k]^2): the
+        # control of the default ldp rate enters under k2, not under k1
+        grid = TimeGrid(1.0, 200)
+        model = Model(k1=k1, k2=k2, coeffs=_coeffs())
+        sol = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], 1.0), grid, xi=0.0)
+        w2 = grid_weights(k2, grid)[grid.n_steps]
+        assert sol.rate == pytest.approx(1.0 / (2.0 * grid.dt * float(w2 @ w2)), rel=1e-12)
+
     def test_mdp_takes_one_iteration(self):
         # the sensitivity does not depend on the path in mdp mode
         grid = TimeGrid(1.0, 30)

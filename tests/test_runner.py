@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import shortest_text
 
 from volterra_mv import (
     BudgetError,
@@ -20,7 +21,10 @@ from volterra_mv import (
     PathEnsemble,
     PowerKernel,
     TimeGrid,
+    ensemble_summary,
     resolvent,
+    simulate_particles,
+    solve_deterministic_limit,
     tail_probability_probe,
     config,
     fluctuations,
@@ -102,7 +106,7 @@ def _oracle_fmt(x) -> str:
         return str(int(x))
     if x is None:
         return ""
-    return f"{float(x):.17g}"
+    return shortest_text(x)
 
 
 def _oracle_ensemble_csv(path, ensemble):
@@ -139,22 +143,23 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, -np.
                np.inf, -np.inf, 1e300, -1e300, 1.0, -3.0, 12345678.0, 2.0**53, 0.1, 1 / 3]
 
 
-# sha256 of two small seeded artifacts, recorded from the per-row writers
-# that the block writers replaced: a simulate run at d = 2 and an fbm
-# resolvent run.  Their bytes must not move.
+# sha256 of two small seeded artifacts, a simulate run at d = 2 and an fbm
+# resolvent run, recorded with shortest round-trip float text once every
+# cell was shown to parse to the double the %.17g text gave.  Their bytes
+# must not move.
 PINNED_SIMULATE = "\n[model]\ndim = 2\nm = 2\n[run]\nN = 16\n[output]\nensemble_csv = true\n"
-PINNED_ENSEMBLE_SHA256 = "59bf043436dc90b35ddd9098395f767fbe9a52684af7be897f857d09da50c4da"
+PINNED_ENSEMBLE_SHA256 = "0d5eb2d9f144435fa21c78a4932c5330018d05817ee146c3f23bafd98ea89839"
 PINNED_RESOLVENT = ("[experiment]\nkind = resolvent\n[kernel1]\nfamily = fbm\nH = 0.3\n"
                     "[grid]\nT = 1.0\nn_steps = 40\n")
-PINNED_RESOLVENT_SHA256 = "31cbb683a07fda6f6e1da7c65680b17c41bbfc49b7fd94b69a64c8ecae7f324b"
+PINNED_RESOLVENT_SHA256 = "fc5e49e12cd92f4eb661cc89a3ab871f39dc5e3d31558882f7a267b059147aa4"
 # and, seed 7, the tiny sizes of the clt_rough and rate_min_ldp benchmark
 # workloads: a clt sweep whose particle passes fold their sup and keep no
 # path, and the control of the ldp rate minimizer
 PINNED_CLT = "\n[model]\nsigma1 = 0.5\n[run]\nN = 200\n" + CLT_SWEEP
-PINNED_CLT_SHA256 = "da8f2f3b1a5110bc1fe26bbe268183953c41bfcb3df5ceae32e729ed2c8ebfea"
+PINNED_CLT_SHA256 = "72c753689de5674fa29da9ae69795756fdccfb6b633d1ec16a76a03bdc76d559"
 PINNED_RATE_MIN = ("\n[model]\nsigma1 = 0.5\nxi = 0.0\n[grid]\nn_steps = 20\n"
                    "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 1.0\n")
-PINNED_CONTROL_SHA256 = "f0c58a2c975bf170ac8ada47657414d647ac29c10d20ff837263d0ce0dfb6847"
+PINNED_CONTROL_SHA256 = "2e7ed80bf4bb12a9fc49f58c368a50a96e6493015d93a27af07f9830d54af676"
 
 
 def _sha256(path):
@@ -344,6 +349,23 @@ n_steps = 1000
         assert sorted(calls) == ["normal_increments", "solve_deterministic_limit"]
         with open(os.path.join(res.out_dir, "clt.csv")) as fh:
             assert len(list(csv.reader(fh))) == 5
+
+    def test_tail_csv_carries_rel_stderr_and_ess(self, tmp_path):
+        # x_T is N(0, eps): at eps = 0.01 no particle reaches 1.5, and that
+        # censored cell leaves its estimates empty; a crude cell's ess is its
+        # hit count
+        extra = ("\n[model]\nA = 0.0\nB = 0.0\nxi = 0.0\n[run]\nN = 200\neps_list = [0.01, 1.0]\n"
+                 "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 1.5\n")
+        res = run_experiment(_cfg("tail-probe", extra), out_dir=tmp_path / "out")
+        with open(os.path.join(res.out_dir, "tail.csv"), newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["eps", "h", "n_hits", "p_hat", "normalized_decay", "censored",
+                          "resolved", "rel_stderr", "ess"]
+        censored, hit = (dict(zip(header, row)) for row in rows)
+        assert censored["censored"] == "true"
+        assert [censored[c] for c in ("p_hat", "normalized_decay", "rel_stderr", "ess")] == [""] * 4
+        assert hit["censored"] == "false" and int(hit["n_hits"]) > 0
+        assert float(hit["ess"]) == int(hit["n_hits"]) and float(hit["rel_stderr"]) > 0.0
 
     def test_serial_tail_probe_validates_no_text(self, tmp_path, monkeypatch):
         validations = _count_validations(monkeypatch)
@@ -549,7 +571,50 @@ class TestLagWeights:
         assert [w.shape for w in _dense_matrices(cfg.k1)] == [(n + 1, n)]
 
 
+def _assert_cells_are(path, expected):
+    # every cell of the file parses to the bits of its source double, in the
+    # oracle's text, row for row and column for column
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected = np.asarray(expected, dtype=float)
+    assert [len(row) for row in rows] == [expected.shape[1]] * expected.shape[0]
+    texts = [cell for row in rows for cell in row]
+    got = np.array([float(cell) for cell in texts])
+    assert np.array_equal(got.view(np.uint64), expected.ravel().view(np.uint64))
+    assert texts == [shortest_text(v) for v in expected.ravel().tolist()]
+
+
 class TestWriters:
+    def test_artifacts_read_back_as_their_doubles(self, tmp_path):
+        cfg = _cfg("simulate", PINNED_SIMULATE, base=ROUGH)
+        out = run_experiment(cfg, out_dir=tmp_path / "sim").out_dir
+        ens = simulate_particles(cfg.k1, cfg.k2, cfg.coeffs, cfg.xi, cfg.eps_list[0], cfg.grid,
+                                 cfg.n_particles, cfg.seed)
+        n, steps, d = ens.states.shape
+        times = cfg.grid.times
+        _assert_cells_are(os.path.join(out, "ensemble.csv"), np.column_stack([
+            np.repeat(np.arange(n), steps), np.tile(np.arange(steps), n), np.tile(times, n),
+            ens.states.reshape(-1, d)]))
+        summary = ensemble_summary(ens, p_list=cfg.p_list)
+        _assert_cells_are(os.path.join(out, "summary.csv"), np.column_stack(
+            [summary["t"], summary["mean"], summary["var"]]
+            + [summary[f"moment_p{p}"] for p in cfg.p_list]))
+
+        cfg = validate_config(PINNED_RESOLVENT)
+        out = run_experiment(cfg, out_dir=tmp_path / "res").out_dir
+        weights = resolvent(GridKernel.from_kernel(cfg.k1, cfg.grid)).weights
+        i, j = np.tril_indices(cfg.grid.n_steps + 1, -1)
+        times = cfg.grid.times
+        _assert_cells_are(os.path.join(out, "resolvent.csv"),
+                          np.column_stack([times[i], times[j], weights[i, j]]))
+
+        cfg = _cfg("limit", base=ROUGH)
+        out = run_experiment(cfg, out_dir=tmp_path / "limit").out_dir
+        path = solve_deterministic_limit(cfg.k1, cfg.coeffs, cfg.xi, cfg.grid)
+        times = cfg.grid.times
+        _assert_cells_are(os.path.join(out, "path.csv"),
+                          np.column_stack([np.arange(len(times)), times, path]))
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_ensemble_bytes_match_oracle(self, tmp_path, d):
         grid = TimeGrid(0.7, 9)
@@ -640,14 +705,14 @@ class TestWriters:
         assert _read(os.path.join(res.out_dir, "resolvent.csv")) == _read(tmp_path / "old.csv")
 
     def test_cell_and_line_format(self, tmp_path):
-        # the format README states: %.17g floats, decimal ints, true/false,
-        # None as an empty cell, CRLF line ends
+        # the format README states: shortest round-trip floats, decimal ints,
+        # true/false, None as an empty cell, CRLF line ends
         _write_csv(tmp_path / "t.csv", ["a", "b"],
                    [[True, np.bool_(False), None, 3, np.int64(-4), 0.1, -0.0, np.float64(1e300)],
-                    [np.nan, -np.inf]])
+                    [np.nan, -np.inf, 1 / 3, 2.0**60, 0.005, 1e16]])
         assert _read(tmp_path / "t.csv") == (
-            b"a,b\r\ntrue,false,,3,-4,0.10000000000000001,-0,1.0000000000000001e+300\r\n"
-            b"nan,-inf\r\n"
+            b"a,b\r\ntrue,false,,3,-4,0.1,-0,1e+300\r\n"
+            b"nan,-inf,0.3333333333333333,1.152921504606847e+18,0.005,10000000000000000\r\n"
         )
 
 
