@@ -286,9 +286,13 @@ def validate_config(text: str) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             issues.append(f"model: {exc}")
 
-    k1 = _kernel_from_section(issues, data, "kernel1", required=True)
-    k2 = _kernel_from_section(issues, data, "kernel2", required=need.kernel2)
-    kc = _kernel_from_section(issues, data, "kernelc", required=False)
+    # a section equal to an earlier one shares its kernel object, and with it
+    # the weights the object caches: a run builds, holds and budgets them once
+    kernels = {}
+    for section, required in (("kernel1", True), ("kernel2", need.kernel2), ("kernelc", False)):
+        same = [k for s, k in kernels.items() if k is not None and data.get(s) == data.get(section)]
+        kernels[section] = same[0] if same else _kernel_from_section(issues, data, section, required)
+    k1, k2, kc = kernels.values()
 
     n_particles = _check_number(issues, data, "run", "N", 1000, integer=True)
     if isinstance(n_particles, int) and n_particles < 1:

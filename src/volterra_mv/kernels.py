@@ -219,11 +219,8 @@ class Kernel:
                                              np.zeros(n * (n + 1) // 2)), n)
 
     def average_weights(self, grid: TimeGrid) -> np.ndarray:
-        """Cell-averaged weight matrix of shape (n+1, n); zero for j >= i."""
-        _check_horizon(self, grid)
-        if self.stationary:
-            return _toeplitz_strict_lower(self.average_lags(grid), grid.n_steps)
-        return self.average_triangle(grid).dense()
+        """Cell-averaged (n+1, n) weights, zero for j >= i: the cached march weights unpacked."""
+        return march_weights(self, grid).dense()
 
 
 @dataclass(frozen=True)
@@ -568,8 +565,33 @@ class CustomKernel(Kernel):
                               first_row=grid.n_steps)
 
 
+class _Rows:
+    """Weights of an n-step grid held by rows, as a march reads them: ``n_steps``,
+    and ``row(i)``, the weights w[i, :i] of node i for 1 <= i <= n."""
+
+    def dense(self) -> np.ndarray:
+        """The (n+1, n) matrix, zero for j >= i."""
+        n = self.n_steps
+        w = np.zeros((n + 1, n))
+        for i in range(1, n + 1):
+            w[i, :i] = self.row(i)
+        return w
+
+
+class LagRows(_Rows):
+    """The weights w[i, j] = lags[i - j - 1] of a stationary kernel's n lags,
+    held once reversed: row i is the last i of the reversed lags."""
+
+    def __init__(self, lags: np.ndarray):
+        self._reversed = np.asarray(lags, dtype=float)[::-1].copy()
+        self.n_steps = len(self._reversed)
+
+    def row(self, i: int) -> np.ndarray:
+        return self._reversed[self.n_steps - i:]
+
+
 @dataclass(frozen=True, eq=False)
-class PackedTriangle:
+class PackedTriangle(_Rows):
     """The strictly lower triangle of (n+1, n) grid weights, n(n+1)/2 floats
     packed row after row: row i, over its columns j < i, is
     values[i(i-1)/2 : i(i+1)/2]."""
@@ -580,14 +602,6 @@ class PackedTriangle:
     def row(self, i: int) -> np.ndarray:
         start = i * (i - 1) // 2
         return self.values[start : start + i]
-
-    def dense(self) -> np.ndarray:
-        """The (n+1, n) matrix, zero for j >= i."""
-        n = self.n_steps
-        w = np.zeros((n + 1, n))
-        for i in range(1, n + 1):
-            w[i, :i] = self.row(i)
-        return w
 
 
 def _power_lags(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
@@ -606,16 +620,6 @@ def _packed_lags(lag: np.ndarray) -> np.ndarray:
     rev = np.asarray(lag, dtype=float)[::-1]
     n = len(rev)
     return np.concatenate([rev[n - i:] for i in range(1, n + 1)])
-
-
-def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
-    """Weight matrix w[i, j] = lag[i - j - 1] for j < i, zero elsewhere.
-
-    Row i is the window at n - i of the reversed lags followed by n + 1
-    zeros, so the matrix is one copy of n + 1 overlapping windows.
-    """
-    padded = np.concatenate([np.asarray(lag, dtype=float)[::-1], np.zeros(n + 1)])
-    return np.lib.stride_tricks.sliding_window_view(padded, n)[n::-1].copy()
 
 
 def _edge_rule(exponent, span):
@@ -794,6 +798,13 @@ class GridKernel:
     def zero(cls, grid: TimeGrid) -> "GridKernel":
         return cls(grid=grid, weights=np.zeros((grid.n_steps + 1, grid.n_steps)))
 
+    @property
+    def n_steps(self) -> int:
+        return self.grid.n_steps
+
+    def row(self, i: int) -> np.ndarray:
+        return self.weights[i, :i]
+
     def apply(self, path: np.ndarray) -> np.ndarray:
         """Left-point Volterra application: out[i] = dt * sum_{k<i} w[i,k] path[k]."""
         path = np.asarray(path, dtype=float)
@@ -824,23 +835,29 @@ def _cached(kernel: Kernel, name: str, grid: TimeGrid, build):
 def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     """The dense (n+1, n) cell-averaged weights, cached on the kernel for the
     last grid it was used on, so a kernel holds at most one dense matrix.
-
     Only the algebra that indexes the matrix asks for it: the rate functionals,
-    ``GridKernel``, ``resolvent`` and ``convolve``.  A stationary kernel builds
-    it from its lags, any other unpacks its cached triangle; a march reads
-    those alone (``march_weights``).
-    """
+    ``GridKernel``, ``resolvent`` and ``convolve``; a march reads the cached
+    march weights it is unpacked from."""
+    return _cached(kernel, "_weights_cache", grid, kernel.average_weights)
+
+
+def _march_form(kernel: Kernel):
+    """The form of a kernel's march weights, as its build on a grid and its
+    floats on an n-step grid: a stationary kernel's n lags (LagRows), any
+    other's n(n+1)/2 packed floats (PackedTriangle)."""
     if kernel.stationary:
-        return _cached(kernel, "_weights_cache", grid, kernel.average_weights)
-    return _cached(kernel, "_weights_cache", grid, lambda g: march_weights(kernel, g).dense())
+        return lambda grid: LagRows(kernel.average_lags(grid)), lambda n: n
+    return kernel.average_triangle, lambda n: n * (n + 1) // 2
 
 
 def march_weights(kernel: Kernel, grid: TimeGrid):
-    """The weights a march's History reads, cached as grid_weights caches the
-    matrix: a stationary kernel's n lags, else its packed triangle."""
-    if kernel.stationary:
-        return _cached(kernel, "_lags_cache", grid, kernel.average_lags)
-    return _cached(kernel, "_triangle_cache", grid, kernel.average_triangle)
+    """A march's weights in the form ``_march_form`` picks, cached as the matrix is."""
+    return _cached(kernel, "_march_cache", grid, _march_form(kernel)[0])
+
+
+def march_bytes(kernel: Kernel, n_steps: int) -> int:
+    """Bytes of a kernel's march weights on an n-step grid."""
+    return 8 * _march_form(kernel)[1](n_steps)
 
 
 # History sums terms of at least HISTORY_BLOCKED_WIDTH floats in blocks of
@@ -918,39 +935,29 @@ def _one_blas_thread_below(width: int):
             _set_blas_threads(before)
 
 
-def _steps(weights) -> int:
-    """n of the weights of an n-step grid, in any form History reads."""
-    return weights.n_steps if isinstance(weights, PackedTriangle) else weights.shape[-1]
-
-
 class History:
     """Volterra history sums of a forward substitution on grid weights.
 
-    ``weights`` is the (n+1, n) strictly lower matrix of ``average_weights``,
-    its packed triangle (``average_triangle``), or the n lags of a stationary
-    kernel (``average_lags``), which stand for the matrix
-    weights[i, j] = lags[i - j - 1].
+    ``weights`` is a form of the (n+1, n) strictly lower weights, and History
+    reads only its ``n_steps`` and ``row(i)``, the weights w[i, :i]: the lags of
+    ``LagRows``, a ``PackedTriangle`` or the dense matrix of a ``GridKernel``.
     A term is a scalar (``shape=()``) or a flat vector (``shape=(width,)``).
     The i-th ``push(h)`` stores ``h`` as h_i and returns
     ``sum_{k <= i} weights[i+1, k] h_k``, the history term of node i+1, so a
     scheme x[i+1] = base + dt * sum_k w[i+1, k] f(x_k) pushes f(x_i) once per
     step.
 
-    A narrow term is summed as the dense slice product, one GEMV over the
-    whole history per push.  A wide term splits the sum at b0, the first step
-    of the block of B = HISTORY_BLOCK steps that holds i: one GEMM at step b0
+    A narrow term is summed as the row product, one GEMV over the whole
+    history per push.  A wide term splits the sum at b0, the first step of
+    the block of B = HISTORY_BLOCK steps that holds i: one GEMM at step b0
     forms the far part ``weights[b0+1 : b0+B+1, :b0] @ h[:b0]`` of every row
     of the block, and each push adds the near part over h[b0 : i+1], so a
     step rereads at most B history rows instead of i+1.  Only the order of
     the additions changes (about 2e-15 relative per push).  The far sums
     live in the block's own rows of the history, which no push has written
     yet: push i moves row i's into a one-row scratch before it stores h_i
-    there.
-
-    Over lags or a packed triangle, a row slice is a contiguous slice, and a
-    far block is copied into a window whose rows are laid out as the
-    matrix's: the products read the operands they would read in the matrix,
-    and the sums are the same bit for bit.
+    there.  A far block is copied row by row into a window laid out as the
+    matrix's rows, so the sums are the same bit for bit in every form.
 
     ``buffers`` lends the history its value, window and scratch buffers, as
     ``Workspace.history`` does; without them it allocates its own.  Every
@@ -959,32 +966,20 @@ class History:
 
     def __init__(self, weights, shape: tuple = (), buffers=None):
         self.weights = weights
-        n = _steps(weights)
-        wide = math.prod(shape) >= HISTORY_BLOCKED_WIDTH
         if buffers is None:
-            buffers = (np.empty((n, *shape)), None, np.empty(shape) if wide else None)
+            n, wide = weights.n_steps, math.prod(shape) >= HISTORY_BLOCKED_WIDTH
+            buffers = (np.empty((n, *shape)), np.empty((HISTORY_BLOCK, n)) if wide else None,
+                       np.empty(shape) if wide else None)
         self._values, self._window, self._scratch = buffers
-        self._dense = isinstance(weights, np.ndarray) and weights.ndim == 2
-        if self._dense:
-            self._full_row = lambda r: weights[r, :r]
-        elif isinstance(weights, PackedTriangle):
-            self._full_row = weights.row
-        else:
-            rev = weights[::-1].copy()
-            self._full_row = lambda r: rev[n - r:]
-        if wide and not self._dense and self._window is None:
-            self._window = np.empty((HISTORY_BLOCK, n))
         self._count = 0
 
     def _far_rows(self, b0: int) -> np.ndarray:
         """Rows b0+1 .. b0+B of the weights, those up to row n, over the
-        columns j < b0."""
-        if self._dense:
-            return self.weights[b0 + 1 : b0 + HISTORY_BLOCK + 1, :b0]
+        columns j < b0, copied into the window."""
         rows = min(HISTORY_BLOCK, len(self._values) - b0)
         far = self._window[:rows, :b0]
         for k in range(rows):
-            far[k] = self._full_row(b0 + 1 + k)[:b0]
+            far[k] = self.weights.row(b0 + 1 + k)[:b0]
         return far
 
     def push(self, h) -> np.ndarray:
@@ -993,7 +988,7 @@ class History:
         if self._scratch is None or b0 == 0:
             self._values[i] = h
             self._count = i + 1
-            return self._full_row(i + 1) @ self._values[: i + 1]
+            return self.weights.row(i + 1) @ self._values[: i + 1]
         if i == b0:
             far = self._far_rows(b0)
             np.matmul(far, self._values[:b0], out=self._values[b0 : b0 + len(far)])
@@ -1001,7 +996,7 @@ class History:
         far_i[...] = self._values[i]
         self._values[i] = h
         self._count = i + 1
-        return far_i + self._full_row(i + 1)[b0:] @ self._values[b0 : i + 1]
+        return far_i + self.weights.row(i + 1)[b0:] @ self._values[b0 : i + 1]
 
 
 class Workspace:
@@ -1020,7 +1015,7 @@ class Workspace:
         self._draws = None
 
     def history(self, weights, shape: tuple = ()) -> History:
-        rows = (_steps(weights), *shape)
+        rows = (weights.n_steps, *shape)
         for k, buffers in enumerate(self._free):
             if buffers[0].shape == rows:
                 return History(weights, shape, buffers=self._free.pop(k))
@@ -1054,7 +1049,7 @@ def resolvent(k: GridKernel) -> GridKernel:
     n = k.grid.n_steps
     dt = k.grid.dt
     r = k.weights.copy()
-    hist = History(k.weights, (n,))
+    hist = History(k, (n,))
     with _one_blas_thread_below(n):
         hist.push(r[0])  # row 0 vanishes, so R and K share row 1
         for i in range(2, n + 1):
@@ -1087,7 +1082,7 @@ def gronwall_check(k: GridKernel, g: np.ndarray) -> GronwallReport:
     dt = k.grid.dt
     f = np.empty(n + 1)
     f[0] = g[0]
-    hist = History(k.weights)
+    hist = History(k)
     for i in range(n):
         f[i + 1] = g[i + 1] + dt * hist.push(f[i])
     r = resolvent(k)

@@ -419,6 +419,9 @@ def tail_probability_probe(model: Model, mode: str, event: Halfspace, eps_list,
     # the checks of simulate_particles, which a crude cell does not call
     if not all(0.0 <= float(e) <= 1.0 for e in eps_list):
         raise ValueError("eps must lie in [0, 1]")
+    # h(eps) = eps^-h_beta needs eps > 0
+    if mode == "mdp" and 0.0 in (float(e) for e in eps_list):
+        raise ValueError("eps must lie in (0, 1]")
     if n_particles < 1:
         raise ValueError("need at least one particle")
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))

@@ -23,7 +23,7 @@ from .errors import BudgetError, ConfigError
 from .floattext import float_text
 from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
 from .kernels import (HISTORY_BLOCK, HISTORY_BLOCKED_WIDTH, GridKernel, _cell_averages_scratch,
-                      _set_blas_threads, regularity_probe, resolvent)
+                      _set_blas_threads, march_bytes, regularity_probe, resolvent)
 from .rates import (Halfspace, RateProblem, _control_kernel, ldp_rate, mdp_rate,
                     minimize_rate_endpoint, tail_probability_probe)
 from .rng import scratch_bytes as _draw_scratch_bytes
@@ -93,19 +93,19 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     for name, dense in kind.weights:
         k = control if name == "control" else getattr(cfg, name)
         built.setdefault(id(k), (k, dense))
-    # each kernel's n lags or n(n+1)/2 packed floats; in a wide march of N
-    # particles, the window of HISTORY_BLOCK rows that its History copies far
-    # blocks of them into; and the dense matrix of a kernel that is indexed
+    # each kernel's march weights and the dense matrix of a kernel that is
+    # indexed; and in a wide march of N particles, the window of HISTORY_BLOCK
+    # rows that each of its drift and noise histories copies far blocks into
     wide = kind.particles and cfg.n_particles * cfg.coeffs.d >= HISTORY_BLOCKED_WIDTH
-    weights = sum((n if k.stationary else n * (n + 1) // 2) + HISTORY_BLOCK * n * wide
-                  + (n + 1) * n * dense for k, dense in built.values())
+    weights = 8 * 2 * HISTORY_BLOCK * n * wide + sum(
+        march_bytes(k, n) + 8 * (n + 1) * n * dense for k, dense in built.values())
     # and the scratch of the cell quadrature that builds a kernel that is not
     # stationary.  A weight build is its own phase: it comes before the
     # larger arrays of its run, so its scratch is counted beside the weights
     # alone
     build = max((_cell_averages_scratch(n, _BUILD_TEMPORARIES[k.family])
                  for k, _ in built.values() if not k.stationary), default=0)
-    return weights * 8 + max(kind.memory(cfg), build)
+    return weights + max(kind.memory(cfg), build)
 
 
 def _model(cfg: ExperimentConfig) -> Model:
@@ -402,9 +402,11 @@ def _run_resolvent(cfg: ExperimentConfig, art, workers: int):
 
 def _resolvent_bytes(cfg: ExperimentConfig) -> int:
     # the resolvent's rows, the history of its forward substitution and the
-    # check of its zeros, and one block of resolvent.csv rows
+    # check of its zeros, the window of HISTORY_BLOCK rows that a wide
+    # history copies far blocks into, and one block of resolvent.csv rows
     n = cfg.grid.n_steps
-    return 8 * 2 * (n + 1) * n + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
+    window = HISTORY_BLOCK * n * (n >= HISTORY_BLOCKED_WIDTH)
+    return 8 * (2 * (n + 1) * n + window) + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
 
 
 def _run_probe(cfg: ExperimentConfig, art, workers: int):

@@ -332,6 +332,25 @@ class TestKernelProbe:
         assert validate_config(text.format("limit")).probe_kernel == "kernel2"
 
 
+class TestSharedKernels:
+    def test_equal_sections_share_one_kernel_object(self):
+        # so that a run builds, holds and budgets their weights once
+        cfg = validate_config(MINIMAL + "\n[kernelc]\nfamily = constant\nc = 1.0\n")
+        assert cfg.k1 is cfg.k2 and cfg.kc is cfg.k1
+        text = MINIMAL.replace("[kernel1]\nfamily = constant\nc = 1.0",
+                               "[kernel1]\nfamily = fbm\nH = 0.3")
+        cfg = validate_config(text + "\n[kernelc]\nfamily = constant\nc = 1.0\n")
+        assert cfg.k1 is not cfg.k2 and cfg.kc is cfg.k2
+
+    @pytest.mark.parametrize("kernel2", ["family = constant\nc = 2.0", "family = power\nH = 0.3",
+                                         "family = fbm\nH = 0.3"])
+    def test_different_sections_stay_distinct(self, kernel2):
+        cfg = validate_config(MINIMAL.replace("[kernel2]\nfamily = constant\nc = 1.0",
+                                              "[kernel2]\n" + kernel2))
+        assert cfg.k1 is not cfg.k2 and cfg.k1 != cfg.k2
+        assert cfg.kc is None
+
+
 class TestUnknownKeys:
     @pytest.mark.parametrize("extra, issue", [
         ("[run]\nn = 7", "run.n: unknown key (allowed: N, seed, eps, eps_list, p_list, h_beta)"),

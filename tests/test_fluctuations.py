@@ -192,8 +192,8 @@ class TestChainedPairs:
         real = fluctuations._rng.normal_increments
 
         def drawing(*args):
-            cached.append([getattr(k, name, None) is not None for k, name in
-                           ((model.k1, "_lags_cache"), (model.k2, "_triangle_cache"))])
+            cached.append([getattr(k, "_march_cache", None) is not None
+                           for k in (model.k1, model.k2)])
             return real(*args)
 
         monkeypatch.setattr(fluctuations._rng, "normal_increments", drawing)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -37,6 +38,7 @@ from volterra_mv.kernels import (
     HISTORY_BLOCK,
     HISTORY_BLOCKED_WIDTH,
     History,
+    LagRows,
     PackedTriangle,
     Workspace,
     _quad_power_edges,
@@ -47,11 +49,20 @@ from volterra_mv.kernels import (
     _SeriesScratch,
     _set_blas_threads,
     _openblas_threads,
-    _toeplitz_strict_lower,
     fbm_normalizer,
     grid_weights,
     march_weights,
 )
+
+
+def _toeplitz_strict_lower(lag: np.ndarray, n: int) -> np.ndarray:
+    """Weight matrix w[i, j] = lag[i - j - 1] for j < i, zero elsewhere.
+
+    Row i is the window at n - i of the reversed lags followed by n + 1
+    zeros, so the matrix is one copy of n + 1 overlapping windows.
+    """
+    padded = np.concatenate([np.asarray(lag, dtype=float)[::-1], np.zeros(n + 1)])
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[n::-1].copy()
 
 
 def _oracle_fbm_weights(kern, grid):
@@ -537,7 +548,7 @@ class TestGridWeights:
         # TimeGrid needs two steps, so n = 1 runs on a stand-in with the same
         # fields; n = 600 spans three row chunks and 179700 interior cells
         grid = (TimeGrid(1.0, n) if n > 1
-                else SimpleNamespace(n_steps=1, dt=1.0, times=np.array([0.0, 1.0])))
+                else SimpleNamespace(n_steps=1, dt=1.0, horizon=1.0, times=np.array([0.0, 1.0])))
         kern = FbmKernel(hurst)
         got = kern.average_weights(grid)
         want = _oracle_fbm_weights(kern, grid)
@@ -578,7 +589,7 @@ class TestHistory:
         lower = np.tril(rng.normal(size=(n + 1, n)), k=-1)
         for w in (FbmKernel(0.3).average_weights(grid), lower):
             h = rng.normal(size=(n, *shape))
-            hist = History(w, shape)
+            hist = History(GridKernel(grid, w), shape)
             for i in range(n):
                 got = hist.push(h[i])
                 dense = w[i + 1, : i + 1] @ h[: i + 1]
@@ -596,7 +607,7 @@ class TestHistory:
         lower = np.tril(rng.normal(size=(n + 1, n)), k=-1)
         for w in (FbmKernel(0.3).average_weights(grid), lower):
             h = rng.normal(size=(n, *shape))
-            hist = History(w, shape)
+            hist = History(GridKernel(grid, w), shape)
             assert hist._scratch is not None
             for i in range(n):
                 got = hist.push(h[i])
@@ -635,14 +646,15 @@ class TestLagHistory:
         assert lags.shape == (n,)
         assert np.array_equal(dense, _toeplitz_strict_lower(lags, n))
         rng = np.random.default_rng(n)
+        rows, ref_rows = LagRows(lags), GridKernel(grid, dense)
         pool = Workspace()
-        stale = pool.history(lags, shape)
+        stale = pool.history(rows, shape)
         for h in rng.normal(size=(n, *shape)):
             stale.push(h)
         pool.release(stale)
         h = rng.normal(size=(n, *shape))
-        for lagged in (History(lags, shape), pool.history(lags, shape)):
-            ref = History(dense, shape)
+        for lagged in (History(rows, shape), pool.history(rows, shape)):
+            ref = History(ref_rows, shape)
             for i in range(n):
                 np.testing.assert_array_equal(lagged.push(h[i]), ref.push(h[i]))
 
@@ -650,7 +662,9 @@ class TestLagHistory:
         grid = TimeGrid(1.0, 20)
         for kern in STATIONARY.values():
             lags = march_weights(kern, grid)
-            assert lags.shape == (20,) and march_weights(kern, grid) is lags
+            assert isinstance(lags, LagRows) and lags.n_steps == 20
+            assert march_weights(kern, grid) is lags
+            assert np.array_equal(lags.row(20), kern.average_lags(grid)[::-1])
             assert "_weights_cache" not in vars(kern)
         fbm = FbmKernel(0.3)
         packed = march_weights(fbm, grid)
@@ -698,7 +712,7 @@ class TestPackedTriangle:
         pool.release(stale)
         h = rng.normal(size=(n, *shape))
         for hist in (History(packed, shape), pool.history(packed, shape)):
-            ref = History(dense, shape)
+            ref = History(GridKernel(grid, dense), shape)
             for i in range(n):
                 np.testing.assert_array_equal(hist.push(h[i]), ref.push(h[i]))
             with pytest.raises(IndexError):
@@ -717,19 +731,24 @@ class TestPackedTriangle:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_indexing_unpacks_the_cached_triangle(self, monkeypatch):
-        # a kernel that marches and is indexed builds its cells once
+        # a kernel that marches and is indexed builds its cells, or a
+        # stationary kernel its lags, once; fresh copies of the stationary
+        # kernels hold no weights cached by other tests
+        kernels = [FbmKernel(0.3), *(dataclasses.replace(k) for k in STATIONARY.values())]
         builds = []
-        build = FbmKernel.average_triangle
+        targets = {(FbmKernel, "average_triangle")} | {(type(k), "average_lags") for k in kernels[1:]}
+        for cls, name in targets:
+            def counted(self, grid, build=getattr(cls, name)):
+                builds.append((self, grid.n_steps))
+                return build(self, grid)
 
-        def counted(self, grid):
-            builds.append(grid.n_steps)
-            return build(self, grid)
-
-        monkeypatch.setattr(FbmKernel, "average_triangle", counted)
-        kern, grid = FbmKernel(0.3), TimeGrid(1.0, 30)
-        packed = march_weights(kern, grid)
-        assert np.array_equal(grid_weights(kern, grid), packed.dense())
-        assert march_weights(kern, grid) is packed and builds == [30]
+            monkeypatch.setattr(cls, name, counted)
+        grid = TimeGrid(1.0, 30)
+        for kern in kernels:
+            form = march_weights(kern, grid)
+            assert np.array_equal(grid_weights(kern, grid), form.dense())
+            assert march_weights(kern, grid) is form
+            assert [n for k, n in builds if k is kern] == [30]
 
 
 class TestHistoryThreads:
@@ -762,7 +781,7 @@ class TestWorkspace:
         # one on fresh buffers: every push writes the rows it reads
         grid = TimeGrid(1.0, 2 * HISTORY_BLOCK + 11)
         n = grid.n_steps
-        w = FbmKernel(0.3).average_weights(grid)
+        w = GridKernel.from_kernel(FbmKernel(0.3), grid)
         rng = np.random.default_rng(3)
         pool = Workspace()
         first = pool.history(w, shape)
@@ -777,7 +796,7 @@ class TestWorkspace:
 
     def test_pool_matches_buffers_by_shape(self):
         grid = TimeGrid(1.0, 10)
-        w = ConstantKernel(1.0).average_weights(grid)
+        w = GridKernel.from_kernel(ConstantKernel(1.0), grid)
         pool = Workspace()
         a, b = pool.history(w, (4,)), pool.history(w, (4,))
         assert a._values is not b._values

@@ -33,7 +33,7 @@ from volterra_mv import (
     solve_deterministic_limit,
 )
 from volterra_mv import rates, solvers
-from volterra_mv.kernels import History, grid_weights
+from volterra_mv.kernels import GridKernel, History, grid_weights
 
 GRID = TimeGrid(1.0, 20)
 KERNELS = {
@@ -108,7 +108,7 @@ def loop_limit(k1, coeffs, xi, grid):
     n, d = grid.n_steps, coeffs.d
     dt, times = grid.dt, grid.times
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    drift = History(grid_weights(k1, grid), (d,))
+    drift = History(GridKernel(grid, grid_weights(k1, grid)), (d,))
     x = np.empty((n + 1, d))
     x[0] = xi_arr
     for i in range(n):
@@ -122,8 +122,8 @@ def loop_skeleton(k1, kc, coeffs, xi, v, x0_path, grid):
     n, d = grid.n_steps, coeffs.d
     dt, times = grid.dt, grid.times
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    drift = History(grid_weights(k1, grid), (d,))
-    ctrl = History(grid_weights(kc, grid), (d,))
+    drift = History(GridKernel(grid, grid_weights(k1, grid)), (d,))
+    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), (d,))
     x = np.empty((n + 1, d))
     x[0] = xi_arr
     for i in range(n):
@@ -182,8 +182,8 @@ def loop_terminal_sensitivity(mode, k1, kc, coeffs, x0_path, path, grid, normal)
 def loop_linearized(k1, kc, coeffs, v, x0_path, grid):
     n, d = grid.n_steps, coeffs.d
     dt, times = grid.dt, grid.times
-    drift = History(grid_weights(k1, grid), (d,))
-    ctrl = History(grid_weights(kc, grid), (d,))
+    drift = History(GridKernel(grid, grid_weights(k1, grid)), (d,))
+    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), (d,))
     diracs = [EmpiricalMeasure.dirac(x0_path[k]) for k in range(n)]
     grads = np.empty((n, d, d))
     forc = np.empty((n, d))
@@ -211,8 +211,8 @@ def loop_linear_limit(model, x0, dw, grid):
         grads[k] = coeffs.drift_gradient(times[k], x0[k][None, :], mu)[0]
         dls[k] = coeffs.drift_measure_derivative(times[k], x0[k], mu, x0[k][None, :])[0]
         sig0[k] = coeffs.diffusion(times[k], x0[k][None, :], mu)[0]
-    drift = History(grid_weights(model.k1, grid), (n_particles * d,))
-    noise = History(grid_weights(model.k2, grid), (n_particles * d,))
+    drift = History(GridKernel(grid, grid_weights(model.k1, grid)), (n_particles * d,))
+    noise = History(GridKernel(grid, grid_weights(model.k2, grid)), (n_particles * d,))
     z = np.empty((n_particles, n + 1, d))
     z[:, 0, :] = 0.0
     for i in range(n):
@@ -237,9 +237,9 @@ def loop_mdp_particles(k1, k2, kc, coeffs, v, x0_path, dw, grid, scale, noise_sc
     states = np.zeros((n_particles, n + 1, d))
     base = states[:, 0, :].reshape(-1)
     flat = (n_particles * d,)
-    drift = History(grid_weights(k1, grid), flat)
-    noise = History(grid_weights(k2, grid), flat)
-    ctrl = History(grid_weights(kc, grid), flat)
+    drift = History(GridKernel(grid, grid_weights(k1, grid)), flat)
+    noise = History(GridKernel(grid, grid_weights(k2, grid)), flat)
+    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), flat)
     for i in range(n):
         t = times[i]
         shifted = x0_path[i][None, :] + scale * states[:, i, :]
@@ -269,9 +269,9 @@ def loop_particles(k1, k2, kc, coeffs, xi, dw, grid, noise_scale, v=None, law=No
     states[:, 0, :] = xi
     base = np.tile(np.atleast_1d(np.asarray(xi, dtype=float)), (n_particles, 1)).reshape(-1)
     flat = (n_particles * d,)
-    drift = History(grid_weights(k1, grid), flat)
-    noise = History(grid_weights(k2, grid), flat)
-    ctrl = History(grid_weights(kc, grid), flat)
+    drift = History(GridKernel(grid, grid_weights(k1, grid)), flat)
+    noise = History(GridKernel(grid, grid_weights(k2, grid)), flat)
+    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), flat)
     for i in range(n):
         t = times[i]
         at = states[:, i, :]

@@ -560,6 +560,18 @@ class TestTailProbe:
             tail_probability_probe(model, "mdp", Halfspace([1.0], 1.0), [0.5],
                                    10, 0, grid, h_beta=0.7)
 
+    def test_mdp_mode_refuses_eps_zero(self):
+        # h(eps) = eps^-h_beta has no value at eps = 0, where ldp mode's
+        # noiseless cell is fine
+        grid = TimeGrid(1.0, 10)
+        model = Model(k1=UNIT, k2=UNIT, coeffs=_coeffs())
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            tail_probability_probe(model, "mdp", Halfspace([1.0], 1.0), [0.0, 0.5],
+                                   10, 0, grid, xi=0.0)
+        res = tail_probability_probe(model, "ldp", Halfspace([1.0], 1.0), [0.0, 0.5],
+                                     10, 0, grid, xi=0.0, with_reference=False)
+        assert [cell.eps for cell in res.cells] == [0.0, 0.5]
+
     def test_importance_gaussian_closed_form(self):
         # the minimizer-tilted probe must match the Gaussian tail within its
         # own reported standard error, down to P ~ 7.7e-13 at eps = 0.02

@@ -33,6 +33,7 @@ from volterra_mv import (
 )
 from volterra_mv.cli import main as cli_main
 from volterra_mv.config import validate_config
+from volterra_mv.kernels import LagRows
 from volterra_mv.runner import (
     _memory_estimate,
     _model,
@@ -152,6 +153,10 @@ PINNED_ENSEMBLE_SHA256 = "0d5eb2d9f144435fa21c78a4932c5330018d05817ee146c3f23baf
 PINNED_RESOLVENT = ("[experiment]\nkind = resolvent\n[kernel1]\nfamily = fbm\nH = 0.3\n"
                     "[grid]\nT = 1.0\nn_steps = 40\n")
 PINNED_RESOLVENT_SHA256 = "fc5e49e12cd92f4eb661cc89a3ab871f39dc5e3d31558882f7a267b059147aa4"
+# and a resolvent whose history is wide: n = 75 is two whole blocks of far
+# rows and a partial one
+PINNED_WIDE_RESOLVENT = PINNED_RESOLVENT.replace("n_steps = 40", "n_steps = 75")
+PINNED_WIDE_RESOLVENT_SHA256 = "c0a15911f8b9b1a6a39a7e5b91de8c1ddaa0bafd52b5840dbe8e737550eb50b6"
 # and, seed 7, the tiny sizes of the clt_rough and rate_min_ldp benchmark
 # workloads: a clt sweep whose particle passes fold their sup and keep no
 # path, and the control of the ldp rate minimizer
@@ -551,7 +556,8 @@ class TestLagWeights:
         marched = (cfg.k1,) if kind == "limit" else (cfg.k1, cfg.k2)
         for kern in marched:
             assert _dense_matrices(kern) == []
-            assert kern._lags_cache[1].shape == (cfg.grid.n_steps,)
+            lags = kern._march_cache[1]
+            assert isinstance(lags, LagRows) and lags.n_steps == cfg.grid.n_steps
 
     def test_crude_tail_probe_builds_no_dense_matrix_of_a_stationary_kernel(self):
         cfg = _cfg("tail-probe", TAIL, base=STATIONARY)
@@ -667,6 +673,8 @@ class TestWriters:
         assert _sha256(os.path.join(res.out_dir, "ensemble.csv")) == PINNED_ENSEMBLE_SHA256
         res = run_experiment(validate_config(PINNED_RESOLVENT), out_dir=tmp_path / "res")
         assert _sha256(os.path.join(res.out_dir, "resolvent.csv")) == PINNED_RESOLVENT_SHA256
+        res = run_experiment(validate_config(PINNED_WIDE_RESOLVENT), out_dir=tmp_path / "wide")
+        assert _sha256(os.path.join(res.out_dir, "resolvent.csv")) == PINNED_WIDE_RESOLVENT_SHA256
         res = run_experiment(_cfg("clt", PINNED_CLT, base=ROUGH), out_dir=tmp_path / "clt")
         assert _sha256(os.path.join(res.out_dir, "clt.csv")) == PINNED_CLT_SHA256
         res = run_experiment(_cfg("rate-min", PINNED_RATE_MIN), out_dir=tmp_path / "rate")
@@ -915,6 +923,18 @@ class TestCli:
         cfg = self._write_config(tmp_path, extra="\n[limits]\nmemory_bytes = 10\n")
         rc = cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 3
+
+    def test_equal_kernel_sections_are_budgeted_once(self):
+        # the rate_min_ldp benchmark config: its two equal constant sections
+        # are one kernel, whose 100 lags and 101 x 100 matrix count once
+        # (171,504 bytes when each section had its own kernel)
+        cfg = validate_config(
+            "[experiment]\nkind = rate-min\n[model]\nname = linear_mean_field\nA = 1.0\n"
+            "B = 0.5\nsigma0 = 1.0\nsigma1 = 0.5\nxi = 0.0\n[kernel1]\nfamily = constant\n"
+            "c = 1.0\n[kernel2]\nfamily = constant\nc = 1.0\n[grid]\nT = 1.0\nn_steps = 100\n"
+            "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 1.0\n[run]\nseed = 7\n")
+        assert cfg.k1 is cfg.k2
+        assert _memory_estimate(cfg) == 89904
 
     def test_clt_budget_counts_the_cell(self, tmp_path, monkeypatch):
         # N = 64, n = 40, d = 1: the old guard counted 2 N n d floats of 8 bytes
