@@ -177,6 +177,7 @@ class Kernel:
 
     family = "abstract"
     stationary = False
+    _cell_temporaries = 1  # arrays of its input's size its evaluator holds in a build by cells
     # algebraic edge exponents used by singularity-aware quadrature:
     # K(t, s) ~ s^edge_exponent_origin as s -> 0,
     # K(t, s) ~ (t-s)^edge_exponent_diagonal as s -> t.
@@ -208,19 +209,17 @@ class Kernel:
 
     def average_triangle(self, grid: TimeGrid) -> "PackedTriangle":
         """The strictly lower triangle of the cell-averaged weights, packed
-        row after row: a stationary kernel's from its lags, any other's by
-        cells."""
+        row after row, built by cells."""
         _check_horizon(self, grid)
-        n = grid.n_steps
-        if self.stationary:
-            return PackedTriangle(_packed_lags(self.average_lags(grid)), n)
-        return PackedTriangle(_cell_averages(self, grid, self.edge_exponent_origin,
-                                             self.edge_exponent_diagonal,
-                                             np.zeros(n * (n + 1) // 2)), n)
+        w = np.zeros(grid.n_steps * (grid.n_steps + 1) // 2)
+        _cell_averages(self, grid, self.edge_exponent_origin, self.edge_exponent_diagonal, w)
+        return PackedTriangle(w, grid.n_steps)
 
     def average_weights(self, grid: TimeGrid) -> np.ndarray:
-        """Cell-averaged (n+1, n) weights, zero for j >= i: the cached march weights unpacked."""
-        return march_weights(self, grid).dense()
+        """Cell-averaged (n+1, n) weights, zero for j >= i: the cached march
+        weights unpacked, or ones built for this call, which it does not cache."""
+        form = _cached(self, "_march_cache", grid)
+        return (_march_form(self)[0](grid) if form is None else form).dense()
 
 
 @dataclass(frozen=True)
@@ -332,6 +331,9 @@ class FbmKernel(Kernel):
 
     hurst: float
     family = "fbm"
+    # the correction's series scratch (4 float columns, a mask, 2 index columns)
+    # and about 5 more (tracemalloc, n = 50..1600)
+    _cell_temporaries = 12
 
     def __post_init__(self):
         if not (0.0 < self.hurst < 1.0):
@@ -438,21 +440,21 @@ class FbmKernel(Kernel):
         return ConstantKernel(1.0).average_lags(grid)
 
     def average_triangle(self, grid):
-        if self.stationary:
-            return super().average_triangle(grid)
-        # the leading power part exactly, and the correction, which is bounded
-        # at the diagonal and blows up like the kernel at the origin, by cells
-        w = _packed_lags(_power_lags(self.normalizer, self._a, grid))
+        # the leading power part exactly, packed (row i is the last i of the
+        # reversed lags), and the correction, which is bounded at the diagonal
+        # and blows up like the kernel at the origin, by cells
+        n = grid.n_steps
+        rev = _power_lags(self.normalizer, self._a, grid)[::-1]
+        w = np.concatenate([rev[n - i:] for i in range(1, n + 1)])
         # every block of the build evaluates the series in one scratch, of a
         # block of quadrature nodes or of all of them
-        n = grid.n_steps
         size = min(_FBM_BLOCK, _GL_NODES * n * (n + 1) // 2)
         object.__setattr__(self, "_block_scratch", _SeriesScratch(size))
         try:
             _cell_averages(self._correction, grid, self.edge_exponent_origin, 0.0, w)
         finally:
             object.__delattr__(self, "_block_scratch")
-        return PackedTriangle(w, grid.n_steps)
+        return PackedTriangle(w, n)
 
 
 @dataclass(frozen=True)
@@ -462,6 +464,7 @@ class TabulatedKernel(Kernel):
     times: np.ndarray
     values: np.ndarray  # values[i, j] = K(times[i], times[j]) for j < i
     family = "tabulated"
+    _cell_temporaries = 14  # in __call__ (tracemalloc, n = 50..1600)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -612,14 +615,6 @@ def _power_lags(scale: float, a: float, grid: TimeGrid) -> np.ndarray:
         raise NonIntegrableError("power kernel is not integrable at the diagonal")
     r = np.arange(grid.n_steps + 1, dtype=float)
     return scale * grid.dt**a * (r[1:] ** q - r[:-1] ** q) / q
-
-
-def _packed_lags(lag: np.ndarray) -> np.ndarray:
-    """The packed triangle of w[i, j] = lag[i - j - 1]: row i is the last i
-    of the reversed lags."""
-    rev = np.asarray(lag, dtype=float)[::-1]
-    n = len(rev)
-    return np.concatenate([rev[n - i:] for i in range(1, n + 1)])
 
 
 def _edge_rule(exponent, span):
@@ -821,43 +816,50 @@ class GridKernel:
         return float(np.abs(self.weights).max(initial=0.0))
 
 
-def _cached(kernel: Kernel, name: str, grid: TimeGrid, build):
+def _cached(kernel: Kernel, name: str, grid: TimeGrid, build=None):
     """build(grid), cached as attribute ``name`` of the (immutable) kernel for
-    the last grid it was used on."""
+    the last grid it was used on; without ``build``, the cached value or None."""
     key = (grid.horizon, grid.n_steps)
-    cached = getattr(kernel, name, None)
-    if cached is None or cached[0] != key:
+    cached = getattr(kernel, name, (None, None))
+    if cached[0] != key and build is not None:
         cached = (key, build(grid))
         object.__setattr__(kernel, name, cached)
-    return cached[1]
+    return cached[1] if cached[0] == key else None
 
 
 def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
     """The dense (n+1, n) cell-averaged weights, cached on the kernel for the
     last grid it was used on, so a kernel holds at most one dense matrix.
     Only the algebra that indexes the matrix asks for it: the rate functionals,
-    ``GridKernel``, ``resolvent`` and ``convolve``; a march reads the cached
-    march weights it is unpacked from."""
+    ``GridKernel``, ``resolvent`` and ``convolve``; a march reads its march
+    weights, and the matrix unpacks those."""
     return _cached(kernel, "_weights_cache", grid, kernel.average_weights)
 
 
 def _march_form(kernel: Kernel):
-    """The form of a kernel's march weights, as its build on a grid and its
-    floats on an n-step grid: a stationary kernel's n lags (LagRows), any
-    other's n(n+1)/2 packed floats (PackedTriangle)."""
+    """The form of a kernel's march weights, as its build on a grid, its cut
+    from the dense matrix, and its bytes and build scratch bytes at n steps:
+    n lags (LagRows) of a stationary kernel, else n(n+1)/2 packed floats
+    (PackedTriangle) built by cells."""
     if kernel.stationary:
-        return lambda grid: LagRows(kernel.average_lags(grid)), lambda n: n
-    return kernel.average_triangle, lambda n: n * (n + 1) // 2
+        return (lambda grid: LagRows(kernel.average_lags(grid)), lambda w: LagRows(w[-1, ::-1]),
+                lambda n: (8 * n, 0))
+    return (kernel.average_triangle,
+            lambda w: PackedTriangle(w[np.tri(*w.shape, -1, dtype=bool)], w.shape[1]),
+            lambda n: (8 * (n * (n + 1) // 2), _cell_averages_scratch(n, kernel._cell_temporaries)))
 
 
 def march_weights(kernel: Kernel, grid: TimeGrid):
-    """A march's weights in the form ``_march_form`` picks, cached as the matrix is."""
-    return _cached(kernel, "_march_cache", grid, _march_form(kernel)[0])
+    """A march's weights in the form ``_march_form`` picks, cached as the matrix
+    is, and cut from the cached matrix if there is one: the same floats."""
+    build, cut, _ = _march_form(kernel)
+    dense = _cached(kernel, "_weights_cache", grid)
+    return _cached(kernel, "_march_cache", grid, build if dense is None else lambda _: cut(dense))
 
 
-def march_bytes(kernel: Kernel, n_steps: int) -> int:
-    """Bytes of a kernel's march weights on an n-step grid."""
-    return 8 * _march_form(kernel)[1](n_steps)
+def march_bytes(kernel: Kernel, n_steps: int) -> tuple:
+    """Bytes of a kernel's march weights at n steps, and of their build's scratch."""
+    return _march_form(kernel)[2](n_steps)
 
 
 # History sums terms of at least HISTORY_BLOCKED_WIDTH floats in blocks of
@@ -935,6 +937,18 @@ def _one_blas_thread_below(width: int):
             _set_blas_threads(before)
 
 
+def _history_shapes(n_steps: int, shape: tuple) -> tuple:
+    """The shapes of a History's value, window and scratch buffers: n terms,
+    and for a wide term HISTORY_BLOCK rows of n weights and one term."""
+    wide = math.prod(shape) >= HISTORY_BLOCKED_WIDTH
+    return (n_steps, *shape), (HISTORY_BLOCK, n_steps) if wide else None, shape if wide else None
+
+
+def history_bytes(width: int, n_steps: int) -> int:
+    """Bytes of the buffers of a History of ``width``-float terms at n steps."""
+    return 8 * sum(math.prod(s) for s in _history_shapes(n_steps, (width,)) if s is not None)
+
+
 class History:
     """Volterra history sums of a forward substitution on grid weights.
 
@@ -967,9 +981,7 @@ class History:
     def __init__(self, weights, shape: tuple = (), buffers=None):
         self.weights = weights
         if buffers is None:
-            n, wide = weights.n_steps, math.prod(shape) >= HISTORY_BLOCKED_WIDTH
-            buffers = (np.empty((n, *shape)), np.empty((HISTORY_BLOCK, n)) if wide else None,
-                       np.empty(shape) if wide else None)
+            buffers = [s and np.empty(s) for s in _history_shapes(weights.n_steps, shape)]
         self._values, self._window, self._scratch = buffers
         self._count = 0
 
@@ -1015,7 +1027,7 @@ class Workspace:
         self._draws = None
 
     def history(self, weights, shape: tuple = ()) -> History:
-        rows = (weights.n_steps, *shape)
+        rows = _history_shapes(weights.n_steps, shape)[0]
         for k, buffers in enumerate(self._free):
             if buffers[0].shape == rows:
                 return History(weights, shape, buffers=self._free.pop(k))

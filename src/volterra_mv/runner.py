@@ -22,8 +22,8 @@ from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
 from .floattext import float_text
 from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
-from .kernels import (HISTORY_BLOCK, HISTORY_BLOCKED_WIDTH, GridKernel, _cell_averages_scratch,
-                      _set_blas_threads, march_bytes, regularity_probe, resolvent)
+from .kernels import (HISTORY_BLOCK, GridKernel, _set_blas_threads, history_bytes, march_bytes,
+                      regularity_probe, resolvent)
 from .rates import (Halfspace, RateProblem, _control_kernel, ldp_rate, mdp_rate,
                     minimize_rate_endpoint, tail_probability_probe)
 from .rng import scratch_bytes as _draw_scratch_bytes
@@ -74,13 +74,6 @@ class RunResult:
     manifest_path: str
 
 
-# arrays of its input's size that a kernel family's evaluator holds while the
-# cells of its weights are averaged (tracemalloc, n = 50..1600): about 14 in
-# TabulatedKernel.__call__, and in FbmKernel's correction its series scratch
-# (four float columns, a mask and two index columns) and about 5 more
-_BUILD_TEMPORARIES = {"tabulated": 14, "fbm": 12}
-
-
 def _memory_estimate(cfg: ExperimentConfig) -> int:
     """Bytes one run (or one cell of a pool sweep) holds at its peak: the grid
     weights of its kernels and the arrays of its kind."""
@@ -93,18 +86,14 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     for name, dense in kind.weights:
         k = control if name == "control" else getattr(cfg, name)
         built.setdefault(id(k), (k, dense))
-    # each kernel's march weights and the dense matrix of a kernel that is
-    # indexed; and in a wide march of N particles, the window of HISTORY_BLOCK
-    # rows that each of its drift and noise histories copies far blocks into
-    wide = kind.particles and cfg.n_particles * cfg.coeffs.d >= HISTORY_BLOCKED_WIDTH
-    weights = 8 * 2 * HISTORY_BLOCK * n * wide + sum(
-        march_bytes(k, n) + 8 * (n + 1) * n * dense for k, dense in built.values())
-    # and the scratch of the cell quadrature that builds a kernel that is not
-    # stationary.  A weight build is its own phase: it comes before the
-    # larger arrays of its run, so its scratch is counted beside the weights
-    # alone
-    build = max((_cell_averages_scratch(n, _BUILD_TEMPORARIES[k.family])
-                 for k, _ in built.values() if not k.stationary), default=0)
+    # each kernel's march weights, the dense matrix of one that is indexed,
+    # and the scratch of their build, its own phase: it comes before the
+    # larger arrays of its run, so it is counted beside the weights alone
+    weights = build = 0
+    for k, dense in built.values():
+        form, scratch = march_bytes(k, n)
+        weights += form + 8 * (n + 1) * n * dense
+        build = max(build, scratch)
     return weights + max(kind.memory(cfg), build)
 
 
@@ -282,12 +271,13 @@ def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
 
 def _march(cfg: ExperimentConfig, nodes: int, particles: int = 1, draws: bool = False) -> int:
     # floats of a particle or linear march: per particle, the states on the
-    # nodes it keeps, the drift and noise histories on n nodes with a scratch
-    # row each (d floats each) and a time-major block of HISTORY_BLOCK steps of
-    # increments (m floats); and the scratch its own draws lend each such block
-    m = cfg.coeffs.m
-    per = (nodes + 2 * (cfg.grid.n_steps + 1)) * cfg.coeffs.d + HISTORY_BLOCK * m
-    return particles * per + (_draw_scratch_bytes(particles, HISTORY_BLOCK, m) // 8 if draws else 0)
+    # nodes it keeps (d floats each) and a time-major block of HISTORY_BLOCK
+    # steps of increments (m floats each); its drift and noise histories of
+    # N d floats a term; and the scratch its own draws lend each such block
+    d, m = cfg.coeffs.d, cfg.coeffs.m
+    return (particles * (nodes * d + HISTORY_BLOCK * m)
+            + 2 * history_bytes(particles * d, cfg.grid.n_steps) // 8
+            + (_draw_scratch_bytes(particles, HISTORY_BLOCK, m) // 8 if draws else 0))
 
 
 def _run_simulate(cfg: ExperimentConfig, art, workers: int):
@@ -401,12 +391,11 @@ def _run_resolvent(cfg: ExperimentConfig, art, workers: int):
 
 
 def _resolvent_bytes(cfg: ExperimentConfig) -> int:
-    # the resolvent's rows, the history of its forward substitution and the
-    # check of its zeros, the window of HISTORY_BLOCK rows that a wide
-    # history copies far blocks into, and one block of resolvent.csv rows
+    # the resolvent's rows, the history of its forward substitution, of terms
+    # of n floats, and one block of resolvent.csv rows
     n = cfg.grid.n_steps
-    window = HISTORY_BLOCK * n * (n >= HISTORY_BLOCKED_WIDTH)
-    return 8 * (2 * (n + 1) * n + window) + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
+    return (8 * (n + 1) * n + history_bytes(n, n)
+            + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES)
 
 
 def _run_probe(cfg: ExperimentConfig, art, workers: int):
@@ -429,7 +418,6 @@ class _Kind:
     event: bool = False  # rate.event_normal must fit the model and not be zero
     probe: bool = False  # probe.kernel's section must be defined, probe.t + h <= T
     rate_mode: str = "mdp"  # the default rate.mode, where target does not fix it
-    particles: bool = False  # marches N particles, which may be a wide march
     sweep: bool = False  # the eps list is a sweep of cells, run at once one per worker
 
 
@@ -438,16 +426,15 @@ class _Kind:
 _MARCHED, _RATE = (("k1", False), ("k2", False)), (("k1", True), ("control", True))
 # one entry per kind, in the order of the command line's subcommands
 _KINDS = {
-    "simulate": _Kind(_run_simulate, _simulate_bytes, _MARCHED, particles=True),
+    "simulate": _Kind(_run_simulate, _simulate_bytes, _MARCHED),
     "limit": _Kind(_run_limit, _limit_bytes, (("k1", False),), kernel2=False),
-    "clt": _Kind(_run_clt, _clt_bytes, _MARCHED, particles=True, sweep=True),
+    "clt": _Kind(_run_clt, _clt_bytes, _MARCHED, sweep=True),
     "ldp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="ldp"),
     "mdp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="mdp"),
     "rate-min": _Kind(_run_rate_min, _rate_min_bytes, _RATE, event=True, rate_mode="ldp"),
     # a crude tail-probe cell keeps no path: its march holds its state slab
     "tail-probe": _Kind(_run_tail, lambda cfg: 8 * _march(cfg, 1, cfg.n_particles, draws=True),
-                        _RATE + (("k2", False),), event=True, rate_mode="ldp", particles=True,
-                        sweep=True),
+                        _RATE + (("k2", False),), event=True, rate_mode="ldp", sweep=True),
     "resolvent": _Kind(_run_resolvent, _resolvent_bytes, (("k1", True),), kernel2=False),
     "kernel-probe": _Kind(_run_probe, lambda cfg: 0, (), kernel2=False, probe=True),
 }

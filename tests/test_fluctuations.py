@@ -19,7 +19,7 @@ from volterra_mv import (
     strong_error_vs_eps,
 )
 from volterra_mv import fluctuations
-from volterra_mv.kernels import HISTORY_BLOCK
+from volterra_mv.kernels import history_bytes
 from volterra_mv.rng import normal_increments
 
 
@@ -492,9 +492,8 @@ class TestFoldedSup:
                 pair = clt_pair(model, 1.0, eps, grid, n_particles, seed=3, limit=pair)
                 clt_gap(pair, p=2)
 
-        floats = (n_particles * (n * m + (n + 1) * d + 2 * (n + HISTORY_BLOCK) * d)
-                  + 2 * (n + 1) * n)
-        assert traced_peak(sweep) <= 8 * floats + 1e6
+        floats = n_particles * (n * m + (n + 1) * d) + 2 * (n + 1) * n
+        assert traced_peak(sweep) <= 8 * floats + 2 * history_bytes(n_particles * d, n) + 1e6
 
 
 class TestMoments:

@@ -47,10 +47,13 @@ from volterra_mv.kernels import (
     _power_lags,
     _row_chunk,
     _SeriesScratch,
+    _cell_averages_scratch,
     _set_blas_threads,
     _openblas_threads,
     fbm_normalizer,
     grid_weights,
+    history_bytes,
+    march_bytes,
     march_weights,
 )
 
@@ -751,6 +754,40 @@ class TestPackedTriangle:
             assert [n for k, n in builds if k is kern] == [30]
 
 
+    def test_indexed_kernel_keeps_no_triangle(self):
+        # the matrix is unpacked from a triangle built for the call alone
+        kern, grid = FbmKernel(0.3), TimeGrid(1.0, 30)
+        GridKernel.from_kernel(kern, grid)
+        grid_weights(kern, grid)
+        assert "_march_cache" not in vars(kern)
+
+    @pytest.mark.parametrize("cls, hurst, name", [(FbmKernel, 0.3, "average_triangle"),
+                                                  (PowerKernel, 0.3, "average_lags")],
+                             ids=["packed", "lags"])
+    def test_march_of_an_indexed_kernel_cuts_the_cached_matrix(self, monkeypatch, cls, hurst,
+                                                               name):
+        # indexed first, a kernel builds its cells or lags once: the march
+        # cuts its form from the cached matrix, with a fresh build's floats
+        builds = []
+        build = getattr(cls, name)
+
+        def counted(self, grid):
+            builds.append(self)
+            return build(self, grid)
+
+        monkeypatch.setattr(cls, name, counted)
+        grid = TimeGrid(1.0, 30)
+        fresh = march_weights(cls(hurst), grid)
+        kern = cls(hurst)
+        dense = grid_weights(kern, grid)
+        form = march_weights(kern, grid)
+        assert [k for k in builds if k is kern] == [kern]
+        assert type(form) is type(fresh)
+        assert all(np.array_equal(form.row(i), fresh.row(i)) for i in range(1, 31))
+        assert np.array_equal(dense, fresh.dense())
+        assert march_weights(kern, grid) is form and grid_weights(kern, grid) is dense
+
+
 class TestHistoryThreads:
     def test_wide_history_sums_alike_on_one_and_two_blas_threads(self):
         # the marches keep every BLAS thread from BLAS_THREADED_WIDTH up, where
@@ -804,6 +841,49 @@ class TestWorkspace:
         other = pool.history(w, (5,))
         assert other._values is not a._values and other._values is not b._values
         assert {id(pool.history(w, (4,))._values) for _ in range(2)} == {id(a._values), id(b._values)}
+
+
+def _held_bytes(hist: History) -> int:
+    return sum(b.nbytes for b in (hist._values, hist._window, hist._scratch) if b is not None)
+
+
+class TestSizes:
+    @pytest.mark.parametrize("n", [2, 31, 33, 400])
+    @pytest.mark.parametrize("width", [1, 63, 64, 2000])
+    @pytest.mark.parametrize("form", ["lag", "packed", "dense"])
+    def test_history_bytes_are_its_buffers(self, form, width, n):
+        # on fresh buffers and on those a workspace lends, in every weight
+        # form: a narrow history holds n terms, a wide one also the window
+        # of HISTORY_BLOCK rows and one scratch term
+        weights = {"lag": lambda: LagRows(np.ones(n)),
+                   "packed": lambda: PackedTriangle(np.ones(n * (n + 1) // 2), n),
+                   "dense": lambda: GridKernel(TimeGrid(1.0, n),
+                                               np.tril(np.ones((n + 1, n)), k=-1))}[form]()
+        want = history_bytes(width, n)
+        assert want == 8 * (n * width + (HISTORY_BLOCK * n + width) * (width >= HISTORY_BLOCKED_WIDTH))
+        pool = Workspace()
+        shapes = [(width,)] + ([()] if width == 1 else [])
+        for shape in shapes:
+            fresh = pool.history(weights, shape)
+            assert _held_bytes(History(weights, shape)) == _held_bytes(fresh) == want
+            pool.release(fresh)
+            assert _held_bytes(pool.history(weights, shape)) == want
+
+    @pytest.mark.parametrize("kern, temporaries", [
+        (FbmKernel(0.3), 12), (FbmKernel(0.7), 12), (PACKED["tabulated"], 14),
+        (ConstantKernel(0.7), None), (PowerKernel(0.3), None), (FbmKernel(0.5), None),
+    ], ids=["fbm-0.3", "fbm-0.7", "tabulated", "constant", "power", "fbm-half"])
+    def test_march_bytes_are_the_form_and_its_build_scratch(self, kern, temporaries):
+        # a build by cells holds the quadrature scratch of its family's
+        # evaluator; a lag build holds none
+        for n in (2, 40, 400, 1600):
+            scratch = 0 if temporaries is None else _cell_averages_scratch(n, temporaries)
+            floats = n if temporaries is None else n * (n + 1) // 2
+            assert march_bytes(kern, n) == (8 * floats, scratch)
+        grid = TimeGrid(1.0, 40)
+        form = march_weights(dataclasses.replace(kern), grid)
+        held = form._reversed if isinstance(form, LagRows) else form.values
+        assert held.nbytes == march_bytes(kern, 40)[0]
 
 
 class TestGaussLegendreTables:

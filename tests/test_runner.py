@@ -927,14 +927,14 @@ class TestCli:
     def test_equal_kernel_sections_are_budgeted_once(self):
         # the rate_min_ldp benchmark config: its two equal constant sections
         # are one kernel, whose 100 lags and 101 x 100 matrix count once
-        # (171,504 bytes when each section had its own kernel)
+        # (171,488 bytes if each section had its own kernel)
         cfg = validate_config(
             "[experiment]\nkind = rate-min\n[model]\nname = linear_mean_field\nA = 1.0\n"
             "B = 0.5\nsigma0 = 1.0\nsigma1 = 0.5\nxi = 0.0\n[kernel1]\nfamily = constant\n"
             "c = 1.0\n[kernel2]\nfamily = constant\nc = 1.0\n[grid]\nT = 1.0\nn_steps = 100\n"
             "[rate]\nmode = ldp\nevent_normal = [1.0]\nevent_level = 1.0\n[run]\nseed = 7\n")
         assert cfg.k1 is cfg.k2
-        assert _memory_estimate(cfg) == 89904
+        assert _memory_estimate(cfg) == 89888
 
     def test_clt_budget_counts_the_cell(self, tmp_path, monkeypatch):
         # N = 64, n = 40, d = 1: the old guard counted 2 N n d floats of 8 bytes
