@@ -22,7 +22,7 @@ from .kernels import Workspace, _log_fit, march_weights
 # simulate_particles is not called here: the benchmark's traced layers wrap it
 # under this module's name
 from .solvers import (Model, PathEnsemble, _given_blocks, _linear_march, _simulate,
-                      simulate_particles, solve_deterministic_limit)
+                      pass_bytes, simulate_particles, solve_deterministic_limit)
 
 # floats in one block's temporaries in holder_probe (1 MB)
 _BLOCK_FLOATS = 1 << 17
@@ -170,6 +170,22 @@ def _bootstrap_rows(n: int) -> int:
     """How many of clt_gap's resamples of n values it draws at once: at most
     256 KB of indices unless one resample is more."""
     return min(_BOOTSTRAP_RESAMPLES, max(1, (1 << 15) // n))
+
+
+def _bootstrap_bytes(n: int) -> int:
+    """Bytes of clt_gap's block of resample indices of n values and the values they pick."""
+    return 16 * _bootstrap_rows(n) * n
+
+
+def clt_sweep_bytes(n_particles: int, n_steps: int, d: int, m: int) -> int:
+    """Bytes a clt sweep holds in its largest phase: the increments beside the
+    scratch of their draw, or beside the Z march, which keeps its states (a
+    particle pass beside Z keeps no path and holds as much), or, once those
+    are freed, one block of the bootstrap."""
+    increments = 8 * n_particles * n_steps * m
+    return max(increments + _rng.scratch_bytes(n_particles, n_steps, m),
+               increments + pass_bytes(n_particles, n_steps, d, m, n_steps + 1),
+               _bootstrap_bytes(n_particles))
 
 
 @dataclass(frozen=True)

@@ -1069,6 +1069,11 @@ def resolvent(k: GridKernel) -> GridKernel:
     return GridKernel(grid=k.grid, weights=r)
 
 
+def resolvent_bytes(n: int) -> int:
+    """Bytes ``resolvent`` holds beside its operand: the rows of R and its History."""
+    return 8 * (n + 1) * n + history_bytes(n, n)
+
+
 @dataclass(frozen=True)
 class GronwallReport:
     f: np.ndarray

@@ -26,6 +26,7 @@ from .solvers import (
     _along_path,
     _drawn_blocks,
     _simulate,
+    pass_bytes,
     simulate_particles,
     solve_controlled_deterministic,
     solve_deterministic_limit,
@@ -131,6 +132,13 @@ def _solve_first_kind(c: np.ndarray, g: np.ndarray, lam_reg: float, sig: np.ndar
     else:
         v, *_ = np.linalg.lstsq(c, g, rcond=None)
     return v.reshape(n, m), auto if lam_reg == 0.0 else lam_reg
+
+
+def solve_bytes(n: int, d: int, m: int, ridge: bool) -> int:
+    """Bytes of the dense system: the (n d) x (n m) matrix c and its scaled copy,
+    or with a ridge c beside the (n m)^2 normal matrix, scaled identity and sum."""
+    c = 8 * n * d * n * m
+    return c + (24 * (n * m) ** 2 if ridge else c)
 
 
 def _direct_rate(problem: RateProblem) -> RateSolution:
@@ -306,6 +314,12 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     )
 
 
+def minimizer_bytes(n: int, d: int, m: int) -> int:
+    """Bytes of minimize_rate_endpoint: the limit, best and trial paths, the
+    control, direction, sensitivity and next control, and a trial march."""
+    return 8 * (3 * (n + 1) * d + 4 * n * m) + pass_bytes(1, n, d, m, n + 1)
+
+
 RESOLVED_HITS = 50
 
 
@@ -357,6 +371,11 @@ def _terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray 
     return _simulate(model.k1, model.k2, None, model.coeffs, xi_arr, grid, n_particles, seed,
                      noise_scale=float(np.sqrt(eps)), law=law, blocks=blocks,
                      workspace=workspace)
+
+
+def crude_cell_bytes(n_particles: int, n: int, d: int, m: int) -> int:
+    """Bytes of a crude tail cell: a pass that draws its increments and keeps one state slab."""
+    return pass_bytes(n_particles, n, d, m, 1, draws=True)
 
 
 def _tagged_terminal(model: Model, xi_arr, eps: float, grid: TimeGrid, law: np.ndarray,

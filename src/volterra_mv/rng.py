@@ -204,9 +204,9 @@ def scratch_bytes(n_particles: int, n_steps: int, n_components: int) -> int:
     """Bytes that draws of at most ``n_steps`` steps at a time of N particles
     with m components hold beside their output: the DrawScratch, four floats
     a draw of a block and two words a particle of a run, and the tail
-    indices of one block, on average 2 exp(-2) of its draws."""
+    indices of one block, on average 2 exp(-2) of its draws, in whole words."""
     size, rows = scratch_shape(n_particles, n_steps, n_components)
-    return 8 * (4 * size + 2 * rows) + int(16 * _EXP_M2 * size)
+    return 8 * (4 * size + 2 * rows + int(2 * _EXP_M2 * size))
 
 
 def ndtri(y):

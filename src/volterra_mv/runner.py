@@ -21,13 +21,14 @@ from . import __version__
 from .config import ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
 from .floattext import float_text
-from .fluctuations import _bootstrap_rows, clt_gap, clt_pair
-from .kernels import (HISTORY_BLOCK, GridKernel, _set_blas_threads, history_bytes, march_bytes,
-                      regularity_probe, resolvent)
-from .rates import (Halfspace, RateProblem, _control_kernel, ldp_rate, mdp_rate,
-                    minimize_rate_endpoint, tail_probability_probe)
-from .rng import scratch_bytes as _draw_scratch_bytes
-from .solvers import Model, ensemble_summary, simulate_particles, solve_deterministic_limit
+from .fluctuations import clt_gap, clt_pair, clt_sweep_bytes
+from .kernels import (GridKernel, _set_blas_threads, march_bytes, regularity_probe, resolvent,
+                      resolvent_bytes)
+from .rates import (Halfspace, RateProblem, _control_kernel, crude_cell_bytes, ldp_rate,
+                    mdp_rate, minimize_rate_endpoint, minimizer_bytes, solve_bytes,
+                    tail_probability_probe)
+from .solvers import (Model, ensemble_summary, pass_bytes, simulate_particles,
+                      solve_deterministic_limit)
 
 ENV_WORKERS = "VOLTERRA_MV_WORKERS"
 # rows of resolvent.csv formatted at a time; ensemble.csv takes as many
@@ -40,6 +41,9 @@ _RESOLVENT_ROW_BYTES = 285
 # about as much as a march of one particle over 2000 steps
 PATH_BLOCK_ROWS = 1 << 7
 _PATH_CELL_BYTES = 185
+# an open artifact file: its 4 KiB buffer, the block size of common file
+# systems, and its objects (tracemalloc)
+_OPEN_FILE_BYTES = 4768
 
 
 def _fmt(x) -> str:
@@ -54,11 +58,14 @@ def _fmt(x) -> str:
 
 def _write_csv(path, header, rows):
     # no header or _fmt cell needs quoting, so these are csv.writer's bytes
-    # without its 128 KiB record buffer
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    # without its 128 KiB record buffer; a binary file holds its 4 KiB
+    # buffer alone, where a text file also keeps its rows' strings until
+    # they make 8 KiB of text: writing a 300-row control.csv peaked at 35 KB
+    # traced, against 6 KB
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\r\n")
+            fh.write((",".join(_fmt(v) for v in row) + "\r\n").encode())
 
 
 def _write_kv(path, items):
@@ -83,17 +90,19 @@ def _memory_estimate(cfg: ExperimentConfig) -> int:
     # rate's control kernel is its noise kernel unless [kernelc] is given
     control = _control_kernel(cfg.k2, cfg.kc)
     built = {}
-    for name, dense in kind.weights:
+    for name, marched, indexed in kind.weights:
         k = control if name == "control" else getattr(cfg, name)
-        built.setdefault(id(k), (k, dense))
-    # each kernel's march weights, the dense matrix of one that is indexed,
-    # and the scratch of their build, its own phase: it comes before the
-    # larger arrays of its run, so it is counted beside the weights alone
+        built.setdefault(id(k), (k, marched, indexed))
+    # the march weights of each kernel a march reads, the dense matrix of one
+    # that is indexed, and the scratch of their build, its own phase: it
+    # comes before the larger arrays of its run, so it is counted beside the
+    # weights alone.  The march form of a kernel that no march reads is held
+    # only in that phase, while its matrix is built from it
     weights = build = 0
-    for k, dense in built.values():
+    for k, marched, indexed in built.values():
         form, scratch = march_bytes(k, n)
-        weights += form + 8 * (n + 1) * n * dense
-        build = max(build, scratch)
+        weights += form * marched + 8 * (n + 1) * n * indexed
+        build = max(build, scratch + form * (not marched))
     return weights + max(kind.memory(cfg), build)
 
 
@@ -269,15 +278,9 @@ def _sweep(rows_fn, cfg: ExperimentConfig, cells: list, workers: int) -> list:
         return [row for part in parts for row in part]
 
 
-def _march(cfg: ExperimentConfig, nodes: int, particles: int = 1, draws: bool = False) -> int:
-    # floats of a particle or linear march: per particle, the states on the
-    # nodes it keeps (d floats each) and a time-major block of HISTORY_BLOCK
-    # steps of increments (m floats each); its drift and noise histories of
-    # N d floats a term; and the scratch its own draws lend each such block
-    d, m = cfg.coeffs.d, cfg.coeffs.m
-    return (particles * (nodes * d + HISTORY_BLOCK * m)
-            + 2 * history_bytes(particles * d, cfg.grid.n_steps) // 8
-            + (_draw_scratch_bytes(particles, HISTORY_BLOCK, m) // 8 if draws else 0))
+def _sizes(cfg: ExperimentConfig) -> tuple:
+    # (N, n, d, m), the order of the stated sizes of a run's arrays
+    return cfg.n_particles, cfg.grid.n_steps, cfg.coeffs.d, cfg.coeffs.m
 
 
 def _run_simulate(cfg: ExperimentConfig, art, workers: int):
@@ -293,10 +296,10 @@ def _simulate_bytes(cfg: ExperimentConfig) -> int:
     # ensemble.csv is written the states and one block of whole particles,
     # at least one, with its table, text and formatter temporaries: about 32
     # bytes a row and 167 a state cell (tracemalloc, d = 1..3)
-    n, d, big_n = cfg.grid.n_steps, cfg.coeffs.d, cfg.n_particles
+    big_n, n, d, m = _sizes(cfg)
     rows = max(1, min(big_n, BLOCK_ROWS // (n + 1))) * (n + 1)
     writing = 8 * big_n * (n + 1) * d + rows * (32 + 167 * d) if cfg.write_ensemble else 0
-    return max(8 * _march(cfg, n + 1, big_n, draws=True), writing)
+    return max(pass_bytes(big_n, n, d, m, n + 1, draws=True), writing)
 
 
 def _run_limit(cfg: ExperimentConfig, art, workers: int):
@@ -305,10 +308,11 @@ def _run_limit(cfg: ExperimentConfig, art, workers: int):
 
 
 def _limit_bytes(cfg: ExperimentConfig) -> int:
-    # the march of one particle, which keeps its path, and one block of
-    # path.csv rows
-    rows = min(PATH_BLOCK_ROWS, cfg.grid.n_steps + 1)
-    return 8 * _march(cfg, cfg.grid.n_steps + 1) + rows * (2 + cfg.coeffs.d) * _PATH_CELL_BYTES
+    # the march of one particle, which keeps its path, the open path.csv and
+    # one block of its rows
+    _, n, d, m = _sizes(cfg)
+    return (pass_bytes(1, n, d, m, n + 1) + _OPEN_FILE_BYTES
+            + min(PATH_BLOCK_ROWS, n + 1) * (2 + d) * _PATH_CELL_BYTES)
 
 
 def _run_clt(cfg: ExperimentConfig, art, workers: int):
@@ -316,18 +320,10 @@ def _run_clt(cfg: ExperimentConfig, art, workers: int):
     _write_csv(art("clt.csv"), header, _sweep(_clt_rows, cfg, sorted(cfg.eps_list), workers))
 
 
-def _clt_bytes(cfg: ExperimentConfig) -> int:
-    # the march of N particles and the increments, drawn once before the
-    # first march, beside the scratch of their draw, which outweighs a short
-    # march of few particles: the Z march keeps its states, and each particle
-    # pass beside Z folds its sup and keeps no path, which comes to the same.
-    # The bootstrap runs once those are freed: a block of resample indices
-    # and the values they pick, at most about 512 KB, which is the peak of
-    # small runs
-    n, m, big_n = cfg.grid.n_steps, cfg.coeffs.m, cfg.n_particles
-    return 8 * max(_march(cfg, n + 1, big_n) + big_n * n * m,
-                   big_n * n * m + _draw_scratch_bytes(big_n, n, m) // 8,
-                   2 * _bootstrap_rows(big_n) * big_n)
+def _control_bytes(cfg: ExperimentConfig) -> int:
+    # a rate's last phase, after its solve or minimizer: its control and the
+    # open control.csv, which is written row by row
+    return 8 * cfg.grid.n_steps * cfg.coeffs.m + _OPEN_FILE_BYTES
 
 
 def _write_control(cfg: ExperimentConfig, art, sol, last):
@@ -353,11 +349,7 @@ def _run_rate(cfg: ExperimentConfig, art, workers: int):
 
 
 def _rate_bytes(cfg: ExperimentConfig) -> int:
-    # the dense (n d) x (n m) control matrix and its scaled copy, or with a
-    # ridge the (n m)^2 normal matrix, the scaled identity and their sum
-    nm = cfg.grid.n_steps * cfg.coeffs.m
-    c = cfg.grid.n_steps * cfg.coeffs.d * nm
-    return 8 * (c + (3 * nm ** 2 if cfg.lam_reg > 0.0 else c))
+    return max(solve_bytes(*_sizes(cfg)[1:], ridge=cfg.lam_reg > 0.0), _control_bytes(cfg))
 
 
 def _rate_min(cfg: ExperimentConfig):
@@ -372,10 +364,7 @@ def _run_rate_min(cfg: ExperimentConfig, art, workers: int):
 
 
 def _rate_min_bytes(cfg: ExperimentConfig) -> int:
-    # the minimizer's limit, best and trial paths, its control, direction,
-    # sensitivity and next control, beside the march of one trial path
-    n, d, m = cfg.grid.n_steps, cfg.coeffs.d, cfg.coeffs.m
-    return 8 * (3 * (n + 1) * d + 4 * n * m + _march(cfg, n + 1))
+    return max(minimizer_bytes(*_sizes(cfg)[1:]), _control_bytes(cfg))
 
 
 def _run_tail(cfg: ExperimentConfig, art, workers: int):
@@ -391,11 +380,9 @@ def _run_resolvent(cfg: ExperimentConfig, art, workers: int):
 
 
 def _resolvent_bytes(cfg: ExperimentConfig) -> int:
-    # the resolvent's rows, the history of its forward substitution, of terms
-    # of n floats, and one block of resolvent.csv rows
+    # the resolvent's rows and substitution, and one block of resolvent.csv rows
     n = cfg.grid.n_steps
-    return (8 * (n + 1) * n + history_bytes(n, n)
-            + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES)
+    return resolvent_bytes(n) + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
 
 
 def _run_probe(cfg: ExperimentConfig, art, workers: int):
@@ -412,7 +399,8 @@ class _Kind:
 
     run: object  # (cfg, art, workers): runs it, writing each artifact at art(name)
     memory: object  # cfg -> the bytes it holds at its peak beside its weights
-    weights: tuple  # (cfg.<name> or a rate's "control" kernel, whether it is indexed)
+    # (cfg.<name> or a rate's "control" kernel, whether a march reads it, whether it is indexed)
+    weights: tuple
     kernel2: bool = True  # [kernel2] is required
     target: str | None = None  # rates rate.target_csv (then required) in this fixed mode
     event: bool = False  # rate.event_normal must fit the model and not be zero
@@ -422,20 +410,20 @@ class _Kind:
 
 
 # the drift and noise kernels of a particle march, and a rate's drift and
-# control kernels, which it indexes
-_MARCHED, _RATE = (("k1", False), ("k2", False)), (("k1", True), ("control", True))
+# control kernels, which it marches and indexes
+_MARCHED = (("k1", True, False), ("k2", True, False))
+_RATE = (("k1", True, True), ("control", True, True))
 # one entry per kind, in the order of the command line's subcommands
 _KINDS = {
     "simulate": _Kind(_run_simulate, _simulate_bytes, _MARCHED),
-    "limit": _Kind(_run_limit, _limit_bytes, (("k1", False),), kernel2=False),
-    "clt": _Kind(_run_clt, _clt_bytes, _MARCHED, sweep=True),
+    "limit": _Kind(_run_limit, _limit_bytes, (("k1", True, False),), kernel2=False),
+    "clt": _Kind(_run_clt, lambda cfg: clt_sweep_bytes(*_sizes(cfg)), _MARCHED, sweep=True),
     "ldp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="ldp"),
     "mdp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="mdp"),
     "rate-min": _Kind(_run_rate_min, _rate_min_bytes, _RATE, event=True, rate_mode="ldp"),
-    # a crude tail-probe cell keeps no path: its march holds its state slab
-    "tail-probe": _Kind(_run_tail, lambda cfg: 8 * _march(cfg, 1, cfg.n_particles, draws=True),
-                        _RATE + (("k2", False),), event=True, rate_mode="ldp", sweep=True),
-    "resolvent": _Kind(_run_resolvent, _resolvent_bytes, (("k1", True),), kernel2=False),
+    "tail-probe": _Kind(_run_tail, lambda cfg: crude_cell_bytes(*_sizes(cfg)),
+                        _RATE + (("k2", True, False),), event=True, rate_mode="ldp", sweep=True),
+    "resolvent": _Kind(_run_resolvent, _resolvent_bytes, (("k1", False, True),), kernel2=False),
     "kernel-probe": _Kind(_run_probe, lambda cfg: 0, (), kernel2=False, probe=True),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)

@@ -33,7 +33,8 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError
 from .grids import TimeGrid
-from .kernels import HISTORY_BLOCK, Kernel, Workspace, _one_blas_thread_below, march_weights
+from .kernels import (HISTORY_BLOCK, Kernel, Workspace, _one_blas_thread_below, history_bytes,
+                      march_weights)
 from .measures import EmpiricalMeasure
 from . import rng as _rng
 
@@ -430,6 +431,17 @@ def _linear_march(k1: Kernel, kf: Kernel, coeffs: CoefficientSet, x0_path: np.nd
             z[i + 1] = nxt.reshape(n_paths, d)
     pool.release(drift, forced)
     return z.transpose(1, 0, 2)
+
+
+def pass_bytes(n_particles: int, n_steps: int, d: int, m: int, nodes: int,
+               draws: bool = False) -> int:
+    """Bytes a particle or linear march of N particles holds: per particle its
+    states on the ``nodes`` it keeps and a block of at most HISTORY_BLOCK
+    steps of increments; its drift and noise histories; and the draw scratch
+    of a pass that draws its own increments."""
+    return (8 * n_particles * (nodes * d + min(HISTORY_BLOCK, n_steps) * m)
+            + 2 * history_bytes(n_particles * d, n_steps)
+            + (_rng.scratch_bytes(n_particles, HISTORY_BLOCK, m) if draws else 0))
 
 
 def ensemble_summary(ensemble: PathEnsemble, p_list=(2,)) -> dict:

@@ -288,6 +288,26 @@ class TestCltGap:
             value, stderr = _oracle_gap(pair, p)
             assert (gap.value, gap.stderr) == (value, stderr)
 
+    @pytest.mark.parametrize("n", [64, 500, 2000, 40_000])
+    def test_bootstrap_bytes_are_its_index_and_value_blocks(self, monkeypatch, n):
+        # the largest block of resample indices clt_gap draws, beside the
+        # values they pick, one float each
+        blocks = []
+        real = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def integers(self, *args, **kwargs):
+                idx = self._rng.integers(*args, **kwargs)
+                blocks.append(idx.nbytes + idx.size * np.dtype(float).itemsize)
+                return idx
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        clt_gap(np.linspace(0.0, 1.0, n), p=2)
+        assert fluctuations._bootstrap_bytes(n) == max(blocks)
+
     def test_sup_taken_once_per_pair(self):
         pair = clt_pair(_model(a=1.0, sigma1=0.5), 1.0, 0.1, TimeGrid(1.0, 10), 16, seed=3)
         clt_gap(pair, p=2)

@@ -55,6 +55,7 @@ from volterra_mv.kernels import (
     history_bytes,
     march_bytes,
     march_weights,
+    resolvent_bytes,
 )
 
 
@@ -884,6 +885,22 @@ class TestSizes:
         form = march_weights(dataclasses.replace(kern), grid)
         held = form._reversed if isinstance(form, LagRows) else form.values
         assert held.nbytes == march_bytes(kern, 40)[0]
+
+    @pytest.mark.parametrize("n", [2, 40, 75])
+    def test_resolvent_bytes_are_its_rows_and_history(self, monkeypatch, n):
+        # the rows of R and the History of its substitution, narrow below
+        # HISTORY_BLOCKED_WIDTH steps and wide from there
+        made = []
+
+        class Recording(History):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(kernels_module, "History", Recording)
+        res = resolvent(GridKernel.from_kernel(PowerKernel(0.3), TimeGrid(1.0, n)))
+        assert len(made) == 1
+        assert resolvent_bytes(n) == res.weights.nbytes + _held_bytes(made[0])
 
 
 class TestGaussLegendreTables:

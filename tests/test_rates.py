@@ -236,6 +236,23 @@ class TestLdpRate:
         assert descent == pytest.approx(direct.rate, rel=1e-3)
 
 
+@pytest.mark.parametrize("d, m", [(1, 1), (2, 3)])
+def test_solve_bytes_are_the_dense_system(d, m):
+    # without a ridge, _control_system's c and its scaled copy; with one, c
+    # beside the normal matrix, the scaled identity and their sum
+    grid = TimeGrid(1.0, 12)
+    coeffs = BuiltinLinearMeanField(a=0.2, b=0.1, sigma0=np.eye(d, m), d=d, m=m).coefficients()
+    x0 = solve_deterministic_limit(UNIT, coeffs, np.ones(d), grid)
+    problem = RateProblem(mode="mdp", k1=UNIT, kc=UNIT, coeffs=coeffs, grid=grid, x0_path=x0,
+                          target=np.zeros((13, d)))
+    c, _, _ = rates._control_system(problem)
+    assert c.shape == (12 * d, 12 * m)
+    assert rates.solve_bytes(12, d, m, ridge=False) == 2 * c.nbytes
+    normal, identity = c.T @ c, 0.5 * np.eye(c.shape[1])
+    ridge = c.nbytes + normal.nbytes + identity.nbytes + (normal + identity).nbytes
+    assert rates.solve_bytes(12, d, m, ridge=True) == ridge
+
+
 class TestMultiDimensional:
     def _setup(self):
         grid = TimeGrid(1.0, 100)

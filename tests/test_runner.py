@@ -33,7 +33,7 @@ from volterra_mv import (
 )
 from volterra_mv.cli import main as cli_main
 from volterra_mv.config import validate_config
-from volterra_mv.kernels import LagRows
+from volterra_mv.kernels import LagRows, march_bytes
 from volterra_mv.runner import (
     _memory_estimate,
     _model,
@@ -187,15 +187,19 @@ DENSE = "\n[grid]\nn_steps = 300\n"
 TAIL = "\n[run]\nN = 500\neps_list = [0.5, 1.0]\n[rate]\nmode = ldp\nevent_level = 0.4\n"
 
 
+def _target(kind, tmp_path, n):
+    # a smooth target path on the n-step grid for a rate kind, starting at
+    # xi = 1.0 (ldp) or at zero (mdp), as the [rate] section that reads it
+    start = 1.0 if kind == "ldp-rate" else 0.0
+    target = tmp_path / f"{kind}.csv"
+    target.write_text("t,x1\n" + "".join(
+        f"{float(t)!r},{float(start + 0.5 * t * t)!r}\n" for t in np.linspace(0.0, 1.0, n + 1)))
+    return f"\n[rate]\ntarget_csv = \"{target}\"\n"
+
+
 def _dense_cfg(kind, tmp_path, extra="", tabulated=False):
-    # a smooth target path on the n = 300 grid for the rate kinds, starting
-    # at xi = 1.0 (ldp) or at zero (mdp)
     if kind in ("ldp-rate", "mdp-rate"):
-        start = 1.0 if kind == "ldp-rate" else 0.0
-        target = tmp_path / f"{kind}.csv"
-        target.write_text("t,x1\n" + "".join(
-            f"{float(t)!r},{float(start + 0.5 * t * t)!r}\n" for t in np.linspace(0.0, 1.0, 301)))
-        extra += f"\n[rate]\ntarget_csv = \"{target}\"\n"
+        extra += _target(kind, tmp_path, 300)
     base = BASE
     if tabulated:
         # kernel1 = 1 + t + s, tabulated on 41 nodes
@@ -491,6 +495,29 @@ h_list = [1e-3, 2e-3, 5e-3, 1e-2]
         # paths and march counted
         low = 0.8 if kind == "rate-min" else 1 / 1.5
         assert low * peak <= _memory_estimate(cfg) <= 1.5 * peak
+
+    @pytest.mark.parametrize("kind", ["simulate", "limit", "clt", "tail-probe", "ldp-rate",
+                                      "mdp-rate", "rate-min", "resolvent"])
+    def test_base_size_estimate_tracks_traced_peak(self, traced_peak, tmp_path, kind):
+        # at n = 40, N = 64 an open artifact file (about 4.8 KB) is a large
+        # share of a limit's or a rate's peak
+        extra = {"tail-probe": TAIL, "rate-min": "\n[rate]\nevent_level = 3.0\n"}.get(kind, "")
+        if kind in ("ldp-rate", "mdp-rate"):
+            extra = _target(kind, tmp_path, 40)
+        cfg = _cfg(kind, extra)
+        peak = traced_peak(cfg)
+        assert peak / 1.5 <= _memory_estimate(cfg) <= 1.5 * peak
+
+    def test_indexed_only_kernel_holds_its_march_form_in_its_build(self, traced_peak):
+        # resolvent indexes k1 and no march reads it: its packed triangle is
+        # held only while the matrix is built from it, beside the build's
+        # scratch, so it counts in that phase and not beside the run's
+        # arrays, where it made 7,274,640 bytes
+        cfg = validate_config(PINNED_RESOLVENT.replace("n_steps = 40", "n_steps = 300"))
+        form, scratch = march_bytes(cfg.k1, 300)
+        assert (form, form + scratch) == (361_200, 3_615_360)
+        assert _memory_estimate(cfg) == 6_913_440
+        assert _memory_estimate(cfg) <= 1.5 * traced_peak(cfg)
 
     def test_chained_clt_peaks_as_one_pair(self, traced_peak, history_buffers):
         # each pair lends X^0, the increments, Z and the history buffers of

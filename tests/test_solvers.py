@@ -288,6 +288,49 @@ class TestStreamedIncrements:
         assert np.array_equal(own.states, given.states)
         assert np.array_equal(own.driver_increments, dw)
 
+    @pytest.mark.parametrize("draws", [False, True], ids=["given", "drawn"])
+    @pytest.mark.parametrize("n", [2, 33, 400])
+    @pytest.mark.parametrize("n_particles", [1, 63, 64, 2000])
+    def test_pass_bytes_are_what_a_pass_allocates(self, n_particles, n, draws):
+        # the kept states, the largest block of increments the march reads,
+        # the history buffers it hands back to its workspace and the draw
+        # scratch the workspace lends, with the tail indices of one block,
+        # on average 2 exp(-2) of its draws.  Given increments are particle
+        # major, so each block the march reads is a copy
+        from volterra_mv import rng
+
+        grid = TimeGrid(1.0, n)
+        coeffs = BuiltinLinearMeanField(a=-0.5, b=0.3, sigma0=1.0).coefficients()
+        d, m = coeffs.d, coeffs.m
+        workspace = kernels.Workspace()
+        if draws:
+            source = solvers._drawn_blocks(5, "particles", n_particles, grid, m, workspace)
+        else:
+            dw = np.ascontiguousarray(normal_increments(5, "particles", n_particles, n, m, grid.dt))
+            source = solvers._given_blocks(dw)
+        block_bytes = []
+
+        def reading(s0, s1):
+            block = source(s0, s1)
+            block_bytes.append(block.nbytes)
+            return block
+
+        states = np.empty((n_particles, n + 1, d))
+
+        def record(i, x_i):
+            states[:, i] = x_i
+
+        solvers._simulate(ConstantKernel(1.0), PowerKernel(0.3), None, coeffs, 0.1, grid,
+                          n_particles, 5, noise_scale=0.3, blocks=reading, fold=record,
+                          workspace=workspace)
+        held = states.nbytes + max(block_bytes)
+        held += sum(b.nbytes for buffers in workspace._free for b in buffers if b is not None)
+        if draws:
+            scratch = workspace._draws
+            held += sum(a.nbytes for a in vars(scratch).values() if isinstance(a, np.ndarray))
+            held += 8 * int(2 * rng._EXP_M2 * scratch.size)
+        assert solvers.pass_bytes(n_particles, n, d, m, n + 1, draws=draws) == held
+
 
 class TestFoldContract:
     # the march holds only its current state slab and hands each node's new
