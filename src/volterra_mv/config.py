@@ -28,6 +28,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 DEFAULT_MEMORY_BUDGET = 4_000_000_000
+# a validated config and its run's bookkeeping, held to the manifest (tracemalloc)
+CONFIG_BYTES = 4500
 
 # the keys validate_config reads, per section; a model's builder checks the
 # keys of [model], and kernel sections are not checked

@@ -218,7 +218,7 @@ class Kernel:
     def average_weights(self, grid: TimeGrid) -> np.ndarray:
         """Cell-averaged (n+1, n) weights, zero for j >= i: the cached march
         weights unpacked, or ones built for this call, which it does not cache."""
-        form = _cached(self, "_march_cache", grid)
+        form = _cached(self, grid)
         return (_march_form(self)[0](grid) if form is None else form).dense()
 
 
@@ -816,50 +816,36 @@ class GridKernel:
         return float(np.abs(self.weights).max(initial=0.0))
 
 
-def _cached(kernel: Kernel, name: str, grid: TimeGrid, build=None):
-    """build(grid), cached as attribute ``name`` of the (immutable) kernel for
-    the last grid it was used on; without ``build``, the cached value or None."""
+def _cached(kernel: Kernel, grid: TimeGrid, build=None):
+    """build(grid), cached as ``_march_cache`` of the (immutable) kernel for the
+    last grid it was used on; without ``build``, the cached value or None."""
     key = (grid.horizon, grid.n_steps)
-    cached = getattr(kernel, name, (None, None))
+    cached = getattr(kernel, "_march_cache", (None, None))
     if cached[0] != key and build is not None:
         cached = (key, build(grid))
-        object.__setattr__(kernel, name, cached)
+        object.__setattr__(kernel, "_march_cache", cached)
     return cached[1] if cached[0] == key else None
 
 
-def grid_weights(kernel: Kernel, grid: TimeGrid) -> np.ndarray:
-    """The dense (n+1, n) cell-averaged weights, cached on the kernel for the
-    last grid it was used on, so a kernel holds at most one dense matrix.
-    Only the algebra that indexes the matrix asks for it: the rate functionals,
-    ``GridKernel``, ``resolvent`` and ``convolve``; a march reads its march
-    weights, and the matrix unpacks those."""
-    return _cached(kernel, "_weights_cache", grid, kernel.average_weights)
-
-
 def _march_form(kernel: Kernel):
-    """The form of a kernel's march weights, as its build on a grid, its cut
-    from the dense matrix, and its bytes and build scratch bytes at n steps:
-    n lags (LagRows) of a stationary kernel, else n(n+1)/2 packed floats
-    (PackedTriangle) built by cells."""
+    """The form of a kernel's march weights, as its build on a grid and its bytes
+    and build scratch bytes at n steps: n lags (LagRows) of a stationary kernel,
+    else n(n+1)/2 packed floats (PackedTriangle) built by cells."""
     if kernel.stationary:
-        return (lambda grid: LagRows(kernel.average_lags(grid)), lambda w: LagRows(w[-1, ::-1]),
-                lambda n: (8 * n, 0))
+        return lambda grid: LagRows(kernel.average_lags(grid)), lambda n: (8 * n, 0)
     return (kernel.average_triangle,
-            lambda w: PackedTriangle(w[np.tri(*w.shape, -1, dtype=bool)], w.shape[1]),
             lambda n: (8 * (n * (n + 1) // 2), _cell_averages_scratch(n, kernel._cell_temporaries)))
 
 
 def march_weights(kernel: Kernel, grid: TimeGrid):
-    """A march's weights in the form ``_march_form`` picks, cached as the matrix
-    is, and cut from the cached matrix if there is one: the same floats."""
-    build, cut, _ = _march_form(kernel)
-    dense = _cached(kernel, "_weights_cache", grid)
-    return _cached(kernel, "_march_cache", grid, build if dense is None else lambda _: cut(dense))
+    """A kernel's weights in the form ``_march_form`` picks, cached on the
+    kernel for the last grid it was used on: every history sum reads them."""
+    return _cached(kernel, grid, _march_form(kernel)[0])
 
 
 def march_bytes(kernel: Kernel, n_steps: int) -> tuple:
     """Bytes of a kernel's march weights at n steps, and of their build's scratch."""
-    return _march_form(kernel)[2](n_steps)
+    return _march_form(kernel)[1](n_steps)
 
 
 # History sums terms of at least HISTORY_BLOCKED_WIDTH floats in blocks of

@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BlowUpError, GridMismatchError, RankDeficiencyError
 from .grids import TimeGrid
-from .kernels import Kernel, Workspace, grid_weights
+from .kernels import Kernel, Workspace, march_weights
 from .solvers import (
     ControlPath,
     Model,
@@ -87,8 +87,8 @@ def _control_system(problem: RateProblem):
     grid = problem.grid
     n, d, m = grid.n_steps, coeffs.d, coeffs.m
     dt = grid.dt
-    w1 = grid_weights(problem.k1, grid)
-    wc = grid_weights(problem.kc, grid)
+    w1 = march_weights(problem.k1, grid).dense()
+    wc = march_weights(problem.kc, grid).dense()
     target = problem.target
     x0 = problem.x0_path
 
@@ -100,7 +100,8 @@ def _control_system(problem: RateProblem):
         drift_term, sig = _along_path(grid, x0, coeffs.drift, coeffs.diffusion, at=target)
         g = target[1:] - x0[0][None, :] - dt * (w1[1:, :] @ drift_term)
 
-    c = dt * np.einsum("ik,kdm->idkm", wc[1:, :], sig).reshape(n * d, n * m)
+    c = np.einsum("ik,kdm->idkm", wc[1:, :], sig).reshape(n * d, n * m)
+    c *= dt
     return c, g.reshape(-1), sig
 
 
@@ -135,10 +136,12 @@ def _solve_first_kind(c: np.ndarray, g: np.ndarray, lam_reg: float, sig: np.ndar
 
 
 def solve_bytes(n: int, d: int, m: int, ridge: bool) -> int:
-    """Bytes of the dense system: the (n d) x (n m) matrix c and its scaled copy,
-    or with a ridge c beside the (n m)^2 normal matrix, scaled identity and sum."""
+    """Bytes of the dense system at its peak: the two (n+1) x n weight matrices
+    _control_system unpacks beside the (n d) x (n m) matrix c, scaled in
+    place; then c beside its copy, or with a ridge beside the (n m)^2 normal
+    matrix, scaled identity and sum."""
     c = 8 * n * d * n * m
-    return c + (24 * (n * m) ** 2 if ridge else c)
+    return max(16 * (n + 1) * n + c, c + (24 * (n * m) ** 2 if ridge else c))
 
 
 def _direct_rate(problem: RateProblem) -> RateSolution:
@@ -147,8 +150,8 @@ def _direct_rate(problem: RateProblem) -> RateSolution:
     mdp_rate and ldp_rate."""
     grid = problem.grid
     c, g, sig = _control_system(problem)
-    wc = grid_weights(problem.kc, grid)
-    lead = wc.diagonal(-1)
+    wc = march_weights(problem.kc, grid)
+    lead = np.array([wc.row(i)[-1] for i in range(1, grid.n_steps + 1)])
     v, lam = _solve_first_kind(c, g, problem.lam_reg, sig, lead, grid.dt)
     ctrl = ControlPath(grid=grid, values=v)
     mode = "mdp_linearized" if problem.mode == "mdp" else "ldp"
@@ -209,21 +212,24 @@ def _terminal_sensitivity(problem_mode, k1, kc, coeffs, x0_path, path, grid, nor
 
     Uses the exact linearization for the mdp mode and a Gauss-Newton
     linearization (drift gradient along the current path, diffusion frozen)
-    for the ldp mode.
+    for the ldp mode.  The sweep reads the march weights of k1 and kc by
+    rows, as the forward march does, and holds two (n, d) sums beside them.
     """
     n, d = grid.n_steps, coeffs.d
     dt = grid.dt
-    w1 = grid_weights(k1, grid)
-    wc = grid_weights(kc, grid)
+    w1, wc = march_weights(k1, grid), march_weights(kc, grid)
     ref = x0_path if problem_mode == "mdp" else path
     grads, sig = _along_path(grid, x0_path, coeffs.drift_gradient, coeffs.diffusion, at=ref)
-    # adjoint of delta_x_i = dt sum_k<i w1[i, k] (grads_k delta_x_k + sig_k delta_v_k)
-    # against the terminal functional, swept backward from q_n = normal
-    q = np.zeros((n + 1, d))
-    q[n] = normal
-    for k in range(n - 1, -1, -1):
-        q[k] = dt * grads[k].T @ (w1[k + 1:, k] @ q[k + 1:])
-    return np.einsum("kdm,kd->km", sig, dt * (wc.T @ q)).reshape(-1)
+    # adjoint q of delta_x_i = dt sum_k<i (w1[i, k] grads_k delta_x_k + wc[i, k] sig_k
+    # delta_v_k) against <normal, x_T>, swept back from q_n = normal: row i adds
+    # w[i, k] q_i to column k < i, so column i - 1 is whole once row i is in
+    drift, ctrl = np.zeros((n, d)), np.zeros((n, d))
+    q = normal
+    for i in range(n, 0, -1):
+        drift[:i] += w1.row(i)[:, None] * q
+        ctrl[:i] += wc.row(i)[:, None] * q
+        q = dt * grads[i - 1].T @ drift[i - 1]
+    return np.einsum("kdm,kd->km", sig, dt * ctrl).reshape(-1)
 
 
 def _control_kernel(k2: Kernel, kc: Kernel | None) -> Kernel:
@@ -314,10 +320,19 @@ def minimize_rate_endpoint(model: Model, mode: str, event: Halfspace, grid: Time
     )
 
 
+# the Python objects of a trial march or sweep (tracemalloc, n = 40..1000, d = 1..3)
+_MINIMIZER_OBJECT_BYTES = 7200
+
+
 def minimizer_bytes(n: int, d: int, m: int) -> int:
-    """Bytes of minimize_rate_endpoint: the limit, best and trial paths, the
-    control, direction, sensitivity and next control, and a trial march."""
-    return 8 * (3 * (n + 1) * d + 4 * n * m) + pass_bytes(1, n, d, m, n + 1)
+    """Bytes of minimize_rate_endpoint: the limit and last ray's paths, the
+    control, direction and sensitivity, beside the larger of a ray search (the
+    best trial path, the trial control and a trial march) and the adjoint sweep
+    (the next sensitivity, the stacks along the path, its two sums, one row's
+    products and the scaled control sum)."""
+    ray = 8 * ((n + 1) * d + n * m) + pass_bytes(1, n, d, m, n + 1)
+    sweep = 8 * (n * m + n * d * (d + m) + 4 * n * d)
+    return 8 * (2 * (n + 1) * d + 3 * n * m) + max(ray, sweep) + _MINIMIZER_OBJECT_BYTES
 
 
 RESOLVED_HITS = 50

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, validate_config
+from .config import CONFIG_BYTES, ExperimentConfig, validate_config
 from .errors import BudgetError, ConfigError
 from .floattext import float_text
 from .fluctuations import clt_gap, clt_pair, clt_sweep_bytes
@@ -44,6 +44,8 @@ _PATH_CELL_BYTES = 185
 # an open artifact file: its 4 KiB buffer, the block size of common file
 # systems, and its objects (tracemalloc)
 _OPEN_FILE_BYTES = 4768
+# an open _write_kv text file, its buffers and objects (tracemalloc)
+_KV_FILE_BYTES = 5600
 
 
 def _fmt(x) -> str:
@@ -82,28 +84,21 @@ class RunResult:
 
 
 def _memory_estimate(cfg: ExperimentConfig) -> int:
-    """Bytes one run (or one cell of a pool sweep) holds at its peak: the grid
-    weights of its kernels and the arrays of its kind."""
+    """Bytes one run (or one cell of a pool sweep) holds at its peak: its fixed
+    objects, the march weights of its kernels and the arrays of its kind."""
     n = cfg.grid.n_steps
     kind = _KINDS[cfg.kind]
-    # the kernels it builds weights for, each once, as it is first named: a
-    # rate's control kernel is its noise kernel unless [kernelc] is given
+    # the kernels its marches read, each once (a rate's control kernel is its
+    # noise kernel unless [kernelc] is given); their build's scratch is a phase
+    # of its own, before the run's larger arrays, beside the weights alone
     control = _control_kernel(cfg.k2, cfg.kc)
-    built = {}
-    for name, marched, indexed in kind.weights:
-        k = control if name == "control" else getattr(cfg, name)
-        built.setdefault(id(k), (k, marched, indexed))
-    # the march weights of each kernel a march reads, the dense matrix of one
-    # that is indexed, and the scratch of their build, its own phase: it
-    # comes before the larger arrays of its run, so it is counted beside the
-    # weights alone.  The march form of a kernel that no march reads is held
-    # only in that phase, while its matrix is built from it
-    weights = build = 0
-    for k, marched, indexed in built.values():
-        form, scratch = march_bytes(k, n)
-        weights += form * marched + 8 * (n + 1) * n * indexed
-        build = max(build, scratch + form * (not marched))
-    return weights + max(kind.memory(cfg), build)
+    marched = {id(k): k for k in (control if name == "control" else getattr(cfg, name)
+                                  for name in kind.weights)}
+    forms = [march_bytes(k, n) for k in marched.values()]
+    weights, build = sum(f for f, _ in forms), max((s for _, s in forms), default=0)
+    # the run ends on the manifest, an open _write_kv file beside the config
+    # and the weights alone
+    return CONFIG_BYTES + weights + max(kind.memory(cfg), build, _KV_FILE_BYTES)
 
 
 def _model(cfg: ExperimentConfig) -> Model:
@@ -380,9 +375,14 @@ def _run_resolvent(cfg: ExperimentConfig, art, workers: int):
 
 
 def _resolvent_bytes(cfg: ExperimentConfig) -> int:
-    # the resolvent's rows and substitution, and one block of resolvent.csv rows
+    # the largest of its phases: the build of k1's march form, its unpacking
+    # into the operand matrix, the substitution beside the operand, and R
+    # beside the open resolvent.csv and one block of its rows
     n = cfg.grid.n_steps
-    return resolvent_bytes(n) + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES
+    form, scratch = march_bytes(cfg.k1, n)
+    matrix = 8 * (n + 1) * n
+    return max(form + scratch, form + matrix, matrix + resolvent_bytes(n),
+               matrix + _OPEN_FILE_BYTES + min(BLOCK_ROWS, (n + 1) * n // 2) * _RESOLVENT_ROW_BYTES)
 
 
 def _run_probe(cfg: ExperimentConfig, art, workers: int):
@@ -399,8 +399,7 @@ class _Kind:
 
     run: object  # (cfg, art, workers): runs it, writing each artifact at art(name)
     memory: object  # cfg -> the bytes it holds at its peak beside its weights
-    # (cfg.<name> or a rate's "control" kernel, whether a march reads it, whether it is indexed)
-    weights: tuple
+    weights: tuple  # the kernels its marches read: cfg.<name>, or a rate's "control" kernel
     kernel2: bool = True  # [kernel2] is required
     target: str | None = None  # rates rate.target_csv (then required) in this fixed mode
     event: bool = False  # rate.event_normal must fit the model and not be zero
@@ -409,21 +408,18 @@ class _Kind:
     sweep: bool = False  # the eps list is a sweep of cells, run at once one per worker
 
 
-# the drift and noise kernels of a particle march, and a rate's drift and
-# control kernels, which it marches and indexes
-_MARCHED = (("k1", True, False), ("k2", True, False))
-_RATE = (("k1", True, True), ("control", True, True))
 # one entry per kind, in the order of the command line's subcommands
 _KINDS = {
-    "simulate": _Kind(_run_simulate, _simulate_bytes, _MARCHED),
-    "limit": _Kind(_run_limit, _limit_bytes, (("k1", True, False),), kernel2=False),
-    "clt": _Kind(_run_clt, lambda cfg: clt_sweep_bytes(*_sizes(cfg)), _MARCHED, sweep=True),
-    "ldp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="ldp"),
-    "mdp-rate": _Kind(_run_rate, _rate_bytes, _RATE, target="mdp"),
-    "rate-min": _Kind(_run_rate_min, _rate_min_bytes, _RATE, event=True, rate_mode="ldp"),
+    "simulate": _Kind(_run_simulate, _simulate_bytes, ("k1", "k2")),
+    "limit": _Kind(_run_limit, _limit_bytes, ("k1",), kernel2=False),
+    "clt": _Kind(_run_clt, lambda cfg: clt_sweep_bytes(*_sizes(cfg)), ("k1", "k2"), sweep=True),
+    "ldp-rate": _Kind(_run_rate, _rate_bytes, ("k1", "control"), target="ldp"),
+    "mdp-rate": _Kind(_run_rate, _rate_bytes, ("k1", "control"), target="mdp"),
+    "rate-min": _Kind(_run_rate_min, _rate_min_bytes, ("k1", "control"), event=True,
+                      rate_mode="ldp"),
     "tail-probe": _Kind(_run_tail, lambda cfg: crude_cell_bytes(*_sizes(cfg)),
-                        _RATE + (("k2", True, False),), event=True, rate_mode="ldp", sweep=True),
-    "resolvent": _Kind(_run_resolvent, _resolvent_bytes, (("k1", False, True),), kernel2=False),
+                        ("k1", "control", "k2"), event=True, rate_mode="ldp", sweep=True),
+    "resolvent": _Kind(_run_resolvent, _resolvent_bytes, (), kernel2=False),
     "kernel-probe": _Kind(_run_probe, lambda cfg: 0, (), kernel2=False, probe=True),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)

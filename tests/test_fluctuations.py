@@ -118,7 +118,6 @@ class TestCltPair:
         # varies in y; the linear equation must pair it, at y = X^0_t, with
         # the ensemble mean of Z.  Oracle: a plain double loop over the weights
         from volterra_mv import CoefficientSet
-        from volterra_mv.kernels import grid_weights
 
         a_, c_ = -0.5, 0.8
         coeffs = CoefficientSet(
@@ -133,7 +132,7 @@ class TestCltPair:
         pair = clt_pair(model, 1.0, 1e-2, grid, 8, seed=3)
         x0 = pair.x0_path[:, 0]
         dw = pair.z_lim.driver_increments[:, :, 0]
-        w1, w2 = grid_weights(model.k1, grid), grid_weights(model.k2, grid)
+        w1, w2 = model.k1.average_weights(grid), model.k2.average_weights(grid)
 
         def linear_z(lions_at):
             z = np.zeros((8, grid.n_steps + 1))

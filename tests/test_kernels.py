@@ -51,7 +51,6 @@ from volterra_mv.kernels import (
     _set_blas_threads,
     _openblas_threads,
     fbm_normalizer,
-    grid_weights,
     history_bytes,
     march_bytes,
     march_weights,
@@ -524,27 +523,24 @@ class TestGridWeights:
 
     def test_cache_keeps_last_grid(self, monkeypatch):
         builds = []
-        build = PowerKernel.average_weights
+        build = PowerKernel.average_lags
 
         def counted(self, grid):
             builds.append(grid.n_steps)
             return build(self, grid)
 
-        monkeypatch.setattr(PowerKernel, "average_weights", counted)
+        monkeypatch.setattr(PowerKernel, "average_lags", counted)
         kern = PowerKernel(0.3)
         grids = [TimeGrid(1.0, 20), TimeGrid(1.0, 30), TimeGrid(2.0, 20)]
         for grid in grids:
-            w = grid_weights(kern, grid)
-            assert grid_weights(kern, grid) is w
-        held = [
-            x for value in vars(kern).values()
-            for x in (value if isinstance(value, (tuple, list)) else (value,))
-            if isinstance(x, np.ndarray) and x.ndim == 2
-        ]
-        assert len(held) == 1 and held[0] is w
-        back = grid_weights(kern, grids[0])
+            w = march_weights(kern, grid)
+            assert march_weights(kern, grid) is w
+        # one cache, of the last grid's form, and no matrix
+        assert list(vars(kern)) == ["hurst", "scale", "_march_cache"]
+        assert kern._march_cache[1] is w
+        back = march_weights(kern, grids[0])
         assert builds == [20, 30, 20, 20]
-        assert np.array_equal(back, build(PowerKernel(0.3), grids[0]))
+        assert np.array_equal(back.dense(), PowerKernel(0.3).average_weights(grids[0]))
 
     @pytest.mark.parametrize("hurst", [0.3, 0.7])
     @pytest.mark.parametrize("n", [1, 2, 40, 600])
@@ -669,11 +665,10 @@ class TestLagHistory:
             assert isinstance(lags, LagRows) and lags.n_steps == 20
             assert march_weights(kern, grid) is lags
             assert np.array_equal(lags.row(20), kern.average_lags(grid)[::-1])
-            assert "_weights_cache" not in vars(kern)
         fbm = FbmKernel(0.3)
         packed = march_weights(fbm, grid)
         assert isinstance(packed, PackedTriangle) and march_weights(fbm, grid) is packed
-        assert np.array_equal(grid_weights(fbm, grid), packed.dense())
+        assert np.array_equal(fbm.average_weights(grid), packed.dense())
         with pytest.raises(NotImplementedError):
             fbm.average_lags(grid)
 
@@ -750,7 +745,7 @@ class TestPackedTriangle:
         grid = TimeGrid(1.0, 30)
         for kern in kernels:
             form = march_weights(kern, grid)
-            assert np.array_equal(grid_weights(kern, grid), form.dense())
+            assert np.array_equal(kern.average_weights(grid), form.dense())
             assert march_weights(kern, grid) is form
             assert [n for k, n in builds if k is kern] == [30]
 
@@ -759,34 +754,7 @@ class TestPackedTriangle:
         # the matrix is unpacked from a triangle built for the call alone
         kern, grid = FbmKernel(0.3), TimeGrid(1.0, 30)
         GridKernel.from_kernel(kern, grid)
-        grid_weights(kern, grid)
         assert "_march_cache" not in vars(kern)
-
-    @pytest.mark.parametrize("cls, hurst, name", [(FbmKernel, 0.3, "average_triangle"),
-                                                  (PowerKernel, 0.3, "average_lags")],
-                             ids=["packed", "lags"])
-    def test_march_of_an_indexed_kernel_cuts_the_cached_matrix(self, monkeypatch, cls, hurst,
-                                                               name):
-        # indexed first, a kernel builds its cells or lags once: the march
-        # cuts its form from the cached matrix, with a fresh build's floats
-        builds = []
-        build = getattr(cls, name)
-
-        def counted(self, grid):
-            builds.append(self)
-            return build(self, grid)
-
-        monkeypatch.setattr(cls, name, counted)
-        grid = TimeGrid(1.0, 30)
-        fresh = march_weights(cls(hurst), grid)
-        kern = cls(hurst)
-        dense = grid_weights(kern, grid)
-        form = march_weights(kern, grid)
-        assert [k for k in builds if k is kern] == [kern]
-        assert type(form) is type(fresh)
-        assert all(np.array_equal(form.row(i), fresh.row(i)) for i in range(1, 31))
-        assert np.array_equal(dense, fresh.dense())
-        assert march_weights(kern, grid) is form and grid_weights(kern, grid) is dense
 
 
 class TestHistoryThreads:

@@ -160,3 +160,26 @@ def test_constant_sigma_ldp_rate_is_the_least_energy():
     oracle = _slsqp_rate(model, event, grid, kc=model.k2)
     assert np.isfinite(oracle)
     assert sol.rate <= oracle * (1.0 + 1e-8)
+
+
+@SIGMAS
+def test_ldp_rate_tends_to_the_mdp_rate(state_sigma):
+    # the small-noise rate of x_T >= x0_T + delta is delta^2 times the
+    # moderate-deviation rate of the level 1, up to a relative gap of order
+    # delta: the gap is positive and halves with delta (measured 2.006 to
+    # 2.099 per halving, from 2.2e-2 at delta = 0.2 with unit sigma and
+    # 8.6e-2 with cos sigma)
+    model = _model(state_sigma)
+    grid = TimeGrid(1.0, 100)
+    x0_end = float(solve_deterministic_limit(model.k1, model.coeffs, XI, grid)[-1, 0])
+    mdp = minimize_rate_endpoint(model, "mdp", Halfspace([1.0], 1.0), grid, xi=XI, kc=model.k2)
+    assert mdp.attained
+    gaps = []
+    for delta in (0.2, 0.1, 0.05, 0.025):
+        ldp = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], x0_end + delta), grid,
+                                     xi=XI, kc=model.k2)
+        assert ldp.attained
+        gaps.append(ldp.rate / (delta * delta * mdp.rate) - 1.0)
+    assert all(gap > 0.0 for gap in gaps)
+    factors = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((1.9 <= factors) & (factors <= 2.2))

@@ -33,7 +33,7 @@ from volterra_mv import (
     solve_deterministic_limit,
 )
 from volterra_mv import rates, solvers
-from volterra_mv.kernels import GridKernel, History, grid_weights
+from volterra_mv.kernels import GridKernel, History
 
 GRID = TimeGrid(1.0, 20)
 KERNELS = {
@@ -108,7 +108,7 @@ def loop_limit(k1, coeffs, xi, grid):
     n, d = grid.n_steps, coeffs.d
     dt, times = grid.dt, grid.times
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    drift = History(GridKernel(grid, grid_weights(k1, grid)), (d,))
+    drift = History(GridKernel(grid, k1.average_weights(grid)), (d,))
     x = np.empty((n + 1, d))
     x[0] = xi_arr
     for i in range(n):
@@ -122,8 +122,8 @@ def loop_skeleton(k1, kc, coeffs, xi, v, x0_path, grid):
     n, d = grid.n_steps, coeffs.d
     dt, times = grid.dt, grid.times
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    drift = History(GridKernel(grid, grid_weights(k1, grid)), (d,))
-    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), (d,))
+    drift = History(GridKernel(grid, k1.average_weights(grid)), (d,))
+    ctrl = History(GridKernel(grid, kc.average_weights(grid)), (d,))
     x = np.empty((n + 1, d))
     x[0] = xi_arr
     for i in range(n):
@@ -138,8 +138,8 @@ def loop_control_system(problem):
     coeffs, grid = problem.coeffs, problem.grid
     n, d, m = grid.n_steps, coeffs.d, coeffs.m
     dt, times = grid.dt, grid.times
-    w1 = grid_weights(problem.k1, grid)
-    wc = grid_weights(problem.kc, grid)
+    w1 = problem.k1.average_weights(grid)
+    wc = problem.kc.average_weights(grid)
     target, x0 = problem.target, problem.x0_path
     sig = np.empty((n, d, m))
     drift_term = np.empty((n, d))
@@ -163,8 +163,8 @@ def loop_control_system(problem):
 def loop_terminal_sensitivity(mode, k1, kc, coeffs, x0_path, path, grid, normal):
     n, d, m = grid.n_steps, coeffs.d, coeffs.m
     dt, times = grid.dt, grid.times
-    w1 = grid_weights(k1, grid)
-    wc = grid_weights(kc, grid)
+    w1 = k1.average_weights(grid)
+    wc = kc.average_weights(grid)
     ref = x0_path if mode == "mdp" else path
     grads = np.empty((n, d, d))
     sig = np.empty((n, d, m))
@@ -172,18 +172,23 @@ def loop_terminal_sensitivity(mode, k1, kc, coeffs, x0_path, path, grid, normal)
         mu = EmpiricalMeasure.dirac(x0_path[k])
         grads[k] = coeffs.drift_gradient(times[k], ref[k][None, :], mu)[0]
         sig[k] = coeffs.diffusion(times[k], ref[k][None, :], mu)[0]
-    q = np.zeros((n + 1, d))
-    q[n] = normal
-    for k in range(n - 1, -1, -1):
-        q[k] = dt * grads[k].T @ (w1[k + 1:, k] @ q[k + 1:])
-    return np.einsum("kdm,kd->km", sig, dt * (wc.T @ q)).reshape(-1)
+    # the sums of column k over the rows i > k, added from row n down
+    drift = np.zeros((n, d))
+    ctrl = np.zeros((n, d))
+    q = np.asarray(normal, dtype=float)
+    for i in range(n, 0, -1):
+        for k in range(i):
+            drift[k] += w1[i, k] * q
+            ctrl[k] += wc[i, k] * q
+        q = dt * grads[i - 1].T @ drift[i - 1]
+    return np.einsum("kdm,kd->km", sig, dt * ctrl).reshape(-1)
 
 
 def loop_linearized(k1, kc, coeffs, v, x0_path, grid):
     n, d = grid.n_steps, coeffs.d
     dt, times = grid.dt, grid.times
-    drift = History(GridKernel(grid, grid_weights(k1, grid)), (d,))
-    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), (d,))
+    drift = History(GridKernel(grid, k1.average_weights(grid)), (d,))
+    ctrl = History(GridKernel(grid, kc.average_weights(grid)), (d,))
     diracs = [EmpiricalMeasure.dirac(x0_path[k]) for k in range(n)]
     grads = np.empty((n, d, d))
     forc = np.empty((n, d))
@@ -211,8 +216,8 @@ def loop_linear_limit(model, x0, dw, grid):
         grads[k] = coeffs.drift_gradient(times[k], x0[k][None, :], mu)[0]
         dls[k] = coeffs.drift_measure_derivative(times[k], x0[k], mu, x0[k][None, :])[0]
         sig0[k] = coeffs.diffusion(times[k], x0[k][None, :], mu)[0]
-    drift = History(GridKernel(grid, grid_weights(model.k1, grid)), (n_particles * d,))
-    noise = History(GridKernel(grid, grid_weights(model.k2, grid)), (n_particles * d,))
+    drift = History(GridKernel(grid, model.k1.average_weights(grid)), (n_particles * d,))
+    noise = History(GridKernel(grid, model.k2.average_weights(grid)), (n_particles * d,))
     z = np.empty((n_particles, n + 1, d))
     z[:, 0, :] = 0.0
     for i in range(n):
@@ -237,9 +242,9 @@ def loop_mdp_particles(k1, k2, kc, coeffs, v, x0_path, dw, grid, scale, noise_sc
     states = np.zeros((n_particles, n + 1, d))
     base = states[:, 0, :].reshape(-1)
     flat = (n_particles * d,)
-    drift = History(GridKernel(grid, grid_weights(k1, grid)), flat)
-    noise = History(GridKernel(grid, grid_weights(k2, grid)), flat)
-    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), flat)
+    drift = History(GridKernel(grid, k1.average_weights(grid)), flat)
+    noise = History(GridKernel(grid, k2.average_weights(grid)), flat)
+    ctrl = History(GridKernel(grid, kc.average_weights(grid)), flat)
     for i in range(n):
         t = times[i]
         shifted = x0_path[i][None, :] + scale * states[:, i, :]
@@ -269,9 +274,9 @@ def loop_particles(k1, k2, kc, coeffs, xi, dw, grid, noise_scale, v=None, law=No
     states[:, 0, :] = xi
     base = np.tile(np.atleast_1d(np.asarray(xi, dtype=float)), (n_particles, 1)).reshape(-1)
     flat = (n_particles * d,)
-    drift = History(GridKernel(grid, grid_weights(k1, grid)), flat)
-    noise = History(GridKernel(grid, grid_weights(k2, grid)), flat)
-    ctrl = History(GridKernel(grid, grid_weights(kc, grid)), flat)
+    drift = History(GridKernel(grid, k1.average_weights(grid)), flat)
+    noise = History(GridKernel(grid, k2.average_weights(grid)), flat)
+    ctrl = History(GridKernel(grid, kc.average_weights(grid)), flat)
     for i in range(n):
         t = times[i]
         at = states[:, i, :]

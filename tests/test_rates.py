@@ -27,7 +27,6 @@ from volterra_mv import (
     tail_probability_probe,
 )
 from volterra_mv import rates, rng
-from volterra_mv.kernels import grid_weights
 from volterra_mv.rng import normal_increments
 
 UNIT = ConstantKernel(1.0)
@@ -81,8 +80,8 @@ def dense_sensitivity(mode, k1, kc, coeffs, x0_path, path, grid, normal):
     the adjoint of delta_x = L delta_x + C delta_v against <normal, x_T>, by
     one dense ((n+1)d)^2 transposed triangular solve."""
     n, d = grid.n_steps, coeffs.d
-    w1 = grid_weights(k1, grid)
-    wc = grid_weights(kc, grid)
+    w1 = k1.average_weights(grid)
+    wc = kc.average_weights(grid)
     ref = x0_path if mode == "mdp" else path
     grads, sig = [], []
     for k in range(n):
@@ -238,8 +237,9 @@ class TestLdpRate:
 
 @pytest.mark.parametrize("d, m", [(1, 1), (2, 3)])
 def test_solve_bytes_are_the_dense_system(d, m):
-    # without a ridge, _control_system's c and its scaled copy; with one, c
-    # beside the normal matrix, the scaled identity and their sum
+    # the larger of _control_system's c beside the two weight matrices it
+    # unpacks and, in the solve, c beside its copy or, with a ridge, beside
+    # the normal matrix, the scaled identity and their sum
     grid = TimeGrid(1.0, 12)
     coeffs = BuiltinLinearMeanField(a=0.2, b=0.1, sigma0=np.eye(d, m), d=d, m=m).coefficients()
     x0 = solve_deterministic_limit(UNIT, coeffs, np.ones(d), grid)
@@ -247,10 +247,11 @@ def test_solve_bytes_are_the_dense_system(d, m):
                           target=np.zeros((13, d)))
     c, _, _ = rates._control_system(problem)
     assert c.shape == (12 * d, 12 * m)
-    assert rates.solve_bytes(12, d, m, ridge=False) == 2 * c.nbytes
+    system = 2 * UNIT.average_weights(grid).nbytes + c.nbytes
+    assert rates.solve_bytes(12, d, m, ridge=False) == max(system, 2 * c.nbytes)
     normal, identity = c.T @ c, 0.5 * np.eye(c.shape[1])
     ridge = c.nbytes + normal.nbytes + identity.nbytes + (normal + identity).nbytes
-    assert rates.solve_bytes(12, d, m, ridge=True) == ridge
+    assert rates.solve_bytes(12, d, m, ridge=True) == max(system, ridge)
 
 
 class TestMultiDimensional:
@@ -356,7 +357,7 @@ class TestMinimizeEndpoint:
         grid = TimeGrid(1.0, 200)
         model = Model(k1=k1, k2=k2, coeffs=_coeffs())
         sol = minimize_rate_endpoint(model, "ldp", Halfspace([1.0], 1.0), grid, xi=0.0)
-        w2 = grid_weights(k2, grid)[grid.n_steps]
+        w2 = k2.average_weights(grid)[grid.n_steps]
         assert sol.rate == pytest.approx(1.0 / (2.0 * grid.dt * float(w2 @ w2)), rel=1e-12)
 
     def test_mdp_takes_one_iteration(self):
